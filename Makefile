@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-core bench-megasim bench-megasim-multi lint lint-streams evaluate evaluate-quick figures clean
+.PHONY: install test bench bench-perf lint lint-streams evaluate evaluate-quick figures clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -16,22 +16,12 @@ test-fast:
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
-# Simulation-substrate microbenchmarks (event kernel, fabric, model
-# cache); records results/BENCH_SIM_CORE.json and asserts the 2x
-# dispatch gate.
-bench-core:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_sim_core.py --benchmark-only -q
-
-# Vectorized scale tier: 100k-node epidemics via repro.megasim; records
-# results/BENCH_MEGASIM.json (requires the `vector` extra / numpy).
-bench-megasim:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_megasim.py --benchmark-only -q
-
-# Just the multi-message dispatch gate: arena (worker-resident shared
-# environment) must be >= 3x over the ship-topology-per-task baseline.
-bench-megasim-multi:
-	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_megasim.py --benchmark-only -q \
-		-k multi_message
+# The performance benchmark (benchmarks/perf, contract in
+# BENCHMARK.json): self-test that every probe still resolves, then all
+# six workloads; writes benchmarks/perf/out/results.json (numpy needed).
+bench-perf:
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/perf/tests -q
+	PYTHONPATH=src $(PYTHON) -m benchmarks.perf run
 
 # Static analysis: the determinism linter always runs; ruff/mypy run
 # when installed (CI installs both; the minimal dev container may not).

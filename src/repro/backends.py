@@ -75,16 +75,8 @@ class VectorBackend:
 
     name = "vector"
 
-    def __init__(
-        self,
-        workers: Optional[int] = 1,
-        dispatch: Optional[str] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = 1) -> None:
         self.workers = workers
-        #: Megasim fan-out mode (``"arena"``/``"pickle"``); ``None``
-        #: auto-selects -- arena for synthetic topologies, pickle for
-        #: the dense model wrapper (which cannot be flattened).
-        self.dispatch = dispatch
 
     def check_spec(self, spec: ExperimentSpec) -> None:
         """Raise ``ValueError`` naming every unsupported spec feature."""
@@ -107,10 +99,7 @@ class VectorBackend:
         resolved = resolve_model(model)
         mega = self._translate(spec, resolved.size, track_links=True)
         result = run_megasim(
-            mega,
-            workers=self.workers,
-            topology=DenseTopology(resolved),
-            dispatch=self.dispatch,
+            mega, workers=self.workers, topology=DenseTopology(resolved)
         )
         return self._wrap(result, with_recorder=True)
 
@@ -127,9 +116,7 @@ class VectorBackend:
         from repro.megasim.runner import run_megasim
 
         mega = self._translate(spec, nodes, track_links=False)
-        result = run_megasim(
-            mega, workers=self.workers, dispatch=self.dispatch
-        )
+        result = run_megasim(mega, workers=self.workers)
         return self._wrap(result, with_recorder=False)
 
     def _translate(
@@ -188,20 +175,13 @@ def _mean_receipt_round(result: "MegasimResult") -> float:
     return weighted / total
 
 
-def get_backend(
-    name: str,
-    workers: Optional[int] = 1,
-    dispatch: Optional[str] = None,
-) -> SimulationBackend:
-    """Resolve a backend by CLI name.
-
-    ``dispatch`` only affects the vector backend (megasim fan-out mode);
-    the event kernel ignores it.
-    """
+def get_backend(name: str, workers: Optional[int] = 1) -> SimulationBackend:
+    """Resolve a backend by CLI name (``workers`` is the vector backend's
+    multi-message fan-out; the event kernel runs one spec in-process)."""
     if name == "event":
         return EventKernelBackend()
     if name == "vector":
-        return VectorBackend(workers=workers, dispatch=dispatch)
+        return VectorBackend(workers=workers)
     raise ValueError(
         f"unknown backend {name!r}; expected one of {', '.join(BACKEND_NAMES)}"
     )

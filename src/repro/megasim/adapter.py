@@ -39,7 +39,7 @@ from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.megasim.links import merge_link_arrays, top_share
 from repro.metrics.analysis import RunSummary
-from repro.metrics.confidence import mean_confidence_interval
+from repro.metrics.confidence import mean_confidence_interval, percentile
 from repro.metrics.recorder import MetricsRecorder
 from repro.monitors.ranking import OracleRanking
 from repro.network.message import control_packet_size, payload_packet_size
@@ -593,7 +593,7 @@ def _slot_latency_stats(
 
     Matches ``summarize()``: sample variance with the z=1.96 normal
     interval, and the linear-interpolation percentile of
-    ``analysis._percentile`` evaluated over the (virtually) sorted
+    ``confidence.percentile`` evaluated over the (virtually) sorted
     latency list.
     """
     total = sum(slot_histogram.values())
@@ -607,13 +607,13 @@ def _slot_latency_stats(
         # Small runs: expand and reuse the exact shared implementation.
         expanded = np.repeat(values, counts).tolist()
         mean, ci = mean_confidence_interval(expanded)
-        return mean, ci, _percentile(expanded, 0.5), _percentile(expanded, 0.95)
+        return mean, ci, percentile(expanded, 0.5), percentile(expanded, 0.95)
     mean = float(np.dot(values, counts) / total)
     variance = float(np.dot(counts, (values - mean) ** 2) / (total - 1))
     ci = 1.9600 * float(np.sqrt(variance / total))
     cumulative = np.cumsum(counts)
 
-    def percentile(fraction: float) -> float:
+    def walk(fraction: float) -> float:
         position = fraction * (total - 1)
         low = int(position)
         weight = position - low
@@ -623,18 +623,7 @@ def _slot_latency_stats(
         )
         return low_value * (1 - weight) + high_value * weight
 
-    return mean, ci, percentile(0.5), percentile(0.95)
-
-
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    """Verbatim twin of ``repro.metrics.analysis._percentile``."""
-    if not sorted_values:
-        return float("nan")
-    position = fraction * (len(sorted_values) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_values) - 1)
-    weight = position - low
-    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
+    return mean, ci, walk(0.5), walk(0.95)
 
 
 def summary_from_outcomes(

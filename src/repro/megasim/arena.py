@@ -15,10 +15,15 @@ Tasks shrink to ``(message_index, origin)`` descriptors.
 
 Layout and cleanup contract:
 
-- :class:`ArenaLayout` is the small picklable descriptor shipped through
-  the pool initializer: the segment name, per-array ``(offset, shape,
-  dtype)`` refs, the topology's scalar parameters, the spec, and every
-  message's pre-derived ``(dissemination, loss)`` seed pair.
+- :class:`ArenaLayout` is the picklable descriptor shipped through the
+  pool initializer: the segment name, per-array ``(offset, shape,
+  dtype)`` refs, the spec, and every message's pre-derived
+  ``(dissemination, loss)`` seed pair.  Only a
+  :class:`~repro.megasim.adapter.PlaneTopology` is big position arrays
+  and goes through the segment; any other topology (the array-free
+  :class:`~repro.megasim.adapter.UniformTopology`, the small-N
+  :class:`~repro.megasim.adapter.DenseTopology`) rides the layout as
+  the object itself -- once per *worker*, like everything else here.
 - The **parent owns the segment**: :meth:`MegasimArena.close` unlinks
   it, the runner calls it in a ``finally`` (covering worker crashes
   mid-batch), and a :func:`weakref.finalize` safety net covers the
@@ -49,7 +54,6 @@ from numpy.typing import NDArray
 from repro.megasim.adapter import (
     CompiledFaults,
     PlaneTopology,
-    UniformTopology,
     VectorTopology,
 )
 from repro.megasim.rounds import SlotScratch
@@ -67,19 +71,6 @@ except ImportError:  # pragma: no cover - exotic builds only
 #: also satisfies any numpy dtype's natural alignment).
 _ALIGN = 64
 
-TOPOLOGY_KIND_PLANE = "plane"
-TOPOLOGY_KIND_UNIFORM = "uniform"
-
-
-def arena_supported(topology: VectorTopology) -> bool:
-    """True when ``topology`` can be flattened into an arena.
-
-    The synthetic scale-tier environments qualify; :class:`DenseTopology`
-    (a wrapped event-kernel model with O(n^2) matrices, used by the
-    small-N differential harness) stays on the pickled-task path.
-    """
-    return isinstance(topology, (PlaneTopology, UniformTopology))
-
 
 @dataclass(frozen=True)
 class ArrayRef:
@@ -95,17 +86,18 @@ class ArenaLayout:
     """Picklable descriptor of a worker-resident environment.
 
     Exactly one of ``shm_name`` / ``inline`` carries the array payload;
-    everything else is scalar metadata small enough to ship per worker.
+    exactly one of ``topology`` / ``plane_side`` says where the topology
+    comes from.
     """
 
     spec: "MegasimSpec"
     #: Every message's pre-derived (dissemination, loss) seed pair, by
     #: message index -- derived once in the parent, never re-derived.
     seeds: Tuple[Tuple[int, int], ...]
-    topology_kind: str
-    topology_n: int
-    #: Plane side length or uniform latency, by kind.
-    topology_scale: float
+    #: The topology itself, unless it is a plane (``plane_side`` set),
+    #: whose ``plane.px`` / ``plane.py`` positions are among the arrays.
+    topology: Optional[VectorTopology] = None
+    plane_side: Optional[float] = None
     arrays: Tuple[Tuple[str, ArrayRef], ...] = ()
     shm_name: Optional[str] = None
     inline: Optional[Dict[str, NDArray[np.generic]]] = None
@@ -166,40 +158,30 @@ class MegasimArena:
         faults: Optional[CompiledFaults],
         seeds: Tuple[Tuple[int, int], ...],
     ) -> None:
-        kind, scale = _topology_meta(topology)
         arrays = _environment_arrays(topology, views, faults)
-        self._segment: Optional["shared_memory.SharedMemory"] = None
-        self._finalizer: Optional[weakref.finalize] = None
         refs, segment = _pack_arrays(arrays)
-        loss = float(faults.loss_probability) if faults is not None else None
-        if segment is not None:
-            self._segment = segment
-            self._finalizer = weakref.finalize(
-                self, _release_segment, segment
-            )
-            self.layout = ArenaLayout(
-                spec=spec,
-                seeds=seeds,
-                topology_kind=kind,
-                topology_n=topology.size,
-                topology_scale=scale,
-                arrays=refs,
-                shm_name=segment.name,
-                loss_probability=loss,
-            )
-        else:
+        self._segment = segment
+        self._finalizer = (
+            weakref.finalize(self, _release_segment, segment)
+            if segment is not None
+            else None
+        )
+        side = topology.side if isinstance(topology, PlaneTopology) else None
+        self.layout = ArenaLayout(
+            spec=spec,
+            seeds=seeds,
+            topology=topology if side is None else None,
+            plane_side=side,
+            arrays=refs,
+            shm_name=segment.name if segment is not None else None,
             # Fallback: no shared memory on this platform/container.
             # Arrays ride inside the layout -- copy-on-write under fork,
             # pickled once per worker under spawn.
-            self.layout = ArenaLayout(
-                spec=spec,
-                seeds=seeds,
-                topology_kind=kind,
-                topology_n=topology.size,
-                topology_scale=scale,
-                inline=arrays,
-                loss_probability=loss,
-            )
+            inline=arrays if segment is None else None,
+            loss_probability=(
+                float(faults.loss_probability) if faults is not None else None
+            ),
+        )
 
     @property
     def name(self) -> Optional[str]:
@@ -216,17 +198,6 @@ class MegasimArena:
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-def _topology_meta(topology: VectorTopology) -> Tuple[str, float]:
-    if isinstance(topology, PlaneTopology):
-        return TOPOLOGY_KIND_PLANE, topology.side
-    if isinstance(topology, UniformTopology):
-        return TOPOLOGY_KIND_UNIFORM, topology.round_ms
-    raise ValueError(
-        f"{type(topology).__name__} cannot be made worker-resident; "
-        "use dispatch='pickle'"
-    )
 
 
 def _environment_arrays(
@@ -364,28 +335,19 @@ def _materialize_env(
     layout: ArenaLayout, arrays: Dict[str, NDArray[np.generic]]
 ) -> WorkerEnv:
     spec = layout.spec
-    topology: VectorTopology
-    if layout.topology_kind == TOPOLOGY_KIND_PLANE:
+    topology = layout.topology
+    if topology is None:
+        if layout.plane_side is None:
+            raise ValueError("layout carries neither a topology nor a plane")
         topology = PlaneTopology.from_positions(
             cast(NDArray[np.float64], arrays["plane.px"]),
             cast(NDArray[np.float64], arrays["plane.py"]),
-            side=layout.topology_scale,
-        )
-    elif layout.topology_kind == TOPOLOGY_KIND_UNIFORM:
-        topology = UniformTopology(
-            layout.topology_n, latency_ms=layout.topology_scale
-        )
-    else:
-        raise ValueError(f"unknown topology kind {layout.topology_kind!r}")
-    if topology.size != layout.topology_n:
-        raise ValueError(
-            f"arena topology has {topology.size} nodes, layout says "
-            f"{layout.topology_n}"
+            side=layout.plane_side,
         )
     faults: Optional[CompiledFaults] = None
     if layout.loss_probability is not None:
         faults = CompiledFaults(
-            n=layout.topology_n,
+            n=spec.nodes,
             crashed=cast(
                 Optional[NDArray[np.bool_]], arrays.get("faults.crashed")
             ),

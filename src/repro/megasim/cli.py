@@ -15,7 +15,6 @@ import sys
 import time
 from typing import List, Optional
 
-from repro.experiments.parallel import resolve_workers
 from repro.experiments.reporting import format_table
 from repro.experiments.scenarios import (
     flat_factory,
@@ -27,8 +26,6 @@ from repro.experiments.scenarios import (
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.megasim.runner import (
-    DISPATCH_ARENA,
-    DISPATCH_PICKLE,
     TOPOLOGY_PLANE,
     TOPOLOGY_UNIFORM,
     MegasimResult,
@@ -117,19 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="processes for multi-message fan-out (0 = one per CPU)",
     )
     parser.add_argument(
-        "--dispatch",
-        choices=("auto", DISPATCH_ARENA, DISPATCH_PICKLE),
-        default="auto",
-        help="fan-out mode: shared-memory arena, fat pickled tasks, or "
-        "auto (arena whenever the topology supports it)",
-    )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="messages per arena dispatch (default: two waves per worker)",
-    )
-    parser.add_argument(
         "--track-links",
         action="store_true",
         help="record per-link payload counts and report the emergent-"
@@ -204,16 +188,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         failure=failure,
         gray=gray,
     )
-    if args.batch_size is not None and args.batch_size < 1:
-        raise SystemExit(f"--batch-size must be >= 1, got {args.batch_size}")
-    dispatch = None if args.dispatch == "auto" else args.dispatch
     started = time.perf_counter()
-    result = run_megasim(
-        spec,
-        workers=resolve_workers(args.workers),
-        dispatch=dispatch,
-        batch_size=args.batch_size,
-    )
+    result = run_megasim(spec, workers=args.workers)
     elapsed = time.perf_counter() - started
     row = result_row(args, result, elapsed)
     if args.json:

@@ -8,24 +8,19 @@ description of a run.  Messages are mutually independent epidemics, so
 is derived *before* dispatch from the spec's root seed
 (:func:`derive_message_seeds`, one pass over ``megasim.message.{index}``
 / ``megasim.loss.{index}``), so results are identical for any worker
-count, batch size, and dispatch mode, in submission order, exactly like
-the event-kernel engine.
+count and batch size, in submission order, exactly like the event-kernel
+engine.
 
-Two dispatch modes (``dispatch=`` on :func:`run_megasim`):
-
-- ``"arena"`` (default for the synthetic topologies): the environment
-  -- topology positions, partial views, fault tables -- is packed once
-  into a :class:`~repro.megasim.arena.MegasimArena` shared-memory
-  segment, workers attach it zero-copy in their pool initializer, and
-  tasks shrink to ``(message indices, origins)`` batch descriptors of a
-  few bytes each.  ``batch_size`` messages run per dispatch against the
-  worker-resident environment, reusing one
-  :class:`~repro.megasim.rounds.SlotScratch` across the whole batch.
-- ``"pickle"``: the legacy fat-task path -- every message's task
-  carries the full environment through the pickle boundary.  Still used
-  by the differential harness (its :class:`DenseTopology` wraps an
-  event-kernel model that cannot be flattened) and kept as the
-  benchmark baseline.
+There is one dispatch path.  The environment -- topology, partial views,
+fault tables -- is made worker-resident by a
+:class:`~repro.megasim.arena.MegasimArena` (big arrays in one
+shared-memory segment attached zero-copy in the pool initializer,
+everything else shipped once per worker beside them), and tasks are
+``(message indices, origins)`` batch descriptors of a few bytes each,
+run against that environment with one
+:class:`~repro.megasim.rounds.SlotScratch` reused across the batch.
+With ``workers=1`` the parent's own objects are the environment and no
+segment is created.
 """
 
 from __future__ import annotations
@@ -54,14 +49,13 @@ from repro.megasim.adapter import (
 from repro.megasim.arena import (
     MegasimArena,
     WorkerEnv,
-    arena_supported,
     clear_worker_env,
     current_env,
     install_worker_env,
 )
 from repro.megasim.links import StructureMetrics, structure_metrics
 from repro.megasim.rounds import MessageOutcome, disseminate
-from repro.megasim.strategies import CompiledStrategy, compile_strategy
+from repro.megasim.strategies import compile_strategy
 from repro.metrics.analysis import RunSummary
 from repro.metrics.recorder import MetricsRecorder
 from repro.runtime.node import StrategyFactory
@@ -70,9 +64,6 @@ from repro.sim.rng import RandomStreams
 
 TOPOLOGY_PLANE = "plane"
 TOPOLOGY_UNIFORM = "uniform"
-
-DISPATCH_ARENA = "arena"
-DISPATCH_PICKLE = "pickle"
 
 
 @dataclass(frozen=True)
@@ -113,6 +104,17 @@ class MegasimSpec:
             raise ValueError(f"messages must be >= 1, got {self.messages}")
         if self.fanout < 1:
             raise ValueError(f"fanout must be >= 1, got {self.fanout}")
+        if self.rounds is not None and self.rounds < 1:
+            raise ValueError(f"spec.rounds must be >= 1, got {self.rounds}")
+        if self.view_degree is not None and self.view_degree < 1:
+            raise ValueError(
+                f"spec.view_degree must be >= 1, got {self.view_degree}"
+            )
+        for name in ("round_ms", "retry_period_ms"):
+            if not getattr(self, name) > 0:
+                raise ValueError(
+                    f"spec.{name} must be positive, got {getattr(self, name)}"
+                )
         if self.topology not in (TOPOLOGY_PLANE, TOPOLOGY_UNIFORM):
             raise ValueError(
                 f"topology must be {TOPOLOGY_PLANE!r} or {TOPOLOGY_UNIFORM!r},"
@@ -188,13 +190,19 @@ def message_origins(
     nodes only).  Without crashes the alive population is all nodes and
     the draws are bit-identical to the unconstrained ones.
     """
+    crashed = faults.crashed if faults is not None else None
     if spec.origins is not None:
+        if crashed is not None and crashed[list(spec.origins)].any():
+            raise ValueError(
+                f"spec.origins {spec.origins} names a node that "
+                "spec.failure crash-stops; the origin must be alive"
+            )
         return spec.origins
     rng = np.random.default_rng(
         RandomStreams(spec.seed).derive_seed("megasim.origins")
     )
-    if faults is not None and faults.crashed is not None:
-        alive = np.flatnonzero(~faults.crashed)
+    if crashed is not None:
+        alive = np.flatnonzero(~crashed)
         if alive.size == 0:
             raise ValueError("failure plan crashed every node")
         return tuple(
@@ -228,53 +236,6 @@ def derive_message_seeds(
         )
         for index in range(total)
     )
-
-
-def message_seed(spec: MegasimSpec, index: int) -> int:
-    """The derived RNG seed of message ``index`` -- fixed before dispatch."""
-    return derive_message_seeds(spec, count=index + 1)[index][0]
-
-
-def loss_seed(spec: MegasimSpec, index: int) -> int:
-    """The derived seed of message ``index``'s Bernoulli loss stream."""
-    return derive_message_seeds(spec, count=index + 1)[index][1]
-
-
-@dataclass(frozen=True)
-class _MessageTask:
-    """One message's dissemination as a picklable zero-arg callable.
-
-    The fat-task (``dispatch="pickle"``) form: the whole environment
-    rides along.  Seeds are precomputed scalars, not re-derived.
-    """
-
-    spec: MegasimSpec
-    topology: VectorTopology
-    strategy: CompiledStrategy
-    views: Optional[NDArray[np.int32]]
-    origin: int
-    index: int
-    faults: Optional[CompiledFaults] = None
-    seed: int = 0
-    loss_seed: int = 0
-
-    def __call__(self) -> MessageOutcome:
-        rng = np.random.default_rng(self.seed)
-        loss_rng: Optional[np.random.Generator] = None
-        if self.faults is not None and self.faults.needs_rng:
-            loss_rng = np.random.default_rng(self.loss_seed)
-        return disseminate(
-            self.topology,
-            self.strategy,
-            self.origin,
-            self.spec.fanout,
-            self.spec.effective_rounds,
-            rng,
-            views=self.views,
-            track_links=self.spec.track_links,
-            faults=self.faults,
-            loss_rng=loss_rng,
-        )
 
 
 @dataclass(frozen=True)
@@ -340,33 +301,11 @@ def _batch_tasks(
     ]
 
 
-def _resolve_dispatch(
-    dispatch: Optional[str], topology: VectorTopology
-) -> str:
-    if dispatch is None:
-        return (
-            DISPATCH_ARENA if arena_supported(topology) else DISPATCH_PICKLE
-        )
-    if dispatch not in (DISPATCH_ARENA, DISPATCH_PICKLE):
-        raise ValueError(
-            f"dispatch must be {DISPATCH_ARENA!r} or {DISPATCH_PICKLE!r}, "
-            f"got {dispatch!r}"
-        )
-    if dispatch == DISPATCH_ARENA and not arena_supported(topology):
-        raise ValueError(
-            f"dispatch='arena' needs a shareable synthetic topology "
-            f"(plane/uniform); {type(topology).__name__} must use "
-            f"dispatch='pickle'"
-        )
-    return dispatch
-
-
 def run_megasim(
     spec: MegasimSpec,
     workers: Optional[int] = 1,
     topology: Optional[VectorTopology] = None,
     views: Optional[NDArray[np.int32]] = None,
-    dispatch: Optional[str] = None,
     batch_size: Optional[int] = None,
 ) -> MegasimResult:
     """Run every message of ``spec``; results are worker-count invariant.
@@ -376,11 +315,16 @@ def run_megasim(
     event kernel's model) instead of the spec's synthetic one, and
     ``views`` to reuse pre-built partial views (they must match what
     ``spec.view_degree`` would build -- benchmark reruns over one
-    environment).  ``dispatch`` picks the fan-out mode (module
-    docstring); ``None`` selects the arena whenever the topology
-    supports it.  ``batch_size`` tunes messages per arena dispatch
+    environment).  ``batch_size`` overrides messages per dispatch
     (default :func:`default_batch_size`); outcomes are byte-identical
-    for every legal value.
+    for every legal value, which is what the invariance tests use it to
+    show.
+
+    Serial: the parent's own objects are installed as the worker
+    environment (no segment, no attach) and torn down in ``finally``.
+    Pooled: the arena context manager guarantees the segment is unlinked
+    on success, on a worker raising mid-batch, and on the pool itself
+    failing.
     """
     if topology is None:
         topology = build_topology(spec)
@@ -388,7 +332,6 @@ def run_megasim(
         raise ValueError(
             f"topology has {topology.size} nodes, spec wants {spec.nodes}"
         )
-    mode = _resolve_dispatch(dispatch, topology)
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     strategy = compile_strategy(
@@ -416,48 +359,7 @@ def run_megasim(
     )
     origins = message_origins(spec, faults)
     seeds = derive_message_seeds(spec)
-    outcomes: List[MessageOutcome]
-    if mode == DISPATCH_PICKLE:
-        tasks = [
-            _MessageTask(
-                spec, topology, strategy, views, origin, index, faults,
-                seed=seeds[index][0], loss_seed=seeds[index][1],
-            )
-            for index, origin in enumerate(origins)
-        ]
-        outcomes = run_tasks(tasks, workers=workers)
-    else:
-        outcomes = _run_arena(
-            spec, topology, strategy, views, faults, origins, seeds,
-            workers=resolve_workers(workers), batch_size=batch_size,
-        )
-    return MegasimResult(
-        spec=spec,
-        outcomes=outcomes,
-        round_ms=topology.round_ms,
-        failed=faults.failed_nodes() if faults is not None else [],
-    )
-
-
-def _run_arena(
-    spec: MegasimSpec,
-    topology: VectorTopology,
-    strategy: CompiledStrategy,
-    views: Optional[NDArray[np.int32]],
-    faults: Optional[CompiledFaults],
-    origins: Sequence[int],
-    seeds: Tuple[Tuple[int, int], ...],
-    workers: int,
-    batch_size: Optional[int],
-) -> List[MessageOutcome]:
-    """Arena dispatch: environment resident, batch descriptors in flight.
-
-    Serial path: the parent's own objects are installed as the worker
-    environment (no segment, no attach) and torn down in ``finally``.
-    Pooled path: the arena context manager guarantees the segment is
-    unlinked on success, on a worker raising mid-batch, and on the pool
-    itself failing.
-    """
+    workers = resolve_workers(workers)
     if batch_size is None:
         batch_size = default_batch_size(len(origins), workers)
     batches = _batch_tasks(origins, batch_size)
@@ -484,4 +386,9 @@ def _run_arena(
                 initializer=install_worker_env,
                 initargs=(arena.layout,),
             )
-    return [outcome for batch in results for outcome in batch]
+    return MegasimResult(
+        spec=spec,
+        outcomes=[outcome for batch in results for outcome in batch],
+        round_ms=topology.round_ms,
+        failed=faults.failed_nodes() if faults is not None else [],
+    )

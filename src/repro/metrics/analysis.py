@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.metrics.confidence import mean_confidence_interval
+from repro.metrics.confidence import mean_confidence_interval, percentile
 from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.structure import link_concentration
 
@@ -67,16 +67,6 @@ def _latencies(
     return values
 
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return float("nan")
-    position = fraction * (len(sorted_values) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_values) - 1)
-    weight = position - low
-    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
-
-
 def summarize(
     recorder: MetricsRecorder,
     expected_receivers: int,
@@ -105,8 +95,8 @@ def summarize(
         delivery_ratio=(deliveries / per_node_messages) if messages else 0.0,
         mean_latency_ms=mean_latency,
         latency_ci_ms=ci,
-        median_latency_ms=_percentile(latencies, 0.5),
-        p95_latency_ms=_percentile(latencies, 0.95),
+        median_latency_ms=percentile(latencies, 0.5),
+        p95_latency_ms=percentile(latencies, 0.95),
         payload_transmissions=payload,
         payload_per_delivery=(payload / deliveries) if deliveries else 0.0,
         payload_per_message_per_node=(payload / per_node_messages) if messages else 0.0,

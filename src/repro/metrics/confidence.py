@@ -43,6 +43,18 @@ def mean_confidence_interval(
     return mean, half_width
 
 
+def percentile(sorted_values: Sequence[float], fraction: float) -> float:
+    """Linear-interpolation percentile of an already sorted sequence
+    (NaN when it is empty)."""
+    if not sorted_values:
+        return float("nan")
+    position = fraction * (len(sorted_values) - 1)
+    low = int(position)
+    high = min(low + 1, len(sorted_values) - 1)
+    weight = position - low
+    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
+
+
 def intervals_overlap(
     a: Tuple[float, float], b: Tuple[float, float]
 ) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.metrics.confidence import percentile
 from repro.topology.routing import ClientNetworkModel
 
 
@@ -46,19 +47,6 @@ class TopologyStatistics:
         ]
 
 
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    """Linear-interpolation percentile of an already sorted list."""
-    if not sorted_values:
-        raise ValueError("no values")
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    position = fraction * (len(sorted_values) - 1)
-    low = int(position)
-    high = min(low + 1, len(sorted_values) - 1)
-    weight = position - low
-    return sorted_values[low] * (1 - weight) + sorted_values[high] * weight
-
-
 def compute_statistics(model: ClientNetworkModel) -> TopologyStatistics:
     """Compute the section 5.1 statistics over unordered client pairs."""
     n = model.size
@@ -84,7 +72,7 @@ def compute_statistics(model: ClientNetworkModel) -> TopologyStatistics:
         share_hops_5_to_6=hops_5_to_6,
         mean_latency_ms=mean_latency,
         share_latency_39_to_60=in_band,
-        median_latency_ms=_percentile(latencies, 0.5),
-        latency_p25_ms=_percentile(latencies, 0.25),
-        latency_p75_ms=_percentile(latencies, 0.75),
+        median_latency_ms=percentile(latencies, 0.5),
+        latency_p25_ms=percentile(latencies, 0.25),
+        latency_p75_ms=percentile(latencies, 0.75),
     )

@@ -173,8 +173,11 @@ class TestResultAdapters:
     def test_large_run_histogram_stats_match_exact_path(self) -> None:
         # Force the >4096-deliveries histogram branch and check it
         # against the expanded exact computation on the same data.
-        from repro.megasim.adapter import _percentile, _slot_latency_stats
-        from repro.metrics.confidence import mean_confidence_interval
+        from repro.megasim.adapter import _slot_latency_stats
+        from repro.metrics.confidence import (
+            mean_confidence_interval,
+            percentile,
+        )
 
         histogram = {1: 3000, 2: 1500, 3: 700, 5: 40}
         mean, ci, median, p95 = _slot_latency_stats(histogram, 50.0)
@@ -185,8 +188,8 @@ class TestResultAdapters:
         exact_mean, exact_ci = mean_confidence_interval(expanded)
         assert mean == pytest.approx(exact_mean)
         assert ci == pytest.approx(exact_ci)
-        assert median == pytest.approx(_percentile(expanded, 0.5))
-        assert p95 == pytest.approx(_percentile(expanded, 0.95))
+        assert median == pytest.approx(percentile(expanded, 0.5))
+        assert p95 == pytest.approx(percentile(expanded, 0.95))
 
     def test_empty_outcomes(self) -> None:
         summary = summary_from_outcomes([], n=10, round_ms=50.0)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
+import pickle
 
 import pytest
 
@@ -23,7 +24,6 @@ from repro.megasim.adapter import (
 )
 from repro.megasim.arena import (
     MegasimArena,
-    arena_supported,
     clear_worker_env,
     current_env,
     install_worker_env,
@@ -69,12 +69,6 @@ def shm_segments() -> "set[str]":
         return set(os.listdir("/dev/shm"))
     except FileNotFoundError:
         return set()
-
-
-def test_arena_supported_by_topology_kind() -> None:
-    assert arena_supported(PlaneTopology(16, seed=0, side=10.0))
-    assert arena_supported(UniformTopology(16, latency_ms=50.0))
-    assert not arena_supported(DenseTopology(ClientNetworkModel.uniform(4, 50.0)))
 
 
 def test_roundtrip_preserves_every_array() -> None:
@@ -161,9 +155,9 @@ def test_inline_fallback_without_shared_memory(monkeypatch) -> None:
 
 
 def test_inline_fallback_results_match_shared_memory(monkeypatch) -> None:
-    baseline = run_megasim(SPEC, workers=2, dispatch="arena")
+    baseline = run_megasim(SPEC, workers=2)
     monkeypatch.setattr(arena_module, "shared_memory", None)
-    fallback = run_megasim(SPEC, workers=2, dispatch="arena")
+    fallback = run_megasim(SPEC, workers=2)
     for left, right in zip(baseline.outcomes, fallback.outcomes):
         np.testing.assert_array_equal(left.deliver_slot, right.deliver_slot)
         np.testing.assert_array_equal(left.link_keys, right.link_keys)
@@ -182,12 +176,12 @@ def test_segment_unlinked_when_worker_raises_mid_batch(monkeypatch) -> None:
     monkeypatch.setattr(runner_module, "disseminate", _explode)
     before = shm_segments()
     with pytest.raises(ParallelExecutionError, match="boom"):
-        run_megasim(SPEC, workers=2, dispatch="arena")
+        run_megasim(SPEC, workers=2)
     assert shm_segments() - before == set()
 
 
 def test_serial_arena_clears_worker_env() -> None:
-    run_megasim(SPEC, workers=1, dispatch="arena")
+    run_megasim(SPEC, workers=1)
     with pytest.raises(RuntimeError):
         current_env()
 
@@ -220,3 +214,55 @@ def test_uniform_topology_needs_no_arrays_beyond_views() -> None:
         finally:
             env = None  # noqa: F841
             clear_worker_env()
+
+
+CARRIED_TOPOLOGIES = {
+    "dense": lambda: DenseTopology(ClientNetworkModel.uniform(SPEC.nodes, 50.0)),
+    "uniform": lambda: UniformTopology(SPEC.nodes, latency_ms=50.0),
+}
+
+
+@pytest.mark.parametrize("shm", [True, False], ids=["shm", "no-shm"])
+@pytest.mark.parametrize("kind", sorted(CARRIED_TOPOLOGIES))
+def test_carried_topology_roundtrip(kind: str, shm: bool, monkeypatch) -> None:
+    """A topology that is not position arrays rides the layout as the
+    object itself; views and fault tables still come from the segment."""
+    if not shm:
+        monkeypatch.setattr(arena_module, "shared_memory", None)
+    topology = CARRIED_TOPOLOGIES[kind]()
+    _, views, faults, seeds = build_environment()
+    before = shm_segments()
+    with MegasimArena(SPEC, topology, views, faults, seeds) as arena:
+        if not shm:
+            assert arena.name is None and arena.layout.inline is not None
+        assert arena.layout.topology is topology
+        assert arena.layout.plane_side is None
+        names = [name for name, _ in arena.layout.arrays] or sorted(
+            arena.layout.inline or {}
+        )
+        assert names == ["faults.lossy_keys", "views"]
+        # Ship the layout the way a spawned worker receives it.
+        install_worker_env(pickle.loads(pickle.dumps(arena.layout)))
+        try:
+            env = current_env()
+            assert type(env.topology) is type(topology)
+            assert env.topology.size == topology.size
+            assert env.topology.round_ms == topology.round_ms
+            src = np.arange(SPEC.nodes, dtype=np.int32)
+            for metric in ("latency", "distance"):
+                np.testing.assert_array_equal(
+                    env.topology.metric(metric, src, src[::-1]),
+                    topology.metric(metric, src, src[::-1]),
+                )
+            np.testing.assert_array_equal(
+                env.topology.best_mask(0.1), topology.best_mask(0.1)
+            )
+            np.testing.assert_array_equal(env.views, views)
+            np.testing.assert_array_equal(
+                env.faults.lossy_keys, faults.lossy_keys
+            )
+            assert not env.views.flags.writeable
+        finally:
+            env = None  # noqa: F841
+            clear_worker_env()
+    assert shm_segments() - before == set()

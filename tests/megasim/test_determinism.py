@@ -10,8 +10,8 @@ from repro.experiments.scenarios import flat_factory, ttl_factory
 from repro.megasim.runner import (
     MegasimResult,
     MegasimSpec,
+    derive_message_seeds,
     message_origins,
-    message_seed,
     run_megasim,
 )
 
@@ -63,12 +63,15 @@ def test_worker_count_invariance() -> None:
 def test_message_seeds_fixed_before_dispatch() -> None:
     # Seeds depend only on (root seed, message index): the schedule is
     # decided before any worker runs.
-    assert message_seed(SPEC, 0) != message_seed(SPEC, 1)
-    assert message_seed(SPEC, 2) == message_seed(SPEC, 2)
+    seeds = [pair[0] for pair in derive_message_seeds(SPEC)]
+    assert len(set(seeds)) == SPEC.messages
+    assert derive_message_seeds(SPEC) == derive_message_seeds(SPEC)
+    # A prefix derivation agrees with the full one, index by index.
+    assert derive_message_seeds(SPEC, count=2) == derive_message_seeds(SPEC)[:2]
     from dataclasses import replace
 
     reseeded = replace(SPEC, seed=7)
-    assert message_seed(SPEC, 0) != message_seed(reseeded, 0)
+    assert seeds[0] != derive_message_seeds(reseeded)[0][0]
 
 
 def test_origins_derived_or_explicit() -> None:
@@ -93,6 +96,51 @@ def test_spec_validation() -> None:
         replace(SPEC, topology="torus")
     with pytest.raises(ValueError):
         replace(SPEC, messages=0)
+
+
+def _crashed_origin_spec() -> MegasimSpec:
+    """SPEC with an explicit origin that its own failure plan crashes."""
+    from dataclasses import replace
+
+    from repro.failures.injection import FailurePlan
+    from repro.megasim.adapter import compile_faults
+
+    plan = FailurePlan(fraction=0.5)
+    victim = compile_faults(SPEC.nodes, SPEC.seed, failure=plan).failed_nodes()[0]
+    return replace(SPEC, failure=plan, origins=(victim,) * SPEC.messages)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("rounds", lambda: MegasimSpec(flat_factory(1.0), nodes=8, rounds=0)),
+        ("rounds", lambda: MegasimSpec(flat_factory(1.0), nodes=8, rounds=-3)),
+        ("round_ms", lambda: MegasimSpec(flat_factory(1.0), nodes=8, round_ms=0.0)),
+        (
+            "retry_period_ms",
+            lambda: MegasimSpec(flat_factory(1.0), nodes=8, retry_period_ms=-1.0),
+        ),
+        (
+            "view_degree",
+            lambda: MegasimSpec(flat_factory(1.0), nodes=8, view_degree=0),
+        ),
+        ("origins", _crashed_origin_spec),
+    ],
+)
+def test_bad_spec_rejected_in_parent_by_field_name(field, build, workers) -> None:
+    # The error names the spec field and is raised in the parent -- a
+    # plain ValueError, not a worker's ParallelExecutionError -- before
+    # any pool or shared segment exists.
+    import os
+
+    def segments() -> "set[str]":
+        return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+    before = segments()
+    with pytest.raises(ValueError, match=rf"spec\.{field}\b"):
+        run_megasim(build(), workers=workers)
+    assert segments() - before == set()
 
 
 def test_deterministic_strategy_ignores_rng_entirely() -> None:
@@ -134,16 +182,15 @@ class TestLossStreamIndependence:
     arming the fault machinery must not perturb a zero-loss run."""
 
     def test_loss_seed_streams_are_distinct(self) -> None:
-        from repro.megasim.runner import loss_seed
-
-        assert loss_seed(SPEC, 0) != loss_seed(SPEC, 1)
-        assert loss_seed(SPEC, 0) != message_seed(SPEC, 0)
+        (message_0, loss_0), (_, loss_1) = derive_message_seeds(SPEC)[:2]
+        assert loss_0 != loss_1
+        assert loss_0 != message_0
         from repro.sim.rng import RandomStreams
 
         streams = RandomStreams(SPEC.seed)
-        assert loss_seed(SPEC, 0) == streams.derive_seed("megasim.loss.0")
-        assert loss_seed(SPEC, 0) != streams.derive_seed("megasim.origins")
-        assert loss_seed(SPEC, 0) != streams.derive_seed("megasim.views")
+        assert loss_0 == streams.derive_seed("megasim.loss.0")
+        assert loss_0 != streams.derive_seed("megasim.origins")
+        assert loss_0 != streams.derive_seed("megasim.views")
 
     def test_noop_fault_plans_are_byte_identical(self) -> None:
         # Plans that compile to nothing (0% crashes, lossy links with

@@ -1,8 +1,9 @@
-"""Dispatch equivalence: arena and pickle fan-out must be byte-identical
-for every strategy, worker count, and batch size."""
+"""Dispatch invariance: the one fan-out path must be byte-identical for
+every strategy, topology kind, worker count, and batch size."""
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -24,6 +25,7 @@ from repro.megasim.runner import (
     default_batch_size,
     run_megasim,
 )
+from repro.topology.geometry import Point
 from repro.topology.routing import ClientNetworkModel
 
 STRATEGIES = {
@@ -71,14 +73,42 @@ def fingerprints(result: MegasimResult) -> "list[bytes]":
     return blobs
 
 
+def geometric_model(n: int) -> ClientNetworkModel:
+    rng = random.Random(5)
+    points = [
+        Point(rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
+        for _ in range(n)
+    ]
+    latency = [[a.distance_to(b) for b in points] for a in points]
+    hops = [[int(i != j) for j in range(n)] for i in range(n)]
+    return ClientNetworkModel(latency, hops, points)
+
+
+def assert_same_run(left: MegasimResult, right: MegasimResult) -> None:
+    assert fingerprints(left) == fingerprints(right)
+    assert left.summary == right.summary
+    assert left.structure == right.structure
+
+
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_arena_matches_pickle_for_every_strategy(name: str) -> None:
+def test_pooled_matches_serial_for_every_strategy(name: str) -> None:
+    # workers=1 installs the parent's own objects; workers=2 packs the
+    # shared segment and attaches it in each pool worker's initializer.
     spec = spec_for(STRATEGIES[name])
-    pickled = run_megasim(spec, workers=1, dispatch="pickle")
-    arena = run_megasim(spec, workers=2, dispatch="arena")
-    assert fingerprints(pickled) == fingerprints(arena)
-    assert pickled.summary == arena.summary
-    assert pickled.structure == arena.structure
+    assert_same_run(run_megasim(spec, workers=1), run_megasim(spec, workers=2))
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_dense_topology_pooled_matches_serial(name: str) -> None:
+    # A wrapped event-kernel model is not position arrays: it rides the
+    # layout as an object, once per worker.  A geometric model, so
+    # Radius/Ranked/Hybrid read real per-pair metrics.
+    model = geometric_model(40)
+    spec = spec_for(STRATEGIES[name], nodes=model.size)
+    serial = run_megasim(spec, workers=1, topology=DenseTopology(model))
+    pooled = run_megasim(spec, workers=2, topology=DenseTopology(model))
+    assert_same_run(serial, pooled)
+    assert serial.summary.deliveries > 0
 
 
 @pytest.mark.parametrize("batch_size", [1, 3, 100])
@@ -87,17 +117,15 @@ def test_batch_size_invariance(batch_size: int) -> None:
     # B=100 (> messages: one batch carries the whole run) must all
     # reproduce the default batching byte-for-byte.
     spec = spec_for(STRATEGIES["ttl"])
-    baseline = run_megasim(spec, workers=2, dispatch="arena")
-    probe = run_megasim(
-        spec, workers=2, dispatch="arena", batch_size=batch_size
-    )
+    baseline = run_megasim(spec, workers=2)
+    probe = run_megasim(spec, workers=2, batch_size=batch_size)
     assert fingerprints(baseline) == fingerprints(probe)
 
 
 def test_worker_count_invariance_across_batch_boundaries() -> None:
     spec = spec_for(STRATEGIES["flat"])
-    serial = run_megasim(spec, workers=1, dispatch="arena", batch_size=2)
-    pooled = run_megasim(spec, workers=3, dispatch="arena", batch_size=2)
+    serial = run_megasim(spec, workers=1, batch_size=2)
+    pooled = run_megasim(spec, workers=3, batch_size=2)
     assert fingerprints(serial) == fingerprints(pooled)
 
 
@@ -108,32 +136,9 @@ def test_default_batch_size_is_two_waves_per_worker() -> None:
     assert default_batch_size(100, 1) == 50
 
 
-def test_unknown_dispatch_rejected() -> None:
-    with pytest.raises(ValueError, match="dispatch"):
-        run_megasim(spec_for(STRATEGIES["flat"]), dispatch="carrier-pigeon")
-
-
-def test_arena_dispatch_rejected_for_dense_topology() -> None:
-    model = ClientNetworkModel.uniform(32, 50.0)
-    spec = spec_for(
-        STRATEGIES["flat"],
-        nodes=32,
-        view_degree=None,
-        track_links=False,
-        gray=None,
-    )
-    with pytest.raises(ValueError, match="arena"):
-        run_megasim(spec, topology=DenseTopology(model), dispatch="arena")
-    # Auto mode quietly falls back to the pickled path instead.
-    result = run_megasim(spec, topology=DenseTopology(model))
-    assert len(result.outcomes) == spec.messages
-
-
 def test_bad_batch_size_rejected() -> None:
     with pytest.raises(ValueError, match="batch_size"):
-        run_megasim(
-            spec_for(STRATEGIES["flat"]), dispatch="arena", batch_size=0
-        )
+        run_megasim(spec_for(STRATEGIES["flat"]), batch_size=0)
 
 
 def test_mismatched_views_rejected() -> None:
@@ -144,13 +149,12 @@ def test_mismatched_views_rejected() -> None:
 
 
 def test_structure_metrics_follow_link_tracking() -> None:
-    tracked = run_megasim(spec_for(STRATEGIES["ttl"]), dispatch="arena")
+    tracked = run_megasim(spec_for(STRATEGIES["ttl"]))
     assert tracked.structure is not None
     assert 0.0 < tracked.structure.top_link_share <= 1.0
     assert tracked.structure.used_links > 0
     assert tracked.structure.effective_degree > 0.0
     untracked = run_megasim(
-        replace(spec_for(STRATEGIES["ttl"]), track_links=False),
-        dispatch="arena",
+        replace(spec_for(STRATEGIES["ttl"]), track_links=False)
     )
     assert untracked.structure is None

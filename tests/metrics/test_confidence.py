@@ -7,7 +7,11 @@ import random
 
 import pytest
 
-from repro.metrics.confidence import intervals_overlap, mean_confidence_interval
+from repro.metrics.confidence import (
+    intervals_overlap,
+    mean_confidence_interval,
+    percentile,
+)
 
 
 def test_known_interval():
@@ -90,3 +94,16 @@ def test_single_sample_interval_overlaps_everything():
     single = mean_confidence_interval([5.0])
     assert intervals_overlap(single, (1_000_000.0, 0.0))
     assert intervals_overlap((1_000_000.0, 0.0), single)
+
+
+def test_percentile_interpolates_between_neighbours():
+    values = [10.0, 20.0, 30.0, 40.0]
+    assert percentile(values, 0.0) == 10.0
+    assert percentile(values, 1.0) == 40.0
+    assert percentile(values, 0.5) == pytest.approx(25.0)
+    assert percentile(values, 0.25) == pytest.approx(17.5)
+    assert percentile([7.0], 0.95) == 7.0
+
+
+def test_percentile_of_nothing_is_nan():
+    assert math.isnan(percentile([], 0.5))

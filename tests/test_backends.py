@@ -72,6 +72,23 @@ def test_vector_backend_returns_experiment_result_schema() -> None:
     )
 
 
+def test_vector_backend_is_worker_count_invariant() -> None:
+    # The dense model wrapper goes through the same batch-descriptor
+    # path as the synthetic topologies: shipped once per pool worker.
+    pytest.importorskip("numpy")
+    spec = tiny_spec(
+        strategy_factory=flat_factory(0.5),
+        cluster=ClusterConfig(gossip=GossipConfig(fanout=5, rounds=6)),
+        gray=GrayFailurePlan(lossy_link_fraction=0.5, link_loss_probability=0.3),
+    )
+    serial = VectorBackend(workers=1).run(MODEL, spec)
+    pooled = VectorBackend(workers=2).run(MODEL, spec)
+    assert pooled.summary == serial.summary
+    assert pooled.recovery == serial.recovery
+    assert pooled.mean_receipt_round == serial.mean_receipt_round
+    assert pooled.recorder.link_payload_counts == serial.recorder.link_payload_counts
+
+
 def test_vector_backend_rejects_churn_by_name() -> None:
     spec = tiny_spec(churn=ChurnConfig(interval_ms=1_000.0))
     with pytest.raises(ValueError, match="does not support spec.churn"):
