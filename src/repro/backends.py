@@ -11,15 +11,17 @@ factories, the same ``GossipConfig`` fanout/rounds -- and produce an
 schema.
 
 ``repro.cli run --backend {event,vector}`` routes through
-:func:`get_backend`; ``event`` is the default and its code path is
-unchanged.  The vector backend imports numpy lazily, so selecting
-``event`` never requires the ``repro[vector]`` extra.
+:func:`get_backend` (above :data:`DENSE_MODEL_LIMIT` clients the CLI
+calls ``run_megasim`` directly instead -- there is no model to share);
+``event`` is the default and its code path is unchanged.  The vector
+backend imports numpy lazily, so selecting ``event`` never requires the
+``repro[vector]`` extra.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from repro.experiments.runner import (
     ExperimentResult,
@@ -29,14 +31,14 @@ from repro.experiments.runner import (
 from repro.topology.cache import ModelLike, resolve_model
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps numpy lazy)
-    from repro.megasim.runner import MegasimResult, MegasimSpec
+    from repro.megasim.runner import MegasimResult
 
 #: Names accepted by :func:`get_backend`, in CLI-choice order.
 BACKEND_NAMES = ("event", "vector")
 
 #: Largest population for which a dense O(n^2) latency model is built.
-#: Above this, ``repro run --backend vector`` switches to the megasim
-#: synthetic plane topology (:meth:`VectorBackend.run_synthetic`).
+#: Above this, ``repro run --backend vector`` skips the backend seam and
+#: runs the megasim synthetic plane topology directly.
 DENSE_MODEL_LIMIT = 4096
 
 
@@ -94,65 +96,32 @@ class VectorBackend:
     def run(self, model: ModelLike, spec: ExperimentSpec) -> ExperimentResult:
         self.check_spec(spec)
         from repro.megasim.adapter import DenseTopology
-        from repro.megasim.runner import run_megasim
+        from repro.megasim.runner import MegasimSpec, run_megasim
 
         resolved = resolve_model(model)
-        mega = self._translate(spec, resolved.size, track_links=True)
+        gossip = spec.cluster.gossip
         result = run_megasim(
-            mega, workers=self.workers, topology=DenseTopology(resolved)
+            MegasimSpec(
+                strategy_factory=spec.strategy_factory,
+                nodes=resolved.size,
+                fanout=gossip.fanout,
+                rounds=gossip.rounds,
+                messages=spec.traffic.messages,
+                seed=spec.seed,
+                retry_period_ms=spec.cluster.scheduler.retry_period_ms,
+                payload_bytes=gossip.payload_bytes,
+                track_links=True,
+                failure=spec.failure,
+                gray=spec.gray,
+            ),
+            workers=self.workers,
+            topology=DenseTopology(resolved),
         )
-        return self._wrap(result, with_recorder=True)
-
-    def run_synthetic(self, nodes: int, spec: ExperimentSpec) -> ExperimentResult:
-        """Run against the megasim synthetic plane topology.
-
-        The route ``repro run --backend vector`` takes above
-        :data:`DENSE_MODEL_LIMIT`, where a dense all-pairs latency model
-        is infeasible.  No recorder replay is built at this scale --
-        ``result.recorder`` comes back empty; the summary carries every
-        reported metric.
-        """
-        self.check_spec(spec)
-        from repro.megasim.runner import run_megasim
-
-        mega = self._translate(spec, nodes, track_links=False)
-        result = run_megasim(mega, workers=self.workers)
-        return self._wrap(result, with_recorder=False)
-
-    def _translate(
-        self, spec: ExperimentSpec, nodes: int, track_links: bool
-    ) -> "MegasimSpec":
-        from repro.megasim.runner import MegasimSpec
-
-        return MegasimSpec(
-            strategy_factory=spec.strategy_factory,
-            nodes=nodes,
-            fanout=spec.cluster.gossip.fanout,
-            rounds=spec.cluster.gossip.rounds,
-            messages=spec.traffic.messages,
-            seed=spec.seed,
-            retry_period_ms=spec.cluster.scheduler.retry_period_ms,
-            payload_bytes=spec.cluster.gossip.payload_bytes,
-            track_links=track_links,
-            failure=spec.failure,
-            gray=spec.gray,
-        )
-
-    def _wrap(
-        self, result: "MegasimResult", with_recorder: bool
-    ) -> ExperimentResult:
-        from repro.metrics.recorder import MetricsRecorder
-
         failed = set(result.failed)
-        alive: List[int] = [
-            node for node in range(result.spec.nodes) if node not in failed
-        ]
         return ExperimentResult(
             summary=result.summary,
-            recorder=(
-                result.to_recorder() if with_recorder else MetricsRecorder()
-            ),
-            alive=alive,
+            recorder=result.to_recorder(),
+            alive=[n for n in range(resolved.size) if n not in failed],
             failed=result.failed,
             class_rates={},
             class_latencies={},

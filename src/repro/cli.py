@@ -14,17 +14,9 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.backends import (
-    BACKEND_NAMES,
-    DENSE_MODEL_LIMIT,
-    VectorBackend,
-    get_backend,
-)
-from repro.experiments.parallel import resolve_workers
-from repro.experiments.replication import run_replicated
-
+from repro.backends import BACKEND_NAMES, DENSE_MODEL_LIMIT, get_backend
 from repro.experiments.figures import (
     FULL,
     QUICK,
@@ -38,6 +30,8 @@ from repro.experiments.figures import (
     section51_table,
     section54_statistics,
 )
+from repro.experiments.parallel import resolve_workers
+from repro.experiments.replication import run_replicated
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec
 from repro.experiments.scenarios import (
@@ -47,6 +41,8 @@ from repro.experiments.scenarios import (
     ranked_factory,
     ttl_factory,
 )
+from repro.failures.gray import GrayFailurePlan
+from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
 from repro.runtime.cluster import ClusterConfig
 from repro.topology.cache import cached_model
@@ -117,14 +113,25 @@ def build_parser() -> argparse.ArgumentParser:
         "extra; oracle strategies only)",
     )
     run.add_argument(
-        "--loss", type=float, default=0.0,
+        "--loss", type=_fraction(closed=True), default=0.0,
         help="per-packet Bernoulli loss probability on every link "
         "(GrayFailurePlan; supported by both backends)",
     )
     run.add_argument(
-        "--fail-fraction", type=float, default=0.0,
+        "--fail-fraction", type=_fraction(closed=False), default=0.0,
         help="fraction of nodes crash-stopped (FailurePlan; supported "
         "by both backends)",
+    )
+    run.add_argument(
+        "--view-degree", type=int, default=None,
+        help="scale tier only (--backend vector above "
+        f"{DENSE_MODEL_LIMIT} clients): gossip over static partial "
+        "views instead of the oracle sampler",
+    )
+    run.add_argument(
+        "--track-links", action="store_true",
+        help="scale tier only: record per-link payload counts and "
+        "report the emergent-structure metrics",
     )
     _add_scale_arguments(run)
 
@@ -132,6 +139,19 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("figure", choices=sorted(FIGURES))
     _add_scale_arguments(fig)
     return parser
+
+
+def _fraction(closed: bool):
+    """argparse ``type=``: a float in ``[0, 1]`` (``closed``) or ``[0, 1)``."""
+
+    def fraction(text: str) -> float:
+        value = float(text)
+        if 0.0 <= value < 1.0 or (closed and value == 1.0):
+            return value
+        interval = "[0, 1]" if closed else "[0, 1)"
+        raise argparse.ArgumentTypeError(f"must be in {interval}, got {text}")
+
+    return fraction
 
 
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
@@ -173,71 +193,85 @@ def command_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_faults(args: argparse.Namespace):
-    """The (failure, gray) plans implied by --fail-fraction/--loss."""
-    from repro.failures.gray import GrayFailurePlan
-    from repro.failures.injection import FailurePlan
-
-    failure = (
-        FailurePlan(fraction=args.fail_fraction)
-        if args.fail_fraction > 0.0
-        else None
-    )
-    gray = (
-        GrayFailurePlan(lossy_link_fraction=1.0, link_loss_probability=args.loss)
-        if args.loss > 0.0
-        else None
-    )
-    return failure, gray
-
-
 def command_run(args: argparse.Namespace) -> int:
     """``repro run``: one experiment (or a replicated study), one row."""
     scale = _scale(args)
-    failure, gray = _run_faults(args)
-    spec = ExperimentSpec(
-        strategy_factory=STRATEGIES[args.strategy](args),
-        cluster=ClusterConfig(gossip=GossipConfig.for_population(scale.clients)),
-        traffic=scale.traffic(),
-        warmup_ms=scale.warmup_ms,
-        seed=scale.seed,
-        failure=failure,
-        gray=gray,
+    synthetic = args.backend == "vector" and scale.clients > DENSE_MODEL_LIMIT
+    scale_tier = (
+        f"the synthetic scale tier (--backend vector, --clients > "
+        f"{DENSE_MODEL_LIMIT})"
     )
-    if args.backend == "vector" and scale.clients > DENSE_MODEL_LIMIT:
-        # A dense all-pairs latency model is infeasible at this scale;
-        # run the megasim synthetic plane topology directly.
-        if args.replications > 1:
-            print(
-                "--replications is only supported by the event backend",
-                file=sys.stderr,
-            )
+    for flag, where, misused in (
+        ("--replications", "the event backend",
+         args.replications > 1 and args.backend != "event"),
+        ("--view-degree", scale_tier,
+         args.view_degree is not None and not synthetic),
+        ("--track-links", scale_tier, args.track_links and not synthetic),
+    ):
+        if misused:
+            print(f"{flag} is only supported by {where}", file=sys.stderr)
             return 2
-        vector = VectorBackend(workers=args.workers)
-        result = vector.run_synthetic(scale.clients, spec)
-        row = dict(strategy=args.strategy, **result.summary.row())
-        print(format_table([row]))
-        return 0
-    model = build_model(scale)
-    if args.replications > 1:
-        if args.backend != "event":
-            print(
-                "--replications is only supported by the event backend",
-                file=sys.stderr,
-            )
-            return 2
-        replicated = run_replicated(
-            model,
-            spec,
-            replications=args.replications,
-            workers=resolve_workers(args.workers),
+    factory = STRATEGIES[args.strategy](args)
+    gossip = GossipConfig.for_population(scale.clients)
+    failure = (
+        FailurePlan(fraction=args.fail_fraction) if args.fail_fraction else None
+    )
+    gray = (
+        GrayFailurePlan(lossy_link_fraction=1.0, link_loss_probability=args.loss)
+        if args.loss
+        else None
+    )
+    if synthetic:
+        # A dense all-pairs latency model is infeasible at this scale:
+        # run the megasim synthetic plane topology directly.  (Imported
+        # here so ``--backend event`` never needs numpy.)
+        from repro.megasim.runner import MegasimSpec, run_megasim
+
+        mega = run_megasim(
+            MegasimSpec(
+                strategy_factory=factory,
+                nodes=scale.clients,
+                fanout=gossip.fanout,
+                rounds=gossip.rounds,
+                messages=scale.messages,
+                seed=scale.seed,
+                view_degree=args.view_degree,
+                track_links=args.track_links,
+                failure=failure,
+                gray=gray,
+            ),
+            workers=args.workers,
         )
-        row = dict(strategy=args.strategy, **replicated.row())
+        row: Dict[str, Any] = dict(
+            mega.summary.row(), failed_nodes=len(mega.failed), retries=mega.retries
+        )
+        if mega.structure is None:
+            del row["top5_share_pct"]  # NaN without --track-links
+        else:
+            row["effective_degree"] = mega.structure.effective_degree
+            row["used_links"] = mega.structure.used_links
     else:
-        backend = get_backend(args.backend, workers=args.workers)
-        result = backend.run(model, spec)
-        row = dict(strategy=args.strategy, **result.summary.row())
-    print(format_table([row]))
+        spec = ExperimentSpec(
+            strategy_factory=factory,
+            cluster=ClusterConfig(gossip=gossip),
+            traffic=scale.traffic(),
+            warmup_ms=scale.warmup_ms,
+            seed=scale.seed,
+            failure=failure,
+            gray=gray,
+        )
+        model = build_model(scale)
+        if args.replications > 1:
+            row = run_replicated(
+                model,
+                spec,
+                replications=args.replications,
+                workers=resolve_workers(args.workers),
+            ).row()
+        else:
+            backend = get_backend(args.backend, workers=args.workers)
+            row = backend.run(model, spec).summary.row()
+    print(format_table([dict(strategy=args.strategy, **row)]))
     return 0
 
 

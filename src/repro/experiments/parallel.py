@@ -93,6 +93,103 @@ def _check_picklable(item: Any, what: str) -> None:
         ) from exc
 
 
+# -- the one pool loop -------------------------------------------------------------
+
+
+def _guarded(call: Callable[[Any], Any], index: int, item: Any):
+    """Pool task: ``call(item)`` with the outcome made picklable.
+
+    Returns ``(index, result, None)`` or ``(index, None, traceback_text)``
+    -- exceptions never cross the pickle boundary raw, so a failing item
+    cannot wedge the pool on an unpicklable exception type.
+    """
+    try:
+        return index, call(item), None
+    except BaseException:
+        return index, None, traceback.format_exc()
+
+
+def _fan_out(
+    items: List[Any],
+    call: Callable[[Any], Any],
+    what: str,
+    workers: Optional[int],
+    progress: Optional[ProgressFn],
+    initializer: Optional[Callable[..., None]],
+    initargs: Tuple[Any, ...],
+) -> List[Any]:
+    """``[call(item) for item in items]``, inline or over a pool.
+
+    ``call`` is a module-level function (pickled by reference); ``what``
+    names an item in error messages.  ``initializer(*initargs)`` installs
+    per-worker state once per pool process -- under the serial fallback
+    inline, exactly once, before the first item, so worker-resident
+    state behaves identically at any worker count (serial callers tear
+    it down again; pool workers just exit).  The first failure cancels
+    what is still pending and raises :class:`ParallelExecutionError`.
+    """
+    workers = resolve_workers(workers)
+    total = len(items)
+    if total == 0:
+        return []
+
+    if workers == 1:
+        if initializer is not None:
+            initializer(*initargs)
+        results: List[Any] = []
+        for index, item in enumerate(items):
+            try:
+                results.append(call(item))
+            except Exception as exc:
+                raise ParallelExecutionError(
+                    f"{what} {index + 1}/{total} failed: {exc}",
+                    spec=item,
+                    child_traceback=traceback.format_exc(),
+                ) from exc
+            if progress is not None:
+                progress(index + 1, total, item)
+        return results
+
+    for item in items:
+        _check_picklable(item, what)
+    if initializer is not None:
+        _check_picklable(initargs, "initializer arguments")
+
+    slots: List[Any] = [None] * total
+    done = 0
+    with ProcessPoolExecutor(
+        max_workers=min(workers, total),
+        initializer=initializer,
+        initargs=initargs,
+    ) as pool:
+        futures = {
+            pool.submit(_guarded, call, index, item): item
+            for index, item in enumerate(items)
+        }
+        pending = set(futures)
+        while pending:
+            completed, pending = wait(pending, return_when=FIRST_EXCEPTION)
+            for future in completed:
+                index, result, child_tb = future.result()
+                if child_tb is not None:
+                    # Cancellation is idempotent and order-insensitive;
+                    # results are keyed by submission index, so future
+                    # iteration order cannot reach any trace.
+                    for other in pending:  # noqa: DET003
+                        other.cancel()
+                    raise ParallelExecutionError(
+                        f"{what} {index + 1}/{total} failed in a worker "
+                        f"process:\n{child_tb}",
+                        spec=futures[future],
+                        child_traceback=child_tb,
+                    )
+                slots[index] = result
+                done += 1
+                if progress is not None:
+                    progress(done, total, futures[future])
+    return slots
+
+
 # -- experiment fan-out ------------------------------------------------------------
 
 # The model is shipped once per worker via the pool initializer instead
@@ -100,22 +197,14 @@ def _check_picklable(item: Any, what: str) -> None:
 _WORKER_MODEL: Optional[ClientNetworkModel] = None
 
 
-def _init_worker(model: ClientNetworkModel) -> None:
+def _init_worker(model: Optional[ClientNetworkModel]) -> None:
     global _WORKER_MODEL
     _WORKER_MODEL = model
 
 
-def _run_spec_in_worker(index: int, spec: ExperimentSpec):
-    """Pool task: run one spec against the worker's model.
-
-    Returns ``(index, result, None)`` or ``(index, None, traceback_text)``
-    -- exceptions never cross the pickle boundary raw, so a failing spec
-    cannot wedge the pool on an unpicklable exception type.
-    """
-    try:
-        return index, run_experiment(_WORKER_MODEL, spec), None
-    except BaseException:
-        return index, None, traceback.format_exc()
+def _run_spec(spec: ExperimentSpec) -> ExperimentResult:
+    # A global lookup per call: the perf harness rebinds ``run_experiment``.
+    return run_experiment(_WORKER_MODEL, spec)
 
 
 def run_experiments(
@@ -136,75 +225,20 @@ def run_experiments(
     the build happens (at most) once and the concrete model ships to
     every worker via the pool initializer.
     """
-    model = resolve_model(model)
-    workers = resolve_workers(workers)
-    specs = list(specs)
-    total = len(specs)
-    if total == 0:
-        return []
-
-    if workers == 1:
-        results: List[ExperimentResult] = []
-        for index, spec in enumerate(specs):
-            try:
-                results.append(run_experiment(model, spec))
-            except Exception as exc:
-                raise ParallelExecutionError(
-                    f"experiment {index + 1}/{total} failed: {exc}",
-                    spec=spec,
-                    child_traceback=traceback.format_exc(),
-                ) from exc
-            if progress is not None:
-                progress(index + 1, total, spec)
-        return results
-
-    _check_picklable(model, "network model")
-    for spec in specs:
-        _check_picklable(spec, "experiment spec")
-
-    slots: List[Optional[ExperimentResult]] = [None] * total
-    done = 0
-    with ProcessPoolExecutor(
-        max_workers=min(workers, total),
-        initializer=_init_worker,
-        initargs=(model,),
-    ) as pool:
-        futures = {
-            pool.submit(_run_spec_in_worker, index, spec): spec
-            for index, spec in enumerate(specs)
-        }
-        pending = set(futures)
-        while pending:
-            completed, pending = wait(pending, return_when=FIRST_EXCEPTION)
-            for future in completed:
-                index, result, child_tb = future.result()
-                if child_tb is not None:
-                    # Cancellation is idempotent and order-insensitive;
-                    # results are keyed by submission index, so future
-                    # iteration order cannot reach any trace.
-                    for other in pending:  # noqa: DET003
-                        other.cancel()
-                    raise ParallelExecutionError(
-                        f"experiment {index + 1}/{total} failed in a "
-                        f"worker process:\n{child_tb}",
-                        spec=futures[future],
-                        child_traceback=child_tb,
-                    )
-                slots[index] = result
-                done += 1
-                if progress is not None:
-                    progress(done, total, futures[future])
-    return slots  # type: ignore[return-value]
+    try:
+        return _fan_out(
+            list(specs), _run_spec, "experiment", workers, progress,
+            _init_worker, (resolve_model(model),),
+        )
+    finally:
+        _init_worker(None)
 
 
 # -- generic task fan-out ----------------------------------------------------------
 
 
-def _call_task_in_worker(index: int, task: Callable[[], Any]):
-    try:
-        return index, task(), None
-    except BaseException:
-        return index, None, traceback.format_exc()
+def _call_task(task: Callable[[], Any]) -> Any:
+    return task()
 
 
 def run_tasks(
@@ -223,70 +257,10 @@ def run_tasks(
 
     ``initializer``/``initargs`` install per-worker state *once* per
     pool process (the megasim arena attaches its shared environment
-    here) instead of shipping it inside every task.  Under the serial
-    fallback the initializer runs inline, exactly once, before the first
-    task -- so worker-resident state behaves identically at any worker
-    count.  Serial callers are responsible for tearing that state down
-    again (pool workers just exit).
+    here) instead of shipping it inside every task; see :func:`_fan_out`
+    for the serial-fallback rule.
     """
-    workers = resolve_workers(workers)
-    tasks = list(tasks)
-    total = len(tasks)
-    if total == 0:
-        return []
-
-    if workers == 1:
-        if initializer is not None:
-            initializer(*initargs)
-        results: List[Any] = []
-        for index, task in enumerate(tasks):
-            try:
-                results.append(task())
-            except Exception as exc:
-                raise ParallelExecutionError(
-                    f"task {index + 1}/{total} failed: {exc}",
-                    spec=task,
-                    child_traceback=traceback.format_exc(),
-                ) from exc
-            if progress is not None:
-                progress(index + 1, total, task)
-        return results
-
-    for task in tasks:
-        _check_picklable(task, "task")
-    if initializer is not None:
-        _check_picklable(initargs, "initializer arguments")
-
-    slots: List[Any] = [None] * total
-    done = 0
-    with ProcessPoolExecutor(
-        max_workers=min(workers, total),
-        initializer=initializer,
-        initargs=initargs,
-    ) as pool:
-        futures = {
-            pool.submit(_call_task_in_worker, index, task): task
-            for index, task in enumerate(tasks)
-        }
-        pending = set(futures)
-        while pending:
-            completed, pending = wait(pending, return_when=FIRST_EXCEPTION)
-            for future in completed:
-                index, result, child_tb = future.result()
-                if child_tb is not None:
-                    # Cancellation is idempotent and order-insensitive;
-                    # results are keyed by submission index, so future
-                    # iteration order cannot reach any trace.
-                    for other in pending:  # noqa: DET003
-                        other.cancel()
-                    raise ParallelExecutionError(
-                        f"task {index + 1}/{total} failed in a worker "
-                        f"process:\n{child_tb}",
-                        spec=futures[future],
-                        child_traceback=child_tb,
-                    )
-                slots[index] = result
-                done += 1
-                if progress is not None:
-                    progress(done, total, futures[future])
-    return slots
+    return _fan_out(
+        list(tasks), _call_task, "task", workers, progress,
+        initializer, initargs,
+    )

@@ -17,7 +17,6 @@ DET002    no calls into the process-global ``random`` generator
 DET003    no iteration over sets without an explicit ``sorted(...)``
 DET004    no environment/filesystem/entropy reads in the sim core
 DET005    parallel-engine factories must be frozen dataclasses
-DET006    no mutable default arguments
 ========  ==========================================================
 
 Project-scope stream-lineage rules (whole-tree facts):

@@ -36,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static determinism analysis for the reproduction: bans wall "
             "clocks, global RNG, unsorted set iteration, ambient "
-            "environment reads, unfrozen factories and mutable defaults."
+            "environment reads and unfrozen factories."
         ),
     )
     parser.add_argument(

@@ -4,7 +4,7 @@ The engine is deliberately boring -- all judgement lives in the rules.
 Linting runs in two phases:
 
 1. **collect** -- every file is parsed and walked once, producing the
-   per-file findings (DET001..DET006) *and* a :class:`FileFacts` record
+   per-file findings (DET001..DET005) *and* a :class:`FileFacts` record
    of stream-name, RNG-constructor and numpy call sites
    (:mod:`repro.lint.facts`).
 2. **analyze** -- the project-scope rules (DET010..DET012,

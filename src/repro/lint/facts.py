@@ -1,6 +1,6 @@
 """Phase-1 fact collection: one AST walk per file, structured facts out.
 
-The per-file rules (DET001..DET006) judge a module in isolation; the
+The per-file rules (DET001..DET005) judge a module in isolation; the
 project-scope rules (DET010..DET012, VEC001..VEC004) need to see the
 whole tree at once -- a stream-name collision is invisible from either
 of its two call sites.  Following the paper's own move (global structure

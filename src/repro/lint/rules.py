@@ -1,4 +1,4 @@
-"""The determinism rule set: per-file DET001..DET006, project-scope
+"""The determinism rule set: per-file DET001..DET005, project-scope
 DET010..DET012 and VEC001..VEC004.
 
 The per-file rules are AST passes over one module.  Rules resolve
@@ -8,7 +8,7 @@ plain spelling.  The project-scope rules consume the phase-1 facts of
 :mod:`repro.lint.facts` -- merged across every linted file -- so they
 can see whole-program invariants no single file reveals.
 
-Why the per-file six exist: the reproduction's correctness story is the
+Why the per-file five exist: the reproduction's correctness story is the
 golden-trace harness -- every strategy's full event trace must be
 bit-identical across runs, machines and worker counts.  Each rule bans
 one way that property has historically been lost in discrete-event
@@ -25,8 +25,9 @@ simulators:
 - **DET005** strategy/experiment factories cross the process boundary
   into the parallel engine; frozen dataclasses are the picklable,
   hash-stable shape PR 3 standardised on.
-- **DET006** mutable default arguments are shared state across calls --
-  a classic source of order-dependent behaviour.
+
+(Mutable default arguments are ruff ``B006``'s job -- selected and
+blocking in the same CI job over the same tree -- not a rule here.)
 
 The stream-lineage family guards the `RandomStreams.derive_seed`
 discipline the vector tier's bit-exactness hangs on:
@@ -100,7 +101,6 @@ SHARED_MEMORY_ALLOWLIST: Tuple[str, ...] = ("repro.megasim.arena",)
 #: progress reporting).  Simulated time never flows through these.
 WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = (
     "repro.experiments.parallel",
-    "repro.megasim.cli",
     "benchmarks",
     "bench_",
 )
@@ -554,54 +554,6 @@ class UnfrozenFactoryRule(Rule):
         return None
 
 
-class MutableDefaultRule(Rule):
-    """DET006: no mutable default arguments."""
-
-    rule_id = "DET006"
-    summary = "mutable default argument; default to None and build inside"
-
-    _MUTABLE_CALLS = {
-        "list",
-        "dict",
-        "set",
-        "bytearray",
-        "defaultdict",
-        "deque",
-        "Counter",
-        "OrderedDict",
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            defaults = list(node.args.defaults) + [
-                default
-                for default in node.args.kw_defaults
-                if default is not None
-            ]
-            for default in defaults:
-                if self._is_mutable(default):
-                    yield self.finding(
-                        ctx,
-                        default,
-                        f"mutable default in {node.name}(); defaults are "
-                        "evaluated once and shared across every call",
-                    )
-
-    def _is_mutable(self, node: ast.expr) -> bool:
-        if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp,
-                             ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else ""
-            )
-            return name in self._MUTABLE_CALLS
-        return False
-
-
 #: Modules (dotted-prefix match) the vectorization-safety rules apply
 #: to: the struct-of-arrays scale tier, where every tie-break and
 #: operand ordering feeds a bit-exact differential against the event
@@ -912,7 +864,6 @@ RULES: Tuple[Rule, ...] = (
     UnsortedSetIterationRule(),
     EnvironmentReadRule(),
     UnfrozenFactoryRule(),
-    MutableDefaultRule(),
     StreamCollisionRule(),
     RngLineageRule(),
     UnparameterizedStreamRule(),

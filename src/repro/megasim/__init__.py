@@ -12,8 +12,11 @@ Where the two backends agree -- and where they cannot -- is pinned by
 the differential harness in :mod:`repro.megasim.differential` and
 documented in DESIGN.md section 10.  Entry points:
 
-- :func:`repro.megasim.runner.run_megasim` / ``python -m repro.megasim``
-- :class:`repro.backends.VectorBackend` for ``repro.cli run --backend vector``
+- :func:`repro.megasim.runner.run_megasim` -- the library entry, and
+  what ``repro run --backend vector`` (shorthand: ``python -m
+  repro.megasim``) calls above ``DENSE_MODEL_LIMIT`` clients
+- :class:`repro.backends.VectorBackend` -- the same kernel over a dense
+  event-kernel model, for populations up to that limit
 
 numpy is an *optional* dependency (the ``repro[vector]`` extra); the
 core library and the event kernel never import it.

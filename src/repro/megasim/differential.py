@@ -47,10 +47,10 @@ from numpy.typing import NDArray
 from repro.failures.gray import GrayFailureInjector, GrayFailurePlan
 from repro.failures.injection import FailureInjector, FailurePlan
 from repro.gossip.config import GossipConfig
-from repro.megasim.adapter import DenseTopology, compile_faults
-from repro.megasim.rounds import MessageOutcome, disseminate
+from repro.megasim.adapter import DenseTopology
+from repro.megasim.rounds import MessageOutcome, receipt_round_histogram
+from repro.megasim.runner import MegasimSpec, run_megasim
 from repro.megasim.state import ROUND_DTYPE, SLOT_DTYPE
-from repro.megasim.strategies import compile_strategy
 from repro.metrics.recorder import MetricsRecorder
 from repro.network.fabric import FabricConfig
 from repro.runtime.cluster import Cluster, ClusterConfig
@@ -85,11 +85,7 @@ class EventOutcome:
         return int(np.count_nonzero(self.deliver_slot >= 0))
 
     def receipt_round_histogram(self) -> Dict[int, int]:
-        delivered = self.carried_round[self.deliver_slot >= 0]
-        if delivered.size == 0:
-            return {}
-        counts = np.bincount(delivered)
-        return {int(r): int(c) for r, c in enumerate(counts) if c > 0}
+        return receipt_round_histogram(self.carried_round, self.deliver_slot)
 
 
 def slot_exact_config(
@@ -229,37 +225,27 @@ def run_vector_message(
     failure: Optional[FailurePlan] = None,
     gray: Optional[GrayFailurePlan] = None,
 ) -> MessageOutcome:
-    """The megasim half of the differential: same model, same factory.
+    """The megasim half of the differential: same model, same factory,
+    through the wiring users run (a one-message ``run_megasim``).
 
     Fault plans are compiled against the same derived streams the event
     kernel's injectors consume, so victim/link selection matches
     bit-for-bit; Bernoulli loss (if any) draws from the dedicated
     ``megasim.loss.0`` stream.
     """
-    topology = DenseTopology(model)
-    strategy = compile_strategy(
-        factory, topology, retry_period_ms=retry_period_ms
-    )
-    rng = np.random.default_rng(
-        RandomStreams(seed).derive_seed("megasim.message.0")
-    )
-    faults = compile_faults(model.size, seed, failure=failure, gray=gray)
-    loss_rng: Optional[np.random.Generator] = None
-    if faults is not None and faults.needs_rng:
-        loss_rng = np.random.default_rng(
-            RandomStreams(seed).derive_seed("megasim.loss.0")
-        )
-    return disseminate(
-        topology,
-        strategy,
-        origin,
-        fanout,
-        rounds,
-        rng,
+    spec = MegasimSpec(
+        strategy_factory=factory,
+        nodes=model.size,
+        fanout=fanout,
+        rounds=rounds,
+        seed=seed,
+        retry_period_ms=retry_period_ms,
+        origins=(origin,),
         track_links=track_links,
-        faults=faults,
-        loss_rng=loss_rng,
+        failure=failure,
+        gray=gray,
     )
+    return run_megasim(spec, topology=DenseTopology(model)).outcomes[0]
 
 
 def exact_pair(

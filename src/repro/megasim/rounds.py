@@ -77,6 +77,18 @@ Batch = Tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.int32]]
 _FULL_FANOUT_LIMIT = 1 << 24
 
 
+def receipt_round_histogram(
+    carried_round: NDArray[np.int32], deliver_slot: NDArray[np.int32]
+) -> Dict[int, int]:
+    """``{round: deliveries}`` over delivered nodes, like the event
+    kernel's per-node ``receipt_rounds`` counters summed."""
+    delivered = carried_round[deliver_slot >= 0]
+    if delivered.size == 0:
+        return {}
+    counts = np.bincount(delivered)
+    return {int(r): int(c) for r, c in enumerate(counts) if c > 0}
+
+
 @dataclass
 class MessageOutcome:
     """Everything observable about one finished message.
@@ -126,11 +138,7 @@ class MessageOutcome:
         }
 
     def receipt_round_histogram(self) -> Dict[int, int]:
-        delivered = self.carried_round[self.deliver_slot >= 0]
-        if delivered.size == 0:
-            return {}
-        counts = np.bincount(delivered)
-        return {int(r): int(c) for r, c in enumerate(counts) if c > 0}
+        return receipt_round_histogram(self.carried_round, self.deliver_slot)
 
 
 @dataclass

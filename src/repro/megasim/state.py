@@ -171,19 +171,3 @@ class MessageState:
         self.epoch: NDArray[np.int32] = np.zeros(n, np.int32)
         #: Shared advertisement log (known sources, arrival order).
         self.adverts = AdvertLog()
-
-    @property
-    def delivered_count(self) -> int:
-        """Nodes that delivered the payload (origin included)."""
-        return int(np.count_nonzero(self.deliver_slot >= 0))
-
-    def receipt_round_histogram(self) -> "dict[int, int]":
-        """``{round: deliveries}`` over delivered nodes, like the event
-        kernel's per-node ``receipt_rounds`` counters summed."""
-        delivered = self.carried_round[self.deliver_slot >= 0]
-        if delivered.size == 0:
-            return {}
-        counts = np.bincount(delivered)
-        return {
-            int(r): int(c) for r, c in enumerate(counts) if c > 0
-        }

@@ -130,6 +130,18 @@ def test_inline_failure_attaches_spec(model):
     assert excinfo.value.spec == bad
 
 
+def test_serial_run_leaves_no_worker_model_behind(model):
+    """``workers=1`` installs the model inline like a pool initializer
+    would; it must be cleared again on success and on a raising spec."""
+    from repro.experiments import parallel
+
+    run_experiments(model, [make_spec(flat_factory(1.0), seed=4)], workers=1)
+    assert parallel._WORKER_MODEL is None
+    with pytest.raises(ParallelExecutionError):
+        run_experiments(model, [make_spec(ExplodingFactory(), seed=5)], workers=1)
+    assert parallel._WORKER_MODEL is None
+
+
 def test_unpicklable_spec_fails_fast_with_spec_attached(model):
     bad = make_spec(lambda ctx: None, seed=5)
     with pytest.raises(ParallelExecutionError) as excinfo:

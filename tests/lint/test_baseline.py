@@ -17,7 +17,7 @@ def test_round_trip_through_disk(tmp_path):
     findings = [
         _finding(line=10),
         _finding(line=20),  # same key twice: count == 2
-        _finding(rule="DET006", message="mutable default"),
+        _finding(rule="DET002", message="global random"),
     ]
     baseline = Baseline.from_findings(findings)
     target = tmp_path / "lint-baseline.json"

@@ -89,9 +89,9 @@ def test_lint_paths_walks_directories_in_sorted_order(tmp_path):
 
 def test_lint_paths_accepts_single_files(tmp_path):
     target = tmp_path / "one.py"
-    target.write_text("def f(xs=[]):\n    return xs\n")
+    target.write_text("import random\nx = random.random()\n")
     findings = lint_paths([target], root=tmp_path)
-    assert [f.rule for f in findings] == ["DET006"]
+    assert [f.rule for f in findings] == ["DET002"]
 
 
 def test_syntax_error_raises_lint_error(tmp_path):

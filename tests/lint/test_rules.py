@@ -3,9 +3,7 @@ stay silent on its compliant twin."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.lint import lint_source
+from repro.lint import RULES_BY_ID, lint_source
 
 
 def rules_of(source: str, module: str = "repro.sim.fixture"):
@@ -363,28 +361,16 @@ class TestUnfrozenFactory:
         assert rules_of(source) == []
 
 
-# -- DET006: mutable defaults ------------------------------------------------------
+# -- mutable defaults: ruff B006's job, not a rule here ----------------------------
 
 
 class TestMutableDefault:
-    @pytest.mark.parametrize(
-        "default", ["[]", "{}", "{1}", "list()", "dict()", "set()", "bytearray()"]
-    )
-    def test_mutable_literal_defaults_fire(self, default):
-        assert rules_of(f"def f(xs={default}):\n    return xs\n") == ["DET006"]
+    """Defaults are ruff ``B006``'s business (selected and blocking in
+    the same CI job); this linter says nothing about them."""
 
-    def test_keyword_only_default_fires(self):
-        assert rules_of(
-            "def f(*, xs=[]):\n    return xs\n"
-        ) == ["DET006"]
-
-    def test_method_default_fires(self):
-        source = (
-            "class C:\n"
-            "    def f(self, xs={}):\n"
-            "        return xs\n"
-        )
-        assert rules_of(source) == ["DET006"]
+    def test_mutable_defaults_are_left_to_ruff_b006(self):
+        assert rules_of("def f(xs=[], *, ys={}):\n    return xs, ys\n") == []
+        assert "DET006" not in RULES_BY_ID
 
     def test_none_sentinel_is_clean(self):
         assert rules_of(

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from repro.lint import RULES, lint_paths
+from repro.lint.rules import WALL_CLOCK_ALLOWLIST
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src" / "repro"
@@ -24,6 +25,15 @@ def test_src_repro_is_clean():
     findings = lint_paths([SRC], root=REPO_ROOT)
     rendered = "\n".join(f.render() for f in findings)
     assert findings == [], f"determinism lint findings:\n{rendered}"
+
+
+def test_no_megasim_module_may_read_a_wall_clock():
+    """Nothing under ``src/repro/megasim`` is exempt from DET001: host
+    timing of the scale tier lives in ``benchmarks/perf``."""
+    assert not [
+        entry for entry in WALL_CLOCK_ALLOWLIST
+        if entry.startswith("repro.megasim")
+    ]
 
 
 def test_every_rule_has_an_id_and_summary():

@@ -1,103 +1,183 @@
-"""The ``python -m repro.megasim`` front door and the numpy gate."""
+"""The scale tier from the shell: ``repro run --backend vector`` above
+``DENSE_MODEL_LIMIT``, its ``python -m repro.megasim`` shorthand, and
+the numpy gate."""
 
 from __future__ import annotations
 
 import importlib
-import json
+import os
+import subprocess
 import sys
+from pathlib import Path
+from typing import Dict, List
 
 import pytest
 
-np = pytest.importorskip("numpy")
+pytest.importorskip("numpy")
 
-from repro.megasim.cli import build_factory, build_parser, main
+from repro.backends import DENSE_MODEL_LIMIT
+from repro.cli import STRATEGIES, main
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+NODES = DENSE_MODEL_LIMIT + 1
+
+
+def run_row(capsys, *argv: str) -> Dict[str, str]:
+    """One synthetic-tier run; the printed row as ``{column: cell}``."""
+    code = main(
+        ["run", "--backend", "vector", "--clients", str(NODES), *argv]
+    )
+    assert code == 0
+    header, _rule, cells = capsys.readouterr().out.splitlines()
+    return dict(zip(header.split(), cells.split()))
+
+
+def python(*argv: str) -> "subprocess.CompletedProcess[str]":
+    return subprocess.run(
+        [sys.executable, *argv],
+        cwd=REPO_ROOT,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
 
 
 def test_default_run_prints_table(capsys) -> None:
-    code = main(["--nodes", "64", "--strategy", "eager", "--rounds", "4"])
-    captured = capsys.readouterr()
-    assert code == 0
-    assert "delivery_ratio" in captured.out
-    assert "nodes_per_s" in captured.out
+    row = run_row(capsys, "eager", "--messages", "1")
+    assert row["strategy"] == "eager"
+    assert float(row["delivery_pct"]) == 100.0
+    assert row["failed_nodes"] == row["retries"] == "0"
+    # Not a NaN column: link metrics appear only with --track-links.
+    assert "top5_share_pct" not in row
 
 
-def test_json_output_is_parseable(capsys) -> None:
-    code = main(
-        [
-            "--nodes", "64", "--strategy", "ttl", "--eager-rounds", "2",
-            "--messages", "2", "--topology", "uniform", "--json",
-        ]
-    )
-    assert code == 0
-    row = json.loads(capsys.readouterr().out)
-    assert row["nodes"] == 64
-    assert row["messages"] == 2
-    assert row["delivery_ratio"] == pytest.approx(1.0)
-    assert row["elapsed_s"] > 0
+def test_track_links_adds_the_structure_columns(capsys) -> None:
+    row = run_row(capsys, "eager", "--messages", "1", "--track-links")
+    assert float(row["top5_share_pct"]) > 0.0
+    assert float(row["effective_degree"]) == pytest.approx(11.0, abs=0.1)
+    assert int(row["used_links"]) > NODES
 
 
 def test_workers_flag_round_trips(capsys) -> None:
-    code = main(
-        [
-            "--nodes", "50", "--strategy", "lazy", "--messages", "2",
-            "--workers", "2", "--topology", "uniform", "--json",
-        ]
-    )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["delivery_ratio"] == 1.0
+    argv = ["lazy", "--messages", "2"]
+    pooled = run_row(capsys, *argv, "--workers", "2")
+    assert float(pooled["delivery_pct"]) == 100.0
+    assert pooled == run_row(capsys, *argv)
 
 
 def test_view_degree_flag(capsys) -> None:
-    code = main(
-        [
-            "--nodes", "80", "--strategy", "flat", "--fanout", "5",
-            "--view-degree", "10", "--json",
-        ]
+    row = run_row(
+        capsys, "flat", "--probability", "1.0", "--messages", "1",
+        "--view-degree", "16",
     )
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["delivery_ratio"] > 0.9
+    assert float(row["delivery_pct"]) > 90.0
 
 
 def test_loss_flag_engages_recovery(capsys) -> None:
     """--loss feeds a uniform Bernoulli plan through to the kernel and
     the retry counter proves the recovery machinery actually ran."""
-    code = main(
-        [
-            "--nodes", "80", "--strategy", "ttl", "--eager-rounds", "2",
-            "--topology", "uniform", "--loss", "0.2", "--json",
-        ]
+    row = run_row(
+        capsys, "ttl", "--rounds", "2", "--messages", "1", "--loss", "0.2"
     )
-    assert code == 0
-    row = json.loads(capsys.readouterr().out)
-    assert row["failed_nodes"] == 0
-    assert row["retries"] > 0
-    assert row["delivery_ratio"] > 0.95
+    assert row["failed_nodes"] == "0"
+    assert int(row["retries"]) > 0
+    assert float(row["delivery_pct"]) > 95.0
 
 
 def test_fail_fraction_reports_failed_nodes(capsys) -> None:
-    code = main(
-        [
-            "--nodes", "80", "--strategy", "eager",
-            "--topology", "uniform", "--fail-fraction", "0.25", "--json",
-        ]
+    row = run_row(
+        capsys, "eager", "--messages", "1", "--fail-fraction", "0.25"
     )
-    assert code == 0
-    row = json.loads(capsys.readouterr().out)
-    assert row["failed_nodes"] == 20
+    assert int(row["failed_nodes"]) == round(0.25 * NODES)
     # Coverage is normalised to the alive population.
-    assert row["delivery_ratio"] == pytest.approx(1.0)
+    assert float(row["delivery_pct"]) == pytest.approx(100.0, abs=0.05)
 
 
-def test_loss_out_of_range_exits() -> None:
-    with pytest.raises(SystemExit, match="--loss out of range"):
-        main(["--nodes", "32", "--loss", "1.5"])
+def test_loss_out_of_range_exits(capsys) -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        run_row(capsys, "eager", "--loss", "1.5")
+    assert excinfo.value.code == 2
+    assert "argument --loss: must be in [0, 1]" in capsys.readouterr().err
 
 
-def test_every_strategy_choice_builds_a_factory() -> None:
-    parser = build_parser()
-    for name in ("eager", "lazy", "flat", "ttl", "radius", "ranked", "hybrid"):
-        args = parser.parse_args(["--strategy", name])
-        assert build_factory(args) is not None
+@pytest.mark.parametrize("backend", ["event", "vector"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--loss", "1.5"),
+        ("--loss", "-0.3"),
+        ("--fail-fraction", "1.5"),
+        ("--fail-fraction", "1.0"),
+        ("--fail-fraction", "-0.5"),
+    ],
+)
+def test_out_of_range_fault_flags_are_usage_errors(
+    capsys, backend, flag, value
+) -> None:
+    """Below the scale tier too, on both backends: a usage error naming
+    the flag -- not a dataclass traceback, and never a silently
+    fault-free run."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "run", "eager", "--backend", backend, "--clients", "15",
+                "--routers", "200", "--messages", "2", flag, value,
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: must be in [0, 1" in capsys.readouterr().err
+
+
+def test_every_strategy_choice_builds_a_factory(capsys) -> None:
+    for name in sorted(STRATEGIES):
+        row = run_row(capsys, name, "--messages", "1")
+        assert row["strategy"] == name
+        assert float(row["delivery_pct"]) > 99.0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--view-degree", "8", "--backend", "event", "--clients", str(NODES)],
+        ["--track-links", "--backend", "event", "--clients", str(NODES)],
+        ["--view-degree", "8", "--backend", "vector", "--clients", "24"],
+        ["--track-links", "--backend", "vector", "--clients", "24"],
+    ],
+)
+def test_scale_tier_flags_are_rejected_elsewhere(capsys, argv: List[str]) -> None:
+    """Off the synthetic tier the flags exit 2 by name, before any model
+    is built -- never silently ignored."""
+    assert main(["run", "eager", *argv]) == 2
+    assert f"{argv[0]} is only supported by" in capsys.readouterr().err
+
+
+def test_megasim_module_is_shorthand_for_run_backend_vector() -> None:
+    argv = [
+        "ttl", "--rounds", "2", "--clients", "5000", "--messages", "1",
+        "--loss", "0.05",
+    ]
+    short = python("-m", "repro.megasim", *argv)
+    spelled = python("-m", "repro", "run", "--backend", "vector", *argv)
+    assert short.returncode == spelled.returncode == 0, short.stderr
+    assert short.stdout == spelled.stdout
+    header, _rule, cells = spelled.stdout.splitlines()
+    row = dict(zip(header.split(), cells.split()))
+    assert (row["latency_ms"], row["payload_per_msg"], row["delivery_pct"]) == (
+        "527.60", "1.05", "100.00",
+    )
+
+
+def test_event_backend_runs_without_numpy() -> None:
+    """``--backend event`` must never import numpy (the vector extra)."""
+    script = (
+        "import sys; sys.modules['numpy'] = None; "
+        "from repro.cli import main; "
+        "sys.exit(main(['run', 'eager', '--clients', '15', "
+        "'--routers', '200', '--messages', '2']))"
+    )
+    result = python("-c", script)
+    assert result.returncode == 0, result.stderr
+    assert "eager" in result.stdout
 
 
 def test_import_error_names_the_extra(monkeypatch) -> None:
