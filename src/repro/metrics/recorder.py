@@ -62,13 +62,16 @@ class MetricsRecorder:
     def on_send(self, packet: Packet, now: float) -> None:
         if not self.recording:
             return
-        self.sent_packets[packet.kind] += 1
-        self.sent_bytes[packet.kind] += packet.size_bytes
-        if packet.kind in PAYLOAD_KINDS:
-            link = (packet.src, packet.dst)
+        kind = packet.kind
+        size = packet.size_bytes
+        self.sent_packets[kind] += 1
+        self.sent_bytes[kind] += size
+        if kind in PAYLOAD_KINDS:
+            src = packet.src
+            link = (src, packet.dst)
             self.link_payload_counts[link] += 1
-            self.link_payload_bytes[link] += packet.size_bytes
-            self.node_payload_sent[packet.src] += 1
+            self.link_payload_bytes[link] += size
+            self.node_payload_sent[src] += 1
 
     def on_deliver(self, packet: Packet, now: float) -> None:
         if not self.recording:

@@ -15,11 +15,11 @@ plays the same role for simulated protocol code:
   (the paper's firewall-rule failure mechanism).
 - :mod:`repro.network.transport` -- datagram (unordered, lossy) and
   connection (FIFO, buffered, NeEM-style) endpoints for protocol code.
-- :mod:`repro.network.connection` -- the NeEM-like virtual connection
-  layer with bounded buffers and a purging strategy.
+- :mod:`repro.network.connection` -- the purge policies of the NeEM-like
+  virtual connection layer.
 """
 
-from repro.network.connection import ConnectionBuffer, PurgePolicy
+from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, NetworkFabric, PacketObserver
 from repro.network.message import (
     CONTROL_OVERHEAD_BYTES,
@@ -36,7 +36,6 @@ from repro.network.transport import (
 )
 
 __all__ = [
-    "ConnectionBuffer",
     "PurgePolicy",
     "FabricConfig",
     "NetworkFabric",

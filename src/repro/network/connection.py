@@ -6,22 +6,17 @@ messages buffer in user space and a purging strategy drops some of them
 to keep latency bounded -- "a virtual connection-less layer that provides
 improved guarantees for gossiping" (section 5.2).
 
-:class:`ConnectionBuffer` models the user-space side of one directed
-connection: a bounded FIFO whose occupancy is driven by the sender's
-uplink backlog.  When the buffer overflows, the configured
-:class:`PurgePolicy` picks a victim.  NeEM 0.5's custom purging drops
-*older* buffered messages first (fresh epidemic traffic is more valuable
-than stale traffic), which is the default here.
+:class:`~repro.network.transport.ConnectionTransport` models the
+user-space side of each directed connection: a bounded set of in-flight
+packets.  When it overflows, the configured :class:`PurgePolicy` picks a
+victim.  NeEM 0.5's custom purging drops *older* buffered messages first
+(fresh epidemic traffic is more valuable than stale traffic), which is
+the default there.
 """
 
 from __future__ import annotations
 
 import enum
-import random
-from collections import deque
-from typing import Deque, Optional
-
-from repro.network.message import Packet
 
 
 class PurgePolicy(enum.Enum):
@@ -30,57 +25,3 @@ class PurgePolicy(enum.Enum):
     DROP_OLDEST = "drop-oldest"
     DROP_NEWEST = "drop-newest"
     DROP_RANDOM = "drop-random"
-
-
-class ConnectionBuffer:
-    """Bounded FIFO of packets waiting on one directed connection."""
-
-    def __init__(
-        self,
-        capacity: int,
-        policy: PurgePolicy = PurgePolicy.DROP_OLDEST,
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.policy = policy
-        # Standalone/unit-test fallback only: the sim wires every buffer
-        # to the shared "network.connections" stream (see transport.py).
-        self._rng = rng or random.Random(0)  # noqa: DET011
-        self._queue: Deque[Packet] = deque()
-        self.purged_count = 0
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    @property
-    def full(self) -> bool:
-        return len(self._queue) >= self.capacity
-
-    def offer(self, packet: Packet) -> Optional[Packet]:
-        """Enqueue ``packet``; returns the purged victim if any.
-
-        The victim may be ``packet`` itself under DROP_NEWEST.
-        """
-        if not self.full:
-            self._queue.append(packet)
-            return None
-        self.purged_count += 1
-        if self.policy is PurgePolicy.DROP_NEWEST:
-            return packet
-        if self.policy is PurgePolicy.DROP_OLDEST:
-            victim = self._queue.popleft()
-        else:
-            index = self._rng.randrange(len(self._queue))
-            victim = self._queue[index]
-            del self._queue[index]
-        self._queue.append(packet)
-        return victim
-
-    def take(self) -> Packet:
-        """Dequeue the next packet for transmission."""
-        return self._queue.popleft()
-
-    def clear(self) -> None:
-        self._queue.clear()

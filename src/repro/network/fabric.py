@@ -24,6 +24,12 @@ or receives) and per-directed-link profiles (extra loss, extra latency,
 packet duplication -- asymmetric links are expressed by overriding only
 one direction).  All gray knobs draw randomness from a dedicated stream
 so enabling them never perturbs the base fabric's seeded behaviour.
+
+The healthy run -- no loss, no jitter, no gray state; an observer is
+allowed -- is the short one (:attr:`NetworkFabric.fast_path`): ``send``
+reports ``on_send``, reserves the NIC, indexes the latency row and
+schedules the delivery.  Any impairment routes sends through
+``_send_full``, the one path that draws randomness.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.network.message import Packet
+from repro.network.message import Packet, SlotRecord
 from repro.network.nic import NetworkInterface
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
@@ -101,13 +107,17 @@ class LinkProfile:
 Handler = Callable[[Packet], None]
 
 
-@dataclass
-class SendReceipt:
+class SendReceipt(SlotRecord):
     """Tracks one in-flight packet so it can be purged mid-flight."""
 
-    packet: Packet
-    handle: "EventHandle"
-    deliver_at: float
+    __slots__ = ("packet", "handle", "deliver_at")
+
+    def __init__(
+        self, packet: Packet, handle: EventHandle, deliver_at: float
+    ) -> None:
+        self.packet = packet
+        self.handle = handle
+        self.deliver_at = deliver_at
 
 
 class NetworkFabric:
@@ -143,10 +153,8 @@ class NetworkFabric:
         ]
         # Fast-path state: the latency matrix is immutable after model
         # construction, so rows can be indexed directly, and the healthy
-        # no-observer configuration is precomputed into one boolean
-        # instead of being re-derived on every send (see :meth:`send`).
+        # configuration is precomputed into one boolean (see :meth:`send`).
         self._latency_rows = model.latency_ms
-        self._fast_path = False
         self._refresh_fast_path()
 
     @property
@@ -164,21 +172,24 @@ class NetworkFabric:
 
     def set_observer(self, observer: Optional[PacketObserver]) -> None:
         self.observer = observer
-        self._refresh_fast_path()
+
+    @property
+    def fast_path(self) -> bool:
+        """True while healthy sends take the slim branch of :meth:`send`."""
+        return self._fast_path
 
     def _refresh_fast_path(self) -> None:
         """Recompute the per-send fast-path predicate.
 
         The fast path is taken when nothing on the send path can draw
-        randomness, impose gray delays, or report to an observer: the
+        randomness or impose gray delays (an observer does neither): the
         common healthy-network case then does one NIC reservation, one
         latency-row lookup and one ``schedule_at``.  Every mutator of the
         inputs below re-invokes this, so :meth:`send` itself checks a
         single boolean.
         """
         self._fast_path = (
-            self.observer is None
-            and self.config.loss_probability == 0.0
+            self.config.loss_probability == 0.0
             and self.config.jitter_ms == 0.0
             and not self._links
             and not self._service_delay
@@ -302,12 +313,12 @@ class NetworkFabric:
         :class:`SendReceipt` for in-flight packets, or ``None`` when the
         packet was dropped at the source (silenced sender or loss).
 
-        The healthy common case (no observer, no loss, no jitter, no
-        gray state -- see :meth:`_refresh_fast_path`) takes a slim branch
-        that performs exactly the same arithmetic as the full path with
-        every inactive stage skipped: byte-identical outcomes, a fraction
-        of the dispatch cost.  That configuration draws no randomness on
-        the full path either, so the two branches cannot diverge.
+        The healthy common case (:meth:`_refresh_fast_path`) takes a slim
+        branch that performs exactly the same arithmetic as the full path
+        with every inactive stage skipped.  That configuration draws no
+        randomness on the full path either, so the two cannot diverge;
+        silenced and partitioned sends stay on the full path, so every
+        packet is observed exactly once.
         """
         sim = self.sim
         now = sim.now
@@ -318,13 +329,16 @@ class NetworkFabric:
             and self._partition_of is None
             and not self._silenced[src]
         ):
+            observer = self.observer
+            if observer is not None:
+                observer.on_send(packet, now)
             deliver_at = self.nics[src].transmission_done_at(
                 now, packet.size_bytes
             ) + self._latency_rows[src][packet.dst]
             if deliver_at < min_deliver_at:
                 deliver_at = min_deliver_at
             handle = sim.schedule_at(deliver_at, self._deliver, packet)
-            return SendReceipt(packet=packet, handle=handle, deliver_at=deliver_at)
+            return SendReceipt(packet, handle, deliver_at)
         return self._send_full(packet, now, min_deliver_at)
 
     def _send_full(
@@ -379,7 +393,7 @@ class NetworkFabric:
             # A duplicating middlebox: the copy trails the original by
             # one extra propagation delay.
             self.sim.schedule_at(deliver_at + delay, self._deliver, packet)
-        return SendReceipt(packet=packet, handle=handle, deliver_at=deliver_at)
+        return SendReceipt(packet, handle, deliver_at)
 
     def abort(self, receipt: "SendReceipt", reason: str = "purged") -> None:
         """Cancel an in-flight packet (connection-buffer purging)."""
@@ -388,25 +402,28 @@ class NetworkFabric:
             self._drop(receipt.packet, reason)
 
     def _deliver(self, packet: Packet) -> None:
-        if self._silenced[packet.src]:
+        silenced = self._silenced
+        dst = packet.dst
+        if silenced[packet.src]:
             # The sender was firewalled while the packet was in flight; a
             # firewall drops it at the source network, so it never arrives.
             self._drop(packet, "sender-silenced")
-            return
-        if self._silenced[packet.dst]:
+        elif silenced[dst]:
             self._drop(packet, "receiver-silenced")
-            return
-        if not self.can_communicate(packet.src, packet.dst):
+        elif self._partition_of is not None and not self.can_communicate(
+            packet.src, dst
+        ):
             # A partition formed while the packet was in flight.
             self._drop(packet, "partitioned")
-            return
-        handler = self._handlers.get(packet.dst)
-        if handler is None:
-            self._drop(packet, "no-handler")
-            return
-        if self.observer is not None:
-            self.observer.on_deliver(packet, self.sim.now)
-        handler(packet)
+        else:
+            handler = self._handlers.get(dst)
+            if handler is None:
+                self._drop(packet, "no-handler")
+                return
+            observer = self.observer
+            if observer is not None:
+                observer.on_deliver(packet, self.sim.now)
+            handler(packet)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         if self.observer is not None:

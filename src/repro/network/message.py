@@ -12,8 +12,7 @@ byte counters; protocol correctness never depends on them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Optional
 
 #: NeEM protocol header added to every application payload (section 5.3).
 NEEM_HEADER_BYTES = 24
@@ -25,11 +24,31 @@ PACKET_OVERHEAD_BYTES = 40
 #: NeEM header, before packet overhead.
 CONTROL_OVERHEAD_BYTES = 16 + NEEM_HEADER_BYTES
 
-_packet_counter = itertools.count()
+_next_packet_id = itertools.count().__next__
 
 
-@dataclass
-class Packet:
+class SlotRecord:
+    """Value equality and a field ``repr`` over ``__slots__`` for the
+    per-packet wire objects, which a ``@dataclass`` would give an
+    instance dict and a generated ``__init__`` each."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:  # no __hash__: mutable records
+        if not isinstance(other, SlotRecord) or other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        names = self.__slots__
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Packet(SlotRecord):
     """A unit of traffic crossing the fabric.
 
     ``payload`` is an arbitrary protocol message object; the fabric never
@@ -38,19 +57,29 @@ class Packet:
     full wire size including all headers and overhead.
     """
 
-    src: int
-    dst: int
-    kind: str
-    payload: Any
-    size_bytes: int
-    sent_at: float = 0.0
-    packet_id: int = field(default_factory=lambda: next(_packet_counter))
+    __slots__ = ("src", "dst", "kind", "payload", "size_bytes", "sent_at", "packet_id")
 
-    def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
-        if self.src == self.dst:
-            raise ValueError(f"packet to self: node {self.src}")
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        kind: str,
+        payload: Any,
+        size_bytes: int,
+        sent_at: float = 0.0,
+        packet_id: Optional[int] = None,
+    ) -> None:
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive, got {size_bytes}")
+        if src == dst:
+            raise ValueError(f"packet to self: node {src}")
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.sent_at = sent_at
+        self.packet_id = _next_packet_id() if packet_id is None else packet_id
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -51,7 +51,9 @@ class NetworkInterface:
         self.packets_sent += 1
         if self.bandwidth_bytes_per_ms is None:
             return now
-        start = max(now, self._uplink_free_at)
+        start = self._uplink_free_at
+        if start < now:
+            start = now
         duration = size_bytes * self.slowdown / self.bandwidth_bytes_per_ms
         self._uplink_free_at = start + duration
         self.busy_time_ms += duration

@@ -12,11 +12,19 @@ endpoint factory:
   per-pair FIFO delivery and a bounded per-connection buffer whose
   overflow triggers a purging strategy.  This is the default for
   experiments, as in the paper.
+
+A connection's whole state is one :class:`_Connection` record -- the
+FIFO floor plus the in-flight receipts in send order -- found by one
+int-keyed lookup per send.  Because the floor makes ``deliver_at``
+non-decreasing along that list and same-instant events fire in
+scheduling order, the receipts that have already fired are always a
+prefix of it (purge victims are popped when aborted, source-dropped
+sends never enter): reaping pops that prefix, never scanning the rest.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.network.connection import PurgePolicy
 from repro.network.fabric import NetworkFabric, SendReceipt
@@ -41,10 +49,7 @@ class Endpoint:
     def send(self, dst: int, kind: str, payload: Any, size_bytes: int) -> None:
         """Send a message to ``dst``.  Fire-and-forget, like the paper's
         ``Send`` primitive."""
-        packet = Packet(
-            src=self.node, dst=dst, kind=kind, payload=payload, size_bytes=size_bytes
-        )
-        self._transport._submit(packet)
+        self._transport._submit(Packet(self.node, dst, kind, payload, size_bytes))
 
     def _on_packet(self, packet: Packet) -> None:
         if self._receiver is not None:
@@ -80,6 +85,17 @@ class DatagramTransport(Transport):
         self._fabric.send(packet)
 
 
+class _Connection:
+    """One directed connection: its FIFO floor (the latest delivery time
+    handed out) and its in-flight receipts, oldest first."""
+
+    __slots__ = ("floor", "receipts")
+
+    def __init__(self) -> None:
+        self.floor = 0.0
+        self.receipts: List[SendReceipt] = []
+
+
 class ConnectionTransport(Transport):
     """FIFO-per-pair transport with bounded, purging connection buffers.
 
@@ -102,52 +118,40 @@ class ConnectionTransport(Transport):
             raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
         self.buffer_capacity = buffer_capacity
         self.purge_policy = purge_policy
-        self._last_delivery: Dict[Tuple[int, int], float] = {}
-        self._in_flight: Dict[Tuple[int, int], Dict[int, SendReceipt]] = {}
+        #: ``src * size + dst`` -> the directed connection's record.
+        self._connections: Dict[int, _Connection] = {}
+        self._size = fabric.size
         self._rng = fabric.sim.rng.stream("network.connections")
         self.purged_count = 0
 
     def _submit(self, packet: Packet) -> None:
-        pair = (packet.src, packet.dst)
-        in_flight = self._in_flight.setdefault(pair, {})
-        self._reap_delivered(in_flight)
-
-        if len(in_flight) >= self.buffer_capacity:
-            victim = self._pick_victim(in_flight, packet)
-            if victim is packet:
-                # DROP_NEWEST: account it as a sent-then-purged packet so
-                # observers see consistent send/drop pairs.
-                packet.sent_at = self.sim.now
-                if self._fabric.observer is not None:
-                    self._fabric.observer.on_send(packet, self.sim.now)
-                    self._fabric.observer.on_drop(packet, self.sim.now, "purged")
-                self.purged_count += 1
-                return
-            receipt = in_flight.pop(victim.packet_id)
-            self._fabric.abort(receipt, reason="purged")
+        key = packet.src * self._size + packet.dst
+        connection = self._connections.get(key)
+        if connection is None:
+            connection = self._connections[key] = _Connection()
+        receipts = connection.receipts
+        # Reap the fired prefix (module docstring).
+        while receipts and not receipts[0].handle.pending:
+            del receipts[0]
+        if len(receipts) >= self.buffer_capacity:
             self.purged_count += 1
+            if self.purge_policy is PurgePolicy.DROP_NEWEST:
+                # Account it as a sent-then-purged packet so observers
+                # see consistent send/drop pairs.
+                now = packet.sent_at = self.sim.now
+                observer = self._fabric.observer
+                if observer is not None:
+                    observer.on_send(packet, now)
+                    observer.on_drop(packet, now, "purged")
+                return
+            # Sorted by deliver_at, so the head is the oldest;
+            # DROP_RANDOM makes its one draw over the live set.
+            victim = 0
+            if self.purge_policy is PurgePolicy.DROP_RANDOM:
+                victim = self._rng.choice(range(len(receipts)))
+            self._fabric.abort(receipts.pop(victim))
 
-        floor = self._last_delivery.get(pair, 0.0)
-        receipt = self._fabric.send(packet, min_deliver_at=floor)
-        if receipt is None:
-            return
-        self._last_delivery[pair] = receipt.deliver_at
-        in_flight[packet.packet_id] = receipt
-
-    def _pick_victim(
-        self, in_flight: Dict[int, SendReceipt], incoming: Packet
-    ) -> Packet:
-        if self.purge_policy is PurgePolicy.DROP_NEWEST:
-            return incoming
-        receipts = list(in_flight.values())
-        if self.purge_policy is PurgePolicy.DROP_OLDEST:
-            return min(receipts, key=lambda r: r.deliver_at).packet
-        return self._rng.choice(receipts).packet
-
-    @staticmethod
-    def _reap_delivered(in_flight: Dict[int, SendReceipt]) -> None:
-        delivered = [
-            pid for pid, receipt in in_flight.items() if not receipt.handle.pending
-        ]
-        for pid in delivered:
-            del in_flight[pid]
+        receipt = self._fabric.send(packet, connection.floor)
+        if receipt is not None:
+            connection.floor = receipt.deliver_at
+            receipts.append(receipt)

@@ -140,7 +140,7 @@ class ProtocolNode:
 
         self._dispatch: Dict[str, Callable[[int, str, Any], None]] = {}
         for kind in LazyPointToPoint.KINDS:
-            self._dispatch[kind] = lambda s, k, p: self.scheduler.handle(s, k, p)
+            self._dispatch[kind] = self.scheduler.handle
         if overlay is not None:
             for kind in NeemOverlay.KINDS:
                 self._dispatch[kind] = overlay.handle
@@ -204,8 +204,9 @@ class ProtocolNode:
         self.scheduler.bind(self.gossip.l_receive)
         if self.gc is not None:
             self.gc.scheduler = self.scheduler
-        # The MSG/IHAVE/IWANT dispatch closures resolve ``self.scheduler``
-        # dynamically, so no re-registration is needed.
+        # ``_dispatch`` holds the discarded scheduler's bound ``handle``.
+        for kind in LazyPointToPoint.KINDS:
+            self._dispatch[kind] = self.scheduler.handle
 
     def recovery_counters(self) -> Dict[str, int]:
         """Lifetime recovery counters, surviving restarts."""
