@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench bench-perf lint lint-streams evaluate evaluate-quick figures clean
+.PHONY: install test bench-perf lint lint-streams evaluate evaluate-quick figures clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -12,9 +12,6 @@ test:
 
 test-fast:
 	$(PYTHON) -m pytest tests/ -m "not slow"
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # The performance benchmark (benchmarks/perf, contract in
 # BENCHMARK.json): self-test that every probe still resolves, then all

@@ -12,7 +12,6 @@ Three commands cover the evaluation workflow without writing a script:
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from typing import Any, Dict, List, Optional
 
@@ -33,7 +32,6 @@ from repro.experiments.figures import (
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.replication import run_replicated
 from repro.experiments.reporting import format_table
-from repro.experiments.runner import ExperimentSpec
 from repro.experiments.scenarios import (
     flat_factory,
     hybrid_factory,
@@ -44,20 +42,25 @@ from repro.experiments.scenarios import (
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
-from repro.runtime.cluster import ClusterConfig
 from repro.topology.cache import cached_model
 from repro.topology.inet import InetParameters
 from repro.topology.stats import compute_statistics
 
+#: ``repro figure`` keys in the paper's order: key -> (title, function).
 FIGURES = {
-    "5.1": section51_table,
-    "4": figure4,
-    "5a": figure5a,
-    "5b": figure5b,
-    "5c": figure5c,
-    "6": figure6,
-    "5.4": section54_statistics,
+    "5.1": ("section 5.1: network model", section51_table),
+    "4": ("figure 4: emergent structure", figure4),
+    "5a": ("figure 5(a): latency/bandwidth", figure5a),
+    "5b": ("figure 5(b): reliability", figure5b),
+    "5c": ("figure 5(c): hybrid strategy", figure5c),
+    "6": ("figure 6: noise degradation", figure6),
+    "5.4": ("section 5.4: run statistics", section54_statistics),
 }
+
+#: The tables computed from one model / one run: ``function(scale)``,
+#: nothing to fan out or replicate.  Every other key is a strategy sweep
+#: taking ``workers`` and ``replications``.
+TABLES = ("5.1", "5.4")
 
 STRATEGIES = {
     "eager": lambda args: flat_factory(1.0),
@@ -74,9 +77,9 @@ def _scale(args: argparse.Namespace) -> Scale:
     base = FULL if args.scale == "full" else QUICK
     return Scale(
         name=base.name,
-        clients=args.clients or base.clients,
-        routers=args.routers or base.routers,
-        messages=args.messages or base.messages,
+        clients=base.clients if args.clients is None else args.clients,
+        routers=base.routers if args.routers is None else args.routers,
+        messages=base.messages if args.messages is None else args.messages,
         warmup_ms=base.warmup_ms,
         seed=args.seed if args.seed is not None else base.seed,
     )
@@ -154,19 +157,31 @@ def _fraction(closed: bool):
     return fraction
 
 
+def _at_least(minimum: int):
+    """argparse ``type=``: an integer ``>= minimum``."""
+
+    def bounded(text: str) -> int:
+        value = int(text)
+        if value >= minimum:
+            return value
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+
+    return bounded
+
+
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=["quick", "full"], default="quick")
-    parser.add_argument("--clients", type=int, default=None)
-    parser.add_argument("--routers", type=int, default=None)
-    parser.add_argument("--messages", type=int, default=None)
+    parser.add_argument("--clients", type=_at_least(1), default=None)
+    parser.add_argument("--routers", type=_at_least(1), default=None)
+    parser.add_argument("--messages", type=_at_least(1), default=None)
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument(
-        "--workers", type=int, default=1,
+        "--workers", type=_at_least(0), default=1,
         help="process-pool size for independent runs; 1 = serial "
         "(bit-identical fallback), 0 = one per CPU",
     )
     parser.add_argument(
-        "--replications", type=int, default=1,
+        "--replications", type=_at_least(1), default=1,
         help="independent seeds per configuration (section 5.4 "
         "discipline); reported as mean ± 95%% half-width",
     )
@@ -212,7 +227,6 @@ def command_run(args: argparse.Namespace) -> int:
             print(f"{flag} is only supported by {where}", file=sys.stderr)
             return 2
     factory = STRATEGIES[args.strategy](args)
-    gossip = GossipConfig.for_population(scale.clients)
     failure = (
         FailurePlan(fraction=args.fail_fraction) if args.fail_fraction else None
     )
@@ -227,6 +241,7 @@ def command_run(args: argparse.Namespace) -> int:
         # here so ``--backend event`` never needs numpy.)
         from repro.megasim.runner import MegasimSpec, run_megasim
 
+        gossip = GossipConfig.for_population(scale.clients)
         mega = run_megasim(
             MegasimSpec(
                 strategy_factory=factory,
@@ -251,15 +266,7 @@ def command_run(args: argparse.Namespace) -> int:
             row["effective_degree"] = mega.structure.effective_degree
             row["used_links"] = mega.structure.used_links
     else:
-        spec = ExperimentSpec(
-            strategy_factory=factory,
-            cluster=ClusterConfig(gossip=gossip),
-            traffic=scale.traffic(),
-            warmup_ms=scale.warmup_ms,
-            seed=scale.seed,
-            failure=failure,
-            gray=gray,
-        )
+        spec = scale.spec(factory, seed=scale.seed, failure=failure, gray=gray)
         model = build_model(scale)
         if args.replications > 1:
             row = run_replicated(
@@ -276,25 +283,23 @@ def command_run(args: argparse.Namespace) -> int:
 
 
 def command_figure(args: argparse.Namespace) -> int:
-    """``repro figure``: regenerate a paper figure/table.
-
-    ``--workers``/``--replications`` are forwarded to figure functions
-    that support them (single-run tables such as 5.1 take neither).
-    """
-    figure_fn = FIGURES[args.figure]
-    supported = inspect.signature(figure_fn).parameters
-    kwargs = {}
-    if "workers" in supported:
-        kwargs["workers"] = resolve_workers(args.workers)
-    if "replications" in supported and args.replications > 1:
-        kwargs["replications"] = args.replications
-    elif args.replications > 1:
-        print(
-            f"figure {args.figure} does not support --replications; "
-            "running single-seed",
-            file=sys.stderr,
+    """``repro figure``: regenerate a paper figure/table."""
+    _, figure_fn = FIGURES[args.figure]
+    if args.figure in TABLES:
+        if args.replications > 1:
+            sweeps = ", ".join(key for key in FIGURES if key not in TABLES)
+            print(
+                f"--replications is only supported by the sweep figures ({sweeps})",
+                file=sys.stderr,
+            )
+            return 2
+        rows = figure_fn(_scale(args))
+    else:
+        rows = figure_fn(
+            _scale(args),
+            workers=resolve_workers(args.workers),
+            replications=args.replications,
         )
-    rows = figure_fn(_scale(args), **kwargs)
     print(format_table(rows))
     return 0
 

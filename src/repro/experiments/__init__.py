@@ -8,7 +8,8 @@
   the paper's parameters, plus noise calibration helpers.
 - :mod:`repro.experiments.figures` -- one function per table/figure
   (section 5.1 table, Fig. 4, Fig. 5a-c, Fig. 6a-c, section 5.4 stats),
-  each returning the rows the paper plots.
+  each returning the rows the paper plots; Figs. 4-6 are point lists
+  over one sweep engine.
 - :mod:`repro.experiments.reporting` -- plain-text table rendering.
 - :mod:`repro.experiments.parallel` -- the process-pool engine fanning
   independent runs (replications, sweep points) over cores with
@@ -17,7 +18,7 @@
   exact fingerprints of canonical runs, pinned under ``tests/golden/``.
 
 Every figure function takes a :class:`~repro.experiments.figures.Scale`
-(``QUICK`` for benchmarks/CI, ``FULL`` for paper-scale runs recorded in
+(``QUICK`` for a fast look, ``FULL`` for paper-scale runs recorded in
 EXPERIMENTS.md).
 """
 

@@ -16,16 +16,13 @@ from typing import Dict, List, Optional
 
 from repro.baselines.pull import PullConfig, PullGossipSystem
 from repro.baselines.tree import TreeConfig, TreeMulticastSystem
-from repro.experiments.runner import ExperimentSpec, run_experiment
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import flat_factory, hybrid_factory, ttl_factory
-from repro.experiments.workload import TrafficConfig
 from repro.failures.injection import FailurePlan
-from repro.gossip.config import GossipConfig
 from repro.metrics.analysis import summarize
 from repro.metrics.recorder import MetricsRecorder
 from repro.network.fabric import FabricConfig, NetworkFabric
 from repro.network.transport import ConnectionTransport
-from repro.runtime.cluster import ClusterConfig
 from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
 
@@ -88,14 +85,7 @@ def _run_system(
 
 
 def _run_gossip(model, factory, scale, seed_offset=0, failure=None):
-    spec = ExperimentSpec(
-        strategy_factory=factory,
-        cluster=ClusterConfig(gossip=GossipConfig.for_population(model.size)),
-        traffic=TrafficConfig(messages=scale.messages),
-        warmup_ms=scale.warmup_ms,
-        seed=scale.seed + 500 + seed_offset,
-        failure=failure,
-    )
+    spec = scale.spec(factory, seed=scale.seed + 500 + seed_offset, failure=failure)
     return run_experiment(model, spec).summary
 
 

@@ -3,7 +3,7 @@
 Each function returns a list of row dicts (the series the paper plots)
 and can run at two scales:
 
-- ``QUICK`` -- small population/message count for benchmarks and CI;
+- ``QUICK`` -- small population/message count for a fast look;
   shapes (who wins, direction of trends) hold, absolute numbers wobble.
 - ``FULL`` -- the paper's scale: 3037-router Inet model, 100 clients,
   400 messages of 256 B.  Used to produce EXPERIMENTS.md.
@@ -19,23 +19,30 @@ The mapping to the paper (see DESIGN.md section 4):
   b: latency, c: top-5% share -- one sweep feeds all three panels).
 - :func:`section54_statistics` -- per-run traffic accounting.
 
-Sweep points are independent simulations, so every figure function
-accepts ``workers``: sweep specs are enumerated (with their seeds)
-up front and fanned over :func:`repro.experiments.parallel.run_experiments`;
-``workers=1`` keeps the historic serial loop bit-for-bit.
+Figs. 4-6 are *data*: each figure function, given the model, lists its
+:class:`SweepPoint` s and names the function turning one run's result
+into its table row(s); the :func:`sweep` decorator owns the rest --
+seeds fixed in enumeration order before dispatch, the one fan-out over
+:func:`repro.experiments.parallel.run_experiments`, and replication
+(``replications > 1`` reports every numeric column as mean plus a
+``<column>_hw`` 95% half-width).  Results are bit-identical for any
+``workers``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.parallel import ProgressFn, run_experiments
-from repro.experiments.replication import (
-    aggregate_summaries,
-    replication_specs,
+from repro.experiments.replication import replication_specs
+from repro.experiments.runner import (
+    ExperimentResult,
+    ExperimentSpec,
+    NodeClassesFn,
+    run_experiment,
 )
-from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.scenarios import (
     DEFAULT_PARAMS,
     ScenarioParams,
@@ -50,8 +57,10 @@ from repro.experiments.scenarios import (
     ttl_factory,
 )
 from repro.experiments.workload import TrafficConfig
+from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
+from repro.metrics.confidence import mean_confidence_interval
 from repro.runtime.cluster import ClusterConfig
 from repro.runtime.node import StrategyFactory
 from repro.topology.cache import cached_model
@@ -74,9 +83,34 @@ class Scale:
     def traffic(self) -> TrafficConfig:
         return TrafficConfig(messages=self.messages)
 
+    def spec(
+        self,
+        factory: StrategyFactory,
+        seed: int,
+        cluster: Optional[ClusterConfig] = None,
+        failure: Optional[FailurePlan] = None,
+        gray: Optional[GrayFailurePlan] = None,
+        node_classes: Optional[NodeClassesFn] = None,
+    ) -> ExperimentSpec:
+        """One run at this scale: the population's gossip configuration
+        (unless ``cluster`` overrides it), the scale's traffic and
+        warm-up, and an explicit run ``seed``."""
+        return ExperimentSpec(
+            strategy_factory=factory,
+            cluster=cluster
+            or ClusterConfig(gossip=GossipConfig.for_population(self.clients)),
+            traffic=self.traffic(),
+            warmup_ms=self.warmup_ms,
+            seed=seed,
+            failure=failure,
+            gray=gray,
+            node_classes=node_classes,
+        )
+
 
 QUICK = Scale("quick", clients=40, routers=400, messages=60, warmup_ms=6_000.0)
 FULL = Scale("full", clients=100, routers=3037, messages=400, warmup_ms=10_000.0)
+
 
 def build_model(scale: Scale) -> ClientNetworkModel:
     """The Inet-derived client network model for a scale.
@@ -91,49 +125,101 @@ def build_model(scale: Scale) -> ClientNetworkModel:
     )
 
 
-def _cluster_config(scale: Scale) -> ClusterConfig:
-    return ClusterConfig(
-        gossip=GossipConfig.for_population(scale.clients)
-    )
+# -- the sweep engine under Figs. 4-6 -----------------------------------------
+
+Row = Dict[str, Any]
 
 
-def _spec(
-    scale: Scale,
-    factory: StrategyFactory,
-    failure: Optional[FailurePlan] = None,
-    node_classes: Optional[Callable] = None,
-    cluster: Optional[ClusterConfig] = None,
-    seed_offset: int = 0,
-) -> ExperimentSpec:
-    """One sweep point's spec; seeds are fixed here, before dispatch."""
-    return ExperimentSpec(
-        strategy_factory=factory,
-        cluster=cluster or _cluster_config(scale),
-        traffic=scale.traffic(),
-        warmup_ms=scale.warmup_ms,
-        seed=scale.seed + 1000 + seed_offset,
-        failure=failure,
-        node_classes=node_classes,
-    )
+@dataclass(frozen=True)
+class SweepPoint:
+    """One simulation of a figure sweep: its row labels and what varies."""
+
+    labels: Row
+    factory: StrategyFactory
+    failure: Optional[FailurePlan] = None
+    node_classes: Optional[NodeClassesFn] = None
 
 
-def _run(
-    scale: Scale,
-    factory: StrategyFactory,
-    failure: Optional[FailurePlan] = None,
-    node_classes: Optional[Callable] = None,
-    cluster: Optional[ClusterConfig] = None,
-    seed_offset: int = 0,
-):
-    model = build_model(scale)
-    spec = _spec(scale, factory, failure, node_classes, cluster, seed_offset)
-    return run_experiment(model, spec)
+#: ``(point labels, one run's result) -> that run's table row(s)``.
+RowsFn = Callable[[Row, ExperimentResult], List[Row]]
+
+
+def sweep(
+    build: Callable[..., Tuple[List[SweepPoint], RowsFn]]
+) -> Callable[..., List[Row]]:
+    """Turn ``build(model, params, **axes) -> (points, rows_of)`` into the
+    figure function ``figure(scale, params, workers, replications,
+    progress, **axes)`` returning the table.
+
+    Point ``i`` runs under seed ``scale.seed + 1000 + i``; with
+    ``replications > 1`` it runs under that many seeds derived from it
+    (section 5.4 discipline) and its rows are aggregated.  All runs --
+    points x replications -- are fanned over ``workers`` in one batch.
+    """
+
+    @functools.wraps(build)
+    def figure(
+        scale: Scale = QUICK,
+        params: ScenarioParams = DEFAULT_PARAMS,
+        workers: Optional[int] = 1,
+        replications: int = 1,
+        progress: Optional[ProgressFn] = None,
+        **axes: Any,
+    ) -> List[Row]:
+        model = build_model(scale)
+        points, rows_of = build(model, params, **axes)
+        batches = []
+        for offset, point in enumerate(points):
+            spec = scale.spec(
+                point.factory,
+                seed=scale.seed + 1000 + offset,
+                failure=point.failure,
+                node_classes=point.node_classes,
+            )
+            batches.append(
+                replication_specs(spec, replications) if replications > 1 else [spec]
+            )
+        results = iter(
+            run_experiments(
+                model,
+                [spec for batch in batches for spec in batch],
+                workers=workers,
+                progress=progress,
+            )
+        )
+        table: List[Row] = []
+        for point, batch in zip(points, batches):
+            runs = [rows_of(point.labels, next(results)) for _ in batch]
+            table.extend(_aggregate(point.labels, runs))
+        return table
+
+    return figure
+
+
+def _aggregate(labels: Row, runs: List[List[Row]]) -> List[Row]:
+    """One point's rows over its replications: each numeric column that
+    is not a label becomes its mean plus a ``<column>_hw`` 95%
+    half-width.  A single run is reported as it is."""
+    if len(runs) == 1:
+        return runs[0]
+    table = []
+    for replicas in zip(*runs):
+        row: Row = {}
+        for column, value in replicas[0].items():
+            if column in labels or not isinstance(value, (int, float)):
+                row[column] = value
+            else:
+                row[column], row[f"{column}_hw"] = mean_confidence_interval(
+                    [replica[column] for replica in replicas]
+                )
+        table.append(row)
+    return table
 
 
 # -- section 5.1: the network model table -----------------------------------------
 
 
-def section51_table(scale: Scale = QUICK) -> List[Dict]:
+def section51_table(scale: Scale = QUICK) -> List[Row]:
     """Topology statistics vs the values the paper reports."""
     stats = compute_statistics(build_model(scale))
     paper = {
@@ -157,78 +243,37 @@ def section51_table(scale: Scale = QUICK) -> List[Dict]:
 # -- figure 4: emergent structure ----------------------------------------------
 
 
-def figure4(
-    scale: Scale = QUICK,
-    params: ScenarioParams = DEFAULT_PARAMS,
-    workers: Optional[int] = 1,
-    replications: int = 1,
-    progress: Optional[ProgressFn] = None,
-) -> List[Dict]:
+@sweep
+def figure4(model: ClientNetworkModel, params: ScenarioParams):
     """Traffic concentration on the top-5% connections.
 
     The paper plots the structures geographically and reports the top-5%
     share in the caption: Flat/eager 7%, Radius 37%, Ranked 30%.  Radius
     here uses the pseudo-geographic (distance) oracle, as in Fig. 4.
-
-    ``replications > 1`` runs every series under that many independent
-    seeds (section 5.4 discipline) and reports ``mean``/``hw`` (95%
-    half-width) columns instead of single-run values.  All runs -- series
-    x replications -- are fanned over ``workers`` at once.
     """
-    model = build_model(scale)
     distance_params = replace(
         params, radius_ms=_distance_radius_units(model, params)
     )
-    series = [
-        ("flat (eager)", flat_factory(1.0), 0),
-        ("radius", radius_factory(distance_params, metric="distance"), 1),
-        ("ranked", ranked_factory(params), 2),
+    points = [
+        SweepPoint({"series": "flat (eager)"}, flat_factory(1.0)),
+        SweepPoint(
+            {"series": "radius"},
+            radius_factory(distance_params, metric="distance"),
+        ),
+        SweepPoint({"series": "ranked"}, ranked_factory(params)),
     ]
-    if replications <= 1:
-        specs = [
-            _spec(scale, factory, seed_offset=offset)
-            for _, factory, offset in series
-        ]
-        results = run_experiments(model, specs, workers=workers, progress=progress)
-        return [
-            {
-                "series": label,
-                "top5_share_pct": result.summary.top_link_share * 100.0,
-                "payload_per_msg": result.summary.payload_per_delivery,
-                "latency_ms": result.summary.mean_latency_ms,
-            }
-            for (label, _, _), result in zip(series, results)
-        ]
+    return points, _structure_rows
 
-    # Replicated sweep: one flat batch of series x replications specs,
-    # aggregated per series in replication order (bit-identical for any
-    # worker count).
-    batches = [
-        replication_specs(_spec(scale, factory, seed_offset=offset), replications)
-        for _, factory, offset in series
+
+def _structure_rows(labels: Row, result: ExperimentResult) -> List[Row]:
+    return [
+        {
+            **labels,
+            "top5_share_pct": result.summary.top_link_share * 100.0,
+            "payload_per_msg": result.summary.payload_per_delivery,
+            "latency_ms": result.summary.mean_latency_ms,
+        }
     ]
-    flat_specs = [spec for batch in batches for spec in batch]
-    results = run_experiments(model, flat_specs, workers=workers, progress=progress)
-    rows = []
-    for position, (label, _, _) in enumerate(series):
-        chunk = results[position * replications : (position + 1) * replications]
-        intervals = aggregate_summaries(result.summary for result in chunk)
-        latency_mean, latency_hw = intervals["mean_latency_ms"]
-        payload_mean, payload_hw = intervals["payload_per_delivery"]
-        share_mean, share_hw = intervals["top_link_share"]
-        rows.append(
-            {
-                "series": label,
-                "replications": replications,
-                "top5_share_pct": share_mean * 100.0,
-                "top5_share_hw": share_hw * 100.0,
-                "payload_per_msg": payload_mean,
-                "payload_hw": payload_hw,
-                "latency_ms": latency_mean,
-                "latency_hw": latency_hw,
-            }
-        )
-    return rows
 
 
 def _distance_radius_units(
@@ -251,231 +296,196 @@ def _distance_radius_units(
     return max(1.0, distances[index])
 
 
-# -- figure 5(a): latency vs bandwidth -----------------------------------------
+# -- figures 5(a), 5(c): latency vs bandwidth, overall and per node class ---------
 
 
+@sweep
 def figure5a(
-    scale: Scale = QUICK,
-    params: ScenarioParams = DEFAULT_PARAMS,
+    model: ClientNetworkModel,
+    params: ScenarioParams,
     flat_probabilities: Optional[List[float]] = None,
     ttl_rounds: Optional[List[int]] = None,
-    workers: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-) -> List[Dict]:
+):
     """The latency/bandwidth trade-off of every strategy."""
-    flat_probabilities = flat_probabilities or [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
-    ttl_rounds = ttl_rounds or [1, 2, 3, 4]
-    model = build_model(scale)
-    classes = best_low_classes(params.ranked_fraction)
-
-    # (series, param, spec) per sweep point; offsets follow enumeration
-    # order, matching the historic serial loop's seeds exactly.
-    points: List[tuple] = []
-    for p in flat_probabilities:
-        points.append(("flat", f"p={p}", flat_factory(p), None))
-    for u in ttl_rounds:
-        points.append(("TTL", f"u={u}", ttl_factory(u), None))
-    points.append(("radius", f"rho={params.radius_ms}ms", radius_factory(params), None))
-    points.append(("ranked (all)", "", ranked_factory(params), classes))
-
-    specs = [
-        _spec(scale, factory, node_classes=node_classes, seed_offset=offset)
-        for offset, (_, _, factory, node_classes) in enumerate(points)
+    points = [
+        SweepPoint({"series": "flat", "param": f"p={p}"}, flat_factory(p))
+        for p in flat_probabilities or [0.0, 0.1, 0.25, 0.5, 0.75, 1.0]
     ]
-    results = run_experiments(model, specs, workers=workers, progress=progress)
+    points += [
+        SweepPoint({"series": "TTL", "param": f"u={u}"}, ttl_factory(u))
+        for u in ttl_rounds or [1, 2, 3, 4]
+    ]
+    points += [
+        SweepPoint(
+            {"series": "radius", "param": f"rho={params.radius_ms}ms"},
+            radius_factory(params),
+        ),
+        SweepPoint(
+            {"series": "ranked (all)", "param": ""},
+            ranked_factory(params),
+            node_classes=best_low_classes(params.ranked_fraction),
+        ),
+    ]
+    return points, _tradeoff_rows("low")
 
-    rows: List[Dict] = []
-    for (series, param, _, _), result in zip(points, results):
-        rows.append(_tradeoff_row(series, param, result))
 
-    ranked_result = results[-1]
-    low_latency, _ = ranked_result.class_latencies["low"]
-    rows.append(
-        {
-            "series": "ranked (low)",
-            "param": "",
-            "payload_per_msg": ranked_result.class_rates["low"],
-            "latency_ms": low_latency,
-            "delivery_pct": ranked_result.summary.delivery_ratio * 100.0,
-        }
+@sweep
+def figure5c(
+    model: ClientNetworkModel,
+    params: ScenarioParams,
+    ttl_rounds: Optional[List[int]] = None,
+):
+    """TTL sweep vs the combined strategy, split by node class."""
+    classes = best_low_classes(params.ranked_fraction)
+    points = [
+        SweepPoint(
+            {"series": "TTL", "param": f"u={u}"}, ttl_factory(u),
+            node_classes=classes,
+        )
+        for u in ttl_rounds or [1, 2, 3, 4]
+    ]
+    points.append(
+        SweepPoint(
+            {"series": "combined (all)", "param": ""}, hybrid_factory(params),
+            node_classes=classes,
+        )
     )
-    return rows
+    return points, _tradeoff_rows("low", "best")
 
 
-def _tradeoff_row(series: str, param: str, result) -> Dict:
-    return {
-        "series": series,
-        "param": param,
-        "payload_per_msg": result.summary.payload_per_delivery,
-        "latency_ms": result.summary.mean_latency_ms,
-        "delivery_pct": result.summary.delivery_ratio * 100.0,
-    }
+def _tradeoff_rows(*classes: str) -> RowsFn:
+    """Payload/latency/delivery rows; an "x (all)" series is followed by
+    an "x (<class>)" row for each of the node ``classes``."""
+
+    def rows_of(labels: Row, result: ExperimentResult) -> List[Row]:
+        summary = result.summary
+        delivery_pct = summary.delivery_ratio * 100.0
+        rows = [
+            {
+                **labels,
+                "payload_per_msg": summary.payload_per_delivery,
+                "latency_ms": summary.mean_latency_ms,
+                "delivery_pct": delivery_pct,
+            }
+        ]
+        series = labels["series"]
+        if series.endswith("(all)"):
+            for node_class in classes:
+                rows.append(
+                    {
+                        "series": series.replace("(all)", f"({node_class})"),
+                        "param": "",
+                        "payload_per_msg": result.class_rates[node_class],
+                        "latency_ms": result.class_latencies[node_class][0],
+                        "delivery_pct": delivery_pct,
+                    }
+                )
+        return rows
+
+    return rows_of
 
 
 # -- figure 5(b): reliability under failures --------------------------------------
 
 
+@sweep
 def figure5b(
-    scale: Scale = QUICK,
-    params: ScenarioParams = DEFAULT_PARAMS,
+    model: ClientNetworkModel,
+    params: ScenarioParams,
     dead_fractions: Optional[List[float]] = None,
-    workers: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-) -> List[Dict]:
+):
     """Mean deliveries vs share of dead nodes.
 
     Series: eager push with random failures, Ranked with random
     failures, and Ranked with the *best* nodes failed (the adversarial
     case showing structure does not hurt resilience).
     """
-    dead_fractions = dead_fractions or [0.0, 0.2, 0.4, 0.6, 0.8]
-    model = build_model(scale)
     closeness_order = sorted(range(model.size), key=model.closeness)
-
     series = [
         ("flat/random", flat_factory(1.0), "random"),
         ("ranked/random", ranked_factory(params), "random"),
         ("ranked/ranked", ranked_factory(params), "best"),
     ]
-    points: List[tuple] = []
-    specs: List[ExperimentSpec] = []
-    for label, factory, target in series:
-        for fraction in dead_fractions:
-            failure = None
-            if fraction > 0:
-                failure = FailurePlan(
-                    fraction=fraction,
-                    target=target,
-                    ranked_nodes=closeness_order if target == "best" else None,
-                )
-            points.append((label, fraction))
-            specs.append(
-                _spec(scale, factory, failure=failure, seed_offset=len(specs))
+    points = [
+        SweepPoint(
+            {"series": label, "dead_pct": fraction * 100.0},
+            factory,
+            failure=FailurePlan(
+                fraction=fraction,
+                target=target,
+                ranked_nodes=closeness_order if target == "best" else None,
             )
-    results = run_experiments(model, specs, workers=workers, progress=progress)
-    return [
-        {
-            "series": label,
-            "dead_pct": fraction * 100.0,
-            "deliveries_pct": result.summary.delivery_ratio * 100.0,
-        }
-        for (label, fraction), result in zip(points, results)
+            if fraction > 0
+            else None,
+        )
+        for label, factory, target in series
+        for fraction in dead_fractions or [0.0, 0.2, 0.4, 0.6, 0.8]
     ]
+    return points, _reliability_rows
 
 
-# -- figure 5(c): the hybrid strategy ---------------------------------------------
-
-
-def figure5c(
-    scale: Scale = QUICK,
-    params: ScenarioParams = DEFAULT_PARAMS,
-    ttl_rounds: Optional[List[int]] = None,
-    workers: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-) -> List[Dict]:
-    """TTL sweep vs the combined strategy, split by node class."""
-    ttl_rounds = ttl_rounds or [1, 2, 3, 4]
-    model = build_model(scale)
-    classes = best_low_classes(params.ranked_fraction)
-
-    points: List[tuple] = [("TTL", f"u={u}", ttl_factory(u)) for u in ttl_rounds]
-    points.append(("combined (all)", "", hybrid_factory(params)))
-    specs = [
-        _spec(scale, factory, node_classes=classes, seed_offset=offset)
-        for offset, (_, _, factory) in enumerate(points)
-    ]
-    results = run_experiments(model, specs, workers=workers, progress=progress)
-
-    rows: List[Dict] = [
-        _tradeoff_row(series, param, result)
-        for (series, param, _), result in zip(points, results)
-    ]
-    result = results[-1]
-    low_latency, _ = result.class_latencies["low"]
-    rows.append(
-        {
-            "series": "combined (low)",
-            "param": "",
-            "payload_per_msg": result.class_rates["low"],
-            "latency_ms": low_latency,
-            "delivery_pct": result.summary.delivery_ratio * 100.0,
-        }
-    )
-    best_latency, _ = result.class_latencies["best"]
-    rows.append(
-        {
-            "series": "combined (best)",
-            "param": "",
-            "payload_per_msg": result.class_rates["best"],
-            "latency_ms": best_latency,
-            "delivery_pct": result.summary.delivery_ratio * 100.0,
-        }
-    )
-    return rows
+def _reliability_rows(labels: Row, result: ExperimentResult) -> List[Row]:
+    return [{**labels, "deliveries_pct": result.summary.delivery_ratio * 100.0}]
 
 
 # -- figure 6: degradation of structure under noise ----------------------------------
 
 
+@sweep
 def figure6(
-    scale: Scale = QUICK,
-    params: ScenarioParams = DEFAULT_PARAMS,
+    model: ClientNetworkModel,
+    params: ScenarioParams,
     noise_levels: Optional[List[float]] = None,
-    workers: Optional[int] = 1,
-    progress: Optional[ProgressFn] = None,
-) -> List[Dict]:
+):
     """Noise sweep feeding all three panels of Fig. 6.
 
     Each row carries payload/msg overall and for regular ("low") nodes
     (panel a), mean latency (panel b) and the top-5% connection share
     (panel c).
     """
-    noise_levels = noise_levels or [0.0, 0.25, 0.5, 0.75, 1.0]
-    model = build_model(scale)
     classes = best_low_classes(params.ranked_fraction)
-    calibrations = {
-        "radius": radius_calibration(model, params.radius_ms),
-        "ranked": ranked_calibration(model, params.ranked_fraction),
+    bases = {
+        "radius": (
+            radius_factory(params),
+            radius_calibration(model, params.radius_ms),
+        ),
+        "ranked": (
+            ranked_factory(params),
+            ranked_calibration(model, params.ranked_fraction),
+        ),
     }
-    bases: Dict[str, StrategyFactory] = {
-        "radius": radius_factory(params),
-        "ranked": ranked_factory(params),
-    }
-    points: List[tuple] = []
-    specs: List[ExperimentSpec] = []
-    for label, base in bases.items():
-        for noise in noise_levels:
-            factory = noisy_factory(base, noise, calibrations[label])
-            points.append((label, noise))
-            specs.append(
-                _spec(scale, factory, node_classes=classes, seed_offset=len(specs))
-            )
-    results = run_experiments(model, specs, workers=workers, progress=progress)
+    points = [
+        SweepPoint(
+            {"series": label, "noise_pct": noise * 100.0},
+            noisy_factory(base, noise, calibration),
+            node_classes=classes,
+        )
+        for label, (base, calibration) in bases.items()
+        for noise in noise_levels or [0.0, 0.25, 0.5, 0.75, 1.0]
+    ]
+    return points, _noise_rows
+
+
+def _noise_rows(labels: Row, result: ExperimentResult) -> List[Row]:
     return [
         {
-            "series": label,
-            "noise_pct": noise * 100.0,
+            **labels,
             "payload_per_msg": result.summary.payload_per_delivery,
             "payload_low": result.class_rates["low"],
             "latency_ms": result.summary.mean_latency_ms,
             "top5_share_pct": result.summary.top_link_share * 100.0,
         }
-        for (label, noise), result in zip(points, results)
     ]
 
 
 # -- section 5.4: run statistics ---------------------------------------------------
 
 
-def section54_statistics(
-    scale: Scale = QUICK, workers: Optional[int] = 1
-) -> List[Dict]:
-    """Traffic accounting of an eager run (deliveries, packets, links).
-
-    A single run: ``workers`` is accepted for interface uniformity but
-    has nothing to fan out.
-    """
-    result = _run(scale, flat_factory(1.0))
+def section54_statistics(scale: Scale = QUICK) -> List[Row]:
+    """Traffic accounting of one eager run (deliveries, packets, links)."""
+    result = run_experiment(
+        build_model(scale), scale.spec(flat_factory(1.0), seed=scale.seed + 1000)
+    )
     recorder = result.recorder
     connections_used = len(recorder.link_payload_counts)
     return [

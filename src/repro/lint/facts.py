@@ -143,19 +143,10 @@ def resolve_name(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
 
 
 def in_scope(module: str, prefixes: Sequence[str]) -> bool:
-    """True when ``module`` falls under any dotted prefix.
-
-    A prefix ending in ``_`` is a *name* prefix (``bench_`` matches
-    ``bench_micro``); anything else matches the module itself or any
-    submodule.
-    """
-    for prefix in prefixes:
-        if prefix.endswith("_"):
-            if module.startswith(prefix) or module.split(".")[-1].startswith(prefix):
-                return True
-        elif module == prefix or module.startswith(prefix + "."):
-            return True
-    return False
+    """True when ``module`` is, or is a submodule of, any dotted prefix."""
+    return any(
+        module == prefix or module.startswith(prefix + ".") for prefix in prefixes
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -102,7 +102,6 @@ SHARED_MEMORY_ALLOWLIST: Tuple[str, ...] = ("repro.megasim.arena",)
 WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = (
     "repro.experiments.parallel",
     "benchmarks",
-    "bench_",
 )
 
 

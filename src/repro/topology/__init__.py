@@ -14,9 +14,8 @@ reproduces that model:
   50 ms with half of all pairs between 39 and 60 ms).
 - :mod:`repro.topology.routing` -- deterministic shortest-path routing and
   the client latency matrix consumed by the network fabric.
-- :mod:`repro.topology.cache` -- memoized model construction (in-process
-  LRU plus an opt-in on-disk store); the experiment layer builds every
-  model through it.
+- :mod:`repro.topology.cache` -- memoized model construction (an
+  in-process LRU); the experiment layer builds every model through it.
 - :mod:`repro.topology.simple` -- small analytic topologies for tests.
 - :mod:`repro.topology.stats` -- the section 5.1 statistics table.
 """
@@ -25,7 +24,6 @@ from repro.topology.cache import (
     ModelKey,
     TopologyCache,
     cached_model,
-    configure_disk_cache,
     resolve_model,
     shared_cache,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "ModelKey",
     "TopologyCache",
     "cached_model",
-    "configure_disk_cache",
     "resolve_model",
     "shared_cache",
     "complete_topology",

@@ -14,9 +14,7 @@ This module provides that memoization in one place:
   shipped across process boundaries where a built model would be
   wasteful, and resolved into a concrete model on the other side.
 - :class:`TopologyCache` -- an LRU of built models with hit/miss
-  counters and an *opt-in* on-disk pickle store, so repeated tool
-  invocations (benchmarks, CLI runs) can skip model construction
-  entirely.
+  counters.
 - A module-level shared cache with :func:`cached_model` /
   :func:`resolve_model` convenience entry points; the experiment layer
   (:mod:`repro.experiments.figures`, ``runner``, ``parallel``,
@@ -32,20 +30,12 @@ in ``tests/topology/test_cache.py`` pin.
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from repro.topology.inet import InetParameters, generate_inet
 from repro.topology.routing import ClientNetworkModel
-
-#: Bumped whenever the generator or model layout changes in a way that
-#: invalidates previously pickled models.  Part of the disk filename, so
-#: stale entries are simply never looked up again.
-CACHE_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -54,15 +44,6 @@ class ModelKey:
 
     parameters: InetParameters = field(default_factory=InetParameters)
     seed: int = 0
-
-    def digest(self) -> str:
-        """Stable content digest; names the on-disk cache entry.
-
-        ``InetParameters`` is a frozen dataclass of plain numbers, so its
-        ``repr`` is a complete, deterministic description of the build.
-        """
-        payload = repr((CACHE_VERSION, self.parameters, self.seed))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def build(self) -> ClientNetworkModel:
         """Cold build: generate the topology and derive the model."""
@@ -79,27 +60,15 @@ class TopologyCache:
         In-process entries kept; least-recently-used models are evicted
         beyond this.  Paper-scale models are a few MB each, so the
         default keeps memory bounded even across many scales.
-    disk_path:
-        Optional directory for a persistent pickle store.  When set,
-        misses consult ``<disk_path>/<digest>.pkl`` before building and
-        write freshly built models back (atomically, via rename).  Off
-        by default: tests and golden-trace jobs must not pick up state
-        from previous runs unless they ask for it.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 8,
-        disk_path: Optional[Union[str, "os.PathLike[str]"]] = None,
-    ) -> None:
+    def __init__(self, maxsize: int = 8) -> None:
         if maxsize < 1:
             raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
-        self.disk_path = os.fspath(disk_path) if disk_path is not None else None
         self._entries: "OrderedDict[ModelKey, ClientNetworkModel]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -108,7 +77,7 @@ class TopologyCache:
         return key in self._entries
 
     def get(self, key: ModelKey) -> ClientNetworkModel:
-        """The model for ``key``, built (or loaded from disk) on miss."""
+        """The model for ``key``, built on miss."""
         entries = self._entries
         model = entries.get(key)
         if model is not None:
@@ -116,11 +85,7 @@ class TopologyCache:
             entries.move_to_end(key)
             return model
         self.misses += 1
-        model = self._load_from_disk(key)
-        if model is None:
-            model = key.build()
-            self._store_to_disk(key, model)
-        entries[key] = model
+        model = entries[key] = key.build()
         if len(entries) > self.maxsize:
             entries.popitem(last=False)
         return model
@@ -134,11 +99,10 @@ class TopologyCache:
         return self.get(ModelKey(parameters or InetParameters(), seed=seed))
 
     def clear(self) -> None:
-        """Drop in-memory entries and reset counters (disk is untouched)."""
+        """Drop every entry and reset the counters."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
 
     def stats(self) -> Dict[str, int]:
         """Counters for observability and the cache regression tests."""
@@ -146,54 +110,7 @@ class TopologyCache:
             "entries": len(self._entries),
             "hits": self.hits,
             "misses": self.misses,
-            "disk_hits": self.disk_hits,
         }
-
-    # -- disk store ----------------------------------------------------
-
-    def configure_disk(
-        self, disk_path: Optional[Union[str, "os.PathLike[str]"]]
-    ) -> None:
-        """Enable (or, with ``None``, disable) the persistent store."""
-        self.disk_path = os.fspath(disk_path) if disk_path is not None else None
-
-    def _entry_path(self, key: ModelKey) -> str:
-        assert self.disk_path is not None
-        return os.path.join(self.disk_path, f"{key.digest()}.pkl")
-
-    def _load_from_disk(self, key: ModelKey) -> Optional[ClientNetworkModel]:
-        if self.disk_path is None:
-            return None
-        path = self._entry_path(key)
-        try:
-            with open(path, "rb") as handle:
-                model = pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError):
-            # Missing, unreadable or truncated entries read as misses;
-            # the build below overwrites them with a good copy.
-            return None
-        if not isinstance(model, ClientNetworkModel):  # pragma: no cover
-            return None
-        self.disk_hits += 1
-        return model
-
-    def _store_to_disk(self, key: ModelKey, model: ClientNetworkModel) -> None:
-        if self.disk_path is None:
-            return
-        os.makedirs(self.disk_path, exist_ok=True)
-        path = self._entry_path(key)
-        # Write-then-rename so a crashed or concurrent writer can never
-        # leave a half-written pickle where a reader will find it.
-        tmp_path = f"{path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "wb") as handle:
-                pickle.dump(model, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except OSError:  # pragma: no cover - disk store is best-effort
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
 
 
 # -- the shared process-wide cache ------------------------------------------
@@ -209,13 +126,6 @@ ModelLike = Union[ClientNetworkModel, ModelKey]
 def shared_cache() -> TopologyCache:
     """The process-wide cache used by :func:`cached_model`."""
     return _SHARED
-
-
-def configure_disk_cache(
-    disk_path: Optional[Union[str, "os.PathLike[str]"]]
-) -> None:
-    """Point the shared cache at a persistent directory (``None`` = off)."""
-    _SHARED.configure_disk(disk_path)
 
 
 def cached_model(

@@ -1,18 +1,23 @@
-"""Baseline-comparison harness tests at tiny scale."""
+"""Gossip vs structured tree vs pull, at BENCH scale.
+
+Section 1 states the trade-off qualitatively: structured multicast uses
+resources better while the network is stable but must rebuild its tree
+on failure; gossip pays redundancy for resilience; the Payload Scheduler
+aims at both.  These tests measure all three corners on the same fabric
+and workload.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.experiments.baselines import compare_baselines, compare_under_failures
-from repro.experiments.figures import Scale
-
-TINY = Scale("tiny", clients=20, routers=250, messages=15, warmup_ms=3_000.0, seed=6)
+from tests.paper import BENCH
 
 
 @pytest.fixture(scope="module")
 def stable_rows():
-    return compare_baselines(TINY)
+    return compare_baselines(BENCH)
 
 
 def test_all_series_present(stable_rows):
@@ -27,43 +32,58 @@ def test_all_series_present(stable_rows):
 
 def test_stable_network_everyone_delivers(stable_rows):
     for row in stable_rows:
-        assert row["delivery_pct"] > 98.0, row
+        assert row["delivery_pct"] > 99.0, row
 
 
 def test_tree_is_cheapest_and_pull_is_slowest(stable_rows):
     by_series = {row["series"]: row for row in stable_rows}
-    assert by_series["tree"]["payload_per_msg"] <= 1.05
-    assert by_series["tree"]["total_MB"] < by_series["gossip eager"]["total_MB"]
-    assert (
-        by_series["pull"]["latency_ms"]
-        > 2 * by_series["gossip eager"]["latency_ms"]
-    )
+    tree, pull = by_series["tree"], by_series["pull"]
+    eager, hybrid = by_series["gossip eager"], by_series["gossip hybrid"]
+    # Structured multicast: exactly-once payload, best latency, least bytes.
+    assert tree["payload_per_msg"] <= 1.05
+    assert tree["latency_ms"] < eager["latency_ms"]
+    assert tree["total_MB"] < 0.5 * hybrid["total_MB"]
+    # Eager gossip pays ~fanout payloads for its speed.
+    assert eager["payload_per_msg"] > 9.0
+    # The hybrid sits between: a fraction of eager's traffic at
+    # competitive latency.
+    assert hybrid["payload_per_msg"] < 0.5 * eager["payload_per_msg"]
+    assert hybrid["latency_ms"] < 2.5 * eager["latency_ms"]
+    # Pull pays its period in latency despite unit payload cost -- the
+    # section 7 distinction from lazy push.
+    assert pull["payload_per_msg"] <= 1.2
+    assert pull["latency_ms"] > 3 * eager["latency_ms"]
 
 
-def test_targeted_failure_comparison():
-    rows = compare_under_failures(TINY, failed_fraction=0.25)
-    by_series = {row["series"]: row for row in rows}
-    assert by_series["gossip eager"]["delivery_pct"] > 98.0
-    assert by_series["gossip ranked"]["delivery_pct"] > 98.0
-    assert by_series["tree (no repair)"]["delivery_pct"] < 95.0
+@pytest.fixture(scope="module")
+def broken_rows():
+    """20% of the most central nodes killed, tree left unrepaired."""
+    rows = compare_under_failures(BENCH, failed_fraction=0.2)
+    return {row["series"]: row for row in rows}
 
 
-def test_repair_recovers_tree_deliveries():
-    broken = compare_under_failures(TINY, failed_fraction=0.25)
+def test_targeted_failure_comparison(broken_rows):
+    # Gossip barely notices losing exactly its best/hub nodes.
+    assert broken_rows["gossip eager"]["delivery_pct"] > 99.0
+    assert broken_rows["gossip ranked"]["delivery_pct"] > 99.0
+    # The unrepaired tree loses whole subtrees.
+    assert broken_rows["tree (no repair)"]["delivery_pct"] < 90.0
+
+
+def test_repair_recovers_tree_deliveries(broken_rows):
     repaired = compare_under_failures(
-        TINY, failed_fraction=0.25, repair_delay_ms=2_000.0
-    )
-    broken_pct = next(
-        r["delivery_pct"] for r in broken if r["series"].startswith("tree")
+        BENCH, failed_fraction=0.2, repair_delay_ms=5_000.0
     )
     repaired_pct = next(
-        r["delivery_pct"] for r in repaired if r["series"].startswith("tree")
+        r["delivery_pct"] for r in repaired if r["series"] == "tree (repaired)"
     )
-    assert repaired_pct > broken_pct
+    # Repair restores most deliveries -- at the cost of the rebuild
+    # machinery gossip never needs.
+    assert repaired_pct > broken_rows["tree (no repair)"]["delivery_pct"] + 5.0
 
 
 def test_random_target_mode():
-    rows = compare_under_failures(TINY, failed_fraction=0.2, target="random")
+    rows = compare_under_failures(BENCH, failed_fraction=0.2, target="random")
     assert any(row["series"].startswith("tree") for row in rows)
     with pytest.raises(ValueError):
-        compare_under_failures(TINY, target="bogus")
+        compare_under_failures(BENCH, target="bogus")

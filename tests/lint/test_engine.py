@@ -119,7 +119,7 @@ def test_module_name_for_package_init():
 
 
 def test_module_name_fallback_for_loose_files():
-    assert module_name_for(Path("benchmarks/bench_micro.py")) == "bench_micro"
+    assert module_name_for(Path("examples/quickstart.py")) == "quickstart"
 
 
 def test_scoping_follows_derived_module_name(tmp_path):

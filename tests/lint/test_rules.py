@@ -62,7 +62,7 @@ class TestWallClock:
     def test_allowlisted_module_is_exempt(self):
         source = "import time\nx = time.perf_counter()\n"
         assert rules_of(source, module="repro.experiments.parallel") == []
-        assert rules_of(source, module="bench_micro") == []
+        assert rules_of(source, module="benchmarks.perf.harness") == []
         assert rules_of(source, module="repro.sim.engine") == ["DET001"]
 
 

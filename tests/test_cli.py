@@ -106,14 +106,35 @@ def test_figure4_replicated_sweep_byte_identical_across_workers(capsys):
     assert "hw" in serial_out  # interval columns present
 
 
-def test_figure_without_replication_support_warns(capsys):
+@pytest.mark.parametrize("table", ["5.1", "5.4"])
+def test_replications_rejected_on_single_run_tables(table, capsys):
     code = main([
-        "figure", "5.1", "--clients", "12", "--routers", "150",
+        "figure", table, "--clients", "12", "--routers", "150",
         "--replications", "4",
     ])
-    assert code == 0
+    assert code == 2
     captured = capsys.readouterr()
-    assert "does not support --replications" in captured.err
+    assert captured.out == ""
+    assert "--replications is only supported by the sweep figures" in captured.err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--workers", "-3"),
+        ("--replications", "0"),
+        ("--replications", "-2"),
+        ("--clients", "0"),
+        ("--routers", "0"),
+        ("--messages", "0"),
+    ],
+)
+@pytest.mark.parametrize("command", [["figure", "4"], ["run", "eager"]])
+def test_out_of_range_sizes_exit_2_naming_the_flag(command, flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(command + [flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
 
 def test_topology_save_writes_model_file(tmp_path, capsys):

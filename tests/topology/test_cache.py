@@ -8,8 +8,6 @@ and the golden-trace gate assumes model bytes never change.
 
 from __future__ import annotations
 
-import pickle
-
 from repro.topology.cache import (
     ModelKey,
     TopologyCache,
@@ -45,9 +43,7 @@ def test_hit_equals_cold_build():
     second = cache.get(key)
     assert second is first  # a hit hands out the memoized object
     _assert_models_equal(first, _cold_build(SMALL, 5))
-    assert cache.stats() == {
-        "entries": 1, "hits": 1, "misses": 1, "disk_hits": 0,
-    }
+    assert cache.stats() == {"entries": 1, "hits": 1, "misses": 1}
 
 
 def test_distinct_keys_build_distinct_models():
@@ -70,40 +66,6 @@ def test_lru_eviction_is_bounded_and_rebuilds():
     rebuilt = cache.get(keys[0])  # miss: rebuilds, evicts keys[1]
     _assert_models_equal(rebuilt, _cold_build(SMALL, 1))
     assert keys[1] not in cache
-
-
-def test_digest_is_stable_and_key_sensitive():
-    key = ModelKey(SMALL, seed=3)
-    assert key.digest() == ModelKey(SMALL, seed=3).digest()
-    assert key.digest() != ModelKey(SMALL, seed=4).digest()
-    other = InetParameters(router_count=130, client_count=8, transit_count=8,
-                           transit_extra_degree=4)
-    assert key.digest() != ModelKey(other, seed=3).digest()
-
-
-def test_disk_round_trip(tmp_path):
-    key = ModelKey(SMALL, seed=7)
-    writer = TopologyCache(disk_path=tmp_path)
-    built = writer.get(key)
-    assert (tmp_path / f"{key.digest()}.pkl").exists()
-
-    reader = TopologyCache(disk_path=tmp_path)
-    loaded = reader.get(key)
-    assert reader.stats()["disk_hits"] == 1
-    _assert_models_equal(loaded, built)
-    _assert_models_equal(loaded, _cold_build(SMALL, 7))
-
-
-def test_corrupt_disk_entry_reads_as_miss(tmp_path):
-    key = ModelKey(SMALL, seed=9)
-    (tmp_path / f"{key.digest()}.pkl").write_bytes(b"not a pickle")
-    cache = TopologyCache(disk_path=tmp_path)
-    model = cache.get(key)
-    assert cache.stats()["disk_hits"] == 0
-    _assert_models_equal(model, _cold_build(SMALL, 9))
-    # The bad entry was overwritten with a good one.
-    with open(tmp_path / f"{key.digest()}.pkl", "rb") as handle:
-        _assert_models_equal(pickle.load(handle), model)
 
 
 def test_resolve_model_passthrough_and_key_resolution():
