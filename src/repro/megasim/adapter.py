@@ -37,7 +37,7 @@ from numpy.typing import NDArray
 
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
-from repro.megasim.links import merge_link_arrays, top_share
+from repro.megasim.links import LinkTable, merge_link_arrays, top_share
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
 from repro.metrics.recorder import MetricsRecorder
@@ -633,6 +633,7 @@ def summary_from_outcomes(
     payload_bytes: int = 256,
     top_fraction: float = 0.05,
     expected_receivers: Optional[int] = None,
+    merged_links: Optional[LinkTable] = None,
 ) -> RunSummary:
     """A :class:`RunSummary` straight from slot histograms.
 
@@ -641,6 +642,8 @@ def summary_from_outcomes(
     deliberately not collected).  ``expected_receivers`` defaults to
     ``n``; pass the alive population when crash faults are in play (the
     event engine also normalizes delivery ratio by alive nodes).
+    ``merged_links`` hands in an already computed
+    :func:`~repro.megasim.links.merge_link_arrays` table of ``outcomes``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -671,7 +674,8 @@ def summary_from_outcomes(
             slot_histogram[slot] = slot_histogram.get(slot, 0) + count
     # Link concentration straight from the outcomes' columnar link
     # arrays -- no per-link dicts, so this path holds at 10^6 nodes.
-    merged_links = merge_link_arrays(outcomes)
+    if merged_links is None:
+        merged_links = merge_link_arrays(outcomes)
     mean, ci, median, p95 = _slot_latency_stats(slot_histogram, round_ms)
     per_node_messages = messages * expected_receivers
     control = ihave_sent + iwant_sent

@@ -33,6 +33,9 @@ from numpy.typing import NDArray
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.megasim.rounds import MessageOutcome
 
+#: Sorted distinct link keys and their aligned payload counts.
+LinkTable = Tuple[NDArray[np.int64], NDArray[np.int64]]
+
 
 @dataclass(frozen=True)
 class StructureMetrics:
@@ -54,7 +57,7 @@ class StructureMetrics:
 
 def merge_link_arrays(
     outcomes: "Sequence[MessageOutcome]",
-) -> Optional[Tuple[NDArray[np.int64], NDArray[np.int64]]]:
+) -> Optional[LinkTable]:
     """All messages' payload links as one ``(keys, counts)`` table.
 
     Keys are the kernel's ``src * n + dst`` encoding, sorted distinct;
@@ -72,11 +75,16 @@ def merge_link_arrays(
     if not keys_per_message:
         return None
     keys = np.concatenate(keys_per_message)
-    counts = np.concatenate(counts_per_message)
-    merged, inverse = np.unique(keys, return_inverse=True)
-    summed = np.zeros(merged.shape[0], dtype=np.int64)
-    np.add.at(summed, inverse, counts)
-    return merged, summed
+    # Exact integer segment sums: order the counts by key and reduce each
+    # run of equal keys (the order of ties cannot matter to a sum).
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.shape[0], dtype=np.bool_)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    counts = np.concatenate(counts_per_message)[order]
+    return keys[starts], np.add.reduceat(counts, starts)
 
 
 def top_share(counts: NDArray[np.int64], fraction: float = 0.05) -> float:
@@ -117,13 +125,16 @@ def structure_metrics(
     outcomes: "Sequence[MessageOutcome]",
     n: int,
     fraction: float = 0.05,
+    merged_links: Optional[LinkTable] = None,
 ) -> Optional[StructureMetrics]:
     """The run-level :class:`StructureMetrics`, or ``None`` when link
-    tracking was off for any message."""
-    merged = merge_link_arrays(outcomes)
-    if merged is None:
+    tracking was off for any message.  ``merged_links`` hands in an
+    already computed :func:`merge_link_arrays` table of ``outcomes``."""
+    if merged_links is None:
+        merged_links = merge_link_arrays(outcomes)
+    if merged_links is None:
         return None
-    keys, counts = merged
+    keys, counts = merged_links
     used_links, sending_nodes, degree = effective_degree(keys, n)
     return StructureMetrics(
         top_link_share=top_share(counts, fraction),

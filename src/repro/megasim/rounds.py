@@ -9,6 +9,15 @@ bookkeeping lives in the :class:`~repro.megasim.state.MessageState`
 arrays plus one shared :class:`~repro.megasim.state.AdvertLog` instead
 of per-node timer objects.
 
+**The pair path.**  Ten of every eleven sampled (sender, target) pairs
+land on an already-infected node and leave only a counter behind, so a
+packet is two int32 columns and carries no round: the paper's Fig. 3
+forwards with ``r + 1``, ``r`` being the forwarder's own receipt round,
+and ``carried_round[src]`` is written once (at delivery; the origin's at
+slot 0), so the round of every packet -- eager forward, IHAVE, and the
+pull answer that carries the advertised round -- is
+``carried_round[src] + 1`` whenever it is read: for arrival winners.
+
 Equivalence with the event kernel (uniform latency ``L``, no NIC
 serialization, no jitter, oracle sampling): every packet sent in slot
 ``t`` arrives in slot ``t + 1``, so the event kernel *is* this slot
@@ -69,8 +78,9 @@ from repro.megasim.state import (
 )
 from repro.megasim.strategies import CompiledStrategy
 
-#: One batch of in-flight packets: aligned (src, dst, round) arrays.
-Batch = Tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.int32]]
+#: One batch of in-flight packets: aligned (src, dst) columns.  The round
+#: a packet carries is ``carried_round[src] + 1`` (module docstring).
+Batch = Tuple[NDArray[np.int32], NDArray[np.int32]]
 
 #: Cap on the all-pairs target expansion of oracle full-fanout sends;
 #: beyond this, use a partial fanout or view-based sampling.
@@ -143,7 +153,8 @@ class MessageOutcome:
 
 @dataclass
 class _SlotQueues:
-    """Per-slot batch buffers, popped as the clock reaches each slot.
+    """The network between two slots: the fault filter every sent batch
+    passes, and per-slot buffers popped as the clock reaches each slot.
 
     Pull answers keep two queues because their position among a slot's
     MSG arrivals is fixed by event-queue FIFO order: an IWANT fired in
@@ -154,19 +165,44 @@ class _SlotQueues:
     the whole arrival phase, so its answer lands *after* them.
     """
 
+    faults: Optional[CompiledFaults]
+    loss_rng: Optional[np.random.Generator]
     eager: Dict[int, List[Batch]] = field(default_factory=dict)
     pull_early: Dict[int, List[Batch]] = field(default_factory=dict)
     pull_late: Dict[int, List[Batch]] = field(default_factory=dict)
     advert: Dict[int, List[Batch]] = field(default_factory=dict)
 
+    def surviving(self, batch: Batch) -> Batch:
+        """The packets of ``batch`` that the fault filter lets arrive."""
+        if self.faults is None:
+            return batch
+        keep = self.faults.deliver_mask(*batch, self.loss_rng)
+        return _rows(batch, np.flatnonzero(keep))
+
     def push(self, queue: Dict[int, List[Batch]], slot: int, batch: Batch) -> None:
+        """Send ``batch`` (already counted as sent) to arrive at ``slot``."""
+        batch = self.surviving(batch)
         if batch[0].size:
             queue.setdefault(slot, []).append(batch)
+
+    def pop(self, slot: int, *queues: Dict[int, List[Batch]]) -> Optional[Batch]:
+        """The slot's batches of ``queues``, in that order, as one."""
+        batches = [batch for queue in queues for batch in queue.pop(slot, [])]
+        if len(batches) < 2:
+            return batches[0] if batches else None
+        return (
+            np.concatenate([b[0] for b in batches]),
+            np.concatenate([b[1] for b in batches]),
+        )
 
     def busy(self) -> bool:
         return bool(
             self.eager or self.pull_early or self.pull_late or self.advert
         )
+
+
+def _rows(batch: Batch, rows: NDArray[np.intp]) -> Batch:
+    return np.take(batch[0], rows), np.take(batch[1], rows)
 
 
 def sample_targets(
@@ -179,57 +215,56 @@ def sample_targets(
     """Gossip targets for every sender at once.
 
     Returns aligned ``(src, dst)`` arrays of ``len(senders) * k`` pairs,
-    ``k = min(fanout, candidates)``.  Oracle mode (``views=None``)
-    samples uniformly among the other ``n - 1`` nodes without
-    replacement per sender -- full fanout returns everyone, mirroring
-    ``OraclePeerSampler``.  View mode samples within each sender's
-    static partial view row.
+    ``k = min(fanout, candidates)``, sender-major: one block of ``k``
+    pairs per sender, in ``senders`` order.  Oracle mode
+    (``views=None``) samples uniformly among the other ``n - 1`` nodes
+    without replacement per sender -- full fanout returns everyone,
+    mirroring ``OraclePeerSampler``.  View mode samples within each
+    sender's static partial view row.
     """
     m = senders.shape[0]
-    if m == 0:
-        empty = np.empty(0, dtype=NODE_DTYPE)
-        return empty, empty.copy()
     if views is not None:
         degree = views.shape[1]
         if fanout >= degree:
-            dst = views[senders].reshape(-1)
-            src = np.repeat(senders, degree)
-            return src.astype(NODE_DTYPE, copy=False), dst
-        cols = _sample_without_replacement(rng, m, fanout, degree)
-        dst = views[senders[:, None], cols].reshape(-1)
-        src = np.repeat(senders, fanout)
-        return src.astype(NODE_DTYPE, copy=False), dst
-    if fanout >= n - 1:
-        if m * (n - 1) > _FULL_FANOUT_LIMIT:
+            dst = views[senders]
+        else:
+            cols = _sample_without_replacement(rng, m, fanout, degree)
+            # One flat gather; int64 offsets (n * degree may pass 2^31).
+            rows = senders.astype(np.int64) * degree
+            dst = np.take(views.reshape(-1), rows[:, None] + cols)
+    else:
+        if fanout < n - 1:
+            dst = _sample_without_replacement(rng, m, fanout, n - 1)
+        elif m * (n - 1) > _FULL_FANOUT_LIMIT:
             raise ValueError(
                 f"full fanout over {n} nodes with {m} senders expands to "
                 f"{m * (n - 1)} pairs; use a partial fanout or views"
             )
-        others = np.arange(n - 1, dtype=NODE_DTYPE)
-        dst = np.broadcast_to(others, (m, n - 1)).copy()
-        dst += dst >= senders[:, None]
-        src = np.repeat(senders, n - 1)
-        return src.astype(NODE_DTYPE, copy=False), dst.reshape(-1)
-    draws = _sample_without_replacement(rng, m, fanout, n - 1)
-    draws = draws.astype(NODE_DTYPE, copy=False)
-    draws += draws >= senders[:, None]
-    src = np.repeat(senders, fanout)
-    return src.astype(NODE_DTYPE, copy=False), draws.reshape(-1)
+        else:
+            others = np.arange(n - 1, dtype=NODE_DTYPE)
+            dst = np.broadcast_to(others, (m, n - 1)).copy()
+        dst += dst >= senders[:, None]  # ids past the sender's own shift up
+    src = np.repeat(senders, dst.shape[1]).astype(NODE_DTYPE, copy=False)
+    return src, dst.reshape(-1)
 
 
 def _sample_without_replacement(
     rng: np.random.Generator, rows: int, k: int, population: int
-) -> NDArray[np.int64]:
+) -> NDArray[np.int32]:
     """``(rows, k)`` draws from ``range(population)``, distinct per row.
 
     Rejection sampling: draw, detect within-row duplicates via a sorted
     copy, redraw only the offending rows.  Conditioning on distinctness
     keeps the per-row distribution uniform over k-subsets; for gossip
     regimes (k well below the population) a handful of rounds suffice.
+    Drawn as int64 (the pinned draw sequence), narrowed once: every
+    population here is a node or view-column count.
     """
     if k > population:
         raise ValueError(f"cannot draw {k} distinct from {population}")
-    draws = rng.integers(0, population, size=(rows, k), dtype=np.int64)
+    draws = rng.integers(
+        0, population, size=(rows, k), dtype=np.int64
+    ).astype(NODE_DTYPE)
     if k == 1:
         return draws
     # Re-sort only the rows still being rejected: sorting consumes no
@@ -237,14 +272,19 @@ def _sample_without_replacement(
     # the sorted working set leaves the draw sequence -- and therefore
     # every outcome -- bit-identical while cutting the dominant
     # O(rows log k) cost to the (geometrically vanishing) bad subset.
+    # Only adjacent equality of *values* is read, so tie order is
+    # unobservable and the unstable sort is safe.  It is read flat (a
+    # strided 2-D compare plus row-wise ``any`` costs more than the
+    # sort): a hit on a row's last column is the next row's value.
     pending = np.arange(rows, dtype=np.int64)
     unchecked = draws
     while True:
-        ordered = np.sort(unchecked, axis=1, kind="stable")
-        bad = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-        if not bad.any():
+        ordered = np.sort(unchecked, axis=1).reshape(-1)  # noqa: VEC001
+        hits = np.flatnonzero(ordered[1:] == ordered[:-1])
+        hits = hits[hits % k != k - 1]
+        if hits.size == 0:
             return draws
-        pending = pending[bad]
+        pending = pending[np.unique(hits // k)]
         unchecked = rng.integers(
             0, population, size=(pending.size, k), dtype=np.int64
         )
@@ -255,15 +295,14 @@ class SlotScratch:
     """Preallocated per-population buffers, reused across slots *and*
     messages.
 
-    The slot loop used to allocate two n-sized arrays per slot (a
-    first-occurrence index map and a due-node flag mask); at 10^5-10^6
-    nodes and dozens of messages per worker that is the dominant
-    allocator traffic.  One scratch instance per worker -- handed to
-    every :func:`disseminate` call in a batch -- keeps those buffers
-    hot.  Each user restores its buffer to the rest state (``first_pos``
-    all ``-1``, ``flag`` all ``False``) before returning, writing only
-    the entries it touched, so reuse cannot leak state between slots or
-    messages.
+    Two n-sized arrays (a first-occurrence index map and a due-node flag
+    mask) allocated per slot are the dominant allocator traffic at
+    10^5-10^6 nodes and dozens of messages per worker; one scratch
+    instance per worker -- handed to every :func:`disseminate` call in a
+    batch -- keeps them hot.  Each user restores its buffer to the rest
+    state (``first_pos`` all ``-1``, ``flag`` all ``False``) before
+    returning, writing only the entries it touched, so reuse cannot leak
+    state between slots or messages.
     """
 
     __slots__ = ("n", "first_pos", "flag", "_arange")
@@ -398,10 +437,11 @@ def disseminate(
             f"scratch sized for {scratch.n} nodes, topology has {n}"
         )
     state = MessageState(n)
-    queues = _SlotQueues()
+    queues = _SlotQueues(faults, loss_rng)
     links: Optional[_LinkLog] = _LinkLog() if track_links else None
     counters = _Counters()
     delay = strategy.first_delay_rounds
+    evaluator = strategy.evaluator
 
     # Slot 0: the origin delivers its own multicast at round 0.
     state.deliver_slot[origin] = 0
@@ -418,12 +458,9 @@ def disseminate(
         # first requests, every retry) precede this slot's arrivals, so
         # they fire even for nodes whose first MSG landed this very slot.
         early = _due_nodes(state, t, early=True)
-        requesters, pull_src, pull_rnd = _fire_requests(
-            state, strategy, t, early, scratch
-        )
         _emit_pulls(
             state, queues, counters, links, t,
-            requesters, pull_src, pull_rnd, faults, loss_rng, late=False,
+            _fire_requests(state, strategy, t, early, scratch), late=False,
         )
 
         # -- 3. Clear(i): a first MSG arrival cancels the node's entry
@@ -436,55 +473,48 @@ def disseminate(
         # -- 5. late fires: zero-delay first requests armed by this
         # slot's adverts fire after everything else in the slot.
         late = _due_nodes(state, t, early=False)
-        requesters, pull_src, pull_rnd = _fire_requests(
-            state, strategy, t, late, scratch
-        )
         _emit_pulls(
             state, queues, counters, links, t,
-            requesters, pull_src, pull_rnd, faults, loss_rng, late=True,
+            _fire_requests(state, strategy, t, late, scratch), late=True,
         )
 
-        # -- 6. forwards from nodes that delivered this slot ------------
-        if newly.size:
-            carried = np.take(state.carried_round, newly)
-            senders = newly[carried < rounds]
-            if senders.size:
-                src, dst = sample_targets(rng, senders, fanout, n, views)
-                rnd = np.take(state.carried_round, src)
-                rnd += 1
-                eager = strategy.evaluator.eager_mask(src, dst, rnd, rng)
-                eager_src, eager_dst = src[eager], dst[eager]
-                eager_rnd = rnd[eager]
-                lazy = ~eager
-                lazy_src, lazy_dst = src[lazy], dst[lazy]
-                lazy_rnd = rnd[lazy]
-                counters.msg_sent += int(eager_src.size)
-                counters.ihave_sent += int(lazy_src.size)
-                _accumulate(state.payload_sent, eager_src)
-                if links is not None:
-                    links.append(eager_src, eager_dst)
-                if faults is not None:
-                    keep = faults.deliver_mask(eager_src, eager_dst, loss_rng)
-                    eager_src, eager_dst = eager_src[keep], eager_dst[keep]
-                    eager_rnd = eager_rnd[keep]
-                    keep = faults.deliver_mask(lazy_src, lazy_dst, loss_rng)
-                    lazy_src, lazy_dst = lazy_src[keep], lazy_dst[keep]
-                    lazy_rnd = lazy_rnd[keep]
-                queues.push(
-                    queues.eager, t + 1, (eager_src, eager_dst, eager_rnd)
-                )
-                queues.push(
-                    queues.advert, t + 1, (lazy_src, lazy_dst, lazy_rnd)
-                )
+        # -- 6. forwards from nodes that delivered this slot: one block
+        # of k pairs per (distinct) sender, so sends count per sender --
+        carried = np.take(state.carried_round, newly)
+        forwarding = carried < rounds
+        senders = newly[forwarding]
+        if senders.size:
+            pairs = src, dst = sample_targets(rng, senders, fanout, n, views)
+            k = src.shape[0] // senders.shape[0]
+            rnd = None
+            if evaluator.uses_round:
+                rnd = np.repeat(carried[forwarding] + 1, k)
+            eager = evaluator.eager_mask(src, dst, rnd, rng)
+            sent = int(np.count_nonzero(eager))
+            counters.msg_sent += sent
+            counters.ihave_sent += src.shape[0] - sent
+            # An all-eager or all-lazy slot (every Flat 1.0 / 0.0 slot, a
+            # TTL slot whose senders share a round) queues what it sampled.
+            payload = adverts = (src[:0], dst[:0])
+            if sent == src.shape[0]:
+                payload = pairs
+                state.payload_sent[senders] += k
+            elif sent == 0:
+                adverts = pairs
+            else:
+                payload = _rows(pairs, np.flatnonzero(eager))
+                adverts = _rows(pairs, np.flatnonzero(~eager))
+                state.payload_sent[senders] += eager.reshape(-1, k).sum(axis=1)
+            if links is not None:
+                links.append(*payload)
+            queues.push(queues.eager, t + 1, payload)
+            queues.push(queues.advert, t + 1, adverts)
 
         if not queues.busy() and not bool(state.request_active.any()):
             break
         t += 1
 
-    link_keys: Optional[NDArray[np.int64]] = None
-    link_sends: Optional[NDArray[np.int64]] = None
-    if links is not None:
-        link_keys, link_sends = links.finalize(n)
+    link_keys, link_sends = links.finalize(n) if links is not None else (None, None)
     return MessageOutcome(
         origin=origin,
         deliver_slot=state.deliver_slot,
@@ -506,34 +536,30 @@ def _process_arrivals(
 ) -> NDArray[np.int32]:
     """Apply this slot's MSG batches; returns the newly delivered nodes
     in ascending id order."""
-    batches = (
-        queues.pull_early.pop(t, [])
-        + queues.eager.pop(t, [])
-        + queues.pull_late.pop(t, [])
-    )
-    if not batches:
+    arrivals = queues.pop(t, queues.pull_early, queues.eager, queues.pull_late)
+    if arrivals is None:
         return np.empty(0, dtype=NODE_DTYPE)
-    dst = np.concatenate([b[1] for b in batches])
-    rnd = np.concatenate([b[2] for b in batches])
+    # numpy widens an int32 index array on every use; do it once.
+    src, dst = arrivals[0], arrivals[1].astype(np.intp)
     _accumulate(state.payload_received, dst)
-    fresh = np.take(state.received_slot, dst) == -1
-    dst, rnd = dst[fresh], rnd[fresh]
-    if dst.size == 0:
+    # Everything below runs on the packets to not-yet-received nodes only.
+    fresh = np.flatnonzero(np.take(state.received_slot, dst) == -1)
+    if fresh.size == 0:
         return np.empty(0, dtype=NODE_DTYPE)
-    winners, first = _first_occurrences(dst, scratch)
+    winners, first = _first_occurrences(np.take(dst, fresh), scratch)
     state.received_slot[winners] = t
     # The origin already delivered locally; its first MSG arrival is a
     # scheduler-layer duplicate and changes nothing at the gossip layer.
     undelivered = np.take(state.deliver_slot, winners) == -1
     winners, first = winners[undelivered], first[undelivered]
     state.deliver_slot[winners] = t
-    state.carried_round[winners] = rnd[first]
+    state.carried_round[winners] = state.carried_round[src[fresh[first]]] + 1
     return winners.astype(NODE_DTYPE, copy=False)
 
 
 def _first_occurrences(
-    dst: NDArray[np.int32], scratch: SlotScratch
-) -> Tuple[NDArray[np.int64], NDArray[np.int64]]:
+    dst: NDArray[np.intp], scratch: SlotScratch
+) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
     """``np.unique(dst, return_index=True)`` without the sort.
 
     With batches concatenated in processing order, the first occurrence
@@ -546,8 +572,7 @@ def _first_occurrences(
     first_index) pair ``np.unique`` returns, in O(batch + n).
     """
     if dst.size < scratch.n // 4:
-        values, first = np.unique(dst, return_index=True)
-        return values.astype(np.int64, copy=False), first
+        return np.unique(dst, return_index=True)
     first_pos = scratch.first_pos
     positions = scratch.arange(dst.size)
     # Writing positions in descending order means the lowest index --
@@ -570,8 +595,11 @@ def _due_nodes(
     IWANT before processing the arrival that would have cleared it.
     Late = armed this slot (zero-delay first requests): fires after the
     arrivals, so any received node's entry is already cleared and a
-    liveness check is unnecessary.
+    liveness check is unnecessary.  Entries are only created by a
+    logged advert, so a run that never advertises skips the O(n) scan.
     """
+    if state.adverts.size == 0:
+        return np.empty(0, dtype=NODE_DTYPE)
     due = state.request_active & (state.request_due == t)
     if early:
         due &= state.request_armed < t
@@ -587,7 +615,7 @@ def _fire_requests(
     t: int,
     due: NDArray[np.int32],
     scratch: SlotScratch,
-) -> Tuple[NDArray[np.int32], NDArray[np.int32], NDArray[np.int32]]:
+) -> Batch:
     """``RequestQueue._fire`` over every due node at once.
 
     Each due node asks its best live un-asked source (FIFO: lowest row
@@ -595,12 +623,12 @@ def _fire_requests(
     row breaking ties) and re-arms ``retry_rounds`` ahead.  Nodes with
     no live un-asked source drop their entry -- epoch bump, sources
     forgotten -- exactly like the event queue "clearing itself".
-    Returns aligned ``(requester, source, round)`` arrays of the IWANTs
-    to emit.
+    Returns aligned ``(requester, source)`` arrays of the IWANTs to
+    emit.
     """
     empty = np.empty(0, dtype=NODE_DTYPE)
     if due.size == 0:
-        return empty, empty.copy(), empty.copy()
+        return empty, empty
     log = state.adverts
     # The due-node membership mask lives in scratch; every bit set here
     # is cleared again before returning (dropped and chosen nodes are
@@ -616,9 +644,7 @@ def _fire_requests(
     if rows.size:
         row_dst = log_dst[rows]
         if strategy.nearest_source:
-            order = np.lexsort(
-                (rows, log.metric[rows], row_dst)
-            )
+            order = np.lexsort((rows, log.metric[rows], row_dst))
             rows, row_dst = rows[order], row_dst[order]
         chosen_dst, first = np.unique(row_dst, return_index=True)
         chosen_rows = rows[first]
@@ -629,24 +655,14 @@ def _fire_requests(
     # Entries with nothing left to ask clear themselves.
     exhausted = firing
     exhausted[chosen_dst] = False
-    dropped = np.flatnonzero(exhausted)
+    state.drop_entries(np.flatnonzero(exhausted))
     firing[due] = False
-    if dropped.size:
-        state.request_active[dropped] = False
-        state.request_due[dropped] = -1
-        state.request_armed[dropped] = -1
-        state.request_attempts[dropped] = 0
-        state.epoch[dropped] += 1
     if chosen_dst.size == 0:
-        return empty, empty.copy(), empty.copy()
+        return empty, empty
     state.request_armed[chosen_dst] = t
     state.request_due[chosen_dst] = t + strategy.retry_rounds
     state.request_attempts[chosen_dst] += 1
-    return (
-        chosen_dst.astype(NODE_DTYPE, copy=False),
-        log.src[chosen_rows],
-        log.rnd[chosen_rows],
-    )
+    return chosen_dst.astype(NODE_DTYPE, copy=False), log.src[chosen_rows]
 
 
 def _emit_pulls(
@@ -655,63 +671,44 @@ def _emit_pulls(
     counters: _Counters,
     links: Optional[_LinkLog],
     t: int,
-    requesters: NDArray[np.int32],
-    sources: NDArray[np.int32],
-    rnds: NDArray[np.int32],
-    faults: Optional[CompiledFaults],
-    loss_rng: Optional[np.random.Generator],
+    fired: Batch,
     late: bool,
 ) -> None:
-    """Send the IWANTs fired at slot ``t`` and queue their answers.
+    """Send the ``(requester, source)`` IWANTs fired at slot ``t`` and
+    queue their answers.
 
     The IWANT travels requester -> source (one slot); a delivered IWANT
-    makes the source answer with a MSG carrying the advertised round,
+    makes the source answer with a MSG (carrying the advertised round,
+    ``carried_round[source] + 1`` like every packet of that source),
     which lands at ``t + 2`` -- each leg independently subject to the
     fault filter, with sends counted before their own drop, matching
     the fabric's observer ordering.  ``late`` routes the answer to the
     pull queue matching the firing phase (see :class:`_SlotQueues`).
     """
+    requesters, sources = fired
     if requesters.size == 0:
         return
     counters.iwant_sent += int(requesters.size)
-    counters.retries += int(
-        np.count_nonzero(state.request_attempts[requesters] > 1)
-    )
-    if faults is not None:
-        keep = faults.deliver_mask(requesters, sources, loss_rng)
-        requesters, sources, rnds = (
-            requesters[keep], sources[keep], rnds[keep]
-        )
-        if requesters.size == 0:
-            return
+    counters.retries += int(np.count_nonzero(state.request_attempts[requesters] > 1))
+    requesters, sources = queues.surviving((requesters, sources))
+    if requesters.size == 0:
+        return
     # The answering MSG: counted at the source for every delivered
     # IWANT, dropped (if at all) on its own return leg.
     counters.msg_sent += int(sources.size)
     _accumulate(state.payload_sent, sources)
     if links is not None:
         links.append(sources, requesters)
-    if faults is not None:
-        keep = faults.deliver_mask(sources, requesters, loss_rng)
-        requesters, sources, rnds = (
-            requesters[keep], sources[keep], rnds[keep]
-        )
-    queues.push(
-        queues.pull_late if late else queues.pull_early,
-        t + 2,
-        (sources.copy(), requesters.copy(), rnds.copy()),
-    )
+    answers = queues.pull_late if late else queues.pull_early
+    queues.push(answers, t + 2, (sources, requesters))
 
 
 def _clear_received(state: MessageState, t: int) -> None:
     """Cancel the entries of nodes whose first MSG landed this slot."""
-    cleared = np.flatnonzero(state.request_active & (state.received_slot == t))
-    if cleared.size == 0:
-        return
-    state.request_active[cleared] = False
-    state.request_due[cleared] = -1
-    state.request_armed[cleared] = -1
-    state.request_attempts[cleared] = 0
-    state.epoch[cleared] += 1
+    if state.adverts.size:  # no advert logged yet, no entry to cancel
+        state.drop_entries(
+            np.flatnonzero(state.request_active & (state.received_slot == t))
+        )
 
 
 def _process_adverts(
@@ -729,17 +726,15 @@ def _process_adverts(
     entry are (re-)queued with the strategy's first-request delay,
     mirroring ``RequestQueue.queue``.
     """
-    batches = queues.advert.pop(t, [])
-    if not batches:
+    adverts = queues.pop(t, queues.advert)
+    if adverts is None:
         return
-    src = np.concatenate([b[0] for b in batches])
-    dst = np.concatenate([b[1] for b in batches])
-    rnd = np.concatenate([b[2] for b in batches])
     # Adverts are ignored once a MSG packet has arrived (the scheduler's
     # ``received`` check -- NOT gossip delivery: the origin is still
     # advertisable).
-    live = state.received_slot[dst] == -1
-    src, dst, rnd = src[live], dst[live], rnd[live]
+    src, dst = _rows(
+        adverts, np.flatnonzero(state.received_slot[adverts[1]] == -1)
+    )
     if dst.size == 0:
         return
     metric = (
@@ -747,7 +742,7 @@ def _process_adverts(
         if strategy.nearest_source
         else np.zeros(dst.shape[0], np.float64)
     )
-    state.adverts.append(dst, src, rnd, metric, state.epoch[dst])
+    state.adverts.append(dst, src, metric, state.epoch[dst])
     fresh = np.unique(dst[~state.request_active[dst]])
     if fresh.size:
         state.request_active[fresh] = True

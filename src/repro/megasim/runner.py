@@ -53,7 +53,11 @@ from repro.megasim.arena import (
     current_env,
     install_worker_env,
 )
-from repro.megasim.links import StructureMetrics, structure_metrics
+from repro.megasim.links import (
+    StructureMetrics,
+    merge_link_arrays,
+    structure_metrics,
+)
 from repro.megasim.rounds import MessageOutcome, disseminate
 from repro.megasim.strategies import compile_strategy
 from repro.metrics.analysis import RunSummary
@@ -151,14 +155,20 @@ class MegasimResult:
     structure: Optional[StructureMetrics] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
+        # One merge of the link table feeds both reductions (None when
+        # links were not tracked, which each re-derives at no cost).
+        merged_links = merge_link_arrays(self.outcomes)
         self.summary = summary_from_outcomes(
             self.outcomes,
             self.spec.nodes,
             self.round_ms,
             payload_bytes=self.spec.payload_bytes,
             expected_receivers=self.spec.nodes - len(self.failed),
+            merged_links=merged_links,
         )
-        self.structure = structure_metrics(self.outcomes, self.spec.nodes)
+        self.structure = structure_metrics(
+            self.outcomes, self.spec.nodes, merged_links=merged_links
+        )
 
     @property
     def retries(self) -> int:

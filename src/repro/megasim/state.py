@@ -7,7 +7,10 @@ indexed by node id -- the struct-of-arrays layout of round-synchronous
 epidemic simulators (cf. D'Angelo & Ferretti's batch dissemination
 runs).  Node ids are ``int32`` (2^31 nodes is far above the target
 scale) and slots/rounds are ``int32`` too, so the resident state for a
-million nodes is ~40 MB per in-flight message.
+million nodes is ~40 MB per in-flight message.  ``carried_round`` is
+written once per node, at delivery; that is why no packet batch and no
+advert row stores a round -- a packet sent by ``src`` carries
+``carried_round[src] + 1`` whenever that is read.
 
 Request-schedule state mirrors :mod:`repro.scheduler.requests` under
 slot semantics.  A node's pending entry is four scalars (``active``,
@@ -35,15 +38,14 @@ class AdvertLog:
     """Append-only columnar log of delivered IHAVE advertisements.
 
     Columns are aligned arrays over rows 0..size: the advertised node
-    (``dst``), the advertising source, the gossip round the source's
-    cached payload would carry, the requester-side monitor metric (0
-    under the FIFO discipline), the ``dst`` entry epoch at append time,
-    and whether the row's source has been asked.  Rows are appended in
-    packet-processing order, so ascending row index *is* the event
-    kernel's advertisement arrival order.
+    (``dst``), the advertising source, the requester-side monitor metric
+    (0 under the FIFO discipline), the ``dst`` entry epoch at append
+    time, and whether the row's source has been asked.  Rows are
+    appended in packet-processing order, so ascending row index *is* the
+    event kernel's advertisement arrival order.
     """
 
-    __slots__ = ("size", "_dst", "_src", "_rnd", "_metric", "_epoch", "_asked")
+    __slots__ = ("size", "_dst", "_src", "_metric", "_epoch", "_asked")
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
@@ -51,7 +53,6 @@ class AdvertLog:
         self.size = 0
         self._dst: NDArray[np.int32] = np.empty(capacity, NODE_DTYPE)
         self._src: NDArray[np.int32] = np.empty(capacity, NODE_DTYPE)
-        self._rnd: NDArray[np.int32] = np.empty(capacity, ROUND_DTYPE)
         self._metric: NDArray[np.float64] = np.empty(capacity, np.float64)
         self._epoch: NDArray[np.int32] = np.empty(capacity, np.int32)
         self._asked: NDArray[np.bool_] = np.empty(capacity, np.bool_)
@@ -62,7 +63,7 @@ class AdvertLog:
             return
         while capacity < self.size + needed:
             capacity *= 2
-        for name in ("_dst", "_src", "_rnd", "_metric", "_epoch", "_asked"):
+        for name in ("_dst", "_src", "_metric", "_epoch", "_asked"):
             old = getattr(self, name)
             grown = np.empty(capacity, old.dtype)
             grown[: self.size] = old[: self.size]
@@ -72,7 +73,6 @@ class AdvertLog:
         self,
         dst: NDArray[np.int32],
         src: NDArray[np.int32],
-        rnd: NDArray[np.int32],
         metric: NDArray[np.float64],
         epoch: NDArray[np.int32],
     ) -> None:
@@ -84,7 +84,6 @@ class AdvertLog:
         stop = self.size + count
         self._dst[self.size : stop] = dst
         self._src[self.size : stop] = src
-        self._rnd[self.size : stop] = rnd
         self._metric[self.size : stop] = metric
         self._epoch[self.size : stop] = epoch
         self._asked[self.size : stop] = False
@@ -97,10 +96,6 @@ class AdvertLog:
     @property
     def src(self) -> NDArray[np.int32]:
         return self._src[: self.size]
-
-    @property
-    def rnd(self) -> NDArray[np.int32]:
-        return self._rnd[: self.size]
 
     @property
     def metric(self) -> NDArray[np.float64]:
@@ -171,3 +166,12 @@ class MessageState:
         self.epoch: NDArray[np.int32] = np.zeros(n, np.int32)
         #: Shared advertisement log (known sources, arrival order).
         self.adverts = AdvertLog()
+
+    def drop_entries(self, nodes: NDArray[np.intp]) -> None:
+        """Cancel the request entries of ``nodes``, forgetting their
+        sources (epoch bump: their advert-log rows are dead)."""
+        self.request_active[nodes] = False
+        self.request_due[nodes] = -1
+        self.request_armed[nodes] = -1
+        self.request_attempts[nodes] = 0
+        self.epoch[nodes] += 1

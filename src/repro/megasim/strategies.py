@@ -69,12 +69,16 @@ class EagerEvaluator:
     #: True when the evaluator consumes random draws (Flat 0 < p < 1);
     #: such strategies can only match the event kernel statistically.
     uses_rng = False
+    #: True when the rule reads the forward round (TTL, Hybrid).  The
+    #: kernel stores no per-packet round, so ``rnd`` is built -- one
+    #: value per pair -- only for such classes and is ``None`` otherwise.
+    uses_round = False
 
     def eager_mask(
         self,
         src: NDArray[np.int32],
         dst: NDArray[np.int32],
-        rnd: NDArray[np.int32],
+        rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
         raise NotImplementedError
@@ -93,7 +97,7 @@ class FlatEvaluator(EagerEvaluator):
         self,
         src: NDArray[np.int32],
         dst: NDArray[np.int32],
-        rnd: NDArray[np.int32],
+        rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
         if self.probability >= 1.0:
@@ -106,6 +110,8 @@ class FlatEvaluator(EagerEvaluator):
 class TtlEvaluator(EagerEvaluator):
     """TTL(u): eager iff the forward round is below ``u``."""
 
+    uses_round = True
+
     def __init__(self, eager_rounds: int) -> None:
         if eager_rounds < 0:
             raise ValueError(f"eager_rounds must be >= 0, got {eager_rounds}")
@@ -115,9 +121,10 @@ class TtlEvaluator(EagerEvaluator):
         self,
         src: NDArray[np.int32],
         dst: NDArray[np.int32],
-        rnd: NDArray[np.int32],
+        rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
+        assert rnd is not None  # uses_round
         return np.asarray(rnd < self.eager_rounds, dtype=bool)
 
 
@@ -137,7 +144,7 @@ class RadiusEvaluator(EagerEvaluator):
         self,
         src: NDArray[np.int32],
         dst: NDArray[np.int32],
-        rnd: NDArray[np.int32],
+        rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
         metric = self.topology.metric(self.metric_kind, src, dst)
@@ -154,7 +161,7 @@ class RankedEvaluator(EagerEvaluator):
         self,
         src: NDArray[np.int32],
         dst: NDArray[np.int32],
-        rnd: NDArray[np.int32],
+        rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
         return np.asarray(self.best[src] | self.best[dst], dtype=bool)
@@ -168,6 +175,8 @@ class HybridEvaluator(EagerEvaluator):
     the metric clears ``2 * rho`` during the first ``u`` rounds and
     ``rho`` afterwards.
     """
+
+    uses_round = True
 
     def __init__(
         self,
@@ -191,9 +200,10 @@ class HybridEvaluator(EagerEvaluator):
         self,
         src: NDArray[np.int32],
         dst: NDArray[np.int32],
-        rnd: NDArray[np.int32],
+        rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
+        assert rnd is not None  # uses_round
         metric = self.topology.metric(self.metric_kind, src, dst)
         effective = np.where(rnd < self.eager_rounds, 2.0 * self.radius, self.radius)
         return np.asarray(self.best[src] | (metric < effective), dtype=bool)

@@ -1,12 +1,35 @@
-"""Determinism: byte-identical reruns, worker-count invariance."""
+"""Determinism: byte-identical reruns, worker-count invariance, and the
+slot kernel's outcome bytes pinned in ``tests/golden/megasim.json``.
+
+The pinned digests were recorded by running the kernel of the commit
+*before* the pair-path rewrite (PR 17's parent) under this file::
+
+    PYTHONPATH=<parent checkout>/src python -m pytest \
+        tests/megasim/test_determinism.py -k golden --update-golden
+
+Regenerate only for an intended change of the RNG draw sequence or the
+slot-ordering contract, and say which in the PR.
+"""
 
 from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.experiments.scenarios import flat_factory, ttl_factory
+from repro.experiments.scenarios import (
+    flat_factory,
+    hybrid_factory,
+    radius_factory,
+    ranked_factory,
+    ttl_factory,
+)
+from repro.failures.gray import GrayFailurePlan
+from repro.failures.injection import FailurePlan
 from repro.megasim.runner import (
     MegasimResult,
     MegasimSpec,
@@ -28,15 +51,79 @@ SPEC = MegasimSpec(
 
 
 def outcome_bytes(result: MegasimResult) -> "list[bytes]":
+    """Per message, everything the perf harness's ``sim_digest`` covers:
+    the counter line, the four per-node arrays and, when links were
+    tracked, the two link columns."""
     blobs = []
     for outcome in result.outcomes:
+        counters = (
+            f"{outcome.origin}|{outcome.msg_sent}|{outcome.ihave_sent}|"
+            f"{outcome.iwant_sent}|{outcome.slots_elapsed}|"
+            f"{outcome.retries}\n"
+        )
+        arrays = (
+            outcome.deliver_slot, outcome.carried_round,
+            outcome.payload_sent, outcome.payload_received,
+            outcome.link_keys, outcome.link_sends,
+        )
         blobs.append(
-            outcome.deliver_slot.tobytes()
-            + outcome.carried_round.tobytes()
-            + outcome.payload_sent.tobytes()
-            + outcome.payload_received.tobytes()
+            counters.encode()
+            + b"".join(
+                np.ascontiguousarray(array).tobytes()
+                for array in arrays
+                if array is not None
+            )
         )
     return blobs
+
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "megasim.json"
+
+
+def _golden_spec(factory, **overrides) -> MegasimSpec:
+    # 3000 nodes: the first and last slots of each epidemic resolve
+    # arrivals through ``np.unique`` (batch < n / 4), the bulge slots
+    # through the scatter map -- both ``_first_occurrences`` branches.
+    return MegasimSpec(
+        strategy_factory=factory, nodes=3000, fanout=6, messages=3, seed=17,
+        **overrides,
+    )
+
+
+GOLDEN_SPECS = {
+    "flat_oracle": _golden_spec(flat_factory(1.0)),
+    "flat_view_partial": _golden_spec(flat_factory(1.0), view_degree=16),
+    "flat_view_full": _golden_spec(flat_factory(1.0), view_degree=5),
+    "flat_06": _golden_spec(flat_factory(0.6)),
+    "ttl_2": _golden_spec(ttl_factory(2)),
+    "radius_faults_links": _golden_spec(
+        radius_factory(), track_links=True,
+        failure=FailurePlan(fraction=0.1),
+        gray=GrayFailurePlan(
+            lossy_link_fraction=1.0, link_loss_probability=0.05
+        ),
+    ),
+    "ranked": _golden_spec(ranked_factory()),
+    "hybrid": _golden_spec(hybrid_factory()),
+}
+
+
+def test_golden_specs_match_stored_digests(update_golden) -> None:
+    digests = {
+        name: hashlib.sha256(
+            b"".join(outcome_bytes(run_megasim(spec)))
+        ).hexdigest()
+        for name, spec in GOLDEN_SPECS.items()
+    }
+    if update_golden:
+        GOLDEN_PATH.write_text(
+            json.dumps(digests, indent=2, sort_keys=True) + "\n"
+        )
+        return
+    assert digests == json.loads(GOLDEN_PATH.read_text()), (
+        "megasim outcome bytes changed: an RNG draw was added, removed, "
+        "resized or reordered, or a slot-ordering rule moved"
+    )
 
 
 def test_same_seed_is_byte_identical() -> None:
@@ -102,7 +189,6 @@ def _crashed_origin_spec() -> MegasimSpec:
     """SPEC with an explicit origin that its own failure plan crashes."""
     from dataclasses import replace
 
-    from repro.failures.injection import FailurePlan
     from repro.megasim.adapter import compile_faults
 
     plan = FailurePlan(fraction=0.5)
@@ -198,8 +284,6 @@ class TestLossStreamIndependence:
         # plain run -- the fault path may not touch the main stream.
         from dataclasses import replace
 
-        from repro.failures.gray import GrayFailurePlan
-
         plain = run_megasim(SPEC)
         noop = run_megasim(
             replace(
@@ -219,8 +303,6 @@ class TestLossStreamIndependence:
         # and consulted) but harmless links must equal the plain run on
         # every outcome byte: the coins came from the loss stream only.
         from dataclasses import replace
-
-        from repro.failures.gray import GrayFailurePlan
 
         base = MegasimSpec(
             strategy_factory=flat_factory(1.0),

@@ -1,4 +1,7 @@
-"""Round-kernel mechanics on small, hand-checkable cases."""
+"""Round-kernel mechanics on small, hand-checkable cases, and the two
+per-pair reductions (arrival resolution, distinct-row sampling) held to
+slow reference implementations over hypothesis-generated inputs -- the
+pattern of ``tests/sim/test_events_property.py``."""
 
 from __future__ import annotations
 
@@ -6,14 +9,20 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from hypothesis import given, settings, strategies as st
+
 from repro.experiments.scenarios import flat_factory, ttl_factory
 from repro.megasim.adapter import UniformTopology, build_views
 from repro.megasim.rounds import (
     MessageOutcome,
+    SlotScratch,
+    _process_arrivals,
     _sample_without_replacement,
+    _SlotQueues,
     disseminate,
     sample_targets,
 )
+from repro.megasim.state import MessageState
 from repro.megasim.strategies import compile_strategy
 
 N = 16
@@ -150,3 +159,124 @@ class TestSampling:
         outcome = run(flat_factory(1.0), n=64, fanout=5, rounds=8,
                       views=build_views(64, 8, np.random.default_rng(2)))
         assert outcome.delivered_count > 60
+
+
+# -- differential properties for the two per-pair reductions -----------------
+
+_ARRIVAL_QUEUES = ("pull_early", "eager", "pull_late")
+
+
+@st.composite
+def _arrival_slots(draw):
+    """One slot's MSG traffic over a partly infected population."""
+    n = draw(st.integers(4, 48))
+    origin = draw(st.integers(0, n - 1))
+    infected = draw(st.sets(st.integers(0, n - 1), max_size=n - 1)) - {origin}
+    receipt_round = {node: draw(st.integers(1, 6)) for node in sorted(infected)}
+    origin_received = draw(st.booleans())
+    # Only nodes that hold the payload send it; anyone may be a target.
+    packet = st.tuples(
+        st.sampled_from(sorted(infected | {origin})), st.integers(0, n - 1)
+    )
+    # Up to 3n packets a batch: both sides of the n / 4 threshold
+    # between the np.unique and the scatter first-occurrence branches.
+    batches = st.lists(st.lists(packet, max_size=3 * n), max_size=2)
+    traffic = {name: draw(batches) for name in _ARRIVAL_QUEUES}
+    return n, origin, receipt_round, origin_received, traffic
+
+
+@settings(max_examples=200, deadline=None)
+@given(slot=_arrival_slots())
+def test_arrival_resolver_matches_per_packet_loop(slot) -> None:
+    n, origin, receipt_round, origin_received, traffic = slot
+    t = 9
+    state = MessageState(n)
+    state.deliver_slot[origin] = 0
+    state.carried_round[origin] = 0
+    if origin_received:
+        state.received_slot[origin] = 2
+    for node, rnd in receipt_round.items():
+        state.deliver_slot[node] = state.received_slot[node] = rnd
+        state.carried_round[node] = rnd
+    queues = _SlotQueues(None, None)
+    for name in _ARRIVAL_QUEUES:
+        for batch in traffic[name]:
+            src = np.array([s for s, _ in batch], dtype=np.int32)
+            dst = np.array([d for _, d in batch], dtype=np.int32)
+            queues.push(getattr(queues, name), t, (src, dst))
+
+    # The reference: one packet at a time, in event-queue order.
+    deliver = state.deliver_slot.tolist()
+    received = state.received_slot.tolist()
+    carried = state.carried_round.tolist()
+    payload_received = [0] * n
+    delivered_now = []
+    for name in _ARRIVAL_QUEUES:
+        for batch in traffic[name]:
+            for src, dst in batch:
+                payload_received[dst] += 1
+                if received[dst] != -1:
+                    continue
+                received[dst] = t
+                if deliver[dst] == -1:  # the origin delivered locally
+                    deliver[dst] = t
+                    carried[dst] = carried[src] + 1
+                    delivered_now.append(dst)
+
+    scratch = SlotScratch(n)
+    newly = _process_arrivals(state, queues, t, scratch)
+    assert newly.tolist() == sorted(delivered_now)
+    assert state.deliver_slot.tolist() == deliver
+    assert state.received_slot.tolist() == received
+    assert state.carried_round.tolist() == carried
+    assert state.payload_received.tolist() == payload_received
+    assert not queues.busy()
+    assert (scratch.first_pos == -1).all()
+
+
+def _stable_sort_sample_without_replacement(rng, rows, k, population):
+    """The kernel's sampler before the pair-path rewrite, verbatim."""
+    if k > population:
+        raise ValueError(f"cannot draw {k} distinct from {population}")
+    draws = rng.integers(0, population, size=(rows, k), dtype=np.int64)
+    if k == 1:
+        return draws
+    pending = np.arange(rows, dtype=np.int64)
+    unchecked = draws
+    while True:
+        ordered = np.sort(unchecked, axis=1, kind="stable")
+        bad = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+        if not bad.any():
+            return draws
+        pending = pending[bad]
+        unchecked = rng.integers(
+            0, population, size=(pending.size, k), dtype=np.int64
+        )
+        draws[pending] = unchecked
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(0, 96),
+    # k runs up to the whole population while that is small enough for
+    # rejection sampling to terminate quickly (6! / 6^6 = 1.5 % of rows
+    # accepted per pass): the redraw-heavy regime.
+    shape=st.integers(1, 40).flatmap(
+        lambda population: st.tuples(
+            st.just(population), st.integers(1, min(population, 6))
+        )
+    ),
+)
+def test_sampler_draws_and_rng_state_match_stable_sort_version(
+    seed, rows, shape
+) -> None:
+    population, k = shape
+    rng, legacy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    draws = _sample_without_replacement(rng, rows, k, population)
+    legacy = _stable_sort_sample_without_replacement(
+        legacy_rng, rows, k, population
+    )
+    assert draws.shape == legacy.shape
+    assert np.array_equal(draws, legacy)
+    assert rng.bit_generator.state == legacy_rng.bit_generator.state
