@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import NDArray
 
+from repro.megasim.state import run_starts
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.megasim.rounds import MessageOutcome
 
@@ -79,10 +81,7 @@ def merge_link_arrays(
     # run of equal keys (the order of ties cannot matter to a sum).
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    first = np.empty(keys.shape[0], dtype=np.bool_)
-    first[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
+    starts = run_starts(keys)
     counts = np.concatenate(counts_per_message)[order]
     return keys[starts], np.add.reduceat(counts, starts)
 
@@ -110,13 +109,13 @@ def effective_degree(
 ) -> Tuple[int, int, float]:
     """``(used_links, sending_nodes, links / senders)`` for a key table.
 
-    ``keys`` must be distinct (what :func:`merge_link_arrays` returns);
-    senders decode as ``key // n``.
+    ``keys`` must be sorted distinct (what :func:`merge_link_arrays`
+    returns); senders decode as ``key // n``, so they are sorted too.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     used_links = int(keys.shape[0])
-    senders = int(np.unique(keys // n).shape[0])
+    senders = int(run_starts(keys // n).shape[0])
     degree = (used_links / senders) if senders else 0.0
     return used_links, senders, degree
 

@@ -18,6 +18,13 @@ slot 0), so the round of every packet -- eager forward, IHAVE, and the
 pull answer that carries the advertised round -- is
 ``carried_round[src] + 1`` whenever it is read: for arrival winners.
 
+**The pull path** costs what fires in the slot, like the event kernel's
+``RequestQueue``: due entries are popped from a slot timer wheel, not
+found by scanning the population; a first MSG cancels the entries of
+that slot's deliveries; and a fire reads an advert log that holds only
+the sources still in play (:mod:`repro.megasim.state`) -- so no step may
+shortcut on an empty log: an entry can outlive every row of it.
+
 Equivalence with the event kernel (uniform latency ``L``, no NIC
 serialization, no jitter, oracle sampling): every packet sent in slot
 ``t`` arrives in slot ``t + 1``, so the event kernel *is* this slot
@@ -72,10 +79,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.megasim.adapter import CompiledFaults, VectorTopology
-from repro.megasim.state import (
-    NODE_DTYPE,
-    MessageState,
-)
+from repro.megasim.state import NODE_DTYPE, MessageState, run_starts
 from repro.megasim.strategies import CompiledStrategy
 
 #: One batch of in-flight packets: aligned (src, dst) columns.  The round
@@ -284,7 +288,8 @@ def _sample_without_replacement(
         hits = hits[hits % k != k - 1]
         if hits.size == 0:
             return draws
-        pending = pending[np.unique(hits // k)]
+        bad = hits // k  # non-decreasing, one entry per hit
+        pending = pending[bad[run_starts(bad)]]
         unchecked = rng.integers(
             0, population, size=(pending.size, k), dtype=np.int64
         )
@@ -465,7 +470,7 @@ def disseminate(
 
         # -- 3. Clear(i): a first MSG arrival cancels the node's entry
         # (after the early timers it could not beat in the event queue).
-        _clear_received(state, t)
+        _clear_received(state, t, newly, origin)
 
         # -- 4. adverts: append sources, activate entries --------------
         _process_adverts(state, strategy, queues, t, delay)
@@ -510,8 +515,15 @@ def disseminate(
             queues.push(queues.eager, t + 1, payload)
             queues.push(queues.advert, t + 1, adverts)
 
-        if not queues.busy() and not bool(state.request_active.any()):
-            break
+        if not queues.busy():
+            if not state.request_active.any():
+                break
+            if not state.timers:  # every active entry owns an armed timer
+                stuck = np.flatnonzero(state.request_active)
+                raise RuntimeError(
+                    f"slot {t}: {stuck.size} request entries active with no "
+                    f"timer armed and nothing in flight: {stuck[:5].tolist()}"
+                )
         t += 1
 
     link_keys, link_sends = links.finalize(n) if links is not None else (None, None)
@@ -595,18 +607,25 @@ def _due_nodes(
     IWANT before processing the arrival that would have cleared it.
     Late = armed this slot (zero-delay first requests): fires after the
     arrivals, so any received node's entry is already cleared and a
-    liveness check is unnecessary.  Entries are only created by a
-    logged advert, so a run that never advertises skips the O(n) scan.
+    liveness check is unnecessary.  Only the ids the timer wheel holds
+    for slot ``t`` are tested, against the entry's current state: a stale
+    id (entry cleared, or re-queued for another slot) fails, a repeated
+    one (fresh entries are filed once per advertiser) is deduplicated;
+    what is left comes back ascending.
     """
-    if state.adverts.size == 0:
+    armed = state.timers.pop(t, None)
+    if armed is None:
         return np.empty(0, dtype=NODE_DTYPE)
-    due = state.request_active & (state.request_due == t)
+    ids = np.concatenate(armed)
+    due = state.request_active[ids] & (state.request_due[ids] == t)
     if early:
-        due &= state.request_armed < t
-        due &= (state.received_slot == -1) | (state.received_slot == t)
+        due &= state.request_armed[ids] < t
+        received = state.received_slot[ids]
+        due &= (received == -1) | (received == t)
     else:
-        due &= state.request_armed == t
-    return np.flatnonzero(due).astype(NODE_DTYPE, copy=False)
+        due &= state.request_armed[ids] == t
+    ids = np.sort(ids[due])  # noqa: VEC001 - values only: ties unobservable
+    return ids[run_starts(ids)]
 
 
 def _fire_requests(
@@ -623,46 +642,39 @@ def _fire_requests(
     row breaking ties) and re-arms ``retry_rounds`` ahead.  Nodes with
     no live un-asked source drop their entry -- epoch bump, sources
     forgotten -- exactly like the event queue "clearing itself".
-    Returns aligned ``(requester, source)`` arrays of the IWANTs to
-    emit.
+    Returns the aligned ``(requester, source)`` IWANTs to emit.
     """
-    empty = np.empty(0, dtype=NODE_DTYPE)
     if due.size == 0:
-        return empty, empty
+        return due, due
     log = state.adverts
-    # The due-node membership mask lives in scratch; every bit set here
-    # is cleared again before returning (dropped and chosen nodes are
-    # both subsets of ``due``).
+    # The due-node mask lives in scratch: every bit set here is cleared
+    # before returning (chosen and dropped nodes are subsets of ``due``).
     firing = scratch.flag
     firing[due] = True
-    log_dst = log.dst
-    rows = np.flatnonzero(
-        firing[log_dst]
-        & (log.epoch == state.epoch[log_dst])
-        & ~log.asked
-    )
-    if rows.size:
-        row_dst = log_dst[rows]
-        if strategy.nearest_source:
-            order = np.lexsort((rows, log.metric[rows], row_dst))
-            rows, row_dst = rows[order], row_dst[order]
-        chosen_dst, first = np.unique(row_dst, return_index=True)
-        chosen_rows = rows[first]
-        log.mark_asked(chosen_rows)
-    else:
-        chosen_dst = np.empty(0, dtype=NODE_DTYPE)
-        chosen_rows = np.empty(0, dtype=np.int64)
+    live = log.live(state.epoch)  # may compact: read the columns after it
+    found = np.flatnonzero(live & firing[log.dst])
+    # One value sort of (dst, row) packed into an int64 groups the
+    # candidate rows by requester, in arrival order within each run; the
+    # keys are distinct, so the unstable sort has no tie to break.
+    keys = np.sort(log.dst[found].astype(np.int64) << 32 | found)  # noqa: VEC001
+    row_dst, rows = keys >> 32, keys & 0xFFFFFFFF
+    first = run_starts(row_dst)
+    if strategy.nearest_source:  # the run's lowest metric, earliest on ties
+        metric = log.metric[rows]
+        lowest = np.minimum.reduceat(metric, first)
+        lengths = np.diff(first, append=rows.size)
+        hits = np.flatnonzero(metric == np.repeat(lowest, lengths))
+        first = hits[run_starts(row_dst[hits])]
+    chosen_dst, chosen_rows = row_dst[first].astype(NODE_DTYPE), rows[first]
+    log.mark_asked(chosen_rows)
     # Entries with nothing left to ask clear themselves.
-    exhausted = firing
-    exhausted[chosen_dst] = False
-    state.drop_entries(np.flatnonzero(exhausted))
+    firing[chosen_dst] = False
+    state.drop_entries(due[firing[due]])
     firing[due] = False
-    if chosen_dst.size == 0:
-        return empty, empty
-    state.request_armed[chosen_dst] = t
-    state.request_due[chosen_dst] = t + strategy.retry_rounds
-    state.request_attempts[chosen_dst] += 1
-    return chosen_dst.astype(NODE_DTYPE, copy=False), log.src[chosen_rows]
+    if chosen_dst.size:
+        state.arm(chosen_dst, t, t + strategy.retry_rounds)
+        state.request_attempts[chosen_dst] += 1
+    return chosen_dst, log.src[chosen_rows]
 
 
 def _emit_pulls(
@@ -703,12 +715,14 @@ def _emit_pulls(
     queues.push(answers, t + 2, (sources, requesters))
 
 
-def _clear_received(state: MessageState, t: int) -> None:
-    """Cancel the entries of nodes whose first MSG landed this slot."""
-    if state.adverts.size:  # no advert logged yet, no entry to cancel
-        state.drop_entries(
-            np.flatnonzero(state.request_active & (state.received_slot == t))
-        )
+def _clear_received(
+    state: MessageState, t: int, newly: NDArray[np.int32], origin: int
+) -> None:
+    """Cancel the entries of nodes whose first MSG landed this slot: ``newly``,
+    plus the origin when its own payload came back (never newly delivered)."""
+    if state.received_slot[origin] == t:
+        newly = np.append(newly, NODE_DTYPE(origin))
+    state.drop_entries(newly[state.request_active[newly]])
 
 
 def _process_adverts(
@@ -743,12 +757,11 @@ def _process_adverts(
         else np.zeros(dst.shape[0], np.float64)
     )
     state.adverts.append(dst, src, metric, state.epoch[dst])
-    fresh = np.unique(dst[~state.request_active[dst]])
+    # One id per advertiser: the wheel dedups when the bucket is popped.
+    fresh = dst[~state.request_active[dst]]
     if fresh.size:
-        state.request_active[fresh] = True
-        state.request_armed[fresh] = t
-        state.request_due[fresh] = t + delay
-        state.request_attempts[fresh] = 0
+        state.request_active[fresh] = True  # attempts rest at 0
+        state.arm(fresh, t, t + delay)
 
 
 def _requester_metric(

@@ -13,18 +13,25 @@ advert row stores a round -- a packet sent by ``src`` carries
 ``carried_round[src] + 1`` whenever that is read.
 
 Request-schedule state mirrors :mod:`repro.scheduler.requests` under
-slot semantics.  A node's pending entry is four scalars (``active``,
-``due``, ``armed``, ``attempts``) plus an *epoch* counter, and the known
-sources live in one shared :class:`AdvertLog`: an append-only columnar
-log of every IHAVE delivered to a still-waiting node.  Because each node
+slot semantics: one timer per entry, asked sources forgotten.  A node's
+pending entry is four scalars (``active``, ``due``, ``armed``,
+``attempts``) plus an *epoch* counter; its timer is its id filed under
+the due slot in ``MessageState.timers`` (a slot timer wheel, cancelled
+lazily: a stale id fails the ``active`` / ``due`` test when its bucket
+is popped); its known sources are rows of one shared :class:`AdvertLog`
+of the IHAVEs delivered to still-waiting nodes.  Because each node
 forwards a message at most once, any ordered ``(src, dst)`` pair
 advertises at most once per message, so the log needs no deduplication;
 the event queue's "entry dropped, sources forgotten" rule is reproduced
-by bumping ``epoch[dst]`` -- rows stamped with an older epoch are dead,
+by bumping ``epoch[dst]`` -- rows stamped with another epoch are dead,
 and a later advertisement re-queues the node against fresh rows only.
+Dead rows never revive, so the log compresses them out and a fire reads
+the sources still in play, not the message's history.
 """
 
 from __future__ import annotations
+
+from typing import Dict, List
 
 import numpy as np
 from numpy.typing import NDArray
@@ -33,19 +40,35 @@ NODE_DTYPE = np.int32
 SLOT_DTYPE = np.int32
 ROUND_DTYPE = np.int32
 
+#: The advert log compresses out its dead rows once fewer than one row
+#: in this many is live: amortised O(1) per appended row.
+_COMPACT_BELOW = 2
+
+
+def run_starts(ordered: NDArray[np.generic]) -> NDArray[np.intp]:
+    """Index of the first element of every run of equal values: what
+    ``np.unique(ordered, return_index=True)`` finds by sorting or
+    hashing, for input that already keeps equal values adjacent."""
+    first = np.empty(ordered.shape[0], dtype=np.bool_)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
 
 class AdvertLog:
-    """Append-only columnar log of delivered IHAVE advertisements.
+    """Columnar log of the delivered IHAVE advertisements still in play.
 
     Columns are aligned arrays over rows 0..size: the advertised node
     (``dst``), the advertising source, the requester-side monitor metric
-    (0 under the FIFO discipline), the ``dst`` entry epoch at append
-    time, and whether the row's source has been asked.  Rows are
-    appended in packet-processing order, so ascending row index *is* the
-    event kernel's advertisement arrival order.
+    (0 under the FIFO discipline) and the ``dst`` entry epoch at append
+    time, voided once the row's source has been asked.  Rows are appended
+    in packet-processing order and removed only by a stable compress, so
+    ascending row index *is* the event kernel's advertisement arrival
+    order -- and a row index is good only until the next :meth:`live`.
     """
 
-    __slots__ = ("size", "_dst", "_src", "_metric", "_epoch", "_asked")
+    _COLUMNS = ("_dst", "_src", "_metric", "_epoch")
+    __slots__ = ("size", *_COLUMNS)
 
     def __init__(self, capacity: int = 1024) -> None:
         if capacity < 1:
@@ -55,7 +78,6 @@ class AdvertLog:
         self._src: NDArray[np.int32] = np.empty(capacity, NODE_DTYPE)
         self._metric: NDArray[np.float64] = np.empty(capacity, np.float64)
         self._epoch: NDArray[np.int32] = np.empty(capacity, np.int32)
-        self._asked: NDArray[np.bool_] = np.empty(capacity, np.bool_)
 
     def _grow(self, needed: int) -> None:
         capacity = self._dst.shape[0]
@@ -63,7 +85,7 @@ class AdvertLog:
             return
         while capacity < self.size + needed:
             capacity *= 2
-        for name in ("_dst", "_src", "_metric", "_epoch", "_asked"):
+        for name in self._COLUMNS:
             old = getattr(self, name)
             grown = np.empty(capacity, old.dtype)
             grown[: self.size] = old[: self.size]
@@ -86,7 +108,6 @@ class AdvertLog:
         self._src[self.size : stop] = src
         self._metric[self.size : stop] = metric
         self._epoch[self.size : stop] = epoch
-        self._asked[self.size : stop] = False
         self.size = stop
 
     @property
@@ -101,16 +122,23 @@ class AdvertLog:
     def metric(self) -> NDArray[np.float64]:
         return self._metric[: self.size]
 
-    @property
-    def epoch(self) -> NDArray[np.int32]:
-        return self._epoch[: self.size]
-
-    @property
-    def asked(self) -> NDArray[np.bool_]:
-        return self._asked[: self.size]
-
     def mark_asked(self, rows: NDArray[np.int64]) -> None:
-        self._asked[rows] = True
+        self._epoch[rows] = -1  # no entry epoch is negative
+
+    def live(self, epoch: NDArray[np.int32]) -> NDArray[np.bool_]:
+        """Mask of the rows still askable: stamped with their node's
+        current entry ``epoch``.  Rows only ever die (a voided stamp
+        stays void, epochs only grow), so once the dead outnumber them
+        they are compressed out first -- stably, keeping arrival order."""
+        live = self._epoch[: self.size] == epoch[self.dst]
+        if _COMPACT_BELOW * np.count_nonzero(live) >= self.size:
+            return live
+        rows = np.flatnonzero(live)
+        for name in self._COLUMNS:
+            column = getattr(self, name)
+            column[: rows.size] = column[rows]
+        self.size = int(rows.size)
+        return np.ones(self.size, dtype=np.bool_)
 
 
 class MessageState:
@@ -129,6 +157,7 @@ class MessageState:
         "request_attempts",
         "epoch",
         "adverts",
+        "timers",
     )
 
     def __init__(self, n: int) -> None:
@@ -166,6 +195,15 @@ class MessageState:
         self.epoch: NDArray[np.int32] = np.zeros(n, np.int32)
         #: Shared advertisement log (known sources, arrival order).
         self.adverts = AdvertLog()
+        #: Slot timer wheel: ``{due slot: [ids armed for it, ...]}``.
+        #: Every active entry has its id in the bucket of its due slot.
+        self.timers: Dict[int, List[NDArray[np.int32]]] = {}
+
+    def arm(self, nodes: NDArray[np.int32], t: int, due: int) -> None:
+        """At slot ``t``, set the request timers of ``nodes`` to ``due``."""
+        self.request_armed[nodes] = t
+        self.request_due[nodes] = due
+        self.timers.setdefault(due, []).append(nodes)
 
     def drop_entries(self, nodes: NDArray[np.intp]) -> None:
         """Cancel the request entries of ``nodes``, forgetting their

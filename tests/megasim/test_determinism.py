@@ -2,7 +2,10 @@
 slot kernel's outcome bytes pinned in ``tests/golden/megasim.json``.
 
 The pinned digests were recorded by running the kernel of the commit
-*before* the pair-path rewrite (PR 17's parent) under this file::
+*before* the pair-path rewrite (PR 17's parent) under this file -- the
+three pull-path specs (``ttl_2_lossy``, ``ranked_faults_links``,
+``hybrid_lossy_views``) by the kernel before the request-path rewrite
+(PR 18's parent), which reproduced the other eight unchanged::
 
     PYTHONPATH=<parent checkout>/src python -m pytest \
         tests/megasim/test_determinism.py -k golden --update-golden
@@ -90,6 +93,13 @@ def _golden_spec(factory, **overrides) -> MegasimSpec:
     )
 
 
+def uniform_loss(probability: float) -> GrayFailurePlan:
+    """Bernoulli loss of ``probability`` on every link."""
+    return GrayFailurePlan(
+        lossy_link_fraction=1.0, link_loss_probability=probability
+    )
+
+
 GOLDEN_SPECS = {
     "flat_oracle": _golden_spec(flat_factory(1.0)),
     "flat_view_partial": _golden_spec(flat_factory(1.0), view_degree=16),
@@ -98,13 +108,22 @@ GOLDEN_SPECS = {
     "ttl_2": _golden_spec(ttl_factory(2)),
     "radius_faults_links": _golden_spec(
         radius_factory(), track_links=True,
-        failure=FailurePlan(fraction=0.1),
-        gray=GrayFailurePlan(
-            lossy_link_fraction=1.0, link_loss_probability=0.05
-        ),
+        failure=FailurePlan(fraction=0.1), gray=uniform_loss(0.05),
     ),
     "ranked": _golden_spec(ranked_factory()),
     "hybrid": _golden_spec(hybrid_factory()),
+    # The pull path's hard cases: FIFO retries under loss; FIFO retries
+    # past crashed sources with links tracked; nearest-source entries that
+    # exhaust their few (degree-10 views) sources, drop, and are re-queued
+    # by a later IHAVE.
+    "ttl_2_lossy": _golden_spec(ttl_factory(2), gray=uniform_loss(0.2)),
+    "ranked_faults_links": _golden_spec(
+        ranked_factory(), track_links=True,
+        failure=FailurePlan(fraction=0.1), gray=uniform_loss(0.1),
+    ),
+    "hybrid_lossy_views": _golden_spec(
+        hybrid_factory(), view_degree=10, gray=uniform_loss(0.25)
+    ),
 }
 
 

@@ -1,9 +1,14 @@
 """Round-kernel mechanics on small, hand-checkable cases, and the two
-per-pair reductions (arrival resolution, distinct-row sampling) held to
-slow reference implementations over hypothesis-generated inputs -- the
-pattern of ``tests/sim/test_events_property.py``."""
+per-pair reductions (arrival resolution, distinct-row sampling) and the
+request path (timer wheel, live-rows advert log, ordered winner pick)
+held to slow reference implementations over hypothesis-generated inputs
+-- the pattern of ``tests/sim/test_events_property.py``."""
 
 from __future__ import annotations
+
+from dataclasses import replace
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 
@@ -11,19 +16,39 @@ np = pytest.importorskip("numpy")
 
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.scenarios import flat_factory, ttl_factory
-from repro.megasim.adapter import UniformTopology, build_views
+from repro.experiments.scenarios import (
+    flat_factory,
+    hybrid_factory,
+    radius_factory,
+    ranked_factory,
+    ttl_factory,
+)
+from repro.failures.injection import FailurePlan
+from repro.megasim import rounds
+from repro.megasim.adapter import (
+    PlaneTopology,
+    UniformTopology,
+    build_views,
+    compile_faults,
+)
 from repro.megasim.rounds import (
     MessageOutcome,
     SlotScratch,
+    _clear_received,
+    _due_nodes,
+    _fire_requests,
+    _process_adverts,
     _process_arrivals,
+    _requester_metric,
+    _rows,
     _sample_without_replacement,
     _SlotQueues,
     disseminate,
     sample_targets,
 )
-from repro.megasim.state import MessageState
+from repro.megasim.state import NODE_DTYPE, MessageState
 from repro.megasim.strategies import compile_strategy
+from tests.megasim.test_determinism import outcome_bytes, uniform_loss
 
 N = 16
 TOPOLOGY = UniformTopology(N, latency_ms=50.0)
@@ -280,3 +305,315 @@ def test_sampler_draws_and_rng_state_match_stable_sort_version(
     assert draws.shape == legacy.shape
     assert np.array_equal(draws, legacy)
     assert rng.bit_generator.state == legacy_rng.bit_generator.state
+
+
+# -- differential property for the request path ------------------------------
+#
+# The request path as it stood before the timer wheel, verbatim (names
+# prefixed, long docstrings cut): full-population scans for due and
+# received entries, an append-only advert log re-read whole by every
+# fire, a 3-key lexsort + ``np.unique`` winner pick.
+
+
+class _AppendOnlyAdvertLog:
+    """``state.AdvertLog`` before it dropped dead rows."""
+
+    __slots__ = ("size", "_dst", "_src", "_metric", "_epoch", "_asked")
+
+    def __init__(self, capacity: int = 1024) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.size = 0
+        self._dst = np.empty(capacity, NODE_DTYPE)
+        self._src = np.empty(capacity, NODE_DTYPE)
+        self._metric = np.empty(capacity, np.float64)
+        self._epoch = np.empty(capacity, np.int32)
+        self._asked = np.empty(capacity, np.bool_)
+
+    def _grow(self, needed: int) -> None:
+        capacity = self._dst.shape[0]
+        if self.size + needed <= capacity:
+            return
+        while capacity < self.size + needed:
+            capacity *= 2
+        for name in ("_dst", "_src", "_metric", "_epoch", "_asked"):
+            old = getattr(self, name)
+            grown = np.empty(capacity, old.dtype)
+            grown[: self.size] = old[: self.size]
+            setattr(self, name, grown)
+
+    def append(self, dst, src, metric, epoch) -> None:
+        count = int(dst.shape[0])
+        if count == 0:
+            return
+        self._grow(count)
+        stop = self.size + count
+        self._dst[self.size : stop] = dst
+        self._src[self.size : stop] = src
+        self._metric[self.size : stop] = metric
+        self._epoch[self.size : stop] = epoch
+        self._asked[self.size : stop] = False
+        self.size = stop
+
+    @property
+    def dst(self):
+        return self._dst[: self.size]
+
+    @property
+    def src(self):
+        return self._src[: self.size]
+
+    @property
+    def metric(self):
+        return self._metric[: self.size]
+
+    @property
+    def epoch(self):
+        return self._epoch[: self.size]
+
+    @property
+    def asked(self):
+        return self._asked[: self.size]
+
+    def mark_asked(self, rows) -> None:
+        self._asked[rows] = True
+
+
+def _full_scan_due_nodes(state, t, early):
+    if state.adverts.size == 0:
+        return np.empty(0, dtype=NODE_DTYPE)
+    due = state.request_active & (state.request_due == t)
+    if early:
+        due &= state.request_armed < t
+        due &= (state.received_slot == -1) | (state.received_slot == t)
+    else:
+        due &= state.request_armed == t
+    return np.flatnonzero(due).astype(NODE_DTYPE, copy=False)
+
+
+def _full_scan_fire_requests(state, strategy, t, due, scratch):
+    empty = np.empty(0, dtype=NODE_DTYPE)
+    if due.size == 0:
+        return empty, empty
+    log = state.adverts
+    # The due-node membership mask lives in scratch; every bit set here
+    # is cleared again before returning (dropped and chosen nodes are
+    # both subsets of ``due``).
+    firing = scratch.flag
+    firing[due] = True
+    log_dst = log.dst
+    rows = np.flatnonzero(
+        firing[log_dst]
+        & (log.epoch == state.epoch[log_dst])
+        & ~log.asked
+    )
+    if rows.size:
+        row_dst = log_dst[rows]
+        if strategy.nearest_source:
+            order = np.lexsort((rows, log.metric[rows], row_dst))
+            rows, row_dst = rows[order], row_dst[order]
+        chosen_dst, first = np.unique(row_dst, return_index=True)
+        chosen_rows = rows[first]
+        log.mark_asked(chosen_rows)
+    else:
+        chosen_dst = np.empty(0, dtype=NODE_DTYPE)
+        chosen_rows = np.empty(0, dtype=np.int64)
+    # Entries with nothing left to ask clear themselves.
+    exhausted = firing
+    exhausted[chosen_dst] = False
+    state.drop_entries(np.flatnonzero(exhausted))
+    firing[due] = False
+    if chosen_dst.size == 0:
+        return empty, empty
+    state.request_armed[chosen_dst] = t
+    state.request_due[chosen_dst] = t + strategy.retry_rounds
+    state.request_attempts[chosen_dst] += 1
+    return chosen_dst.astype(NODE_DTYPE, copy=False), log.src[chosen_rows]
+
+
+def _full_scan_clear_received(state, t):
+    if state.adverts.size:  # no advert logged yet, no entry to cancel
+        state.drop_entries(
+            np.flatnonzero(state.request_active & (state.received_slot == t))
+        )
+
+
+def _full_scan_process_adverts(state, strategy, queues, t, delay):
+    adverts = queues.pop(t, queues.advert)
+    if adverts is None:
+        return
+    # Adverts are ignored once a MSG packet has arrived (the scheduler's
+    # ``received`` check -- NOT gossip delivery: the origin is still
+    # advertisable).
+    src, dst = _rows(
+        adverts, np.flatnonzero(state.received_slot[adverts[1]] == -1)
+    )
+    if dst.size == 0:
+        return
+    metric = (
+        _requester_metric(strategy, dst, src)
+        if strategy.nearest_source
+        else np.zeros(dst.shape[0], np.float64)
+    )
+    state.adverts.append(dst, src, metric, state.epoch[dst])
+    fresh = np.unique(dst[~state.request_active[dst]])
+    if fresh.size:
+        state.request_active[fresh] = True
+        state.request_armed[fresh] = t
+        state.request_due[fresh] = t + delay
+        state.request_attempts[fresh] = 0
+
+
+def _full_scan_state(n: int) -> MessageState:
+    """The state the reference path runs on.  It arms no timer wheel (it
+    finds timers by scanning), so one never-popped bucket stands in for
+    "a timer is pending" and keeps ``disseminate``'s lost-timer check --
+    which reads the wheel -- out of the comparison."""
+    state = MessageState(n)
+    state.adverts = _AppendOnlyAdvertLog()
+    state.timers[-1] = []
+    return state
+
+
+def _full_scan_kernel():
+    """``disseminate`` running the reference request path."""
+    return mock.patch.multiple(
+        rounds,
+        MessageState=_full_scan_state,
+        _due_nodes=_full_scan_due_nodes,
+        _fire_requests=_full_scan_fire_requests,
+        _clear_received=lambda state, t, newly, origin: (
+            _full_scan_clear_received(state, t)
+        ),
+        _process_adverts=_full_scan_process_adverts,
+    )
+
+
+#: Radius and Hybrid pick the nearest source, the other three the first
+#: advertiser; the drawn first-request delay and retry period are patched
+#: into whatever schedule constants the factory compiles to.
+_PULL_STRATEGIES = {
+    "radius": radius_factory(),
+    "hybrid": hybrid_factory(),
+    "ttl": ttl_factory(1),
+    "ranked": ranked_factory(),
+    "flat": flat_factory(0.3),
+}
+
+
+def _pull_run(n, degree, loss, crashes, name, snap, delay, retry, seed) -> bytes:
+    """One message over a small lossy plane, built only from the case.
+    ``snap`` moves the nodes onto a 5 x 5 lattice, where equal distances
+    are common: nearest-source ties, broken by advert arrival order."""
+    topology = PlaneTopology(n, seed=seed, side=100.0)
+    if snap:
+        topology = PlaneTopology.from_positions(
+            *(np.round(axis / 25.0) * 25.0 for axis in topology.positions),
+            side=100.0,
+        )
+    strategy = replace(
+        compile_strategy(_PULL_STRATEGIES[name], topology),
+        first_delay_rounds=delay,
+        retry_rounds=retry,
+    )
+    faults = compile_faults(
+        n, seed, failure=FailurePlan(fraction=crashes), gray=uniform_loss(loss)
+    )
+    alive = np.ones(n, dtype=bool)
+    if faults is not None and faults.crashed is not None:
+        alive = ~faults.crashed
+    outcome = disseminate(
+        topology, strategy, int(np.flatnonzero(alive)[seed % alive.sum()]),
+        fanout=min(4, degree), rounds=6,
+        rng=np.random.default_rng(seed),
+        views=build_views(n, degree, np.random.default_rng(seed + 1)),
+        track_links=True, faults=faults,
+        loss_rng=np.random.default_rng(seed + 2),
+    )
+    return outcome_bytes(SimpleNamespace(outcomes=[outcome]))[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(12, 80),
+    degree=st.integers(3, 10),
+    loss=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+    crashes=st.sampled_from([0.0, 0.1, 0.3]),
+    name=st.sampled_from(sorted(_PULL_STRATEGIES)),
+    snap=st.booleans(),
+    delay=st.sampled_from([0, 2, 3]),
+    retry=st.integers(3, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_request_path_matches_full_scan_version(
+    n, degree, loss, crashes, name, snap, delay, retry, seed
+) -> None:
+    case = (n, degree, loss, crashes, name, snap, delay, retry, seed)
+    with _full_scan_kernel():
+        expected = _pull_run(*case)
+    assert _pull_run(*case) == expected
+
+
+def _waiting_state(n: int, strategy, t: int, adverts) -> MessageState:
+    """A state in which the ``(src, dst)`` IHAVEs of ``adverts`` have just
+    landed at slot ``t`` and armed their zero-delay requests."""
+    state = MessageState(n)
+    queues = _SlotQueues(None, None)
+    src, dst = (np.array(column, dtype=NODE_DTYPE) for column in zip(*adverts))
+    queues.push(queues.advert, t, (src, dst))
+    _process_adverts(state, strategy, queues, t, 0)
+    return state
+
+
+def test_due_nodes_are_distinct_ascending_and_current() -> None:
+    strategy = compile_strategy(flat_factory(0.0), TOPOLOGY)
+    # Node 5 is advertised twice, so it is filed twice; 3 and 9 once.
+    state = _waiting_state(N, strategy, 4, [(0, 5), (1, 3), (2, 5), (1, 9)])
+    state.drop_entries(np.array([9]))  # cancelled: its id goes stale
+    assert _due_nodes(state, 4, early=True).tolist() == []  # armed this slot
+    state.timers[4] = [np.array([9, 5, 3, 5], dtype=NODE_DTYPE)]
+    assert _due_nodes(state, 4, early=False).tolist() == [3, 5]
+    assert 4 not in state.timers
+
+
+def test_entry_outliving_every_log_row_is_cleared_by_first_msg() -> None:
+    # Trap 3 of the live-rows log: node 3 asked its only source, the log
+    # then compacted to zero rows, and 3's entry -- still active, waiting
+    # on its retry timer -- must be cancelled by its first MSG all the
+    # same: "the log is empty" does not mean "no entry exists".
+    strategy = compile_strategy(flat_factory(0.0), TOPOLOGY)
+    state = _waiting_state(N, strategy, 1, [(0, 3)])
+    scratch = SlotScratch(N)
+    state.deliver_slot[0] = state.carried_round[0] = 0
+    fired = _fire_requests(
+        state, strategy, 1, _due_nodes(state, 1, early=False), scratch
+    )
+    assert [column.tolist() for column in fired] == [[3], [0]]
+    state.adverts.live(state.epoch)
+    assert state.adverts.size == 0 and state.request_active[3]
+    queues = _SlotQueues(None, None)
+    queues.push(queues.eager, 3, fired[::-1])  # the pull answer, 0 -> 3
+    newly = _process_arrivals(state, queues, 3, scratch)
+    _clear_received(state, 3, newly, origin=0)
+    assert newly.tolist() == [3] and not state.request_active[3]
+    due = 1 + strategy.retry_rounds
+    assert _due_nodes(state, due, early=True).size == 0
+
+
+def test_lost_timer_fails_loudly_instead_of_spinning(monkeypatch) -> None:
+    # Every active entry owns one armed timer; a kernel bug that loses
+    # one used to leave ``disseminate`` spinning on an entry nothing
+    # would ever fire or clear.
+    process_adverts = rounds._process_adverts
+
+    def lose_the_buckets(state, *args) -> None:
+        process_adverts(state, *args)
+        state.timers.clear()
+
+    monkeypatch.setattr(rounds, "_process_adverts", lose_the_buckets)
+    with pytest.raises(
+        RuntimeError,
+        match=r"slot 1: 15 request entries active with no timer armed "
+        r"and nothing in flight: \[1, 2, 3, 4, 5\]",
+    ):
+        run(flat_factory(0.0))
