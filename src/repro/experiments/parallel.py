@@ -27,7 +27,9 @@ factory) fails fast in the parent with the offending spec attached.
 
 Child failures do not poison the pool: the worker catches everything and
 ships the traceback text home, where it is re-raised as
-:class:`ParallelExecutionError` carrying the failing spec.
+:class:`ParallelExecutionError` carrying the failing spec.  A worker
+that *dies* (killed, out of memory) raises the same error, carrying every
+item it left unfinished -- never a short result list.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import os
 import pickle
 import traceback
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentResult, ExperimentSpec, run_experiment
@@ -52,9 +55,11 @@ ProgressFn = Callable[[int, int, Any], None]
 class ParallelExecutionError(RuntimeError):
     """A spec/task failed (in a worker or during dispatch).
 
-    ``spec`` is the failing payload; ``child_traceback`` the formatted
-    traceback from the failing run -- worker-process or inline (empty
-    only for dispatch-side errors such as unpicklable payloads).
+    ``spec`` is the failing payload -- the list of unfinished payloads
+    when a worker process died, which no single one can be blamed for;
+    ``child_traceback`` the formatted traceback from the failing run --
+    worker-process or inline (empty for dispatch-side errors such as
+    unpicklable payloads, and for a dead worker).
     """
 
     def __init__(
@@ -125,8 +130,9 @@ def _fan_out(
     per-worker state once per pool process -- under the serial fallback
     inline, exactly once, before the first item, so worker-resident
     state behaves identically at any worker count (serial callers tear
-    it down again; pool workers just exit).  The first failure cancels
-    what is still pending and raises :class:`ParallelExecutionError`.
+    it down again; pool workers just exit).  The first failure -- an item
+    raising, or a worker dying -- cancels what is still pending and
+    raises :class:`ParallelExecutionError`.
     """
     workers = resolve_workers(workers)
     total = len(items)
@@ -170,7 +176,20 @@ def _fan_out(
         while pending:
             completed, pending = wait(pending, return_when=FIRST_EXCEPTION)
             for future in completed:
-                index, result, child_tb = future.result()
+                try:
+                    index, result, child_tb = future.result()
+                except BrokenProcessPool as exc:
+                    # The pool fails every unfinished future at once.
+                    lost = [
+                        item
+                        for other, item in futures.items()
+                        if not other.done() or other.exception() is not None
+                    ]
+                    raise ParallelExecutionError(
+                        f"a worker process died with {len(lost)} of {total} "
+                        f"{what}s unfinished, the first of them {lost[0]!r}",
+                        spec=lost,
+                    ) from exc
                 if child_tb is not None:
                     # Cancellation is idempotent and order-insensitive;
                     # results are keyed by submission index, so future

@@ -33,7 +33,7 @@ DET012    no literal stream key derived inside a loop or per-index
 Vectorization-safety rules (scoped to ``repro.megasim``):
 
 ========  ==========================================================
-VEC001    ``argsort``/``sort`` must pass ``kind="stable"``
+VEC001    ``argsort`` must pass ``kind="stable"``
 VEC002    no calls into the legacy global ``np.random.*`` API
 VEC003    ``np.unique`` companions used positionally require
           ``return_index=True``

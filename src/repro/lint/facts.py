@@ -215,13 +215,13 @@ class NumpySite:
     line: int
     col: int
     module: str
-    #: "sort" | "argsort" | "lexsort" | "unique" | "legacy-random"
+    #: "argsort" | "lexsort" | "unique" | "legacy-random"
     #: | "set-operand"
     op: str
-    #: The resolved callable text (``numpy.sort``, ``numpy.random.rand``,
+    #: The resolved callable text (``numpy.argsort``, ``numpy.random.rand``,
     #: ``.argsort`` for the method form).
     func: str
-    #: sort/argsort/lexsort: a stable order is guaranteed
+    #: argsort/lexsort: a stable order is guaranteed
     #: (``kind="stable"`` present, or lexsort which is stable by spec).
     stable: bool = False
     #: unique: ``return_index=True`` was passed.
@@ -443,7 +443,7 @@ class FactCollector:
             return
         if resolved in RNG_CONSTRUCTORS:
             self._rng_site(call, resolved, scope)
-        if resolved in ("numpy.sort", "numpy.argsort", "numpy.lexsort"):
+        if resolved in ("numpy.argsort", "numpy.lexsort"):
             self._sort_site(call, resolved.rsplit(".", 1)[1], resolved)
         elif isinstance(func, ast.Attribute) and func.attr == "argsort":
             self._sort_site(call, "argsort", ".argsort")

@@ -45,8 +45,8 @@ The vectorization-safety family (scoped to ``repro.megasim``) bans the
 numpy idioms whose result depends on sort stability, first-occurrence
 bookkeeping or container iteration order:
 
-- **VEC001** ``argsort``/``sort`` without ``kind="stable"`` breaks ties
-  by implementation detail (``lexsort`` is stable by spec and passes).
+- **VEC001** ``argsort`` without ``kind="stable"`` breaks ties by
+  implementation detail (``lexsort`` is stable by spec and passes).
 - **VEC002** the legacy process-global ``np.random.*`` API is the
   vectorized twin of DET002.
 - **VEC003** treating a positional companion of ``np.unique`` as
@@ -750,18 +750,18 @@ class _VectorRule(ProjectRule):
 
 
 class UnstableSortRule(_VectorRule):
-    """VEC001: ``argsort``/``sort`` must pin ``kind="stable"``.
+    """VEC001: ``argsort`` must pin ``kind="stable"``.
 
-    The default introsort breaks ties by implementation detail; any
-    tie-break that feeds winner selection must preserve input order.
-    ``np.lexsort`` is stable by specification and passes as-is.
+    The default introsort orders the *indices* of equal keys by
+    implementation detail.  Value sorts pass: equal values come back
+    indistinguishable (float ``+-0.0`` aside).  ``lexsort`` is stable.
     """
 
     rule_id = "VEC001"
-    summary = 'numpy sort/argsort without kind="stable"'
+    summary = 'numpy argsort without kind="stable"'
 
     def check_site(self, site: NumpySite) -> Optional[Finding]:
-        if site.op not in ("sort", "argsort") or site.stable:
+        if site.op != "argsort" or site.stable:
             return None
         return self.site_finding(
             site.path,

@@ -38,6 +38,7 @@ from numpy.typing import NDArray
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.megasim.links import LinkTable, merge_link_arrays, top_share
+from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
 from repro.metrics.recorder import MetricsRecorder
@@ -283,6 +284,11 @@ class PlaneTopology:
         return mask
 
 
+#: Cells per block of view rows (8 MiB of int32): a block's draw, sort
+#: and redraws stay far below the matrix they fill.
+_VIEW_BLOCK_CELLS = 1 << 21
+
+
 def build_views(
     n: int, degree: int, rng: np.random.Generator
 ) -> NDArray[np.int32]:
@@ -291,16 +297,69 @@ def build_views(
     Models the shuffled overlay's steady state as a fixed random
     ``degree``-regular out-view (each row is a uniform sample of others
     without replacement) -- the structure the round kernel gossips over
-    when oracle sampling is not wanted.
+    when oracle sampling is not wanted.  Only the *set* in a row means
+    anything: the kernel samples view columns uniformly.
+
+    Rows are drawn a block at a time, so no temporary outgrows the
+    matrix being filled.  Up to half of the other ``n - 1`` nodes, a
+    block is :func:`_distinct_rows`; beyond that duplicates stop being
+    rare (the last distinct id of ``n - 1`` takes ``n - 1`` draws on
+    average) and a row-wise shuffle of all the others, cut at
+    ``degree``, costs at most twice the block it yields.
     """
     if degree < 1 or degree > n - 1:
         raise ValueError(f"degree must be in [1, {n - 1}], got {degree}")
+    others = n - 1
+    shuffle = 2 * degree > others
+    block = max(1, _VIEW_BLOCK_CELLS // (others if shuffle else degree))
     views = np.empty((n, degree), dtype=np.int32)
-    for node in range(n):
-        row = rng.choice(n - 1, size=degree, replace=False).astype(np.int32)
-        row += row >= node  # skip self
-        views[node] = row
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        if shuffle:
+            pool = np.tile(np.arange(others, dtype=np.int32), (rows, 1))
+            drawn = rng.permuted(pool, axis=1, out=pool)[:, :degree]
+        else:
+            drawn = _distinct_rows(rng, rows, degree, others)
+        own = np.arange(start, start + rows, dtype=np.int32)
+        drawn += drawn >= own[:, None]  # ids past the row's own node shift up
+        views[start : start + rows] = drawn
     return views
+
+
+def _distinct_rows(
+    rng: np.random.Generator, rows: int, k: int, population: int
+) -> NDArray[np.int32]:
+    """``(rows, k)`` ids of ``range(population)``, distinct and ascending
+    within each row, every ``k``-subset equally likely.
+
+    Draw all cells, sort each row, redraw every cell that equals its left
+    neighbour, and repeat on the rows that had one.  A row thus keeps the
+    first ``k`` distinct values of its own i.i.d. stream (a pass draws
+    exactly what the row still lacks, never past ``k``), which is a
+    uniform subset by symmetry -- unlike the kernel's whole-row rejection
+    (``rounds._sample_without_replacement``), whose acceptance rate falls
+    as ``exp(-k^2 / 2 population)``, it stays cheap up to ``population /
+    2``.  The sorts read values only, so their tie order is unobservable.
+    """
+    draws = rng.integers(0, population, size=(rows, k), dtype=np.int32)
+    draws.sort(axis=1)
+    pending = np.arange(rows)
+    block = draws
+    while True:
+        cells = block.reshape(-1)
+        twins = np.flatnonzero(cells[1:] == cells[:-1]) + 1
+        twins = twins[twins % k != 0]  # column 0: the left cell is another row's
+        if twins.size == 0:
+            return draws
+        cells[twins] = rng.integers(
+            0, population, size=twins.size, dtype=np.int32
+        )
+        bad = twins // k  # non-decreasing, one entry per redrawn cell
+        bad = bad[run_starts(bad)]
+        pending = pending[bad]
+        block = block[bad]
+        block.sort(axis=1)
+        draws[pending] = block
 
 
 # -- fault compilation --------------------------------------------------------

@@ -39,13 +39,27 @@ Layout and cleanup contract:
 
 Attached arrays are marked read-only: every worker maps the same
 physical pages, and the round kernel never writes the environment.
+
+The way back is an :class:`OutcomeRegion`, a second segment of
+``messages * n * 24`` zero-filled, lazily committed bytes: one
+``(messages, n)`` matrix per n-sized column of a
+:class:`~repro.megasim.rounds.MessageOutcome`.  Message ``index`` owns
+row ``index`` of each; an index belongs to exactly one batch, so workers
+write disjoint rows and need no lock.  A worker stores a finished
+message's columns in its rows and returns the outcome without them (the
+variable-length link arrays and the scalar counters still travel in the
+pickled result); the parent binds its own mapping's rows in their place
+-- no copy-out.  The region's *name* is unlinked by
+:meth:`MegasimArena.close` like the environment's; its *mapping* is
+released when the last column bound to it dies.  Without shared memory
+there is no region and the columns return by pickle.
 """
 
 from __future__ import annotations
 
 import sys
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Union, cast
 
 import numpy as np
@@ -56,7 +70,8 @@ from repro.megasim.adapter import (
     PlaneTopology,
     VectorTopology,
 )
-from repro.megasim.rounds import SlotScratch
+from repro.megasim.rounds import MessageOutcome, SlotScratch
+from repro.megasim.state import ROUND_DTYPE, SLOT_DTYPE
 from repro.megasim.strategies import CompiledStrategy, compile_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -101,6 +116,9 @@ class ArenaLayout:
     arrays: Tuple[Tuple[str, ArrayRef], ...] = ()
     shm_name: Optional[str] = None
     inline: Optional[Dict[str, NDArray[np.generic]]] = None
+    #: The run's :class:`OutcomeRegion` segment (sized by the spec);
+    #: ``None`` without shared memory: outcome columns return by pickle.
+    outcome_shm: Optional[str] = None
     #: ``None`` = no faults compiled; otherwise the Bernoulli loss
     #: probability (0.0 for purely structural faults).
     loss_probability: Optional[float] = None
@@ -116,6 +134,9 @@ class WorkerEnv:
     views: Optional[NDArray[np.int32]]
     faults: Optional[CompiledFaults]
     seeds: Tuple[Tuple[int, int], ...]
+    #: Where finished messages leave their n-sized columns; ``None`` on
+    #: the serial path and the inline fallback (they stay in the outcome).
+    outcomes: Optional["OutcomeRegion"] = None
     _scratch: Optional[SlotScratch] = field(default=None, repr=False)
 
     def scratch(self) -> SlotScratch:
@@ -129,25 +150,128 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
 
 
-def _release_segment(segment: "shared_memory.SharedMemory") -> None:
-    """Close and unlink; tolerant of the segment already being gone."""
+def _create_segment(size: int) -> Optional["shared_memory.SharedMemory"]:
+    """A fresh segment, or ``None`` where shared memory is unavailable."""
+    if shared_memory is None:
+        return None
     try:
-        segment.close()
-    except BufferError:  # pragma: no cover - exported views still alive
-        pass
+        return shared_memory.SharedMemory(create=True, size=max(size, 1))
+    except OSError:  # pragma: no cover - no /dev/shm in this container
+        return None
+
+
+def _unlink(segment: "shared_memory.SharedMemory") -> None:
     try:
         segment.unlink()
-    except FileNotFoundError:
+    except FileNotFoundError:  # already gone
         pass
+
+
+def _release(
+    segment: Optional["shared_memory.SharedMemory"],
+    outcomes: Optional["OutcomeRegion"],
+) -> None:
+    """Unlink both names; close the environment's mapping (the outcome
+    region's lives on under the columns bound to it)."""
+    if segment is not None:
+        try:
+            segment.close()
+        except BufferError:  # pragma: no cover - exported views still alive
+            pass
+        _unlink(segment)
+    if outcomes is not None:
+        outcomes.unlink()
+
+
+#: The n-sized :class:`MessageOutcome` columns that return through the
+#: region -- widest first, so each matrix starts on its own alignment.
+_OUTCOME_COLUMNS: Tuple[Tuple[str, type], ...] = (
+    ("payload_sent", np.int64),
+    ("payload_received", np.int64),
+    ("deliver_slot", SLOT_DTYPE),
+    ("carried_round", ROUND_DTYPE),
+)
+
+
+class OutcomeRegion:
+    """One run's outcome columns in shared memory (module docstring).
+
+    numpy reaches the bytes through ``__array_interface__``, which makes
+    this object the base of everything carved from it: the mapping is
+    closed when the last matrix or row dies, never under one.  (A
+    ``SharedMemory`` collected while views of its ``buf`` are alive
+    raises ``BufferError`` from ``__del__``; no such view is kept here.)
+    """
+
+    def __init__(
+        self, segment: "shared_memory.SharedMemory", messages: int, n: int
+    ) -> None:
+        self._segment = segment
+        self._shape = (messages, n)
+        probe: NDArray[np.uint8] = np.frombuffer(segment.buf, dtype=np.uint8)
+        self.__array_interface__ = {
+            "version": 3,
+            "typestr": "|u1",
+            "shape": probe.shape,
+            "data": (probe.ctypes.data, False),
+        }
+
+    @classmethod
+    def create(cls, messages: int, n: int) -> Optional["OutcomeRegion"]:
+        """The parent's region: zero-filled, committed only as written."""
+        row_bytes = sum(np.dtype(dtype).itemsize for _, dtype in _OUTCOME_COLUMNS)
+        segment = _create_segment(messages * n * row_bytes)
+        return cls(segment, messages, n) if segment is not None else None
+
+    @property
+    def name(self) -> str:
+        return self._segment.name
+
+    def __del__(self) -> None:
+        self._segment.close()
+
+    def unlink(self) -> None:
+        """Remove the name (idempotent); the mapping stays valid."""
+        _unlink(self._segment)
+
+    def columns(self) -> Dict[str, NDArray[np.generic]]:
+        """``{column: (messages, n) matrix}`` over this mapping."""
+        raw = np.asarray(self)
+        cells = self._shape[0] * self._shape[1]
+        columns: Dict[str, NDArray[np.generic]] = {}
+        offset = 0
+        for name, dtype in _OUTCOME_COLUMNS:
+            stop = offset + cells * np.dtype(dtype).itemsize
+            columns[name] = raw[offset:stop].view(dtype).reshape(self._shape)
+            offset = stop
+        return columns
+
+    def store(self, index: int, outcome: MessageOutcome) -> MessageOutcome:
+        """Worker side: write ``outcome``'s columns to row ``index``;
+        returns the outcome to send home, without them."""
+        columns = self.columns()
+        for name, matrix in columns.items():
+            matrix[index] = getattr(outcome, name)
+        return replace(outcome, **dict.fromkeys(columns))
+
+    def bind(self, outcomes: List[MessageOutcome]) -> None:
+        """Parent side: message ``index`` gets row ``index`` of this
+        mapping for each column its worker stored -- views, not copies."""
+        columns = self.columns()
+        for index, outcome in enumerate(outcomes):
+            for name, matrix in columns.items():
+                setattr(outcome, name, matrix[index])
 
 
 class MegasimArena:
-    """Parent-side owner of one run's shared environment.
+    """Parent-side owner of one run's shared memory.
 
     Packs the named environment arrays into a single shared-memory
-    segment at construction; :attr:`layout` is the descriptor to ship to
-    workers.  Use as a context manager (or call :meth:`close`) so the
-    segment is unlinked exactly once, whatever happens mid-run.
+    segment at construction and creates the :class:`OutcomeRegion`
+    beside it (:attr:`outcomes`; ``None`` without shared memory);
+    :attr:`layout` is the descriptor to ship to workers.  Use as a
+    context manager (or call :meth:`close`) so both names are unlinked
+    exactly once, whatever happens mid-run.
     """
 
     def __init__(
@@ -161,10 +285,9 @@ class MegasimArena:
         arrays = _environment_arrays(topology, views, faults)
         refs, segment = _pack_arrays(arrays)
         self._segment = segment
-        self._finalizer = (
-            weakref.finalize(self, _release_segment, segment)
-            if segment is not None
-            else None
+        self.outcomes = OutcomeRegion.create(spec.messages, spec.nodes)
+        self._finalizer = weakref.finalize(
+            self, _release, segment, self.outcomes
         )
         side = topology.side if isinstance(topology, PlaneTopology) else None
         self.layout = ArenaLayout(
@@ -178,6 +301,9 @@ class MegasimArena:
             # Arrays ride inside the layout -- copy-on-write under fork,
             # pickled once per worker under spawn.
             inline=arrays if segment is None else None,
+            outcome_shm=(
+                self.outcomes.name if self.outcomes is not None else None
+            ),
             loss_probability=(
                 float(faults.loss_probability) if faults is not None else None
             ),
@@ -189,9 +315,8 @@ class MegasimArena:
         return self._segment.name if self._segment is not None else None
 
     def close(self) -> None:
-        """Unlink the segment (idempotent; no-op on the inline fallback)."""
-        if self._finalizer is not None:
-            self._finalizer()
+        """Unlink both segments (idempotent; no-op without shared memory)."""
+        self._finalizer()
 
     def __enter__(self) -> "MegasimArena":
         return self
@@ -235,7 +360,7 @@ def _pack_arrays(
     created (the caller then falls back to inline shipping), or there is
     nothing to share.
     """
-    if shared_memory is None or not arrays:
+    if not arrays:
         return (), None
     refs: List[Tuple[str, ArrayRef]] = []
     offset = 0
@@ -246,9 +371,8 @@ def _pack_arrays(
             (name, ArrayRef(offset, array.shape, array.dtype.str))
         )
         offset += array.nbytes
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-    except OSError:  # pragma: no cover - no /dev/shm in this container
+    segment = _create_segment(offset)
+    if segment is None:
         return (), None
     for name, ref in refs:
         source = arrays[name]
@@ -290,7 +414,7 @@ def _attach_segment(name: str) -> "shared_memory.SharedMemory":
 # -- worker-resident state ----------------------------------------------------
 
 _ENV: Optional[WorkerEnv] = None
-_ATTACHED: Optional["shared_memory.SharedMemory"] = None
+_ATTACHED: Optional["shared_memory.SharedMemory"] = None  # the environment's
 
 
 def install_worker_env(payload: Union[ArenaLayout, WorkerEnv]) -> None:
@@ -328,6 +452,12 @@ def install_worker_env(payload: Union[ArenaLayout, WorkerEnv]) -> None:
         for array in arrays.values():
             array.setflags(write=False)
     _ENV = _materialize_env(payload, arrays)
+    if payload.outcome_shm is not None:
+        _ENV.outcomes = OutcomeRegion(
+            _attach_segment(payload.outcome_shm),
+            payload.spec.messages,
+            payload.spec.nodes,
+        )
     _ATTACHED = segment
 
 

@@ -283,7 +283,7 @@ def _sample_without_replacement(
     pending = np.arange(rows, dtype=np.int64)
     unchecked = draws
     while True:
-        ordered = np.sort(unchecked, axis=1).reshape(-1)  # noqa: VEC001
+        ordered = np.sort(unchecked, axis=1).reshape(-1)
         hits = np.flatnonzero(ordered[1:] == ordered[:-1])
         hits = hits[hits % k != k - 1]
         if hits.size == 0:
@@ -624,7 +624,7 @@ def _due_nodes(
         due &= (received == -1) | (received == t)
     else:
         due &= state.request_armed[ids] == t
-    ids = np.sort(ids[due])  # noqa: VEC001 - values only: ties unobservable
+    ids = np.sort(ids[due])  # values only: ties unobservable
     return ids[run_starts(ids)]
 
 
@@ -656,7 +656,7 @@ def _fire_requests(
     # One value sort of (dst, row) packed into an int64 groups the
     # candidate rows by requester, in arrival order within each run; the
     # keys are distinct, so the unstable sort has no tie to break.
-    keys = np.sort(log.dst[found].astype(np.int64) << 32 | found)  # noqa: VEC001
+    keys = np.sort(log.dst[found].astype(np.int64) << 32 | found)
     row_dst, rows = keys >> 32, keys & 0xFFFFFFFF
     first = run_starts(row_dst)
     if strategy.nearest_source:  # the run's lowest metric, earliest on ties

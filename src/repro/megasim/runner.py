@@ -20,7 +20,10 @@ everything else shipped once per worker beside them), and tasks are
 run against that environment with one
 :class:`~repro.megasim.rounds.SlotScratch` reused across the batch.
 With ``workers=1`` the parent's own objects are the environment and no
-segment is created.
+segment is created.  Pooled, a finished message's four n-sized columns
+come back through the arena's outcome region -- written in place by the
+worker, bound as views by the parent -- and only its counters and link
+arrays through the pool's result pipe.
 """
 
 from __future__ import annotations
@@ -110,9 +113,13 @@ class MegasimSpec:
             raise ValueError(f"fanout must be >= 1, got {self.fanout}")
         if self.rounds is not None and self.rounds < 1:
             raise ValueError(f"spec.rounds must be >= 1, got {self.rounds}")
-        if self.view_degree is not None and self.view_degree < 1:
+        if self.view_degree is not None and not (
+            1 <= self.view_degree <= self.nodes - 1
+        ):
             raise ValueError(
-                f"spec.view_degree must be >= 1, got {self.view_degree}"
+                f"spec.view_degree must be in [1, spec.nodes - 1] (a view "
+                f"holds other nodes; spec.nodes is {self.nodes}), got "
+                f"{self.view_degree}"
             )
         for name in ("round_ms", "retry_period_ms"):
             if not getattr(self, name) > 0:
@@ -255,7 +262,8 @@ class _BatchTask:
     Pure descriptor: a few integers, independent of population size.
     The environment comes from :func:`~repro.megasim.arena.current_env`
     (installed by the pool initializer), and one scratch instance is
-    reused across the whole batch.
+    reused across the whole batch.  Where the environment has an outcome
+    region, each message's n-sized columns stay behind in it.
     """
 
     indices: Tuple[int, ...]
@@ -270,21 +278,22 @@ class _BatchTask:
         for index, origin in zip(self.indices, self.origins):
             seed, loss = env.seeds[index]
             loss_rng = np.random.default_rng(loss) if needs_loss else None
-            outcomes.append(
-                disseminate(
-                    env.topology,
-                    env.strategy,
-                    origin,
-                    spec.fanout,
-                    spec.effective_rounds,
-                    np.random.default_rng(seed),
-                    views=env.views,
-                    track_links=spec.track_links,
-                    faults=env.faults,
-                    loss_rng=loss_rng,
-                    scratch=scratch,
-                )
+            outcome = disseminate(
+                env.topology,
+                env.strategy,
+                origin,
+                spec.fanout,
+                spec.effective_rounds,
+                np.random.default_rng(seed),
+                views=env.views,
+                track_links=spec.track_links,
+                faults=env.faults,
+                loss_rng=loss_rng,
+                scratch=scratch,
             )
+            if env.outcomes is not None:
+                outcome = env.outcomes.store(index, outcome)
+            outcomes.append(outcome)
         return outcomes
 
 
@@ -332,9 +341,10 @@ def run_megasim(
 
     Serial: the parent's own objects are installed as the worker
     environment (no segment, no attach) and torn down in ``finally``.
-    Pooled: the arena context manager guarantees the segment is unlinked
-    on success, on a worker raising mid-batch, and on the pool itself
-    failing.
+    Pooled: the arena context manager guarantees both segment names are
+    unlinked on success, on a worker raising mid-batch, and on a worker
+    dying; the outcome columns of the result are views of the arena's
+    outcome region, whose mapping lives as long as any of them does.
     """
     if topology is None:
         topology = build_topology(spec)
@@ -396,6 +406,11 @@ def run_megasim(
                 initializer=install_worker_env,
                 initargs=(arena.layout,),
             )
+            if arena.outcomes is not None:
+                # Batches come back in submission order: message order.
+                arena.outcomes.bind(
+                    [outcome for batch in results for outcome in batch]
+                )
     return MegasimResult(
         spec=spec,
         outcomes=[outcome for batch in results for outcome in batch],

@@ -27,10 +27,11 @@ class TestUnstableSort:
             "import numpy as np\norder = np.argsort(x)\n"
         ) == ["VEC001"]
 
-    def test_sort_without_kind_fires(self):
+    def test_value_sort_is_clean(self):
+        # Equal values are indistinguishable: stability cannot show.
         assert rules_of(
-            "import numpy as np\nordered = np.sort(x)\n"
-        ) == ["VEC001"]
+            "import numpy as np\nordered = np.sort(x)\nx.sort()\n"
+        ) == []
 
     def test_method_argsort_fires(self):
         assert rules_of("order = x.argsort()\n") == ["VEC001"]

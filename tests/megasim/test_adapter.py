@@ -6,6 +6,13 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from unittest.mock import patch
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.megasim.adapter as adapter_module
+
 from repro.experiments.scenarios import flat_factory, ttl_factory
 from repro.megasim.adapter import (
     METRIC_DISTANCE,
@@ -105,16 +112,68 @@ class TestSyntheticTopologies:
         with pytest.raises(ValueError):
             PlaneTopology(10).best_mask(1.5)
 
-    def test_build_views_shape_and_validity(self) -> None:
-        views = build_views(40, 7, np.random.default_rng(2))
-        assert views.shape == (40, 7)
-        for node in range(40):
-            row = views[node].tolist()
-            assert node not in row
-            assert len(set(row)) == 7
-            assert all(0 <= peer < 40 for peer in row)
-        with pytest.raises(ValueError):
-            build_views(5, 5, np.random.default_rng(0))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(2, 400),
+        share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        block_cells=st.sampled_from([1 << 21, 256]),
+    )
+    def test_build_views_shape_and_validity(
+        self, n: int, share: float, seed: int, block_cells: int
+    ) -> None:
+        # ``share`` spreads degree over every legal value, 1 and n - 1
+        # included: both sides of the redraw / shuffle switch at half.
+        # At the real block size these populations are one block; the
+        # small one cuts them into many (down to a row each).
+        degree = 1 + round(share * (n - 2))
+        with patch.object(adapter_module, "_VIEW_BLOCK_CELLS", block_cells):
+            views = build_views(n, degree, np.random.default_rng(seed))
+            again = build_views(n, degree, np.random.default_rng(seed))
+        assert views.shape == (n, degree)
+        assert views.dtype == np.int32
+        assert views.min() >= 0 and views.max() < n
+        assert not (views == np.arange(n)[:, None]).any()  # no self
+        ordered = np.sort(views, axis=1)
+        assert (ordered[:, 1:] != ordered[:, :-1]).all()  # no duplicate
+        np.testing.assert_array_equal(views, again)
+        for bad in (0, n):
+            with pytest.raises(ValueError):
+                build_views(n, bad, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("degree", [20, 150])  # redraw, shuffle
+    def test_build_views_rows_are_uniform_subsets(self, degree: int) -> None:
+        """Fixed seed, n = 200, fifty builds off one generator: how often
+        each node is viewed and how often each unordered pair shares a
+        view, against independent uniform ``degree``-subsets.  A count is
+        a sum over rows of Bernoulli(p) draws, so ``(count - mean)^2 /
+        variance`` averages one per cell when that holds.  The pair cells
+        of one row move together, which spreads the statistic more than a
+        chi-square's: over 40 seeds it stayed within 0.78..1.26.  The
+        bound is 1.5; duplicates redrawn from the lower half of the ids
+        read 3.1 on the nodes, a contiguous run of ids 558 on the pairs,
+        one shuffle shared by a block's rows 126 on the nodes."""
+        n, builds = 200, 50
+        rng = np.random.default_rng(20071)
+        viewed = np.zeros(n)
+        together = np.zeros((n, n))
+        for _ in range(builds):
+            member = np.zeros((n, n))
+            np.put_along_axis(member, build_views(n, degree, rng), 1.0, axis=1)
+            viewed += member.sum(axis=0)
+            together += member.T @ member
+        pairs = together[np.triu_indices(n, k=1)]
+        # A node can be in the n - 1 rows of the others, a pair in the
+        # n - 2 rows that are neither's own.
+        in_row = degree / (n - 1)
+        both_in_row = in_row * (degree - 1) / (n - 2)
+        for counts, rows, p in (
+            (viewed, n - 1, in_row),
+            (pairs, n - 2, both_in_row),
+        ):
+            draws = builds * rows
+            spread = (counts - draws * p) ** 2 / (draws * p * (1.0 - p))
+            assert float(spread.mean()) < 1.5
 
 
 class TestResultAdapters:

@@ -1,4 +1,5 @@
-"""Arena lifecycle: packing, attachment, fallback, and segment cleanup."""
+"""Arena lifecycle: packing, attachment, fallback, segment cleanup, and
+the outcome region's way back."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import gc
 import multiprocessing
 import os
 import pickle
+import signal
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +18,7 @@ import repro.megasim.arena as arena_module
 from repro.experiments.parallel import ParallelExecutionError
 from repro.experiments.scenarios import flat_factory
 from repro.failures.gray import GrayFailurePlan
+from repro.failures.injection import FailurePlan
 from repro.megasim.adapter import (
     DenseTopology,
     PlaneTopology,
@@ -24,6 +28,7 @@ from repro.megasim.adapter import (
 )
 from repro.megasim.arena import (
     MegasimArena,
+    OutcomeRegion,
     clear_worker_env,
     current_env,
     install_worker_env,
@@ -159,7 +164,9 @@ def test_inline_fallback_results_match_shared_memory(monkeypatch) -> None:
     monkeypatch.setattr(arena_module, "shared_memory", None)
     fallback = run_megasim(SPEC, workers=2)
     for left, right in zip(baseline.outcomes, fallback.outcomes):
+        assert right.deliver_slot.flags.owndata  # no region: it was pickled
         np.testing.assert_array_equal(left.deliver_slot, right.deliver_slot)
+        np.testing.assert_array_equal(left.payload_sent, right.payload_sent)
         np.testing.assert_array_equal(left.link_keys, right.link_keys)
         np.testing.assert_array_equal(left.link_sends, right.link_sends)
 
@@ -178,6 +185,77 @@ def test_segment_unlinked_when_worker_raises_mid_batch(monkeypatch) -> None:
     with pytest.raises(ParallelExecutionError, match="boom"):
         run_megasim(SPEC, workers=2)
     assert shm_segments() - before == set()
+
+
+def _die(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def test_killed_worker_is_a_named_error_and_leaves_no_segment(
+    monkeypatch,
+) -> None:
+    # The outcome region is zero-filled: a batch that silently went
+    # missing would read as "nobody delivered", so a dead worker must
+    # never yield a result.
+    if multiprocessing.get_start_method() != "fork":
+        pytest.skip("monkeypatching across processes needs fork")
+    import repro.megasim.runner as runner_module
+
+    monkeypatch.setattr(runner_module, "disseminate", _die)
+    before = shm_segments()
+    with pytest.raises(ParallelExecutionError, match="worker process died") as info:
+        run_megasim(SPEC, workers=2)
+    assert info.value.spec  # the batches left unfinished
+    assert all(batch.indices for batch in info.value.spec)
+    assert shm_segments() - before == set()
+
+
+def live_regions() -> int:
+    gc.collect()
+    return sum(isinstance(o, OutcomeRegion) for o in gc.get_objects())
+
+
+def test_outcome_columns_outlive_the_run_and_the_result() -> None:
+    """Two workers, links tracked, crashes and loss: the four n-sized
+    columns come back through the region, the link arrays by pickle, and
+    together they are the serial run -- dtype, layout and bytes.  The
+    region has no name once ``run_megasim`` has returned; its mapping
+    lasts exactly as long as a column does."""
+    spec = replace(
+        SPEC,
+        failure=FailurePlan(fraction=0.1),
+        gray=GrayFailurePlan(
+            lossy_link_fraction=1.0, link_loss_probability=0.2
+        ),
+    )
+    before = shm_segments()
+    serial = run_megasim(spec, workers=1)
+    assert live_regions() == 0
+    pooled = run_megasim(spec, workers=2)
+    assert shm_segments() - before == set()
+    assert pooled.retries > 0 and pooled.failed
+    for index in range(spec.messages):
+        for name in (
+            "deliver_slot", "carried_round", "payload_sent",
+            "payload_received", "link_keys", "link_sends",
+        ):
+            ours = getattr(pooled.outcomes[index], name)
+            theirs = getattr(serial.outcomes[index], name)
+            assert ours.dtype == theirs.dtype
+            assert ours.flags.c_contiguous and ours.flags.writeable
+            assert ours.tobytes() == theirs.tobytes()
+        del ours, theirs
+    assert pooled.summary == serial.summary
+    assert pooled.structure == serial.structure
+    held = pooled.outcomes[-1].deliver_slot
+    if arena_module.shared_memory is not None:
+        assert not held.flags.owndata  # a row of the region, not a copy
+        assert live_regions() == 1
+    del pooled
+    assert shm_segments() - before == set()
+    np.testing.assert_array_equal(held, serial.outcomes[-1].deliver_slot)
+    del held
+    assert live_regions() == 0
 
 
 def test_serial_arena_clears_worker_env() -> None:

@@ -230,6 +230,23 @@ def _crashed_origin_spec() -> MegasimSpec:
             "view_degree",
             lambda: MegasimSpec(flat_factory(1.0), nodes=8, view_degree=0),
         ),
+        # A view holds *other* nodes: the bound is a second field's, and
+        # the message names both.
+        pytest.param(
+            "view_degree",
+            lambda: MegasimSpec(flat_factory(1.0), nodes=8, view_degree=8),
+            id="view_degree-of-all-nodes",
+        ),
+        pytest.param(
+            "nodes",
+            lambda: MegasimSpec(flat_factory(1.0), nodes=8, view_degree=8),
+            id="nodes-bounding-view_degree",
+        ),
+        pytest.param(
+            "view_degree",
+            lambda: MegasimSpec(flat_factory(1.0), nodes=1, view_degree=1),
+            id="view_degree-of-a-lone-node",
+        ),
         ("origins", _crashed_origin_spec),
     ],
 )
