@@ -12,8 +12,9 @@ Three commands cover the evaluation workflow without writing a script:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.backends import BACKEND_NAMES, DENSE_MODEL_LIMIT, get_backend
 from repro.experiments.figures import (
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     topo = sub.add_parser("topology", help="generate a model, print §5.1 stats")
-    topo.add_argument("--routers", type=int, default=3037)
-    topo.add_argument("--clients", type=int, default=100)
+    topo.add_argument("--routers", type=_at_least(1), default=3037)
+    topo.add_argument("--clients", type=_at_least(2), default=100)
     topo.add_argument("--seed", type=int, default=1)
     topo.add_argument(
         "--save", metavar="PATH", default=None,
@@ -129,7 +130,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--view-degree", type=int, default=None,
         help="scale tier only (--backend vector above "
         f"{DENSE_MODEL_LIMIT} clients): gossip over static partial "
-        "views instead of the oracle sampler",
+        "views instead of the oracle sampler.  Up to that many clients "
+        "the vector backend routes a real Inet model, which admits "
+        f"--clients <= --routers - {InetParameters.transit_count} "
+        f"({FULL.routers - InetParameters.transit_count} at --scale full)",
     )
     run.add_argument(
         "--track-links", action="store_true",
@@ -169,9 +173,21 @@ def _at_least(minimum: int):
     return bounded
 
 
+@contextlib.contextmanager
+def _field_errors() -> Iterator[None]:
+    """Around the *construction* of parameters, specs and the model: a
+    ``ValueError`` there names the field the command line got wrong, so
+    it is a usage error -- one line and exit status 2, not a traceback."""
+    try:
+        yield
+    except ValueError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+
+
 def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", choices=["quick", "full"], default="quick")
-    parser.add_argument("--clients", type=_at_least(1), default=None)
+    parser.add_argument("--clients", type=_at_least(2), default=None)
     parser.add_argument("--routers", type=_at_least(1), default=None)
     parser.add_argument("--messages", type=_at_least(1), default=None)
     parser.add_argument("--seed", type=int, default=None)
@@ -189,10 +205,11 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
 
 def command_topology(args: argparse.Namespace) -> int:
     """``repro topology``: generate a model, print its statistics."""
-    model = cached_model(
-        InetParameters(router_count=args.routers, client_count=args.clients),
-        seed=args.seed,
-    )
+    with _field_errors():
+        model = cached_model(
+            InetParameters(router_count=args.routers, client_count=args.clients),
+            seed=args.seed,
+        )
     stats = compute_statistics(model)
     rows = [{"statistic": label, "value": value} for label, value in stats.as_rows()]
     print(format_table(rows))
@@ -241,9 +258,9 @@ def command_run(args: argparse.Namespace) -> int:
         # here so ``--backend event`` never needs numpy.)
         from repro.megasim.runner import MegasimSpec, run_megasim
 
-        gossip = GossipConfig.for_population(scale.clients)
-        mega = run_megasim(
-            MegasimSpec(
+        with _field_errors():
+            gossip = GossipConfig.for_population(scale.clients)
+            mega_spec = MegasimSpec(
                 strategy_factory=factory,
                 nodes=scale.clients,
                 fanout=gossip.fanout,
@@ -254,9 +271,8 @@ def command_run(args: argparse.Namespace) -> int:
                 track_links=args.track_links,
                 failure=failure,
                 gray=gray,
-            ),
-            workers=args.workers,
-        )
+            )
+        mega = run_megasim(mega_spec, workers=args.workers)
         row: Dict[str, Any] = dict(
             mega.summary.row(), failed_nodes=len(mega.failed), retries=mega.retries
         )
@@ -266,8 +282,9 @@ def command_run(args: argparse.Namespace) -> int:
             row["effective_degree"] = mega.structure.effective_degree
             row["used_links"] = mega.structure.used_links
     else:
-        spec = scale.spec(factory, seed=scale.seed, failure=failure, gray=gray)
-        model = build_model(scale)
+        with _field_errors():
+            spec = scale.spec(factory, seed=scale.seed, failure=failure, gray=gray)
+            model = build_model(scale)
         if args.replications > 1:
             row = run_replicated(
                 model,
@@ -285,18 +302,21 @@ def command_run(args: argparse.Namespace) -> int:
 def command_figure(args: argparse.Namespace) -> int:
     """``repro figure``: regenerate a paper figure/table."""
     _, figure_fn = FIGURES[args.figure]
+    if args.figure in TABLES and args.replications > 1:
+        sweeps = ", ".join(key for key in FIGURES if key not in TABLES)
+        print(
+            f"--replications is only supported by the sweep figures ({sweeps})",
+            file=sys.stderr,
+        )
+        return 2
+    scale = _scale(args)
+    with _field_errors():
+        build_model(scale)  # every figure starts from this (cached) model
     if args.figure in TABLES:
-        if args.replications > 1:
-            sweeps = ", ".join(key for key in FIGURES if key not in TABLES)
-            print(
-                f"--replications is only supported by the sweep figures ({sweeps})",
-                file=sys.stderr,
-            )
-            return 2
-        rows = figure_fn(_scale(args))
+        rows = figure_fn(scale)
     else:
         rows = figure_fn(
-            _scale(args),
+            scale,
             workers=resolve_workers(args.workers),
             replications=args.replications,
         )

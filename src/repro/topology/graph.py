@@ -3,8 +3,9 @@
 A :class:`RouterTopology` is an undirected weighted graph of routers
 (transit, stub) and client hosts.  Edge weights are link latencies in
 milliseconds.  The structure is deliberately plain -- adjacency lists of
-``(neighbor, latency)`` pairs -- because routing (Dijkstra/BFS) over it is
-on the hot path when building latency matrices for large topologies.
+``(neighbor, latency)`` pairs -- because routing (a level-by-level BFS)
+over it is on the hot path when building latency matrices for large
+topologies.
 """
 
 from __future__ import annotations

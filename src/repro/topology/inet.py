@@ -72,12 +72,22 @@ class InetParameters:
         if self.transit_count < 3:
             raise ValueError("need at least 3 transit routers")
         if self.router_count <= self.transit_count:
-            raise ValueError("router_count must exceed transit_count")
+            raise ValueError(
+                f"router_count={self.router_count} must exceed "
+                f"transit_count={self.transit_count}"
+            )
+        # A mean client-pair latency needs a pair to calibrate against.
+        fewest = 1 if self.target_mean_latency_ms is None else 2
+        if self.client_count < fewest:
+            raise ValueError(
+                f"client_count must be >= {fewest}, got {self.client_count}"
+            )
         stub_count = self.router_count - self.transit_count
         if self.client_count > stub_count:
             raise ValueError(
-                f"cannot attach {self.client_count} clients to "
-                f"{stub_count} distinct stub routers"
+                f"client_count={self.client_count} exceeds the {stub_count} "
+                f"stub routers (router_count - transit_count) that take one "
+                f"client each"
             )
         if stub_count < self.transit_count:
             # Every transit router anchors at least one stub domain;
@@ -96,10 +106,10 @@ class InetTopology:
     """A generated topology plus the client attachment bookkeeping.
 
     ``model``, when present, is the client network model derived from
-    the calibration sweep: building it costs nothing beyond the Dijkstra
+    the calibration sweep: building it costs nothing beyond the routing
     results calibration needed anyway, so
     :meth:`~repro.topology.routing.ClientNetworkModel.from_inet` can
-    skip its own N-sweep pass entirely.
+    skip its own sweep entirely.
     """
 
     graph: RouterTopology
@@ -314,13 +324,10 @@ def _calibrate(
     routing decisions, so measuring once and scaling once is exact:
     ``mean = access_part + router_part`` and only ``router_part`` scales.
 
-    The measurement pass is one full Dijkstra sweep per client -- the
-    same sweep :meth:`ClientNetworkModel.from_topology` would re-run to
-    build the client matrices.  Because scaling is uniform, the
-    post-calibration matrices are derivable from the pre-calibration
-    sweep (access parts fixed, router part times the factor), so the
-    sweep is run once here and both the factor and the finished model
-    come out of it.
+    The measurement pass is one routing sweep over the clients.  Because
+    scaling is uniform, the post-calibration matrices are derivable from
+    that pre-calibration sweep (access parts fixed, router part times the
+    factor), so both the factor and the finished model come out of it.
     """
     from repro.topology.routing import (
         ClientNetworkModel,
@@ -330,7 +337,7 @@ def _calibrate(
 
     sweep = client_routing_sweep(graph, client_ids)
     access_part, router_part = mean_client_latency_split(
-        graph, client_ids, sweep=sweep
+        graph, client_ids, sweep
     )
     if router_part <= 0:  # pragma: no cover - degenerate topologies
         return 1.0, None

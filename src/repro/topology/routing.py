@@ -13,9 +13,8 @@ speaks in client indices ``0..n-1``.
 
 from __future__ import annotations
 
-import heapq
 import math
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.topology.geometry import Point, euclidean
 from repro.topology.graph import RouterTopology
@@ -26,6 +25,43 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _INF = float("inf")
 
 
+def _route(
+    adjacency: Sequence[Sequence[Tuple[int, float]]], source: int
+) -> Tuple[List[int], List[float]]:
+    """Level-synchronous BFS under (hops, latency) lexicographic cost.
+
+    A node's hop count is its BFS level, and its latency is the minimum
+    of ``latency[u] + link`` over its neighbours ``u`` one level up, all
+    of them final before the next level is opened.  A heap Dijkstra on
+    ``(hops, latency)`` keys evaluates the same float expression on the
+    same operands and keeps the same minimum, so the two agree bit for
+    bit (held by ``tests/topology/test_routing_oracle.py``).
+    """
+    hops = [-1] * len(adjacency)
+    latency = [_INF] * len(adjacency)
+    hops[source] = 0
+    latency[source] = 0.0
+    frontier = [source]
+    level = 0
+    while frontier:
+        level += 1
+        reached = []
+        for node in frontier:
+            base = latency[node]
+            for neighbor, link_latency in adjacency[node]:
+                seen = hops[neighbor]
+                if seen == -1:
+                    hops[neighbor] = level
+                    latency[neighbor] = base + link_latency
+                    reached.append(neighbor)
+                elif seen == level:
+                    candidate = base + link_latency
+                    if candidate < latency[neighbor]:
+                        latency[neighbor] = candidate
+        frontier = reached
+    return hops, latency
+
+
 def shortest_paths(
     graph: RouterTopology, source: int
 ) -> Tuple[List[int], List[float]]:
@@ -34,81 +70,93 @@ def shortest_paths(
     Returns ``(hops, latency)`` lists indexed by node id; unreachable
     nodes carry ``-1`` hops and ``inf`` latency.
     """
-    node_count = graph.node_count
-    hops = [-1] * node_count
-    latency = [_INF] * node_count
-    done = [False] * node_count
-    heap: List[Tuple[int, float, int]] = [(0, 0.0, source)]
-    hops[source] = 0
-    latency[source] = 0.0
-    while heap:
-        h, lat, node = heapq.heappop(heap)
-        if done[node]:
-            continue
-        done[node] = True
-        for neighbor, link_latency in graph.adjacency[node]:
-            if done[neighbor]:
-                continue
-            candidate = (h + 1, lat + link_latency)
-            current = (hops[neighbor], latency[neighbor])
-            if hops[neighbor] == -1 or candidate < current:
-                hops[neighbor], latency[neighbor] = candidate
-                heapq.heappush(heap, (candidate[0], candidate[1], neighbor))
-    return hops, latency
+    return _route(graph.adjacency, source)
+
+
+def _client_core(
+    graph: RouterTopology, client_ids: Sequence[int]
+) -> List[List[Tuple[int, float]]]:
+    """Adjacency of the subgraph that client-to-client paths can use.
+
+    A non-client node of degree <= 1 can only end a path, never lie
+    inside one, so stripping such nodes -- repeatedly: a chain unravels
+    from its tip -- changes no route between clients.  The survivors are
+    relabelled with the clients first, in ``client_ids`` order.
+    """
+    adjacency = graph.adjacency
+    index: Dict[int, int] = {client: i for i, client in enumerate(client_ids)}
+    if len(index) != len(client_ids):
+        raise ValueError("client_ids must be distinct")
+    degree = [len(neighbors) for neighbors in adjacency]
+    dangling = [
+        node for node, d in enumerate(degree) if d <= 1 and node not in index
+    ]
+    while dangling:
+        node = dangling.pop()
+        degree[node] = 0
+        for neighbor, _ in adjacency[node]:
+            degree[neighbor] -= 1
+            if degree[neighbor] == 1 and neighbor not in index:
+                dangling.append(neighbor)
+    for node, d in enumerate(degree):
+        if d > 1 and node not in index:
+            index[node] = len(index)
+    return [
+        [(index[nb], lat) for nb, lat in adjacency[node] if nb in index]
+        for node in index
+    ]
 
 
 #: Per-source routing results, one ``(hops, latency)`` pair per client in
-#: ``client_ids`` order -- the unit of reuse between latency calibration
-#: and model construction (each needs the same N Dijkstra sweeps).
+#: ``client_ids`` order, each list indexed by *client position* -- the
+#: unit of reuse between latency calibration and model construction.
 RoutingSweep = List[Tuple[List[int], List[float]]]
 
 
 def client_routing_sweep(
     graph: RouterTopology, client_ids: Sequence[int]
 ) -> RoutingSweep:
-    """Run :func:`shortest_paths` once per client, in client order.
-
-    The result feeds both :func:`mean_client_latency_split` and
-    :meth:`ClientNetworkModel.from_topology`; computing it once and
-    passing it to both halves the dominant cost of building an Inet
-    model (N full Dijkstra sweeps over a 3000+-router graph).
-    """
-    return [shortest_paths(graph, source) for source in client_ids]
+    """Route from every client to every client, over the client core;
+    a client that cannot reach another is a ``ValueError``."""
+    core = _client_core(graph, client_ids)
+    n = len(client_ids)
+    sweep = []
+    for source in range(n):
+        hops, latency = (row[:n] for row in _route(core, source))
+        if min(hops) < 0:
+            raise ValueError(
+                f"client {client_ids[hops.index(-1)]} unreachable from "
+                f"client {client_ids[source]}"
+            )
+        sweep.append((hops, latency))
+    return sweep
 
 
 def mean_client_latency_split(
-    graph: RouterTopology,
-    client_ids: Sequence[int],
-    sweep: Optional[RoutingSweep] = None,
+    graph: RouterTopology, client_ids: Sequence[int], sweep: RoutingSweep
 ) -> Tuple[float, float]:
     """Mean client-pair latency split into (access part, router part).
 
     Clients are degree-1 leaves, so every client-to-client path crosses
     exactly the two endpoint access links; the access part is therefore
     the mean of the two access-link latencies over all pairs and the
-    router part is the remainder.  Used by latency calibration.
-
-    ``sweep`` allows reusing per-source routing results already computed
-    by :func:`client_routing_sweep` instead of re-running a full
-    Dijkstra per client.
+    router part is the remainder.  Used by latency calibration, on the
+    ``sweep`` that :func:`client_routing_sweep` returned for these clients.
     """
-    if len(client_ids) < 2:
+    n = len(client_ids)
+    if n < 2:
         raise ValueError("need at least two clients")
-    access = {
-        client: graph.adjacency[client][0][1] for client in client_ids
-    }
+    access = [graph.adjacency[client][0][1] for client in client_ids]
     total = 0.0
     access_total = 0.0
-    pair_count = 0
-    for index, source in enumerate(client_ids):
-        latency = (
-            sweep[index][1] if sweep is not None
-            else shortest_paths(graph, source)[1]
-        )
-        for target in client_ids[index + 1 :]:
-            total += latency[target]
-            access_total += access[source] + access[target]
-            pair_count += 1
+    for index, (_, latency) in enumerate(sweep):
+        access_source = access[index]
+        for pair_latency, access_target in zip(
+            latency[index + 1 :], access[index + 1 :]
+        ):
+            total += pair_latency
+            access_total += access_source + access_target
+    pair_count = n * (n - 1) // 2
     mean_total = total / pair_count
     mean_access = access_total / pair_count
     return mean_access, mean_total - mean_access
@@ -150,35 +198,16 @@ class ClientNetworkModel:
 
     @classmethod
     def from_topology(
-        cls,
-        graph: RouterTopology,
-        client_ids: Sequence[int],
-        sweep: Optional["RoutingSweep"] = None,
+        cls, graph: RouterTopology, client_ids: Sequence[int]
     ) -> "ClientNetworkModel":
-        """Build matrices by routing between the given client nodes.
-
-        ``sweep`` reuses per-source routing results already computed by
-        :func:`client_routing_sweep` (e.g. during Inet latency
-        calibration) instead of re-running a full Dijkstra per client.
-        """
-        n = len(client_ids)
-        latency_ms = [[0.0] * n for _ in range(n)]
-        hop_matrix = [[0] * n for _ in range(n)]
-        for i, source in enumerate(client_ids):
-            hops, latency = (
-                sweep[i] if sweep is not None else shortest_paths(graph, source)
-            )
-            for j, target in enumerate(client_ids):
-                if i == j:
-                    continue
-                if hops[target] < 0:
-                    raise ValueError(
-                        f"client {target} unreachable from client {source}"
-                    )
-                latency_ms[i][j] = latency[target]
-                hop_matrix[i][j] = hops[target]
-        positions = [graph.positions[c] for c in client_ids]
-        return cls(latency_ms, hop_matrix, positions)
+        """Build matrices by routing between the given nodes of ``graph``
+        (any nodes, not only leaves): the sweep's rows are the matrices."""
+        sweep = client_routing_sweep(graph, client_ids)
+        return cls(
+            [latency for _, latency in sweep],
+            [hops for hops, _ in sweep],
+            [graph.positions[c] for c in client_ids],
+        )
 
     @classmethod
     def from_scaled_sweep(
@@ -195,38 +224,28 @@ class ClientNetworkModel:
         paths hop-count-first routing picks (see
         :mod:`repro.topology.inet`), so the post-calibration latency of a
         client pair is ``access_i + access_j + factor * router_part`` --
-        derivable from the *unscaled* sweep without re-running Dijkstra.
+        derivable from the *unscaled* sweep without routing again.
         Client access links are degree-1 leaves excluded from scaling.
         """
-        n = len(client_ids)
         access = [graph.adjacency[client][0][1] for client in client_ids]
-        latency_ms = [[0.0] * n for _ in range(n)]
-        hop_matrix = [[0] * n for _ in range(n)]
-        for i, source in enumerate(client_ids):
-            hops, latency = sweep[i]
+        latency_ms = []
+        for i, (_, latency) in enumerate(sweep):
             access_i = access[i]
-            row = latency_ms[i]
-            hop_row = hop_matrix[i]
-            for j, target in enumerate(client_ids):
-                if i == j:
-                    continue
-                if hops[target] < 0:
-                    raise ValueError(
-                        f"client {target} unreachable from client {source}"
-                    )
-                router_part = latency[target] - access_i - access[j]
-                row[j] = access_i + access[j] + router_scale * router_part
-                hop_row[j] = hops[target]
+            row = [
+                access_i + access_j + router_scale * (lat - access_i - access_j)
+                for lat, access_j in zip(latency, access)
+            ]
+            row[i] = 0.0
+            latency_ms.append(row)
         positions = [graph.positions[c] for c in client_ids]
-        return cls(latency_ms, hop_matrix, positions)
+        return cls(latency_ms, [hops for hops, _ in sweep], positions)
 
     @classmethod
     def from_inet(cls, inet_topology: "InetTopology") -> "ClientNetworkModel":
         """Build from a :class:`repro.topology.inet.InetTopology`.
 
         Calibrated topologies carry the model derived from their
-        calibration sweep; reuse it rather than re-running a full
-        Dijkstra sweep per client.
+        calibration sweep; reuse it rather than routing again.
         """
         model = inet_topology.model
         if model is not None:

@@ -125,6 +125,7 @@ def test_replications_rejected_on_single_run_tables(table, capsys):
         ("--replications", "0"),
         ("--replications", "-2"),
         ("--clients", "0"),
+        ("--clients", "1"),
         ("--routers", "0"),
         ("--messages", "0"),
     ],
@@ -135,6 +136,42 @@ def test_out_of_range_sizes_exit_2_naming_the_flag(command, flag, value, capsys)
         main(command + [flag, value])
     assert exit_info.value.code == 2
     assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--clients", "0"), ("--clients", "1"), ("--clients", "-5"), ("--routers", "0")],
+)
+def test_topology_out_of_range_sizes_exit_2_naming_the_flag(flag, value, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["topology", flag, value])
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["topology", "--routers", "10"], "router_count=10"),
+        (["run", "eager", "--routers", "10"], "router_count=10"),
+        (["figure", "4", "--routers", "10"], "router_count=10"),
+        (["figure", "5.1", "--routers", "100", "--clients", "12"],
+         "router_count=100"),
+        (["topology", "--routers", "200", "--clients", "500"], "client_count=500"),
+        (["run", "radius", "--backend", "vector", "--clients", "1000"],
+         "client_count=1000"),
+    ],
+)
+def test_rejected_parameters_are_one_line_usage_errors(argv, field, capsys):
+    """Sizes that parse but that parameter/spec construction rejects end
+    in one ``repro: error:`` line naming the field, not in a traceback."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: error: ") and field in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def test_topology_save_writes_model_file(tmp_path, capsys):

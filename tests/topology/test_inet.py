@@ -6,6 +6,7 @@ import pytest
 
 from repro.topology.graph import NodeKind
 from repro.topology.inet import InetParameters, generate_inet
+from repro.topology.routing import ClientNetworkModel
 
 SMALL = InetParameters(router_count=200, client_count=20, transit_count=16,
                        transit_extra_degree=6)
@@ -83,6 +84,16 @@ def test_parameter_validation():
         InetParameters(router_count=20, transit_count=16, client_count=10)
     with pytest.raises(ValueError):
         InetParameters(transit_count=2)
+    # A mean pair latency needs a pair; a lone client is fine uncalibrated.
+    for clients in (1, 0, -5):
+        with pytest.raises(ValueError, match="client_count must be >= 2"):
+            InetParameters(client_count=clients)
+    with pytest.raises(ValueError, match="client_count must be >= 1"):
+        InetParameters(client_count=0, target_mean_latency_ms=None)
+    lone = InetParameters(
+        router_count=200, client_count=1, target_mean_latency_ms=None
+    )
+    assert ClientNetworkModel.from_inet(generate_inet(lone, seed=1)).size == 1
 
 
 def test_too_few_stub_routers_rejected_not_hung():

@@ -8,6 +8,7 @@ from repro.topology.geometry import Point
 from repro.topology.graph import NodeKind, RouterTopology
 from repro.topology.routing import (
     ClientNetworkModel,
+    client_routing_sweep,
     mean_client_latency_split,
     shortest_paths,
 )
@@ -64,7 +65,8 @@ def test_unreachable_nodes_marked():
 
 def test_mean_client_latency_split():
     graph, s, c0, c1 = chain_graph()
-    access, router = mean_client_latency_split(graph, [c0, c1])
+    sweep = client_routing_sweep(graph, [c0, c1])
+    access, router = mean_client_latency_split(graph, [c0, c1], sweep)
     assert access == pytest.approx(2.0)
     assert router == pytest.approx(20.0)
 
