@@ -34,12 +34,13 @@ item it left unfinished -- never a short result list.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 import traceback
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_EXCEPTION, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.experiments.runner import ExperimentResult, ExperimentSpec, run_experiment
 from repro.topology.cache import ModelLike, resolve_model
@@ -158,54 +159,56 @@ def _fan_out(
 
     for item in items:
         _check_picklable(item, what)
-    if initializer is not None:
+    context = multiprocessing.get_context()
+    if initializer is not None and context.get_start_method() != "fork":
+        # A forked worker inherits the initializer's payload; every other
+        # start method pickles it once per worker.
         _check_picklable(initargs, "initializer arguments")
 
     slots: List[Any] = [None] * total
-    done = 0
+    finished: Set[int] = set()
     with ProcessPoolExecutor(
         max_workers=min(workers, total),
+        mp_context=context,
         initializer=initializer,
         initargs=initargs,
     ) as pool:
-        futures = {
-            pool.submit(_guarded, call, index, item): item
-            for index, item in enumerate(items)
-        }
-        pending = set(futures)
-        while pending:
-            completed, pending = wait(pending, return_when=FIRST_EXCEPTION)
-            for future in completed:
-                try:
+        try:
+            futures: Dict["Future[Any]", Any] = {}
+            for index, item in enumerate(items):
+                futures[pool.submit(_guarded, call, index, item)] = item
+            pending = set(futures)
+            while pending:
+                completed, pending = wait(pending, return_when=FIRST_EXCEPTION)
+                for future in completed:
                     index, result, child_tb = future.result()
-                except BrokenProcessPool as exc:
-                    # The pool fails every unfinished future at once.
-                    lost = [
-                        item
-                        for other, item in futures.items()
-                        if not other.done() or other.exception() is not None
-                    ]
-                    raise ParallelExecutionError(
-                        f"a worker process died with {len(lost)} of {total} "
-                        f"{what}s unfinished, the first of them {lost[0]!r}",
-                        spec=lost,
-                    ) from exc
-                if child_tb is not None:
-                    # Cancellation is idempotent and order-insensitive;
-                    # results are keyed by submission index, so future
-                    # iteration order cannot reach any trace.
-                    for other in pending:  # noqa: DET003
-                        other.cancel()
-                    raise ParallelExecutionError(
-                        f"{what} {index + 1}/{total} failed in a worker "
-                        f"process:\n{child_tb}",
-                        spec=futures[future],
-                        child_traceback=child_tb,
-                    )
-                slots[index] = result
-                done += 1
-                if progress is not None:
-                    progress(done, total, futures[future])
+                    if child_tb is not None:
+                        # Cancellation is idempotent and order-insensitive;
+                        # results are keyed by submission index, so future
+                        # iteration order cannot reach any trace.
+                        for other in pending:  # noqa: DET003
+                            other.cancel()
+                        raise ParallelExecutionError(
+                            f"{what} {index + 1}/{total} failed in a worker "
+                            f"process:\n{child_tb}",
+                            spec=futures[future],
+                            child_traceback=child_tb,
+                        )
+                    slots[index] = result
+                    finished.add(index)
+                    if progress is not None:
+                        progress(len(finished), total, futures[future])
+        except BrokenProcessPool as exc:
+            # The pool fails every unfinished future at once, and refuses
+            # any submit still to come: a worker may die mid-dispatch.
+            lost = [
+                item for index, item in enumerate(items) if index not in finished
+            ]
+            raise ParallelExecutionError(
+                f"a worker process died with {len(lost)} of {total} "
+                f"{what}s unfinished, the first of them {lost[0]!r}",
+                spec=lost,
+            ) from exc
     return slots
 
 

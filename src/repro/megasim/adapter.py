@@ -685,6 +685,24 @@ def _slot_latency_stats(
     return mean, ci, walk(0.5), walk(0.95)
 
 
+def _slot_histogram(outcomes: "List[MessageOutcome]") -> Dict[int, int]:
+    """``{delivery slot: deliveries}`` over ``outcomes``, each message's
+    slots inserted in ascending order.  Latencies exclude the origin's
+    instantaneous local delivery."""
+    histogram: Dict[int, int] = {}
+    for outcome in outcomes:
+        # Slots are small ints, -1 for undelivered: one bincount of
+        # ``slot + 1`` needs no mask; bin 0 and the origin are taken out.
+        counts = np.bincount(outcome.deliver_slot + 1)
+        own = int(outcome.deliver_slot[outcome.origin])
+        if own >= 0:
+            counts[own + 1] -= 1
+        for slot, count in enumerate(counts[1:].tolist()):
+            if count:
+                histogram[slot] = histogram.get(slot, 0) + count
+    return histogram
+
+
 def summary_from_outcomes(
     outcomes: "List[MessageOutcome]",
     n: int,
@@ -717,25 +735,18 @@ def summary_from_outcomes(
     msg_sent = 0
     ihave_sent = 0
     iwant_sent = 0
-    slot_histogram: Dict[int, int] = {}
     for outcome in outcomes:
         deliveries += outcome.delivered_count
         msg_sent += outcome.msg_sent
         ihave_sent += outcome.ihave_sent
         iwant_sent += outcome.iwant_sent
-        # Latencies exclude the origin's instantaneous local delivery.
-        delivered = outcome.deliver_slot >= 0
-        delivered[outcome.origin] = False
-        slots, counts = np.unique(
-            outcome.deliver_slot[delivered], return_counts=True
-        )
-        for slot, count in zip(slots.tolist(), counts.tolist()):
-            slot_histogram[slot] = slot_histogram.get(slot, 0) + count
     # Link concentration straight from the outcomes' columnar link
     # arrays -- no per-link dicts, so this path holds at 10^6 nodes.
     if merged_links is None:
         merged_links = merge_link_arrays(outcomes)
-    mean, ci, median, p95 = _slot_latency_stats(slot_histogram, round_ms)
+    mean, ci, median, p95 = _slot_latency_stats(
+        _slot_histogram(outcomes), round_ms
+    )
     per_node_messages = messages * expected_receivers
     control = ihave_sent + iwant_sent
     total_bytes = msg_sent * payload_packet_size(payload_bytes) + (

@@ -6,12 +6,17 @@ matrix, fault masks -- into every per-message work item.  At 10^5-10^6
 nodes that is tens to hundreds of megabytes serialized per message,
 dwarfing the vectorized kernel itself.
 
-This module makes the environment **resident**: the parent flattens it
-into one :mod:`multiprocessing.shared_memory` block
-(:class:`MegasimArena`), workers attach the block in their pool
-initializer (:func:`install_worker_env`) and reconstruct numpy views
-*into the parent's pages* -- zero copies, zero per-task serialization.
-Tasks shrink to ``(message_index, origin)`` descriptors.
+This module makes the environment **resident**, installed once per
+worker by the pool initializer (:func:`install_worker_env`); tasks
+shrink to ``(message_index, origin)`` descriptors.  A worker *forked*
+from the parent already maps the parent's arrays copy-on-write, so
+under the ``fork`` start method the arrays ride the layout itself
+(``inline``), which fork never pickles.  Only workers that cannot
+inherit (``forkserver``, ``spawn``) need the segment: the parent
+flattens the arrays into one :mod:`multiprocessing.shared_memory` block
+(:class:`MegasimArena`), and workers attach it and reconstruct numpy
+views *into the parent's pages* -- zero copies, zero per-task
+serialization either way.
 
 Layout and cleanup contract:
 
@@ -31,11 +36,10 @@ Layout and cleanup contract:
   attachment; ownership stays with the parent (see
   :func:`_attach_segment` for the resource-tracker details).
 - When shared memory is unavailable (platform without ``/dev/shm``,
-  permission-restricted containers), the layout degrades to an
-  **inline** fallback carrying the arrays themselves: under the
-  ``fork`` start method they are copy-on-write shared anyway, under
-  ``spawn`` they are pickled once per *worker* (initializer) instead of
-  once per *message* -- ship-once semantics either way.
+  permission-restricted containers), a non-forking pool gets the
+  **inline** layout too: its arrays are pickled once per *worker*
+  (initializer) instead of once per *message* -- ship-once semantics
+  either way.
 
 Attached arrays are marked read-only: every worker maps the same
 physical pages, and the round kernel never writes the environment.
@@ -57,6 +61,7 @@ there is no region and the columns return by pickle.
 
 from __future__ import annotations
 
+import multiprocessing
 import sys
 import weakref
 from dataclasses import dataclass, field, replace
@@ -267,8 +272,9 @@ class MegasimArena:
     """Parent-side owner of one run's shared memory.
 
     Packs the named environment arrays into a single shared-memory
-    segment at construction and creates the :class:`OutcomeRegion`
-    beside it (:attr:`outcomes`; ``None`` without shared memory);
+    segment at construction -- unless the pool forks its workers, which
+    inherit them -- and creates the :class:`OutcomeRegion` beside it
+    (:attr:`outcomes`; ``None`` without shared memory);
     :attr:`layout` is the descriptor to ship to workers.  Use as a
     context manager (or call :meth:`close`) so both names are unlinked
     exactly once, whatever happens mid-run.
@@ -283,7 +289,11 @@ class MegasimArena:
         seeds: Tuple[Tuple[int, int], ...],
     ) -> None:
         arrays = _environment_arrays(topology, views, faults)
-        refs, segment = _pack_arrays(arrays)
+        refs: Tuple[Tuple[str, ArrayRef], ...] = ()
+        segment: Optional["shared_memory.SharedMemory"] = None
+        # A forked worker already maps the parent's arrays copy-on-write.
+        if multiprocessing.get_start_method() != "fork":
+            refs, segment = _pack_arrays(arrays)
         self._segment = segment
         self.outcomes = OutcomeRegion.create(spec.messages, spec.nodes)
         self._finalizer = weakref.finalize(
@@ -297,9 +307,8 @@ class MegasimArena:
             plane_side=side,
             arrays=refs,
             shm_name=segment.name if segment is not None else None,
-            # Fallback: no shared memory on this platform/container.
-            # Arrays ride inside the layout -- copy-on-write under fork,
-            # pickled once per worker under spawn.
+            # Without a segment the arrays ride inside the layout:
+            # inherited under fork, pickled once per worker otherwise.
             inline=arrays if segment is None else None,
             outcome_shm=(
                 self.outcomes.name if self.outcomes is not None else None

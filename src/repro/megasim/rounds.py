@@ -17,6 +17,9 @@ and ``carried_round[src]`` is written once (at delivery; the origin's at
 slot 0), so the round of every packet -- eager forward, IHAVE, and the
 pull answer that carries the advertised round -- is
 ``carried_round[src] + 1`` whenever it is read: for arrival winners.
+A forward step whose senders all carry one round tags its eager batch
+with it, and a slot whose arrivals are just that batch has no race to
+run: its winners are the hit nodes (:func:`_process_arrivals`).
 
 **The pull path** costs what fires in the slot, like the event kernel's
 ``RequestQueue``: due entries are popped from a slot timer wheel, not
@@ -89,6 +92,11 @@ Batch = Tuple[NDArray[np.int32], NDArray[np.int32]]
 #: Cap on the all-pairs target expansion of oracle full-fanout sends;
 #: beyond this, use a partial fanout or view-based sampling.
 _FULL_FANOUT_LIMIT = 1 << 24
+
+#: A uniform-round arrival batch of at least ``n >> _NODE_SIDE_SHIFT``
+#: packets is resolved by O(n) passes over the population instead of
+#: O(batch) passes over its packets.
+_NODE_SIDE_SHIFT = 3
 
 
 def receipt_round_histogram(
@@ -175,6 +183,9 @@ class _SlotQueues:
     pull_early: Dict[int, List[Batch]] = field(default_factory=dict)
     pull_late: Dict[int, List[Batch]] = field(default_factory=dict)
     advert: Dict[int, List[Batch]] = field(default_factory=dict)
+    #: The carried round every sender of a forward step's eager batch
+    #: shares, by arrival slot; no entry when the senders' rounds differ.
+    eager_round: Dict[int, int] = field(default_factory=dict)
 
     def surviving(self, batch: Batch) -> Batch:
         """The packets of ``batch`` that the fault filter lets arrive."""
@@ -183,11 +194,34 @@ class _SlotQueues:
         keep = self.faults.deliver_mask(*batch, self.loss_rng)
         return _rows(batch, np.flatnonzero(keep))
 
-    def push(self, queue: Dict[int, List[Batch]], slot: int, batch: Batch) -> None:
-        """Send ``batch`` (already counted as sent) to arrive at ``slot``."""
+    def push(
+        self,
+        queue: Dict[int, List[Batch]],
+        slot: int,
+        batch: Batch,
+        sent_round: Optional[int] = None,
+    ) -> None:
+        """Send ``batch`` (already counted as sent) to arrive at ``slot``;
+        ``sent_round`` tags it with the carried round of all its senders."""
         batch = self.surviving(batch)
         if batch[0].size:
             queue.setdefault(slot, []).append(batch)
+            if sent_round is not None:
+                self.eager_round[slot] = sent_round
+
+    def pop_arrivals(self, slot: int) -> Tuple[Optional[Batch], Optional[int]]:
+        """The slot's MSG arrivals in processing order, and the round
+        their senders all carry when the arrivals are a single tagged
+        eager batch (``None`` otherwise)."""
+        sent_round = self.eager_round.pop(slot, None)
+        if (
+            slot in self.pull_early
+            or slot in self.pull_late
+            or len(self.eager.get(slot, ())) != 1
+        ):
+            sent_round = None
+        arrivals = self.pop(slot, self.pull_early, self.eager, self.pull_late)
+        return arrivals, sent_round
 
     def pop(self, slot: int, *queues: Dict[int, List[Batch]]) -> Optional[Batch]:
         """The slot's batches of ``queues``, in that order, as one."""
@@ -368,8 +402,10 @@ class _LinkLog:
         keys = self._src[: self.size].astype(np.int64)
         keys *= n
         keys += self._dst[: self.size]
-        uniq, counts = np.unique(keys, return_counts=True)
-        return uniq, counts.astype(np.int64, copy=False)
+        keys.sort()  # values only: ties unobservable
+        starts = run_starts(keys)
+        sends = np.diff(starts, append=keys.size).astype(np.int64, copy=False)
+        return keys[starts], sends
 
 
 def _accumulate(
@@ -489,11 +525,12 @@ def disseminate(
         forwarding = carried < rounds
         senders = newly[forwarding]
         if senders.size:
+            sender_rounds = carried[forwarding]
             pairs = src, dst = sample_targets(rng, senders, fanout, n, views)
             k = src.shape[0] // senders.shape[0]
             rnd = None
             if evaluator.uses_round:
-                rnd = np.repeat(carried[forwarding] + 1, k)
+                rnd = np.repeat(sender_rounds + 1, k)
             eager = evaluator.eager_mask(src, dst, rnd, rng)
             sent = int(np.count_nonzero(eager))
             counters.msg_sent += sent
@@ -512,7 +549,9 @@ def disseminate(
                 state.payload_sent[senders] += eager.reshape(-1, k).sum(axis=1)
             if links is not None:
                 links.append(*payload)
-            queues.push(queues.eager, t + 1, payload)
+            low = int(sender_rounds.min())
+            uniform = low if low == int(sender_rounds.max()) else None
+            queues.push(queues.eager, t + 1, payload, sent_round=uniform)
             queues.push(queues.advert, t + 1, adverts)
 
         if not queues.busy():
@@ -547,10 +586,21 @@ def _process_arrivals(
     state: MessageState, queues: _SlotQueues, t: int, scratch: SlotScratch
 ) -> NDArray[np.int32]:
     """Apply this slot's MSG batches; returns the newly delivered nodes
-    in ascending id order."""
-    arrivals = queues.pop(t, queues.pull_early, queues.eager, queues.pull_late)
+    in ascending id order.
+
+    When every arriving packet carries the same round -- one forward
+    step's eager batch whose senders share round ``r``, no pull answers
+    -- which copy reaches a node first is unobservable: a node is
+    delivered at round ``r + 1`` iff it was hit at all.  Such a slot, once
+    its batch is large against the population, is resolved node-side
+    from the hit counts ``payload_received`` needs anyway, instead of by
+    per-packet passes; every other slot races its copies.
+    """
+    arrivals, sent_round = queues.pop_arrivals(t)
     if arrivals is None:
         return np.empty(0, dtype=NODE_DTYPE)
+    if sent_round is not None and arrivals[1].size >= scratch.n >> _NODE_SIDE_SHIFT:
+        return _deliver_hits(state, arrivals[1], t, sent_round + 1)
     # numpy widens an int32 index array on every use; do it once.
     src, dst = arrivals[0], arrivals[1].astype(np.intp)
     _accumulate(state.payload_received, dst)
@@ -566,6 +616,25 @@ def _process_arrivals(
     winners, first = winners[undelivered], first[undelivered]
     state.deliver_slot[winners] = t
     state.carried_round[winners] = state.carried_round[src[fresh[first]]] + 1
+    return winners.astype(NODE_DTYPE, copy=False)
+
+
+def _deliver_hits(
+    state: MessageState, dst: NDArray[np.int32], t: int, next_round: int
+) -> NDArray[np.int32]:
+    """:func:`_process_arrivals` for a slot whose every packet carries
+    ``next_round``: each hit node not yet received wins, in ascending id
+    order -- what the race returns -- and the origin's copy coming back
+    is filtered as there."""
+    counts = np.bincount(dst, minlength=state.received_slot.shape[0])
+    state.payload_received += counts
+    hit = counts > 0
+    hit &= state.received_slot == -1
+    winners = np.flatnonzero(hit)
+    state.received_slot[winners] = t
+    winners = winners[np.take(state.deliver_slot, winners) == -1]
+    state.deliver_slot[winners] = t
+    state.carried_round[winners] = next_round
     return winners.astype(NODE_DTYPE, copy=False)
 
 

@@ -13,9 +13,10 @@ engine.
 
 There is one dispatch path.  The environment -- topology, partial views,
 fault tables -- is made worker-resident by a
-:class:`~repro.megasim.arena.MegasimArena` (big arrays in one
-shared-memory segment attached zero-copy in the pool initializer,
-everything else shipped once per worker beside them), and tasks are
+:class:`~repro.megasim.arena.MegasimArena` (inherited copy-on-write by
+forked workers; otherwise big arrays in one shared-memory segment
+attached zero-copy in the pool initializer, everything else shipped
+once per worker beside them), and tasks are
 ``(message indices, origins)`` batch descriptors of a few bytes each,
 run against that environment with one
 :class:`~repro.megasim.rounds.SlotScratch` reused across the batch.
@@ -28,7 +29,6 @@ arrays through the pool's result pipe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -297,13 +297,21 @@ class _BatchTask:
         return outcomes
 
 
-def default_batch_size(messages: int, workers: int) -> int:
-    """Messages per dispatch: two waves per worker.
+#: Tasks each worker should see before the batches grow past one message.
+_TASKS_PER_WORKER = 16
 
-    Large enough to amortize pool round-trips, small enough that a slow
-    straggler batch cannot idle the other workers for long.
+
+def default_batch_size(messages: int, workers: int) -> int:
+    """Messages per dispatch: one, until every worker has
+    ``_TASKS_PER_WORKER`` tasks to draw from.
+
+    A worker that finishes a task takes the next pending one, so small
+    tasks keep every worker busy to the end of the run instead of
+    idling behind a fixed split; a task's round trip (a few integers
+    out, counters back) is small against one message's epidemic, and
+    runs with many messages still amortize it over larger batches.
     """
-    return max(1, math.ceil(messages / (workers * 2)))
+    return max(1, messages // (workers * _TASKS_PER_WORKER))
 
 
 def _batch_tasks(

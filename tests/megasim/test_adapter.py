@@ -6,6 +6,7 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from types import SimpleNamespace
 from unittest.mock import patch
 
 from hypothesis import given, settings
@@ -249,6 +250,38 @@ class TestResultAdapters:
         assert ci == pytest.approx(exact_ci)
         assert median == pytest.approx(percentile(expanded, 0.5))
         assert p95 == pytest.approx(percentile(expanded, 0.95))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        messages=st.lists(
+            st.tuples(
+                st.lists(st.integers(-1, 40), min_size=1, max_size=60),
+                st.integers(0, 59),
+            ),
+            max_size=4,
+        )
+    )
+    def test_slot_histogram_matches_np_unique(self, messages) -> None:
+        outcomes = [
+            SimpleNamespace(
+                origin=origin % len(slots),
+                deliver_slot=np.array(slots, dtype=np.int32),
+            )
+            for slots, origin in messages
+        ]
+        expected: "dict[int, int]" = {}
+        for outcome in outcomes:  # the np.unique form it replaced
+            delivered = outcome.deliver_slot >= 0
+            delivered[outcome.origin] = False
+            slots, counts = np.unique(
+                outcome.deliver_slot[delivered], return_counts=True
+            )
+            for slot, count in zip(slots.tolist(), counts.tolist()):
+                expected[slot] = expected.get(slot, 0) + count
+        histogram = adapter_module._slot_histogram(outcomes)
+        # Same entries, same insertion order, plain ints.
+        assert list(histogram.items()) == list(expected.items())
+        assert {type(v) for v in (*histogram, *histogram.values())} <= {int}
 
     def test_empty_outcomes(self) -> None:
         summary = summary_from_outcomes([], n=10, round_ms=50.0)

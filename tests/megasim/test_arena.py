@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+from contextlib import contextmanager
 from dataclasses import replace
 
 import pytest
@@ -76,7 +77,41 @@ def shm_segments() -> "set[str]":
         return set()
 
 
-def test_roundtrip_preserves_every_array() -> None:
+@contextmanager
+def pool_start_method(method: str):
+    """Arenas and pools built in this block use start method ``method``."""
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(method, force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(previous, force=True)
+
+
+@pytest.fixture
+def segment_path():
+    """Arenas for workers that cannot inherit the parent's memory."""
+    with pool_start_method("spawn"):
+        yield
+
+
+def test_forked_workers_inherit_the_environment() -> None:
+    topology, views, faults, seeds = build_environment()
+    before = shm_segments()
+    with pool_start_method("fork"):
+        with MegasimArena(SPEC, topology, views, faults, seeds) as arena:
+            assert arena.name is None and arena.layout.arrays == ()
+            # The parent's own arrays, not copies: fork never pickles them.
+            assert arena.layout.inline["views"] is views
+            if arena_module.shared_memory is not None:
+                region = arena.layout.outcome_shm
+                assert shm_segments() - before == {region.lstrip("/")}
+    assert shm_segments() - before == set()
+
+
+def test_roundtrip_preserves_every_array(segment_path) -> None:
     topology, views, faults, seeds = build_environment()
     with MegasimArena(SPEC, topology, views, faults, seeds) as arena:
         install_worker_env(arena.layout)
@@ -99,7 +134,7 @@ def test_roundtrip_preserves_every_array() -> None:
             clear_worker_env()
 
 
-def test_attached_arrays_are_read_only() -> None:
+def test_attached_arrays_are_read_only(segment_path) -> None:
     topology, views, faults, seeds = build_environment()
     with MegasimArena(SPEC, topology, views, faults, seeds) as arena:
         install_worker_env(arena.layout)
@@ -112,11 +147,12 @@ def test_attached_arrays_are_read_only() -> None:
             clear_worker_env()
 
 
-def test_segment_unlinked_on_normal_exit() -> None:
+def test_segment_unlinked_on_normal_exit(segment_path) -> None:
     topology, views, faults, seeds = build_environment()
     before = shm_segments()
     with MegasimArena(SPEC, topology, views, faults, seeds) as arena:
         name = arena.name
+        assert (name is None) == (arena_module.shared_memory is None)
         if name is not None:
             assert shm_segments() - before
     assert shm_segments() - before == set()
@@ -264,7 +300,7 @@ def test_serial_arena_clears_worker_env() -> None:
         current_env()
 
 
-def test_uniform_topology_needs_no_arrays_beyond_views() -> None:
+def test_uniform_topology_needs_no_arrays_beyond_views(segment_path) -> None:
     spec = MegasimSpec(
         strategy_factory=flat_factory(1.0),
         nodes=64,
@@ -302,7 +338,9 @@ CARRIED_TOPOLOGIES = {
 
 @pytest.mark.parametrize("shm", [True, False], ids=["shm", "no-shm"])
 @pytest.mark.parametrize("kind", sorted(CARRIED_TOPOLOGIES))
-def test_carried_topology_roundtrip(kind: str, shm: bool, monkeypatch) -> None:
+def test_carried_topology_roundtrip(
+    kind: str, shm: bool, monkeypatch, segment_path
+) -> None:
     """A topology that is not position arrays rides the layout as the
     object itself; views and fault tables still come from the segment."""
     if not shm:

@@ -5,11 +5,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+import repro.megasim.arena as arena_module
+from repro.experiments.parallel import ParallelExecutionError, run_tasks
 from repro.experiments.scenarios import (
     flat_factory,
     hybrid_factory,
@@ -19,6 +22,7 @@ from repro.experiments.scenarios import (
 )
 from repro.failures.gray import GrayFailurePlan
 from repro.megasim.adapter import DenseTopology
+from repro.megasim.arena import MegasimArena
 from repro.megasim.runner import (
     MegasimResult,
     MegasimSpec,
@@ -27,6 +31,7 @@ from repro.megasim.runner import (
 )
 from repro.topology.geometry import Point
 from repro.topology.routing import ClientNetworkModel
+from tests.megasim.test_arena import pool_start_method
 
 STRATEGIES = {
     "flat": flat_factory(0.6),
@@ -90,12 +95,74 @@ def assert_same_run(left: MegasimResult, right: MegasimResult) -> None:
     assert left.structure == right.structure
 
 
+#: ``fork`` workers inherit the environment; ``forkserver`` ones (Python
+#: 3.14's POSIX default) attach the shared segment.
+START_METHODS = ("fork", "forkserver")
+
+
+def arenas_built(monkeypatch) -> "list[MegasimArena]":
+    built = []
+    init = MegasimArena.__init__
+
+    def record(self, *args, **kwargs) -> None:
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(MegasimArena, "__init__", record)
+    return built
+
+
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
-def test_pooled_matches_serial_for_every_strategy(name: str) -> None:
-    # workers=1 installs the parent's own objects; workers=2 packs the
-    # shared segment and attaches it in each pool worker's initializer.
+def test_pooled_matches_serial_for_every_strategy(name: str, monkeypatch) -> None:
+    # workers=1 installs the parent's own objects; workers=2 hands the
+    # environment to each pool worker's initializer -- inherited under
+    # fork, through the shared segment otherwise.
     spec = spec_for(STRATEGIES[name])
-    assert_same_run(run_megasim(spec, workers=1), run_megasim(spec, workers=2))
+    serial = run_megasim(spec, workers=1)
+    arenas = arenas_built(monkeypatch)
+    for method in START_METHODS:
+        with pool_start_method(method):
+            assert_same_run(serial, run_megasim(spec, workers=2))
+        arena = arenas.pop()
+        if arena_module.shared_memory is not None:
+            assert arena.layout.outcome_shm is not None
+            assert (arena.name is None) == (method == "fork")
+        assert (arena.layout.inline is not None) == (arena.name is None)
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        raise TypeError("this payload refuses to be pickled")
+
+
+_INSTALLED = None
+
+
+def _install(payload) -> None:
+    global _INSTALLED
+    _INSTALLED = payload
+
+
+def _installed_type() -> str:
+    return type(_INSTALLED).__name__
+
+
+@pytest.mark.parametrize("method", START_METHODS)
+def test_initializer_payload_is_pickled_only_when_workers_need_it(
+    method: str,
+) -> None:
+    run = partial(
+        run_tasks, [_installed_type, _installed_type], workers=2,
+        initializer=_install, initargs=(_Unpicklable(),),
+    )
+    with pool_start_method(method):
+        if method == "fork":
+            assert run() == ["_Unpicklable", "_Unpicklable"]
+        else:
+            with pytest.raises(
+                ParallelExecutionError, match="initializer arguments"
+            ):
+                run()
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
@@ -129,11 +196,20 @@ def test_worker_count_invariance_across_batch_boundaries() -> None:
     assert fingerprints(serial) == fingerprints(pooled)
 
 
-def test_default_batch_size_is_two_waves_per_worker() -> None:
-    assert default_batch_size(64, 4) == 8
-    assert default_batch_size(7, 2) == 2
+def test_default_batch_size_is_one_message_until_workers_have_many_tasks() -> None:
+    # The benchmark's 32 messages over 2 workers: 32 one-message tasks.
+    assert default_batch_size(32, 2) == 1
+    assert default_batch_size(64, 4) == 1
+    assert default_batch_size(7, 2) == 1
     assert default_batch_size(1, 8) == 1
-    assert default_batch_size(100, 1) == 50
+    assert default_batch_size(64, 2) == 2
+    assert default_batch_size(1000, 2) == 31
+    for messages in range(1, 300):
+        for workers in (1, 2, 3, 8):
+            size = default_batch_size(messages, workers)
+            tasks = -(-messages // size)
+            assert size >= 1
+            assert tasks >= min(messages, 16 * workers)
 
 
 def test_bad_batch_size_rejected() -> None:

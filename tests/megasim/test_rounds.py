@@ -26,6 +26,7 @@ from repro.experiments.scenarios import (
 from repro.failures.injection import FailurePlan
 from repro.megasim import rounds
 from repro.megasim.adapter import (
+    CompiledFaults,
     PlaneTopology,
     UniformTopology,
     build_views,
@@ -257,6 +258,188 @@ def test_arrival_resolver_matches_per_packet_loop(slot) -> None:
     assert state.payload_received.tolist() == payload_received
     assert not queues.busy()
     assert (scratch.first_pos == -1).all()
+
+
+# -- node-side resolution, held to the race it skips ---------------------------
+#
+# ``_process_arrivals`` / ``_first_occurrences`` before uniform-round slots
+# were resolved from hit counts, verbatim (module names qualified).
+
+
+def _racing_process_arrivals(state, queues, t, scratch):
+    """Apply this slot's MSG batches; returns the newly delivered nodes
+    in ascending id order."""
+    arrivals = queues.pop(t, queues.pull_early, queues.eager, queues.pull_late)
+    if arrivals is None:
+        return np.empty(0, dtype=NODE_DTYPE)
+    # numpy widens an int32 index array on every use; do it once.
+    src, dst = arrivals[0], arrivals[1].astype(np.intp)
+    rounds._accumulate(state.payload_received, dst)
+    # Everything below runs on the packets to not-yet-received nodes only.
+    fresh = np.flatnonzero(np.take(state.received_slot, dst) == -1)
+    if fresh.size == 0:
+        return np.empty(0, dtype=NODE_DTYPE)
+    winners, first = _racing_first_occurrences(np.take(dst, fresh), scratch)
+    state.received_slot[winners] = t
+    # The origin already delivered locally; its first MSG arrival is a
+    # scheduler-layer duplicate and changes nothing at the gossip layer.
+    undelivered = np.take(state.deliver_slot, winners) == -1
+    winners, first = winners[undelivered], first[undelivered]
+    state.deliver_slot[winners] = t
+    state.carried_round[winners] = state.carried_round[src[fresh[first]]] + 1
+    return winners.astype(NODE_DTYPE, copy=False)
+
+
+def _racing_first_occurrences(dst, scratch):
+    """``np.unique(dst, return_index=True)`` without the sort."""
+    if dst.size < scratch.n // 4:
+        return np.unique(dst, return_index=True)
+    first_pos = scratch.first_pos
+    positions = scratch.arange(dst.size)
+    # Writing positions in descending order means the lowest index --
+    # the first occurrence -- lands last and wins.
+    first_pos[dst[::-1]] = positions[::-1]
+    winners = np.flatnonzero(first_pos >= 0)
+    first = first_pos[winners]
+    first_pos[winners] = -1  # restore the rest state for the next slot
+    return winners, first
+
+
+def _columns(packets):
+    src = np.array([s for s, _ in packets], dtype=NODE_DTYPE)
+    dst = np.array([d for _, d in packets], dtype=NODE_DTYPE)
+    return src, dst
+
+
+@st.composite
+def _tagged_arrival_slots(draw):
+    """One slot whose eager batch comes from senders of one round (tagged)
+    or of several (untagged), with or without pull answers and loss."""
+    n = draw(st.integers(4, 48))
+    origin = draw(st.integers(0, n - 1))
+    infected = draw(st.sets(st.integers(0, n - 1), max_size=n - 1)) - {origin}
+    carried = {origin: 0}
+    carried.update({node: draw(st.integers(1, 3)) for node in sorted(infected)})
+    origin_received = draw(st.booleans())
+    senders = sorted(carried)
+    sent_round = None
+    if draw(st.booleans()):
+        sent_round = draw(st.sampled_from(sorted(set(carried.values()))))
+        senders = [node for node in senders if carried[node] == sent_round]
+    # Up to 3n packets: both sides of the n >> _NODE_SIDE_SHIFT switch,
+    # duplicate destinations, and the origin's own copy coming back.
+    eager = draw(st.lists(
+        st.tuples(st.sampled_from(senders), st.integers(0, n - 1)),
+        max_size=3 * n,
+    ))
+    answer = st.tuples(st.sampled_from(sorted(carried)), st.integers(0, n - 1))
+    pulls = {
+        name: draw(st.lists(st.lists(answer, max_size=n), max_size=1))
+        for name in ("pull_early", "pull_late")
+    }
+    loss = draw(st.sampled_from([0.0, 0.0, 0.4]))
+    seed = draw(st.integers(0, 2**16))
+    return n, origin, carried, origin_received, sent_round, eager, pulls, loss, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot=_tagged_arrival_slots())
+def test_node_side_arrivals_match_the_race(slot) -> None:
+    """Kills, one token each: ``!=`` for ``==`` in the forward step's tag
+    (via the ``disseminate`` property below), ``<`` for ``>=`` at the
+    switch, ``!= -1`` for ``== -1`` in the delivered filter, ``r + 2``
+    for ``r + 1``."""
+    n, origin, carried, origin_received, sent_round, eager, pulls, loss, seed = slot
+    t = 9
+
+    def slot_state():
+        state = MessageState(n)
+        for node, rnd in carried.items():
+            state.deliver_slot[node] = state.carried_round[node] = rnd
+            if node != origin:
+                state.received_slot[node] = rnd
+        if origin_received:
+            state.received_slot[origin] = 2
+        faults = CompiledFaults(n, loss_probability=loss) if loss else None
+        queues = _SlotQueues(faults, np.random.default_rng(seed))
+        for name, batches in pulls.items():
+            for batch in batches:
+                queues.push(getattr(queues, name), t, _columns(batch))
+        queues.push(queues.eager, t, _columns(eager), sent_round=sent_round)
+        return state, queues
+
+    expected, queues = slot_state()
+    expected_newly = _racing_process_arrivals(expected, queues, t, SlotScratch(n))
+
+    state, queues = slot_state()
+    batches = queues.eager.get(t, [])
+    pulled = t in queues.pull_early or t in queues.pull_late
+    node_side = (
+        sent_round is not None
+        and not pulled
+        and len(batches) == 1
+        and batches[0][1].size >= n >> rounds._NODE_SIDE_SHIFT
+    )
+    scratch = SlotScratch(n)
+    with mock.patch.object(
+        rounds, "_accumulate", wraps=rounds._accumulate
+    ) as racing:
+        newly = _process_arrivals(state, queues, t, scratch)
+    assert racing.called == (bool(batches or pulled) and not node_side)
+    assert newly.dtype == expected_newly.dtype
+    assert newly.tolist() == expected_newly.tolist()
+    for column in (
+        "received_slot", "deliver_slot", "carried_round", "payload_received"
+    ):
+        assert getattr(state, column).tobytes() == getattr(expected, column).tobytes()
+    assert not queues.busy() and not queues.eager_round
+    assert (scratch.first_pos == -1).all()
+
+
+def test_uniform_slot_delivers_every_hit_node_at_the_next_round() -> None:
+    # Senders 3 and 5 carry round 2; node 3 is hit again (already
+    # received), the origin's own copy comes back, 7 is hit twice.
+    state = MessageState(N)
+    state.deliver_slot[0] = state.carried_round[0] = 0
+    for node in (3, 5):
+        state.deliver_slot[node] = state.received_slot[node] = 2
+        state.carried_round[node] = 2
+    queues = _SlotQueues(None, None)
+    packets = [(3, 7), (5, 7), (5, 0), (3, 3), (5, 12)]
+    queues.push(queues.eager, 4, _columns(packets), sent_round=2)
+    with mock.patch.object(rounds, "_first_occurrences") as race:
+        newly = _process_arrivals(state, queues, 4, SlotScratch(N))
+    race.assert_not_called()
+    assert newly.tolist() == [7, 12]
+    assert state.carried_round[[7, 12]].tolist() == [3, 3]
+    assert state.deliver_slot[[0, 3, 7, 12]].tolist() == [0, 2, 4, 4]
+    assert state.received_slot[[0, 3]].tolist() == [4, 2]
+    assert state.payload_received[[0, 3, 7, 12]].tolist() == [1, 1, 2, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 60),
+    capacity=st.integers(1, 8),
+    chunks=st.lists(
+        st.lists(st.tuples(st.integers(0, 59), st.integers(0, 59)), max_size=50),
+        max_size=4,
+    ),
+)
+def test_link_log_finalize_matches_np_unique(n, capacity, chunks) -> None:
+    log = rounds._LinkLog(capacity)
+    keys = []
+    for chunk in chunks:
+        src, dst = _columns([(s % n, d % n) for s, d in chunk])
+        log.append(src, dst)
+        keys.extend((src.astype(np.int64) * n + dst).tolist())
+    expected_keys, expected_sends = np.unique(
+        np.array(keys, dtype=np.int64), return_counts=True
+    )
+    link_keys, link_sends = log.finalize(n)
+    assert link_keys.dtype == np.int64 and link_sends.dtype == np.int64
+    assert link_keys.tobytes() == expected_keys.tobytes()
+    assert link_sends.tobytes() == expected_sends.astype(np.int64).tobytes()
 
 
 def _stable_sort_sample_without_replacement(rng, rows, k, population):
@@ -550,6 +733,26 @@ def test_request_path_matches_full_scan_version(
 ) -> None:
     case = (n, degree, loss, crashes, name, snap, delay, retry, seed)
     with _full_scan_kernel():
+        expected = _pull_run(*case)
+    assert _pull_run(*case) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(12, 80),
+    degree=st.integers(3, 10),
+    loss=st.sampled_from([0.0, 0.1, 0.3]),
+    crashes=st.sampled_from([0.0, 0.1]),
+    name=st.sampled_from(sorted(_PULL_STRATEGIES)),
+    seed=st.integers(0, 2**16),
+)
+def test_disseminate_matches_the_racing_resolver(
+    n, degree, loss, crashes, name, seed
+) -> None:
+    # Pull answers and eager forwards of several rounds meet in these
+    # runs, so a forward step tagging a mixed-round batch shows.
+    case = (n, degree, loss, crashes, name, False, 0, 3, seed)
+    with mock.patch.object(rounds, "_process_arrivals", _racing_process_arrivals):
         expected = _pull_run(*case)
     assert _pull_run(*case) == expected
 
