@@ -24,6 +24,7 @@ from repro.metrics.recorder import MetricsRecorder
 from repro.network.fabric import FabricConfig, NetworkFabric
 from repro.network.transport import ConnectionTransport
 from repro.sim.engine import Simulator
+from repro.sim.rng import sample
 from repro.topology.routing import ClientNetworkModel
 
 
@@ -58,7 +59,7 @@ def _run_system(
     elif failed_fraction > 0:
         rng = sim.rng.stream("baseline.failures")
         count = int(round(failed_fraction * model.size))
-        failed = rng.sample(range(model.size), count)
+        failed = sample(rng, range(model.size), count)
     if failed:
         for node in failed:
             fabric.silence(node)

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.network.fabric import LinkProfile
+from repro.sim.rng import sample
 
 if TYPE_CHECKING:
     from repro.runtime.cluster import Cluster
@@ -103,7 +104,7 @@ class GrayFailureInjector:
 
         slow_count = int(round(plan.slow_fraction * n))
         if slow_count:
-            applied.slow_nodes = sorted(self._rng.sample(population, slow_count))
+            applied.slow_nodes = sorted(sample(self._rng, population, slow_count))
             for node in applied.slow_nodes:
                 fabric.set_node_slowdown(
                     node,
@@ -120,7 +121,7 @@ class GrayFailureInjector:
                     extra_latency_ms=plan.link_extra_latency_ms,
                     duplicate_probability=plan.link_duplicate_probability,
                 )
-                applied.lossy_links = sorted(self._rng.sample(links, count))
+                applied.lossy_links = sorted(sample(self._rng, links, count))
                 for src, dst in applied.lossy_links:
                     fabric.set_link(src, dst, profile)
 
@@ -129,7 +130,7 @@ class GrayFailureInjector:
             candidates = [p for p in population if p not in set(applied.slow_nodes)]
             flappy_count = min(flappy_count, len(candidates))
             applied.flappy_nodes = sorted(
-                self._rng.sample(candidates, flappy_count)
+                sample(self._rng, candidates, flappy_count)
             )
             for node in applied.flappy_nodes:
                 self._flap_state[node] = True  # currently up

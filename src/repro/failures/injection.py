@@ -6,6 +6,8 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro.sim.rng import sample
+
 if TYPE_CHECKING:
     from repro.runtime.cluster import Cluster
 
@@ -52,7 +54,7 @@ class FailureInjector:
         if count == 0:
             return []
         if plan.target == "random":
-            victims = self._rng.sample(population, count)
+            victims = sample(self._rng, population, count)
         else:
             population_set = set(population)
             already_failed = set(self.failed)
@@ -66,7 +68,7 @@ class FailureInjector:
                 # Not enough ranked nodes supplied; fill uniformly.
                 victim_set = set(victims) | already_failed
                 rest = [n for n in population if n not in victim_set]
-                victims += self._rng.sample(rest, count - len(victims))
+                victims += sample(self._rng, rest, count - len(victims))
         for node in victims:
             self.cluster.silence(node)
         self.failed.extend(victims)

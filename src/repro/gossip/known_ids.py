@@ -19,21 +19,20 @@ from collections import OrderedDict
 from typing import Optional
 
 
-class KnownIds:
-    """An insertion-ordered set of message ids with LRU-style eviction."""
+class KnownIds(OrderedDict[int, float]):
+    """An insertion-ordered set of message ids with LRU-style eviction.
+
+    Stored as the ordered map ``id -> time recorded``; subclassing the
+    map keeps ``message_id in known`` -- the duplicate check every
+    received copy makes -- a C-level lookup.
+    """
 
     def __init__(self, capacity: int = 4096) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
+        super().__init__()
         self.capacity = capacity
-        self._ids: "OrderedDict[int, float]" = OrderedDict()
         self.evicted = 0
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def __contains__(self, message_id: int) -> bool:
-        return message_id in self._ids
 
     def add(self, message_id: int, now: float = 0.0) -> Optional[int]:
         """Record ``message_id``; returns an evicted id when over capacity.
@@ -41,25 +40,25 @@ class KnownIds:
         Re-adding a known id refreshes its position (it is clearly still
         active) instead of inserting a duplicate.
         """
-        if message_id in self._ids:
-            self._ids.move_to_end(message_id)
-            self._ids[message_id] = now
+        if message_id in self:
+            self.move_to_end(message_id)
+            self[message_id] = now
             return None
-        self._ids[message_id] = now
-        if len(self._ids) > self.capacity:
-            evicted_id, _ = self._ids.popitem(last=False)
+        self[message_id] = now
+        if len(self) > self.capacity:
+            evicted_id, _ = self.popitem(last=False)
             self.evicted += 1
             return evicted_id
         return None
 
     def seen_at(self, message_id: int) -> Optional[float]:
         """When the id was (last) recorded, or ``None`` if unknown."""
-        return self._ids.get(message_id)
+        return self.get(message_id)
 
     def expire_before(self, cutoff: float) -> int:
         """Drop ids recorded before ``cutoff``; returns how many."""
-        stale = [mid for mid, at in self._ids.items() if at < cutoff]
+        stale = [mid for mid, at in self.items() if at < cutoff]
         for mid in stale:
-            del self._ids[mid]
+            del self[mid]
         self.evicted += len(stale)
         return len(stale)

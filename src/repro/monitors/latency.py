@@ -20,6 +20,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.network.message import control_packet_size
 from repro.sim.engine import Simulator
+from repro.sim.rng import sample
 from repro.sim.timers import PeriodicTimer
 
 PING = "PING"
@@ -132,7 +133,7 @@ class RuntimeLatencyMonitor:
         if not neighbors:
             return
         count = min(self.config.probes_per_tick, len(neighbors))
-        for peer in self._rng.sample(neighbors, count):
+        for peer in sample(self._rng, neighbors, count):
             self._note_probe(peer)
             self._send(peer, PING, self.sim.now, control_packet_size())
 

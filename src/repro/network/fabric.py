@@ -17,6 +17,17 @@ Every packet outcome is reported to an optional :class:`PacketObserver`,
 which is how the metrics recorder sees traffic without the protocol code
 having to do any accounting.
 
+Packets enter in bursts: :meth:`NetworkFabric.send_many` takes the
+copies one sender hands over at one instant (a gossip forward's ``f``
+copies), and :meth:`NetworkFabric.send` is a burst of one.  A burst is
+reported to the observer once (``on_send`` for a lone packet,
+``on_send_burst`` for more), and on the healthy path it reserves the
+sender's NIC as one running sum, reads one latency row and schedules its
+deliveries as consecutive events -- the same sequence numbers, NIC
+departures and draws as one send per packet.  The in-flight record is
+the delivery event itself (:class:`SendReceipt`): its ``time`` is the
+delivery time and its ``args`` hold the packet.
+
 Beyond the paper's clean crash-stop model the fabric supports *gray*
 failures (see :mod:`repro.failures.gray`): per-node slowdowns (degraded
 NIC bandwidth and/or added service delay on every packet the node sends
@@ -26,9 +37,8 @@ one direction).  All gray knobs draw randomness from a dedicated stream
 so enabling them never perturbs the base fabric's seeded behaviour.
 
 The healthy run -- no loss, no jitter, no gray state; an observer is
-allowed -- is the short one (:attr:`NetworkFabric.fast_path`): ``send``
-reports ``on_send``, reserves the NIC, indexes the latency row and
-schedules the delivery.  Any impairment routes sends through
+allowed -- is the short one (:attr:`NetworkFabric.fast_path`).  Any
+impairment routes each packet of a burst, in order, through
 ``_send_full``, the one path that draws randomness.
 """
 
@@ -37,15 +47,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
-from repro.network.message import Packet, SlotRecord
+from repro.network.message import Packet
 from repro.network.nic import NetworkInterface
 from repro.sim.engine import Simulator
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 from repro.topology.routing import ClientNetworkModel
 
 
 class PacketObserver(Protocol):
-    """Sink for fabric-level traffic events (implemented by metrics)."""
+    """Sink for fabric-level traffic events (implemented by metrics).
+
+    A burst of several packets is reported through ``on_send_burst``
+    when the observer has it, else through one ``on_send`` per packet.
+    """
 
     def on_send(self, packet: Packet, now: float) -> None: ...
 
@@ -107,17 +121,38 @@ class LinkProfile:
 Handler = Callable[[Packet], None]
 
 
-class SendReceipt(SlotRecord):
-    """Tracks one in-flight packet so it can be purged mid-flight."""
+class SendReceipt(Event):
+    """An in-flight packet: the delivery event scheduled for it.
 
-    __slots__ = ("packet", "handle", "deliver_at")
+    ``args`` is ``(packet,)`` and ``time`` the delivery time; a receipt
+    is its own cancellation handle, so purging one mid-flight is
+    :meth:`NetworkFabric.abort`.
+    """
 
-    def __init__(
-        self, packet: Packet, handle: EventHandle, deliver_at: float
-    ) -> None:
-        self.packet = packet
-        self.handle = handle
-        self.deliver_at = deliver_at
+    __slots__ = ()
+
+    @property
+    def packet(self) -> Packet:
+        return self.args[0]
+
+    @property
+    def deliver_at(self) -> float:
+        return self.time
+
+    @property
+    def handle(self) -> "SendReceipt":
+        return self
+
+
+def _observe_burst(
+    observer: PacketObserver, packets: Sequence[Packet], now: float
+) -> None:
+    burst = getattr(observer, "on_send_burst", None)
+    if burst is not None:
+        burst(packets, now)
+        return
+    for packet in packets:
+        observer.on_send(packet, now)
 
 
 class NetworkFabric:
@@ -305,49 +340,67 @@ class NetworkFabric:
 
     def send(
         self, packet: Packet, min_deliver_at: float = 0.0
-    ) -> Optional["SendReceipt"]:
-        """Inject a packet.
+    ) -> Optional[SendReceipt]:
+        """Inject one packet: a burst of one (see :meth:`send_many`)."""
+        return self.send_many((packet,), (min_deliver_at,))[0]
 
-        ``min_deliver_at`` floor-bounds the delivery time; the connection
-        layer uses it to enforce per-connection FIFO ordering.  Returns a
-        :class:`SendReceipt` for in-flight packets, or ``None`` when the
-        packet was dropped at the source (silenced sender or loss).
+    def send_many(
+        self, packets: Sequence[Packet], floors: Sequence[float]
+    ) -> Sequence[Optional[SendReceipt]]:
+        """Inject a burst: packets one sender hands over at this instant.
 
-        The healthy common case (:meth:`_refresh_fast_path`) takes a slim
-        branch that performs exactly the same arithmetic as the full path
-        with every inactive stage skipped.  That configuration draws no
-        randomness on the full path either, so the two cannot diverge;
-        silenced and partitioned sends stay on the full path, so every
-        packet is observed exactly once.
+        ``floors[i]`` floor-bounds packet ``i``'s delivery time; the
+        connection layer uses it to enforce per-connection FIFO ordering.
+        Returns, per packet, its :class:`SendReceipt` while in flight, or
+        ``None`` when it was dropped at the source (silenced sender,
+        partition or loss).
+
+        The healthy common case (:meth:`_refresh_fast_path`) performs
+        exactly the arithmetic of the full path with every inactive stage
+        skipped -- that configuration draws no randomness on the full
+        path either, so the two cannot diverge.  Silenced and partitioned
+        senders stay on the full path, so every packet is observed
+        exactly once.
         """
         sim = self.sim
         now = sim.now
-        packet.sent_at = now
-        src = packet.src
+        sizes = []
+        for packet in packets:
+            packet.sent_at = now
+            sizes.append(packet.size_bytes)
+        observer = self.observer
+        if observer is not None:
+            if len(packets) == 1:
+                observer.on_send(packets[0], now)
+            else:
+                _observe_burst(observer, packets, now)
+        src = packets[0].src
         if (
             self._fast_path
             and self._partition_of is None
             and not self._silenced[src]
         ):
-            observer = self.observer
-            if observer is not None:
-                observer.on_send(packet, now)
-            deliver_at = self.nics[src].transmission_done_at(
-                now, packet.size_bytes
-            ) + self._latency_rows[src][packet.dst]
-            if deliver_at < min_deliver_at:
-                deliver_at = min_deliver_at
-            handle = sim.schedule_at(deliver_at, self._deliver, packet)
-            return SendReceipt(packet, handle, deliver_at)
-        return self._send_full(packet, now, min_deliver_at)
+            departures = self.nics[src].transmissions_done_at(now, sizes)
+            row = self._latency_rows[src]
+            times = []
+            args = []
+            for packet, departed, floor in zip(packets, departures, floors):
+                deliver_at = departed + row[packet.dst]
+                if deliver_at < floor:
+                    deliver_at = floor
+                times.append(deliver_at)
+                args.append((packet,))
+            return sim.schedule_at_many(times, self._deliver, args, SendReceipt)
+        return [
+            self._send_full(packet, now, floor)
+            for packet, floor in zip(packets, floors)
+        ]
 
     def _send_full(
         self, packet: Packet, now: float, min_deliver_at: float
-    ) -> Optional["SendReceipt"]:
-        """The full send path: observers, loss, jitter, gray failures."""
-        if self.observer is not None:
-            self.observer.on_send(packet, now)
-
+    ) -> Optional[SendReceipt]:
+        """The full send path of one (observed) packet: silencing,
+        partitions, loss, jitter, gray failures."""
         if self._silenced[packet.src]:
             self._drop(packet, "sender-silenced")
             return None
@@ -384,7 +437,9 @@ class NetworkFabric:
             delay += self._service_delay.get(packet.src, 0.0)
             delay += self._service_delay.get(packet.dst, 0.0)
         deliver_at = max(serialized_at + delay, min_deliver_at)
-        handle = self.sim.schedule_at(deliver_at, self._deliver, packet)
+        receipt = self.sim.schedule_at_many(
+            (deliver_at,), self._deliver, ((packet,),), SendReceipt
+        )[0]
         if (
             link is not None
             and link.duplicate_probability > 0.0
@@ -393,13 +448,13 @@ class NetworkFabric:
             # A duplicating middlebox: the copy trails the original by
             # one extra propagation delay.
             self.sim.schedule_at(deliver_at + delay, self._deliver, packet)
-        return SendReceipt(packet, handle, deliver_at)
+        return receipt
 
-    def abort(self, receipt: "SendReceipt", reason: str = "purged") -> None:
+    def abort(self, receipt: SendReceipt, reason: str = "purged") -> None:
         """Cancel an in-flight packet (connection-buffer purging)."""
-        if receipt.handle.pending:
-            receipt.handle.cancel()
-            self._drop(receipt.packet, reason)
+        if not (receipt.fired or receipt.cancelled):
+            receipt.cancel()
+            self._drop(receipt.args[0], reason)
 
     def _deliver(self, packet: Packet) -> None:
         silenced = self._silenced

@@ -12,15 +12,16 @@ order.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Sequence
 
 
 class NetworkInterface:
     """Tracks when a node's uplink is next free.
 
-    The fabric asks :meth:`transmission_done_at` for every outgoing
-    packet; the answer is when the last byte leaves the host, i.e. the
-    earliest moment propagation delay can start.
+    The fabric asks :meth:`transmissions_done_at` for every burst of
+    outgoing packets (:meth:`transmission_done_at` for one); the answer
+    is when each packet's last byte leaves the host, i.e. the earliest
+    moment its propagation delay can start.
     """
 
     def __init__(self, bandwidth_bytes_per_ms: Optional[float]) -> None:
@@ -47,17 +48,36 @@ class NetworkInterface:
     def transmission_done_at(self, now: float, size_bytes: int) -> float:
         """Reserve uplink time for a packet; return its serialization
         completion time."""
-        self.bytes_sent += size_bytes
-        self.packets_sent += 1
-        if self.bandwidth_bytes_per_ms is None:
-            return now
-        start = self._uplink_free_at
-        if start < now:
-            start = now
-        duration = size_bytes * self.slowdown / self.bandwidth_bytes_per_ms
-        self._uplink_free_at = start + duration
-        self.busy_time_ms += duration
-        return self._uplink_free_at
+        return self.transmissions_done_at(now, (size_bytes,))[0]
+
+    def transmissions_done_at(
+        self, now: float, sizes: Sequence[int]
+    ) -> List[float]:
+        """Reserve uplink time for packets handed over back to back at
+        ``now``; return their serialization completion times, in order.
+
+        A running sum: each packet starts where the previous one ended,
+        with the same float additions as one reservation per packet.
+        """
+        self.bytes_sent += sum(sizes)
+        self.packets_sent += len(sizes)
+        bandwidth = self.bandwidth_bytes_per_ms
+        if bandwidth is None:
+            return [now] * len(sizes)
+        slowdown = self.slowdown
+        free_at = self._uplink_free_at
+        if free_at < now:
+            free_at = now
+        busy = self.busy_time_ms
+        done: List[float] = []
+        for size in sizes:
+            duration = size * slowdown / bandwidth
+            free_at += duration
+            busy += duration
+            done.append(free_at)
+        self._uplink_free_at = free_at
+        self.busy_time_ms = busy
+        return done
 
     @property
     def queue_delay(self) -> float:

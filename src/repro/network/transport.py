@@ -1,9 +1,11 @@
 """Point-to-point transports for protocol code.
 
 Protocol layers talk to an :class:`Endpoint` bound to their node id:
-``endpoint.send(dst, kind, payload, size_bytes)`` out,
-``receiver(src, kind, payload)`` in.  Two transports implement the
-endpoint factory:
+``endpoint.send(dst, kind, payload, size_bytes)`` or, for several
+messages handed over at one instant, ``endpoint.send_many(messages)``
+out; a per-kind table of receivers (``endpoint.listen(table)``, the
+port table a host keeps) and a catch-all ``receiver(src, kind,
+payload)`` in.  Two transports implement the endpoint factory:
 
 - :class:`DatagramTransport` -- unordered, independently lossy packets;
   matches the abstract "unreliable point-to-point communication service"
@@ -13,24 +15,34 @@ endpoint factory:
   overflow triggers a purging strategy.  This is the default for
   experiments, as in the paper.
 
+Both submit in bursts (``_submit_many``); a single send is a burst of
+one.  A burst goes to the fabric as one :meth:`NetworkFabric.send_many`
+call, a lone packet through :meth:`NetworkFabric.send`, so observers and
+per-call probes see single sends as before.
+
 A connection's whole state is one :class:`_Connection` record -- the
 FIFO floor plus the in-flight receipts in send order -- found by one
-int-keyed lookup per send.  Because the floor makes ``deliver_at``
+int-keyed lookup per packet.  Because the floor makes ``deliver_at``
 non-decreasing along that list and same-instant events fire in
 scheduling order, the receipts that have already fired are always a
 prefix of it (purge victims are popped when aborted, source-dropped
 sends never enter): reaping pops that prefix, never scanning the rest.
+A burst is reaped, purged and sent in packet order; a second packet for
+one connection within a burst first sends what precedes it, since its
+floor is the first one's delivery time.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.network.connection import PurgePolicy
 from repro.network.fabric import NetworkFabric, SendReceipt
 from repro.network.message import Packet
 
 Receiver = Callable[[int, str, Any], None]
+#: One message for :meth:`Endpoint.send_many`: (dst, kind, payload, size).
+Message = Tuple[int, str, Any, int]
 
 
 class Endpoint:
@@ -40,20 +52,43 @@ class Endpoint:
         self._transport = transport
         self.node = node
         self._receiver: Optional[Receiver] = None
+        self._listeners: Dict[str, Receiver] = {}
         transport._fabric.register(node, self._on_packet)
 
     def set_receiver(self, receiver: Receiver) -> None:
-        """Install the up-call invoked as ``receiver(src, kind, payload)``."""
+        """Install the up-call invoked as ``receiver(src, kind, payload)``
+        for every kind without a listener of its own."""
         self._receiver = receiver
+
+    def listen(self, listeners: Dict[str, Receiver]) -> None:
+        """Route each packet whose kind ``listeners`` maps straight to
+        that receiver.  The table is read live: later changes to it take
+        effect."""
+        self._listeners = listeners
 
     def send(self, dst: int, kind: str, payload: Any, size_bytes: int) -> None:
         """Send a message to ``dst``.  Fire-and-forget, like the paper's
         ``Send`` primitive."""
-        self._transport._submit(Packet(self.node, dst, kind, payload, size_bytes))
+        self._transport._submit_many(
+            (Packet(self.node, dst, kind, payload, size_bytes),)
+        )
+
+    def send_many(self, messages: Sequence[Message]) -> None:
+        """Send ``(dst, kind, payload, size_bytes)`` messages handed over
+        at this instant, in order: one burst through the transport."""
+        node = self.node
+        self._transport._submit_many(
+            [
+                Packet(node, dst, kind, payload, size)
+                for dst, kind, payload, size in messages
+            ]
+        )
 
     def _on_packet(self, packet: Packet) -> None:
-        if self._receiver is not None:
-            self._receiver(packet.src, packet.kind, packet.payload)
+        kind = packet.kind
+        receiver = self._listeners.get(kind, self._receiver)
+        if receiver is not None:
+            receiver(packet.src, kind, packet.payload)
 
 
 class Transport:
@@ -77,12 +112,28 @@ class Transport:
     def _submit(self, packet: Packet) -> None:
         raise NotImplementedError
 
+    def _submit_many(self, packets: Sequence[Packet]) -> None:
+        """Submit a burst; a transport without a burst path of its own
+        submits its packets one at a time."""
+        for packet in packets:
+            self._submit(packet)
+
+    def _inject(
+        self, packets: Sequence[Packet], floors: Sequence[float]
+    ) -> Sequence[Optional[SendReceipt]]:
+        """Hand packets to the fabric: a lone one through ``send`` (so it
+        is observed, and counted, as a single send), more as one burst."""
+        if len(packets) == 1:
+            return (self._fabric.send(packets[0], floors[0]),)
+        return self._fabric.send_many(packets, floors)
+
 
 class DatagramTransport(Transport):
     """Unordered, independently lossy point-to-point packets."""
 
-    def _submit(self, packet: Packet) -> None:
-        self._fabric.send(packet)
+    def _submit_many(self, packets: Sequence[Packet]) -> None:
+        if packets:
+            self._inject(packets, [0.0] * len(packets))
 
 
 class _Connection:
@@ -124,34 +175,61 @@ class ConnectionTransport(Transport):
         self._rng = fabric.sim.rng.stream("network.connections")
         self.purged_count = 0
 
-    def _submit(self, packet: Packet) -> None:
-        key = packet.src * self._size + packet.dst
-        connection = self._connections.get(key)
-        if connection is None:
-            connection = self._connections[key] = _Connection()
-        receipts = connection.receipts
-        # Reap the fired prefix (module docstring).
-        while receipts and not receipts[0].handle.pending:
-            del receipts[0]
-        if len(receipts) >= self.buffer_capacity:
-            self.purged_count += 1
-            if self.purge_policy is PurgePolicy.DROP_NEWEST:
-                # Account it as a sent-then-purged packet so observers
-                # see consistent send/drop pairs.
-                now = packet.sent_at = self.sim.now
-                observer = self._fabric.observer
-                if observer is not None:
-                    observer.on_send(packet, now)
-                    observer.on_drop(packet, now, "purged")
-                return
-            # Sorted by deliver_at, so the head is the oldest;
-            # DROP_RANDOM makes its one draw over the live set.
-            victim = 0
-            if self.purge_policy is PurgePolicy.DROP_RANDOM:
-                victim = self._rng.choice(range(len(receipts)))
-            self._fabric.abort(receipts.pop(victim))
+    def _submit_many(self, packets: Sequence[Packet]) -> None:
+        size = self._size
+        connections = self._connections
+        capacity = self.buffer_capacity
+        burst: List[Packet] = []
+        links: List[_Connection] = []
+        floors: List[float] = []
+        for packet in packets:
+            key = packet.src * size + packet.dst
+            connection = connections.get(key)
+            if connection is None:
+                connection = connections[key] = _Connection()
+            elif connection in links:
+                self._send(burst, links, floors)
+                burst = []
+                links = []
+                floors = []
+            receipts = connection.receipts
+            # Reap the fired prefix (module docstring).
+            while receipts and (receipts[0].fired or receipts[0].cancelled):
+                del receipts[0]
+            if len(receipts) >= capacity and self._purge(packet, receipts):
+                continue
+            burst.append(packet)
+            links.append(connection)
+            floors.append(connection.floor)
+        if burst:
+            self._send(burst, links, floors)
 
-        receipt = self._fabric.send(packet, connection.floor)
-        if receipt is not None:
-            connection.floor = receipt.deliver_at
-            receipts.append(receipt)
+    def _purge(self, packet: Packet, receipts: List[SendReceipt]) -> bool:
+        """Make room in a full buffer; True when ``packet`` itself was
+        the victim (DROP_NEWEST) and must not be sent."""
+        self.purged_count += 1
+        if self.purge_policy is PurgePolicy.DROP_NEWEST:
+            # Account it as a sent-then-purged packet so observers see
+            # consistent send/drop pairs.
+            now = packet.sent_at = self.sim.now
+            observer = self._fabric.observer
+            if observer is not None:
+                observer.on_send(packet, now)
+                observer.on_drop(packet, now, "purged")
+            return True
+        # Sorted by deliver_at, so the head is the oldest; DROP_RANDOM
+        # makes its one draw over the live set.
+        victim = 0
+        if self.purge_policy is PurgePolicy.DROP_RANDOM:
+            victim = self._rng.choice(range(len(receipts)))
+        self._fabric.abort(receipts.pop(victim))
+        return False
+
+    def _send(
+        self, packets: List[Packet], links: List[_Connection], floors: List[float]
+    ) -> None:
+        receipts = self._inject(packets, floors)
+        for link, receipt in zip(links, receipts):
+            if receipt is not None:
+                link.floor = receipt.time
+                link.receipts.append(receipt)

@@ -29,6 +29,7 @@ from repro.runtime.node import (
 )
 from repro.scheduler.interfaces import SchedulerConfig
 from repro.sim.engine import Simulator
+from repro.sim.rng import sample
 from repro.topology.routing import ClientNetworkModel
 
 
@@ -107,7 +108,7 @@ class Cluster:
             if self.config.overlay is not None:
                 others = [p for p in population if p != node]
                 degree = min(self.config.bootstrap_degree, len(others))
-                bootstrap = bootstrap_rng.sample(others, degree)
+                bootstrap = sample(bootstrap_rng, others, degree)
                 overlay = NeemOverlay(
                     self.sim,
                     node,

@@ -1,16 +1,21 @@
 """One node's full protocol stack.
 
 A :class:`ProtocolNode` owns the components of the paper's Fig. 1 for a
-single participant and performs the kind-based dispatch that a port
+single participant and sets up the kind-based dispatch that a port
 number would on a real host: MSG/IHAVE/IWANT go to the Payload
 Scheduler, SHUFFLE traffic to the membership agent, PING/PONG to the
-latency monitor, RANK to the ranking agent.
+latency monitor, RANK to the ranking agent.  The endpoint reads that
+table itself, so a received packet reaches its agent's ``handle``
+straight from the endpoint.  Downwards, a gossip forward
+reaches the transport as one burst: gossip ``l_send_many`` -> scheduler
+``l_send_many`` -> endpoint ``send_many``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.gossip.config import GossipConfig
@@ -107,11 +112,11 @@ class ProtocolNode:
             config=gossip_config,
             peer_sampler=peer_sampler,
             l_send=self.scheduler.l_send,
-            deliver=lambda message_id, payload: deliver(node, message_id, payload),
+            deliver=partial(deliver, node),
             id_source=MessageIdSource(sim.rng.stream(f"ids.{node}")),
-            now=lambda: sim.now,
+            # Reads the clock attribute without a Python frame.
+            now=partial(getattr, sim, "now"),
         )
-        self.scheduler.bind(self.gossip.l_receive)
 
         # Failure detection: when the latency monitor runs with a
         # suspicion threshold, suspected peers are purged from the
@@ -139,8 +144,7 @@ class ProtocolNode:
             )
 
         self._dispatch: Dict[str, Callable[[int, str, Any], None]] = {}
-        for kind in LazyPointToPoint.KINDS:
-            self._dispatch[kind] = self.scheduler.handle
+        self._wire_scheduler()
         if overlay is not None:
             for kind in NeemOverlay.KINDS:
                 self._dispatch[kind] = overlay.handle
@@ -150,6 +154,7 @@ class ProtocolNode:
         if ranking is not None:
             for kind in GossipRanking.KINDS:
                 self._dispatch[kind] = ranking.handle
+        endpoint.listen(self._dispatch)
         endpoint.set_receiver(self._receive)
 
     # -- lifecycle ------------------------------------------------------------
@@ -201,12 +206,9 @@ class ProtocolNode:
         )
         self.gossip.known = KnownIds(self.gossip.config.known_ids_capacity)
         self.gossip.l_send = self.scheduler.l_send
-        self.scheduler.bind(self.gossip.l_receive)
+        self._wire_scheduler()
         if self.gc is not None:
             self.gc.scheduler = self.scheduler
-        # ``_dispatch`` holds the discarded scheduler's bound ``handle``.
-        for kind in LazyPointToPoint.KINDS:
-            self._dispatch[kind] = self.scheduler.handle
 
     def recovery_counters(self) -> Dict[str, int]:
         """Lifetime recovery counters, surviving restarts."""
@@ -234,7 +236,19 @@ class ProtocolNode:
 
     # -- internals ------------------------------------------------------------
 
+    def _wire_scheduler(self) -> None:
+        """Join the (current) scheduler to gossip above and the endpoint
+        below, bursts included."""
+        scheduler = self.scheduler
+        scheduler.bind(self.gossip.l_receive)
+        scheduler.send_many = self.endpoint.send_many
+        self.gossip.l_send_many = scheduler.l_send_many
+        for kind in LazyPointToPoint.KINDS:
+            self._dispatch[kind] = scheduler.handle
+
     def _receive(self, src: int, kind: str, payload: Any) -> None:
+        # The endpoint routes listed kinds itself; anything else lands
+        # here.
         handler = self._dispatch.get(kind)
         if handler is None:  # pragma: no cover - wiring error
             raise ValueError(f"node {self.node}: no handler for kind {kind!r}")

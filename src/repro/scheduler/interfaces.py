@@ -42,6 +42,14 @@ class TransmissionStrategy(Protocol):
         """``Eager?(i, d, r, p)``: True to transmit payload immediately."""
         ...
 
+    def eager_many(
+        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
+    ) -> Sequence[bool]:
+        """``Eager?(i, d, r, p)`` for each of ``peers``, decided in peer
+        order (one forward's burst); the same answers, and the same
+        draws, as one :meth:`eager` call per peer."""
+        ...
+
     def first_request_delay(self, message_id: int, source: int) -> float:
         """Delay (ms) before the first IWANT after the first IHAVE.
 

@@ -3,15 +3,19 @@
 Sits between the gossip protocol and the transport.  On ``L-Send`` it
 consults the Transmission Strategy: eager transmissions go out as
 ``MSG(i, d, r)``; lazy ones cache the payload in ``C`` and advertise
-with ``IHAVE(i)``.  On the receive path it maintains the set ``R`` of
-received payloads, requests advertised-but-unknown payloads through the
+with ``IHAVE(i)``.  A gossip forward's ``L-Send`` to its ``f`` peers is
+one :meth:`LazyPointToPoint.l_send_many` call: one ``Eager?`` pass
+(``strategy.eager_many``), one cache write, and the MSG/IHAVE packets
+handed to the transport as one ordered burst.  On the receive path it
+maintains the set ``R`` of received payloads, requests
+advertised-but-unknown payloads through the
 :class:`~repro.scheduler.requests.RequestQueue` (Task 2), answers
 ``IWANT`` from the cache, and hands fresh payloads up via ``L-Receive``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.gossip.known_ids import KnownIds
 from repro.network.message import (
@@ -31,6 +35,10 @@ IWANT = "IWANT"
 
 #: Transport send callable: (dst, kind, payload, size_bytes) -> None
 SendFn = Callable[[int, str, Any, int], None]
+#: One message of a burst: (dst, kind, payload, size_bytes).
+Message = Tuple[int, str, Any, int]
+#: Transport burst callable: sends the messages in order.
+SendManyFn = Callable[[Sequence[Message]], None]
 #: Up-call to gossip: (message_id, payload, round, sender) -> None
 LReceiveFn = Callable[[int, Any, int, int], None]
 
@@ -54,6 +62,9 @@ class LazyPointToPoint:
         self.strategy = strategy
         self.config = config or SchedulerConfig()
         self._send = send
+        #: Where bursts go: one ``send`` per message unless the node
+        #: wires in its endpoint's ``send_many``.
+        self.send_many: SendManyFn = self._send_each
         self._l_receive: Optional[LReceiveFn] = None
         self.cache = PayloadCache(self.config.cache_capacity)
         self.received = KnownIds(self.config.received_capacity)
@@ -82,28 +93,57 @@ class LazyPointToPoint:
 
     def l_send(self, message_id: int, payload: Any, round_: int, peer: int) -> None:
         """``L-Send(i, d, r, p)`` from the gossip layer."""
-        if self.strategy.eager(message_id, payload, round_, peer):
-            self.eager_sends += 1
-            self._send(
-                peer, MSG, (message_id, payload, round_), self._msg_size(payload)
-            )
-        else:
-            self.lazy_sends += 1
-            self.cache.put(message_id, payload, round_, now=self.sim.now)
-            self._advertise(peer, message_id)
+        self.l_send_many(message_id, payload, round_, (peer,))
 
-    def _advertise(self, peer: int, message_id: int) -> None:
+    def l_send_many(
+        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
+    ) -> None:
+        """``L-Send(i, d, r, p)`` for each of ``peers``, in order.
+
+        Eager peers get ``MSG``, lazy ones ``IHAVE`` (after one cache
+        write), as one burst in peer order -- the packets, timers and
+        draws of one ``l_send`` per peer, in the same order.  With
+        advertisement batching on, a peer's first pending advertisement
+        schedules its flush timer, so the burst is cut there.
+        """
+        decisions = self.strategy.eager_many(message_id, payload, round_, peers)
+        burst: List[Message] = []
+        msg: Optional[Tuple[int, Any, int]] = None
+        msg_size = 0
+        eager = lazy = 0
         window = self.config.ihave_batch_window_ms
-        if window <= 0:
-            self._send(peer, IHAVE, message_id, control_packet_size())
-            return
-        pending = self._pending_ihaves.get(peer)
-        if pending is not None:
-            if message_id not in pending:
-                pending.append(message_id)
-            return
-        self._pending_ihaves[peer] = [message_id]
-        self.sim.schedule(window, self._flush_ihaves, peer)
+        for peer, is_eager in zip(peers, decisions):
+            if is_eager:
+                eager += 1
+                if msg is None:
+                    msg = (message_id, payload, round_)
+                    msg_size = self._msg_size(payload)
+                burst.append((peer, MSG, msg, msg_size))
+                continue
+            if not lazy:
+                self.cache.put(message_id, payload, round_, now=self.sim.now)
+            lazy += 1
+            if window <= 0:
+                burst.append((peer, IHAVE, message_id, control_packet_size()))
+                continue
+            pending = self._pending_ihaves.get(peer)
+            if pending is not None:
+                if message_id not in pending:
+                    pending.append(message_id)
+                continue
+            if burst:
+                self.send_many(burst)
+                burst = []
+            self._pending_ihaves[peer] = [message_id]
+            self.sim.schedule(window, self._flush_ihaves, peer)
+        self.eager_sends += eager
+        self.lazy_sends += lazy
+        if burst:
+            self.send_many(burst)
+
+    def _send_each(self, messages: Sequence[Message]) -> None:
+        for dst, kind, wire_payload, size in messages:
+            self._send(dst, kind, wire_payload, size)
 
     def _flush_ihaves(self, peer: int) -> None:
         ids = self._pending_ihaves.pop(peer, None)

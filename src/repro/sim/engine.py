@@ -10,9 +10,9 @@ and full experiment sweeps.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Type
 
-from repro.sim.events import EventHandle, EventQueue
+from repro.sim.events import E, EventHandle, EventQueue
 from repro.sim.rng import RandomStreams
 
 
@@ -44,17 +44,17 @@ class Simulator:
     10.0
     """
 
+    #: Current simulated time in milliseconds.  A plain attribute, so
+    #: the per-packet paths read the clock without a call; only the
+    #: simulator writes it.
+    now: float
+
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._queue = EventQueue()
         self._running = False
         self.rng = RandomStreams(seed)
         self.seed = seed
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in milliseconds."""
-        return self._now
 
     @property
     def pending_events(self) -> int:
@@ -67,31 +67,46 @@ class Simulator:
         """Run ``callback(*args)`` after ``delay`` ms of simulated time."""
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self._queue.push(self._now + delay, callback, *args)
+        return self._queue.push(self.now + delay, callback, *args)
 
     def schedule_at(
         self, time: float, callback: Callable[..., Any], *args: Any
     ) -> EventHandle:
         """Run ``callback(*args)`` at absolute simulated ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} before now ({self._now})"
+                f"cannot schedule at {time} before now ({self.now})"
             )
         return self._queue.push(time, callback, *args)
+
+    def schedule_at_many(
+        self,
+        times: Sequence[float],
+        callback: Callable[..., Any],
+        args: Sequence[Tuple[Any, ...]],
+        kind: Type[E],
+    ) -> List[E]:
+        """``schedule_at(times[i], callback, *args[i])`` for every ``i``,
+        in order, as one call (see :meth:`EventQueue.push_many`)."""
+        if times and min(times) < self.now:
+            raise SimulationError(
+                f"cannot schedule at {min(times)} before now ({self.now})"
+            )
+        return self._queue.push_many(times, callback, args, kind)
 
     def call_soon(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Run ``callback(*args)`` at the current instant, after the
         currently executing event completes."""
-        return self._queue.push(self._now, callback, *args)
+        return self._queue.push(self.now, callback, *args)
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False when idle."""
         event = self._queue.pop()
         if event is None:
             return False
-        if event.time < self._now:  # pragma: no cover - defensive
+        if event.time < self.now:  # pragma: no cover - defensive
             raise SimulationError("event queue returned an event in the past")
-        self._now = event.time
+        self.now = event.time
         event.callback(*event.args)
         return True
 
@@ -110,7 +125,7 @@ class Simulator:
         self._running = True
         executed = 0
         # Hot loop: the heap is accessed directly -- one C heappop per
-        # event (plus a peek only when deadline-bounded), the callback
+        # event (plus one push-back when deadline-bounded), the callback
         # and its arguments taken straight from the entry unpack, no
         # per-event method calls or counter writes.  `step()` is not
         # used here; its method-call and defensive-check overhead is
@@ -134,7 +149,7 @@ class Simulator:
                         queue._dead -= 1
                         continue
                     event.fired = True
-                    self._now = time
+                    self.now = time
                     callback(*args)
                     executed += 1
             elif until is None:
@@ -144,31 +159,30 @@ class Simulator:
                         queue._dead -= 1
                         continue
                     event.fired = True
-                    self._now = time
+                    self.now = time
                     callback(*args)
                     executed += 1
                     remaining -= 1
             else:
-                # Deadline-bounded: peek before committing to the pop so
-                # events due after `until` stay queued.
+                # Deadline-bounded: pop, and push back the one entry due
+                # after `until` -- (time, seq) keys are unique, so it
+                # goes back to the same place in the pop order.
                 while remaining != 0 and heap:
-                    entry = heap[0]
-                    event = entry[4]
+                    entry = heappop(heap)
+                    time, _, callback, args, event = entry
                     if event.cancelled:
-                        heappop(heap)
                         queue._dead -= 1
                         continue
-                    time = entry[0]
                     if time > until:
+                        heapq.heappush(heap, entry)
                         break
-                    heappop(heap)
                     event.fired = True
-                    self._now = time
-                    entry[2](*entry[3])
+                    self.now = time
+                    callback(*args)
                     executed += 1
                     remaining -= 1
-                if self._now < until:
-                    self._now = until
+                if self.now < until:
+                    self.now = until
         finally:
             self._running = False
         return executed
@@ -180,4 +194,4 @@ class Simulator:
         for a statistically independent run.
         """
         self._queue.clear()
-        self._now = 0.0
+        self.now = 0.0

@@ -30,7 +30,7 @@ safely hold a direct reference to it across callbacks.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple, Type, TypeVar
 
 
 class Event:
@@ -97,6 +97,8 @@ class Event:
         return f"Event(t={self.time:.3f}, seq={self.seq}, {name}, {state})"
 
 
+E = TypeVar("E", bound=Event)
+
 #: Backwards-compatible alias: ``push()`` still hands out "handles",
 #: they are simply the events themselves now.
 EventHandle = Event
@@ -142,6 +144,40 @@ class EventQueue:
         self._seq = seq + 1
         heapq.heappush(self._heap, (time, seq, callback, args, event))
         return event
+
+    def push_many(
+        self,
+        times: Sequence[float],
+        callback: Callable[..., Any],
+        args: Sequence[Tuple[Any, ...]],
+        kind: Type[E],
+    ) -> List[E]:
+        """Schedule ``callback(*args[i])`` at ``times[i]`` for every ``i``.
+
+        Exactly ``len(times)`` :meth:`push` calls in index order -- the
+        same consecutive sequence numbers, so the same firing order --
+        in one call.  ``kind`` is the :class:`Event` (sub)class to build,
+        so a caller's in-flight record can be the event itself.
+        """
+        heap = self._heap
+        seq = self._seq
+        events: List[E] = []
+        append = events.append
+        for time, arguments in zip(times, args):
+            # Event.__init__'s fields, set here without its frame.
+            event = kind.__new__(kind)
+            event.time = time
+            event.seq = seq
+            event.callback = callback
+            event.args = arguments
+            event.cancelled = False
+            event.fired = False
+            event._queue = self
+            heapq.heappush(heap, (time, seq, callback, arguments, event))
+            append(event)
+            seq += 1
+        self._seq = seq
+        return events
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or ``None`` if empty.

@@ -11,13 +11,61 @@ stream by name (``"overlay"``, ``"gossip:strategy"``, ``"workload"``), so
 Stream seeds are derived with SHA-256 over ``(root_seed, name)`` rather
 than Python's ``hash`` builtin, which is salted per process and would
 destroy cross-run determinism.
+
+:func:`sample` is the one sampler without replacement in the package:
+``random.Random.sample``'s exact draw sequence without its per-draw
+``_randbelow`` frame.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import random
-from typing import Dict
+from typing import Dict, List, Sequence, Set, TypeVar
+
+T = TypeVar("T")
+
+
+def sample(rng: random.Random, population: Sequence[T], k: int) -> List[T]:
+    """``rng.sample(population, k)``, draw for draw.
+
+    The same ``getrandbits`` calls in the same order, so the same result
+    and the same stream state afterwards: the pool branch (an ``n``-list
+    smaller than a ``k``-set) and the set branch (rejection against the
+    indices already taken) are CPython's, with ``_randbelow``'s
+    rejection loop inlined.  ``population`` is any sequence, a ``range``
+    included.  Requires a plain :class:`random.Random` (whose
+    ``_randbelow`` is the ``getrandbits`` one).
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError("Sample larger than population or is negative")
+    getrandbits = rng.getrandbits
+    result: List[T] = []
+    append = result.append
+    setsize = 21  # random.Random.sample's list-versus-set size rule
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        pool = list(population)
+        for size in range(n, n - k, -1):
+            bits = size.bit_length()
+            j = getrandbits(bits)
+            while j >= size:
+                j = getrandbits(bits)
+            append(pool[j])
+            pool[j] = pool[size - 1]
+    else:
+        bits = n.bit_length()
+        selected: Set[int] = set()
+        for _ in range(k):
+            j = getrandbits(bits)
+            while j >= n or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+            append(population[j])
+    return result
 
 
 class RandomStreams:

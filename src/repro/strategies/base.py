@@ -28,6 +28,12 @@ class BaseStrategy(abc.ABC):
     def eager(self, message_id: int, payload: Any, round_: int, peer: int) -> bool:
         """``Eager?(i, d, r, p)``."""
 
+    def eager_many(
+        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
+    ) -> Sequence[bool]:
+        """``Eager?`` for each of ``peers``, in peer order."""
+        return [self.eager(message_id, payload, round_, peer) for peer in peers]
+
     def first_request_delay(self, message_id: int, source: int) -> float:
         return 0.0
 

@@ -9,7 +9,7 @@ Fig. 5(a) that the environment-aware strategies are judged against.
 from __future__ import annotations
 
 import random
-from typing import Any
+from typing import Any, Sequence
 
 from repro.scheduler.interfaces import DEFAULT_RETRY_PERIOD_MS
 from repro.strategies.base import BaseStrategy
@@ -36,6 +36,18 @@ class FlatStrategy(BaseStrategy):
         if self.probability <= 0.0:
             return False
         return self._rng.random() < self.probability
+
+    def eager_many(
+        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
+    ) -> Sequence[bool]:
+        # p in {0, 1} draws nothing; otherwise one draw per peer, in order.
+        probability = self.probability
+        if probability >= 1.0:
+            return [True] * len(peers)
+        if probability <= 0.0:
+            return [False] * len(peers)
+        draw = self._rng.random
+        return [draw() < probability for _ in peers]
 
 
 class PureEagerStrategy(FlatStrategy):

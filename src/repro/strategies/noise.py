@@ -67,6 +67,11 @@ class NoisyStrategy:
         blurred = c + (v - c) * (1.0 - self.noise)
         return self._rng.random() < blurred
 
+    def eager_many(
+        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
+    ) -> Sequence[bool]:
+        return [self.eager(message_id, payload, round_, peer) for peer in peers]
+
     # ``ScheduleNext`` timing is delegated untouched: noise models bad
     # environment knowledge, not a different request discipline.
 

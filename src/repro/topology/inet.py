@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.sim.rng import sample
 from repro.topology.geometry import Point, clamp, euclidean
 from repro.topology.graph import NodeKind, RouterTopology
 
@@ -305,7 +306,7 @@ def _attach_clients(
     stub_ids: List[int],
 ) -> List[int]:
     """Attach each client to its own stub router over a 1 ms access link."""
-    chosen = rng.sample(stub_ids, params.client_count)
+    chosen = sample(rng, stub_ids, params.client_count)
     client_ids = []
     for stub in chosen:
         client = graph.add_node(NodeKind.CLIENT, graph.positions[stub])

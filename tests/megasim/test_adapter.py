@@ -28,6 +28,7 @@ from repro.megasim.adapter import (
 from repro.megasim.runner import MegasimSpec, run_megasim
 from repro.metrics.analysis import summarize
 from repro.monitors.ranking import OracleRanking
+from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
 from repro.topology.simple import complete_topology
 
@@ -98,6 +99,23 @@ class TestSyntheticTopologies:
             a.metric(METRIC_DISTANCE, src, dst),
             c.metric(METRIC_DISTANCE, src, dst),
         )
+
+    @pytest.mark.parametrize(
+        "n, side, seed", [(1, 100.0, 0), (7, 3.5, 1), (1000, 100, 5), (20_000, 1e3, 23)]
+    )
+    def test_plane_positions_match_two_uniform_columns(
+        self, n: int, side: float, seed: int
+    ) -> None:
+        """One ``random((2, n))`` draw scaled in place gives the doubles
+        of ``uniform(0, side, n)`` for x and then for y, bit for bit."""
+        topology = PlaneTopology(n, seed=seed, side=side)
+        rng = np.random.default_rng(
+            RandomStreams(seed).derive_seed("megasim.topology.plane")
+        )
+        px = rng.uniform(0.0, side, n)
+        py = rng.uniform(0.0, side, n)
+        assert topology._px.tobytes() == px.tobytes()
+        assert topology._py.tobytes() == py.tobytes()
 
     def test_plane_latency_equals_distance(self) -> None:
         topology = PlaneTopology(20, seed=0)

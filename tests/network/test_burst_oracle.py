@@ -1,0 +1,471 @@
+"""Batch send path == the per-packet path it replaced.
+
+A gossip forward now crosses transport -> fabric -> NIC -> event queue as
+one burst (``Endpoint.send_many``).  This file carries verbatim copies of
+the per-packet code that burst replaced -- ``ConnectionTransport._submit``,
+``NetworkFabric.send`` / ``_send_full`` / ``abort`` with their
+``SendReceipt`` record, ``NetworkInterface.transmission_done_at`` -- and
+drives both through the same interleavings of bursts (1-16 distinct
+destinations, mixed MSG/IHAVE), single sends and ``run(until=...)``
+steps, under randomized loss, jitter, link profiles (loss, extra
+latency, duplication), node slowdowns and service delays, silenced
+senders and receivers, a partition, buffer capacities 1-4 under every
+:class:`PurgePolicy`, and an observer or none.  After every step it
+compares, per packet, the live queue entries ``(time, seq)`` and the
+firing order with delivery times; and the observer's totals and drop
+reasons, every NIC's state, every connection's floor and live
+in-flight list, and the ``network.fabric``, ``network.fabric.gray`` and
+``network.connections`` stream states.
+
+Mutants of the burst path this kills, each a one-token or one-line edit
+(checked when written):
+
+- running-sum order: ``free_at += duration`` moved after ``done.append``
+  in ``NetworkInterface.transmissions_done_at`` (each packet reports its
+  start, not its end);
+- floor clamp: ``deliver_at < floor`` -> ``deliver_at > floor`` in
+  ``NetworkFabric.send_many``;
+- seq order: ``(time, seq, ...)`` -> ``(time, -seq, ...)`` in
+  ``EventQueue.push_many``'s heap entry;
+- purge victim: ``victim = 0`` -> ``victim = -1`` in
+  ``ConnectionTransport._purge``.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from typing import Optional
+
+from hypothesis import given, settings, strategies as st
+
+from repro.network.connection import PurgePolicy
+from repro.network.fabric import FabricConfig, LinkProfile, NetworkFabric
+from repro.network.message import Packet, SlotRecord
+from repro.network.nic import NetworkInterface
+from repro.network.transport import ConnectionTransport, _Connection
+from repro.sim.engine import Simulator
+from repro.sim.events import EventHandle
+from repro.topology.geometry import Point
+from repro.topology.routing import ClientNetworkModel
+
+NODES = 18
+MSG_BYTES = 320
+IHAVE_BYTES = 80
+
+
+# -- the per-packet reference, verbatim --------------------------------------
+
+
+class SendReceipt(SlotRecord):
+    """Tracks one in-flight packet so it can be purged mid-flight."""
+
+    __slots__ = ("packet", "handle", "deliver_at")
+
+    def __init__(
+        self, packet: Packet, handle: EventHandle, deliver_at: float
+    ) -> None:
+        self.packet = packet
+        self.handle = handle
+        self.deliver_at = deliver_at
+
+
+class ReferenceInterface(NetworkInterface):
+    def transmission_done_at(self, now: float, size_bytes: int) -> float:
+        """Reserve uplink time for a packet; return its serialization
+        completion time."""
+        self.bytes_sent += size_bytes
+        self.packets_sent += 1
+        if self.bandwidth_bytes_per_ms is None:
+            return now
+        start = self._uplink_free_at
+        if start < now:
+            start = now
+        duration = size_bytes * self.slowdown / self.bandwidth_bytes_per_ms
+        self._uplink_free_at = start + duration
+        self.busy_time_ms += duration
+        return self._uplink_free_at
+
+
+class ReferenceFabric(NetworkFabric):
+    """The fabric with its per-packet send path."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.nics = [
+            ReferenceInterface(nic.bandwidth_bytes_per_ms) for nic in self.nics
+        ]
+
+    def send(
+        self, packet: Packet, min_deliver_at: float = 0.0
+    ) -> Optional["SendReceipt"]:
+        """Inject a packet.
+
+        ``min_deliver_at`` floor-bounds the delivery time; the connection
+        layer uses it to enforce per-connection FIFO ordering.  Returns a
+        :class:`SendReceipt` for in-flight packets, or ``None`` when the
+        packet was dropped at the source (silenced sender or loss).
+
+        The healthy common case (:meth:`_refresh_fast_path`) takes a slim
+        branch that performs exactly the same arithmetic as the full path
+        with every inactive stage skipped.  That configuration draws no
+        randomness on the full path either, so the two cannot diverge;
+        silenced and partitioned sends stay on the full path, so every
+        packet is observed exactly once.
+        """
+        sim = self.sim
+        now = sim.now
+        packet.sent_at = now
+        src = packet.src
+        if (
+            self._fast_path
+            and self._partition_of is None
+            and not self._silenced[src]
+        ):
+            observer = self.observer
+            if observer is not None:
+                observer.on_send(packet, now)
+            deliver_at = self.nics[src].transmission_done_at(
+                now, packet.size_bytes
+            ) + self._latency_rows[src][packet.dst]
+            if deliver_at < min_deliver_at:
+                deliver_at = min_deliver_at
+            handle = sim.schedule_at(deliver_at, self._deliver, packet)
+            return SendReceipt(packet, handle, deliver_at)
+        return self._send_full(packet, now, min_deliver_at)
+
+    def _send_full(
+        self, packet: Packet, now: float, min_deliver_at: float
+    ) -> Optional["SendReceipt"]:
+        """The full send path: observers, loss, jitter, gray failures."""
+        if self.observer is not None:
+            self.observer.on_send(packet, now)
+
+        if self._silenced[packet.src]:
+            self._drop(packet, "sender-silenced")
+            return None
+        if not self.can_communicate(packet.src, packet.dst):
+            self._drop(packet, "partitioned")
+            return None
+        serialized_at = self.nics[packet.src].transmission_done_at(
+            now, packet.size_bytes
+        )
+        if (
+            self.config.loss_probability > 0.0
+            and self._rng.random() < self.config.loss_probability
+        ):
+            self._drop(packet, "loss")
+            return None
+        # Emptiness cached by truthiness: the common healthy case skips
+        # the tuple allocation and dict probe entirely.
+        link = (
+            self._links.get((packet.src, packet.dst)) if self._links else None
+        )
+        if (
+            link is not None
+            and link.loss_probability > 0.0
+            and self._gray_rng.random() < link.loss_probability
+        ):
+            self._drop(packet, "link-loss")
+            return None
+        delay = self.model.latency(packet.src, packet.dst)
+        if self.config.jitter_ms > 0.0:
+            delay += self._rng.uniform(0.0, self.config.jitter_ms)
+        if link is not None:
+            delay += link.extra_latency_ms
+        if self._service_delay:
+            delay += self._service_delay.get(packet.src, 0.0)
+            delay += self._service_delay.get(packet.dst, 0.0)
+        deliver_at = max(serialized_at + delay, min_deliver_at)
+        handle = self.sim.schedule_at(deliver_at, self._deliver, packet)
+        if (
+            link is not None
+            and link.duplicate_probability > 0.0
+            and self._gray_rng.random() < link.duplicate_probability
+        ):
+            # A duplicating middlebox: the copy trails the original by
+            # one extra propagation delay.
+            self.sim.schedule_at(deliver_at + delay, self._deliver, packet)
+        return SendReceipt(packet, handle, deliver_at)
+
+    def abort(self, receipt: "SendReceipt", reason: str = "purged") -> None:
+        """Cancel an in-flight packet (connection-buffer purging)."""
+        if receipt.handle.pending:
+            receipt.handle.cancel()
+            self._drop(receipt.packet, reason)
+
+
+class ReferenceTransport(ConnectionTransport):
+    """The connection transport submitting one packet at a time."""
+
+    def _submit_many(self, packets) -> None:
+        for packet in packets:
+            self._submit(packet)
+
+    def _submit(self, packet: Packet) -> None:
+        key = packet.src * self._size + packet.dst
+        connection = self._connections.get(key)
+        if connection is None:
+            connection = self._connections[key] = _Connection()
+        receipts = connection.receipts
+        # Reap the fired prefix (module docstring).
+        while receipts and not receipts[0].handle.pending:
+            del receipts[0]
+        if len(receipts) >= self.buffer_capacity:
+            self.purged_count += 1
+            if self.purge_policy is PurgePolicy.DROP_NEWEST:
+                # Account it as a sent-then-purged packet so observers
+                # see consistent send/drop pairs.
+                now = packet.sent_at = self.sim.now
+                observer = self._fabric.observer
+                if observer is not None:
+                    observer.on_send(packet, now)
+                    observer.on_drop(packet, now, "purged")
+                return
+            # Sorted by deliver_at, so the head is the oldest;
+            # DROP_RANDOM makes its one draw over the live set.
+            victim = 0
+            if self.purge_policy is PurgePolicy.DROP_RANDOM:
+                victim = self._rng.choice(range(len(receipts)))
+            self._fabric.abort(receipts.pop(victim))
+
+        receipt = self._fabric.send(packet, connection.floor)
+        if receipt is not None:
+            connection.floor = receipt.deliver_at
+            receipts.append(receipt)
+
+
+# -- one observed stack per implementation -----------------------------------
+
+
+class Stack:
+    """Simulator + fabric + connection transport, everything observable
+    logged; ``batched`` picks the burst path or the reference."""
+
+    def __init__(self, batched, seed, model, config, capacity, policy, observe):
+        self.batched = batched
+        self.sim = Simulator(seed=seed)
+        fabric_cls = NetworkFabric if batched else ReferenceFabric
+        transport_cls = ConnectionTransport if batched else ReferenceTransport
+        self.fabric = fabric_cls(self.sim, model, config)
+        self.totals: Counter = Counter()
+        if observe:
+            self.fabric.set_observer(self)
+        self.transport = transport_cls(
+            self.fabric, buffer_capacity=capacity, purge_policy=policy
+        )
+        self.received = []
+        self.sent = 0
+        self.endpoints = []
+        for node in range(NODES):
+            endpoint = self.transport.endpoint(node)
+            endpoint.set_receiver(
+                lambda src, kind, payload, node=node: self.received.append(
+                    (node, src, kind, payload, self.sim.now)
+                )
+            )
+            self.endpoints.append(endpoint)
+
+    # PacketObserver: totals, because a burst reports its sends at once.
+    def on_send(self, packet, now):
+        self.totals["send", packet.kind, now] += 1
+
+    def on_deliver(self, packet, now):
+        self.totals["deliver", packet.kind, now] += 1
+
+    def on_drop(self, packet, now, reason):
+        self.totals["drop", reason, now] += 1
+
+    def apply(self, step, op):
+        name, *args = op
+        if name == "repeat":
+            # The same burst back to back: connections fill and purge.
+            burst_op, times = args
+            for _ in range(times):
+                self.apply(step, burst_op)
+        elif name == "burst":
+            src, messages = args
+            self.sent += 1
+            tagged = [
+                (dst, kind, (step, self.sent, index), size)
+                for index, (dst, kind, size) in enumerate(messages)
+            ]
+            if self.batched:
+                self.endpoints[src].send_many(tagged)
+            else:
+                for message in tagged:
+                    self.endpoints[src].send(*message)
+        elif name == "send":
+            src, dst, kind, size = args
+            self.endpoints[src].send(dst, kind, (step, 0), size)
+        elif name == "run":
+            self.sim.run(until=self.sim.now + args[0])
+        elif name == "silence":
+            self.fabric.silence(args[0])
+        elif name == "unsilence":
+            self.fabric.unsilence(args[0])
+        elif name == "link":
+            src, dst, loss, extra, duplicate = args
+            self.fabric.set_link(src, dst, LinkProfile(loss, extra, duplicate))
+        elif name == "slow":
+            node, factor, delay = args
+            self.fabric.set_node_slowdown(node, factor, delay)
+        elif name == "partition":
+            cut = args[0]
+            self.fabric.partition([range(cut), range(cut, NODES)])
+        elif name == "heal":
+            self.fabric.heal()
+        else:
+            self.fabric.clear_gray()
+
+    def queued(self):
+        """Live queue entries, per packet: (time, seq, what is delivered)."""
+        entries = []
+        for time, seq, _, args, event in self.sim._queue._heap:
+            if not event.cancelled:
+                packet = args[0]
+                entries.append(
+                    (time, seq, packet.src, packet.dst, packet.kind, packet.payload)
+                )
+        return sorted(entries)
+
+    def connections(self):
+        state = {}
+        for key, connection in self.transport._connections.items():
+            if self.batched:
+                live = [
+                    r.args[0].payload
+                    for r in connection.receipts
+                    if not (r.fired or r.cancelled)
+                ]
+            else:
+                live = [
+                    r.packet.payload for r in connection.receipts if r.handle.pending
+                ]
+            state[key] = (connection.floor, live)
+        return state
+
+    def observable(self):
+        streams = self.sim.rng
+        return (
+            self.queued(),
+            self.sim._queue._seq,
+            self.received,
+            self.totals,
+            [
+                (nic._uplink_free_at, nic.bytes_sent, nic.packets_sent, nic.busy_time_ms)
+                for nic in self.fabric.nics
+            ],
+            self.connections(),
+            self.transport.purged_count,
+            self.sim.now,
+            [
+                streams.stream(name).getstate()
+                for name in (
+                    "network.fabric", "network.fabric.gray", "network.connections"
+                )
+            ],
+        )
+
+
+def _model(seed: int) -> ClientNetworkModel:
+    """Latencies from a few values, so deliveries tie now and then."""
+    rng = random.Random(seed)
+    latency = [
+        [0.0 if i == j else rng.choice((2.0, 5.0, 7.5, 20.0)) for j in range(NODES)]
+        for i in range(NODES)
+    ]
+    hops = [[0 if i == j else 1 for j in range(NODES)] for i in range(NODES)]
+    return ClientNetworkModel(latency, hops, [Point(i, 0.0) for i in range(NODES)])
+
+
+node = st.integers(0, NODES - 1)
+#: Traffic favours the pairs among nodes 0-3, so connections fill and
+#: purge.
+sender = st.one_of(st.sampled_from([0, 1]), node)
+
+
+def receiver(src):
+    others = [n for n in range(NODES) if n != src]
+    return st.one_of(st.sampled_from(others[:3]), st.sampled_from(others))
+message = st.tuples(
+    st.sampled_from(["MSG", "IHAVE"]), st.sampled_from([MSG_BYTES, IHAVE_BYTES, 1])
+)
+
+
+@st.composite
+def burst(draw):
+    src = draw(sender)
+    dsts = draw(st.lists(receiver(src), min_size=1, max_size=16, unique=True))
+    kinds = draw(st.lists(message, min_size=len(dsts), max_size=len(dsts)))
+    return ("burst", src, [(d, k, s) for d, (k, s) in zip(dsts, kinds)])
+
+
+@st.composite
+def single(draw):
+    src = draw(sender)
+    dst = draw(receiver(src))
+    kind, size = draw(message)
+    return ("send", src, dst, kind, size)
+
+
+@st.composite
+def link(draw):
+    src = draw(node)
+    dst = draw(node.filter(lambda n: n != src))
+    return (
+        "link",
+        src,
+        dst,
+        draw(st.sampled_from([0.0, 0.3])),
+        draw(st.sampled_from([0.0, 4.0])),
+        draw(st.sampled_from([0.0, 0.5])),
+    )
+
+
+operation = st.one_of(
+    burst(),
+    burst(),
+    st.tuples(st.just("repeat"), burst(), st.integers(2, 5)),
+    single(),
+    st.tuples(st.just("run"), st.sampled_from([0.0, 1.0, 3.0, 8.0, 30.0])),
+    st.tuples(st.just("silence"), node),
+    st.tuples(st.just("unsilence"), node),
+    link(),
+    st.tuples(
+        st.just("slow"), node, st.sampled_from([1.0, 3.0]), st.sampled_from([0.0, 2.5])
+    ),
+    st.tuples(st.just("partition"), st.integers(1, NODES - 1)),
+    st.tuples(st.just("heal")),
+    st.tuples(st.just("clear_gray")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    operations=st.lists(operation, min_size=1, max_size=40),
+    seed=st.integers(0, 1000),
+    bandwidth=st.sampled_from([None, 40.0, 1250.0]),
+    loss=st.sampled_from([0.0, 0.2]),
+    jitter=st.sampled_from([0.0, 3.0]),
+    capacity=st.integers(1, 4),
+    policy=st.sampled_from(list(PurgePolicy)),
+    observe=st.booleans(),
+)
+def test_bursts_match_the_per_packet_path(
+    operations, seed, bandwidth, loss, jitter, capacity, policy, observe
+):
+    model = _model(seed)
+    config = FabricConfig(
+        bandwidth_bytes_per_ms=bandwidth, loss_probability=loss, jitter_ms=jitter
+    )
+    stacks = [
+        Stack(batched, seed, model, config, capacity, policy, observe)
+        for batched in (True, False)
+    ]
+    batched, reference = stacks
+    for step, op in enumerate([*operations, ("heal",), ("run", 1e6)]):
+        for stack in stacks:
+            stack.apply(step, op)
+        assert batched.observable() == reference.observable(), (step, op)
+    assert batched.sim.pending_events == 0
