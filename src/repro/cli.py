@@ -243,7 +243,8 @@ def command_run(args: argparse.Namespace) -> int:
         if misused:
             print(f"{flag} is only supported by {where}", file=sys.stderr)
             return 2
-    factory = STRATEGIES[args.strategy](args)
+    with _field_errors():
+        factory = STRATEGIES[args.strategy](args)
     failure = (
         FailurePlan(fraction=args.fail_fraction) if args.fail_fraction else None
     )

@@ -25,9 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.monitors.oracle import OracleDistanceMonitor, OracleLatencyMonitor
-from repro.monitors.ranking import OracleRanking
+from repro.monitors.ranking import oracle_ranking
 from repro.runtime.node import StrategyContext, StrategyFactory
-from repro.scheduler.interfaces import DEFAULT_RETRY_PERIOD_MS
 from repro.strategies.flat import FlatStrategy
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.noise import NoisyStrategy
@@ -47,31 +46,30 @@ class ScenarioParams:
     the in-radius latency estimate delaying the first IWANT.
     ``ranked_fraction`` -- hub share: 20%, the split the paper reports in
     Fig. 5(c).  Hybrid runs a tighter radius that shrinks after
-    ``hybrid_eager_rounds``.
+    ``hybrid_eager_rounds``.  A field out of range raises ``ValueError``
+    naming it.
     """
 
     radius_ms: float = 30.0
     radius_first_delay_ms: float = 60.0
     ranked_fraction: float = 0.2
-    ttl_rounds: int = 3
     hybrid_radius_ms: float = 30.0
     hybrid_eager_rounds: int = 2
 
+    def __post_init__(self) -> None:
+        for name in ("radius_ms", "hybrid_radius_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("radius_first_delay_ms", "hybrid_eager_rounds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 < self.ranked_fraction <= 1.0:
+            raise ValueError(
+                f"ranked_fraction must be in (0, 1], got {self.ranked_fraction}"
+            )
+
 
 DEFAULT_PARAMS = ScenarioParams()
-
-# One OracleRanking per (model, fraction): closeness ranking is O(n^2)
-# and identical for every node, so factories share it.
-_ranking_cache: Dict[tuple, OracleRanking] = {}
-
-
-def _oracle_ranking(model: ClientNetworkModel, fraction: float) -> OracleRanking:
-    key = (id(model), fraction)
-    ranking = _ranking_cache.get(key)
-    if ranking is None:
-        ranking = OracleRanking(model, fraction)
-        _ranking_cache[key] = ranking
-    return ranking
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class BestLowClasses:
     fraction: float = DEFAULT_PARAMS.ranked_fraction
 
     def __call__(self, model: ClientNetworkModel) -> Dict[str, List[int]]:
-        ranking = _oracle_ranking(model, self.fraction)
+        ranking = oracle_ranking(model, self.fraction)
         best = sorted(ranking.best_nodes)
         low = [n for n in range(model.size) if n not in ranking.best_nodes]
         return {"best": best, "low": low}
@@ -107,6 +105,12 @@ class FlatFactory:
 
     probability: float
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.probability <= 1.0:
+            raise ValueError(
+                f"probability must be in [0, 1], got {self.probability}"
+            )
+
     def __call__(self, ctx: StrategyContext) -> FlatStrategy:
         return FlatStrategy(self.probability, ctx.rng, ctx.retry_period_ms)
 
@@ -121,6 +125,10 @@ class TtlFactory:
     """TTL(u): eager during the first rounds."""
 
     eager_rounds: int
+
+    def __post_init__(self) -> None:
+        if self.eager_rounds < 0:
+            raise ValueError(f"eager_rounds must be >= 0, got {self.eager_rounds}")
 
     def __call__(self, ctx: StrategyContext) -> TtlStrategy:
         return TtlStrategy(self.eager_rounds, ctx.retry_period_ms)
@@ -203,7 +211,7 @@ class RankedFactory:
     params: ScenarioParams = DEFAULT_PARAMS
 
     def __call__(self, ctx: StrategyContext) -> RankedStrategy:
-        ranking = _oracle_ranking(ctx.model, self.params.ranked_fraction)
+        ranking = oracle_ranking(ctx.model, self.params.ranked_fraction)
         return RankedStrategy(ctx.node, ranking, ctx.retry_period_ms)
 
 
@@ -240,7 +248,7 @@ class HybridFactory:
     params: ScenarioParams = DEFAULT_PARAMS
 
     def __call__(self, ctx: StrategyContext) -> HybridStrategy:
-        ranking = _oracle_ranking(ctx.model, self.params.ranked_fraction)
+        ranking = oracle_ranking(ctx.model, self.params.ranked_fraction)
         monitor = OracleLatencyMonitor(ctx.model, ctx.node)
         return HybridStrategy(
             node=ctx.node,
@@ -307,6 +315,6 @@ def ranked_calibration(
     n = model.size
     if n < 2:
         return 0.0
-    k = len(_oracle_ranking(model, fraction).best_nodes)
+    k = len(oracle_ranking(model, fraction).best_nodes)
     # Ordered pairs with neither endpoint best: (n-k)(n-k-1).
     return 1.0 - ((n - k) * (n - k - 1)) / (n * (n - 1))

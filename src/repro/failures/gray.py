@@ -24,12 +24,11 @@ any other component's randomness.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.network.fabric import LinkProfile
-from repro.sim.rng import sample
+from repro.sim.rng import RandomStreams, sample
 
 if TYPE_CHECKING:
     from repro.runtime.cluster import Cluster
@@ -83,60 +82,71 @@ class AppliedGrayFailures:
     slow_nodes: List[int] = field(default_factory=list)
     lossy_links: List[Tuple[int, int]] = field(default_factory=list)
     flappy_nodes: List[int] = field(default_factory=list)
+    #: Each flappy node's first up period, aligned with ``flappy_nodes``.
+    flap_phases_ms: List[float] = field(default_factory=list)
+
+
+def gray_targets(
+    plan: GrayFailurePlan, size: int, streams: RandomStreams
+) -> AppliedGrayFailures:
+    """The nodes and links ``plan`` impairs in a ``size``-node population.
+
+    Draws from the ``failures.gray`` stream of ``streams``: slow nodes,
+    then lossy directed links, then flappy nodes (never slow ones) and
+    their phase offsets.  Both kernels call this, so a seed impairs the
+    same targets on either.
+    """
+    rng = streams.stream("failures.gray")
+    population = range(size)
+    applied = AppliedGrayFailures()
+    slow_count = int(round(plan.slow_fraction * size))
+    if slow_count:
+        applied.slow_nodes = sorted(sample(rng, population, slow_count))
+    if plan.lossy_link_fraction > 0.0:
+        links = [(a, b) for a in population for b in population if a != b]
+        count = int(round(plan.lossy_link_fraction * len(links)))
+        if count:
+            applied.lossy_links = sorted(sample(rng, links, count))
+    flappy_count = int(round(plan.flappy_fraction * size))
+    if flappy_count:
+        slow = set(applied.slow_nodes)
+        candidates = [p for p in population if p not in slow]
+        flappy_count = min(flappy_count, len(candidates))
+        applied.flappy_nodes = sorted(sample(rng, candidates, flappy_count))
+        applied.flap_phases_ms = [
+            rng.uniform(0.0, plan.flap_up_ms) for _ in applied.flappy_nodes
+        ]
+    return applied
 
 
 class GrayFailureInjector:
     """Applies :class:`GrayFailurePlan` to a cluster's fabric."""
 
-    def __init__(
-        self, cluster: "Cluster", rng: Optional[random.Random] = None
-    ) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self._rng = rng or cluster.sim.rng.stream("failures.gray")
         self.applied: Optional[AppliedGrayFailures] = None
         self._flap_state: Dict[int, bool] = {}
 
     def apply(self, plan: GrayFailurePlan) -> AppliedGrayFailures:
         fabric = self.cluster.fabric
-        n = self.cluster.size
-        population = list(range(n))
-        applied = AppliedGrayFailures()
-
-        slow_count = int(round(plan.slow_fraction * n))
-        if slow_count:
-            applied.slow_nodes = sorted(sample(self._rng, population, slow_count))
-            for node in applied.slow_nodes:
-                fabric.set_node_slowdown(
-                    node,
-                    bandwidth_factor=plan.slow_bandwidth_factor,
-                    service_delay_ms=plan.slow_service_delay_ms,
-                )
-
-        if plan.lossy_link_fraction > 0.0:
-            links = [(a, b) for a in population for b in population if a != b]
-            count = int(round(plan.lossy_link_fraction * len(links)))
-            if count:
-                profile = LinkProfile(
-                    loss_probability=plan.link_loss_probability,
-                    extra_latency_ms=plan.link_extra_latency_ms,
-                    duplicate_probability=plan.link_duplicate_probability,
-                )
-                applied.lossy_links = sorted(sample(self._rng, links, count))
-                for src, dst in applied.lossy_links:
-                    fabric.set_link(src, dst, profile)
-
-        flappy_count = int(round(plan.flappy_fraction * n))
-        if flappy_count:
-            candidates = [p for p in population if p not in set(applied.slow_nodes)]
-            flappy_count = min(flappy_count, len(candidates))
-            applied.flappy_nodes = sorted(
-                sample(self._rng, candidates, flappy_count)
+        applied = gray_targets(plan, self.cluster.size, self.cluster.sim.rng)
+        for node in applied.slow_nodes:
+            fabric.set_node_slowdown(
+                node,
+                bandwidth_factor=plan.slow_bandwidth_factor,
+                service_delay_ms=plan.slow_service_delay_ms,
             )
-            for node in applied.flappy_nodes:
-                self._flap_state[node] = True  # currently up
-                phase = self._rng.uniform(0.0, plan.flap_up_ms)
-                self.cluster.sim.schedule(phase, self._flap, node, plan)
-
+        if applied.lossy_links:
+            profile = LinkProfile(
+                loss_probability=plan.link_loss_probability,
+                extra_latency_ms=plan.link_extra_latency_ms,
+                duplicate_probability=plan.link_duplicate_probability,
+            )
+            for src, dst in applied.lossy_links:
+                fabric.set_link(src, dst, profile)
+        for node, phase in zip(applied.flappy_nodes, applied.flap_phases_ms):
+            self._flap_state[node] = True  # currently up
+            self.cluster.sim.schedule(phase, self._flap, node, plan)
         self.applied = applied
         return applied
 

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, List, Optional, Sequence
 
-from repro.sim.rng import sample
+from repro.sim.rng import RandomStreams, sample
 
 if TYPE_CHECKING:
     from repro.runtime.cluster import Cluster
@@ -37,47 +36,57 @@ class FailurePlan:
             raise ValueError("target='best' requires ranked_nodes")
 
 
+def crash_victims(
+    plan: FailurePlan,
+    size: int,
+    streams: RandomStreams,
+    failed: Collection[int] = (),
+) -> List[int]:
+    """The nodes ``plan`` silences in a ``size``-node population.
+
+    Draws from the ``failures`` stream of ``streams``.  A ``"best"``
+    plan skips the earlier victims ``failed`` and fills any shortfall of
+    ranked nodes uniformly.  Both kernels call this, so a seed silences
+    the same nodes on either.
+    """
+    count = int(round(plan.fraction * size))
+    if count == 0:
+        return []
+    rng = streams.stream("failures")
+    population = range(size)
+    if plan.target == "random":
+        return sample(rng, population, count)
+    skip = set(failed)
+    ranked = [n for n in plan.ranked_nodes or () if 0 <= n < size and n not in skip]
+    victims = ranked[:count]
+    if len(victims) < count:
+        # Not enough ranked nodes supplied; fill uniformly.
+        skip.update(victims)
+        rest = [n for n in population if n not in skip]
+        victims += sample(rng, rest, count - len(victims))
+    return victims
+
+
 class FailureInjector:
     """Applies failure plans to a cluster's fabric."""
 
-    def __init__(
-        self, cluster: "Cluster", rng: Optional[random.Random] = None
-    ) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
-        self._rng = rng or cluster.sim.rng.stream("failures")
         self.failed: List[int] = []
 
     def apply(self, plan: FailurePlan) -> List[int]:
         """Silence the victims; returns their ids."""
-        population = list(range(self.cluster.size))
-        count = int(round(plan.fraction * len(population)))
-        if count == 0:
-            return []
-        if plan.target == "random":
-            victims = sample(self._rng, population, count)
-        else:
-            population_set = set(population)
-            already_failed = set(self.failed)
-            ranked = [
-                n
-                for n in plan.ranked_nodes or ()
-                if n in population_set and n not in already_failed
-            ]
-            victims = list(ranked[:count])
-            if len(victims) < count:
-                # Not enough ranked nodes supplied; fill uniformly.
-                victim_set = set(victims) | already_failed
-                rest = [n for n in population if n not in victim_set]
-                victims += sample(self._rng, rest, count - len(victims))
+        cluster = self.cluster
+        victims = crash_victims(plan, cluster.size, cluster.sim.rng, self.failed)
         for node in victims:
-            self.cluster.silence(node)
+            cluster.fabric.silence(node)
         self.failed.extend(victims)
         return victims
 
     def fail_nodes(self, nodes: Sequence[int]) -> None:
         """Silence an explicit node list."""
         for node in nodes:
-            self.cluster.silence(node)
+            self.cluster.fabric.silence(node)
         self.failed.extend(nodes)
 
     def revive(self, nodes: Sequence[int], wipe_state: bool = False) -> None:

@@ -15,9 +15,7 @@ Three layers filter raw findings before anything is reported:
 
 1. per-line ``# noqa: DET0xx`` comments (or a bare ``# noqa``) -- for a
    multi-site finding, a suppression on *any* of its locations silences
-   it, so the justification can live at the intentional site (e.g. the
-   megasim fault replay that derives the event kernel's ``failures``
-   stream on purpose),
+   it, so the justification can live at the intentional site,
 2. the baseline file of grandfathered findings (see
    :mod:`repro.lint.baseline`),
 3. an optional rule selection (``--select`` on the CLI).

@@ -14,37 +14,38 @@ Faults: :func:`compile_faults` lowers the supported subset of the event
 kernel's :class:`~repro.failures.injection.FailurePlan` /
 :class:`~repro.failures.gray.GrayFailurePlan` into a
 :class:`CompiledFaults` -- a crashed-node mask, always-drop link keys
-and a Bernoulli loss probability -- replaying the injectors' seeded
-victim selection exactly so both backends impair the same nodes and
-links for a given seed.
+and a Bernoulli loss probability.  Victims and lossy links come from
+the injectors' own draws (:func:`~repro.failures.crash_victims`,
+:func:`~repro.failures.gray_targets`), so both backends impair the same
+nodes and links for a given seed.
 
 Outbound: :func:`to_recorder` replays a finished run into a
 :class:`~repro.metrics.recorder.MetricsRecorder` (small N -- it builds
-per-message Python dicts), and :func:`summary_from_outcomes` computes a
+per-message Python dicts), and :func:`summary_from_outcomes` fills a
 :class:`~repro.metrics.analysis.RunSummary` directly from slot
-histograms with the same formulas ``summarize()`` uses, so large runs
-report in the recorder's metric schema without recorder-sized state.
+histograms (latency statistics with the same formulas ``summarize()``
+uses; the ratios are the summary's own properties), so large runs report
+in the recorder's metric schema without recorder-sized state.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
 
 import numpy as np
 from numpy.typing import NDArray
 
-from repro.failures.gray import GrayFailurePlan
-from repro.failures.injection import FailurePlan
+from repro.failures.gray import GrayFailurePlan, gray_targets
+from repro.failures.injection import FailurePlan, crash_victims
 from repro.megasim.links import LinkTable, merge_link_arrays, top_share
 from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
 from repro.metrics.recorder import MetricsRecorder
-from repro.monitors.ranking import OracleRanking
+from repro.monitors.ranking import oracle_ranking
 from repro.network.message import control_packet_size, payload_packet_size
-from repro.sim.rng import RandomStreams, sample
+from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -85,9 +86,9 @@ def _check_kind(kind: str) -> None:
 class DenseTopology:
     """A :class:`ClientNetworkModel` viewed as vector arrays.
 
-    The best-node set is computed by the *same*
-    :class:`~repro.monitors.ranking.OracleRanking` code the event-kernel
-    factories use -- closeness summation order and sort stability
+    The best-node set is the *same* shared
+    :func:`~repro.monitors.ranking.oracle_ranking` the event-kernel
+    factories read -- closeness summation order and sort stability
     included -- so both backends agree on who is a hub even on ties.
 
     ``round_ms`` defaults to the uniform off-diagonal latency when the
@@ -102,7 +103,6 @@ class DenseTopology:
         self._latency = np.asarray(model.latency_ms, dtype=np.float64)
         self._px = np.asarray([p.x for p in model.positions], dtype=np.float64)
         self._py = np.asarray([p.y for p in model.positions], dtype=np.float64)
-        self._best_masks: Dict[float, NDArray[np.bool_]] = {}
         if round_ms is None:
             round_ms = self._uniform_latency() or model.mean_latency()
         if round_ms <= 0:
@@ -149,12 +149,8 @@ class DenseTopology:
         return np.asarray(result, dtype=np.float64)
 
     def best_mask(self, fraction: float) -> NDArray[np.bool_]:
-        mask = self._best_masks.get(fraction)
-        if mask is None:
-            ranking = OracleRanking(self.model, fraction)
-            mask = np.zeros(self.size, dtype=bool)
-            mask[sorted(ranking.best_nodes)] = True
-            self._best_masks[fraction] = mask
+        mask = np.zeros(self.size, dtype=bool)
+        mask[sorted(oracle_ranking(self.model, fraction).best_nodes)] = True
         return mask
 
 
@@ -485,52 +481,6 @@ class CompiledFaults:
         return keep
 
 
-def _replay_crash_victims(n: int, seed: int, plan: FailurePlan) -> List[int]:
-    """The exact victim set :class:`~repro.failures.injection.FailureInjector`
-    would silence on a cluster built with ``seed``.
-
-    The cluster's injector draws from the ``failures`` stream of the
-    simulator's :class:`~repro.sim.rng.RandomStreams`; re-deriving that
-    stream here reproduces its ``random.sample`` calls bit for bit, so
-    the differential harness sees the same victims on both backends.
-    """
-    count = int(round(plan.fraction * n))
-    if count == 0:
-        return []
-    # Key shared with FailureInjector BY DESIGN: fault parity requires
-    # replaying the event kernel's victim draws bit for bit.
-    rng = random.Random(RandomStreams(seed).derive_seed("failures"))  # noqa: DET010
-    population = list(range(n))
-    if plan.target == "random":
-        return sample(rng, population, count)
-    assert plan.ranked_nodes is not None  # enforced by FailurePlan
-    population_set = set(population)
-    ranked = [node for node in plan.ranked_nodes if node in population_set]
-    victims = list(ranked[:count])
-    if len(victims) < count:
-        victim_set = set(victims)
-        rest = [node for node in population if node not in victim_set]
-        victims += sample(rng, rest, count - len(victims))
-    return victims
-
-
-def _replay_lossy_links(
-    n: int, seed: int, plan: GrayFailurePlan
-) -> List[Tuple[int, int]]:
-    """The exact directed-link set the event-kernel gray injector
-    impairs, re-derived from the ``failures.gray`` stream (the slow-node
-    sample that precedes it in the injector is empty here -- compiled
-    plans reject ``slow_fraction`` -- so the link draw is the stream's
-    first)."""
-    # Key shared with GrayFailureInjector BY DESIGN: same replay contract.
-    rng = random.Random(RandomStreams(seed).derive_seed("failures.gray"))  # noqa: DET010
-    links = [(a, b) for a in range(n) for b in range(n) if a != b]
-    count = int(round(plan.lossy_link_fraction * len(links)))
-    if count == 0:
-        return []
-    return sorted(sample(rng, links, count))
-
-
 def _link_keys(n: int, links: List[Tuple[int, int]]) -> NDArray[np.int64]:
     keys = np.asarray(
         [a * n + b for a, b in links], dtype=np.int64
@@ -547,17 +497,21 @@ def compile_faults(
 ) -> Optional[CompiledFaults]:
     """Compile the supported fault-plan subset for an ``n``-node run.
 
-    Returns ``None`` when both plans are absent or no-ops, so the
-    fault-free kernel path stays byte-identical to the pre-fault one.
+    Crash victims and lossy links are drawn by the event injectors' own
+    functions from ``RandomStreams(seed)``, the streams a cluster built
+    with ``seed`` hands its injectors.  Returns ``None`` when both plans
+    are absent or no-ops, so the fault-free kernel path stays
+    byte-identical to the pre-fault one.
     Raises :class:`UnsupportedFaultError` (naming the field) for plan
     features with no slot-synchronous counterpart, and for fractional
     ``lossy_link_fraction`` above :data:`LINK_ENUMERATION_LIMIT` nodes
     (which would need the O(n^2) link enumeration the scale tier exists
     to avoid).
     """
+    streams = RandomStreams(seed)
     crashed: Optional[NDArray[np.bool_]] = None
     if failure is not None:
-        victims = _replay_crash_victims(n, seed, failure)
+        victims = crash_victims(failure, n, streams)
         if victims:
             crashed = np.zeros(n, dtype=bool)
             crashed[victims] = True
@@ -580,7 +534,7 @@ def compile_faults(
                         f"{LINK_ENUMERATION_LIMIT} nodes (got {n}); use "
                         "lossy_link_fraction=1.0 for uniform loss at scale"
                     )
-                links = _replay_lossy_links(n, seed, gray)
+                links = gray_targets(gray, n, streams).lossy_links
                 if links:
                     if gray.link_loss_probability >= 1.0:
                         # Deterministic outcome: exact-differential safe.
@@ -750,7 +704,6 @@ def summary_from_outcomes(
     mean, ci, median, p95 = _slot_latency_stats(
         _slot_histogram(outcomes), round_ms
     )
-    per_node_messages = messages * expected_receivers
     control = ihave_sent + iwant_sent
     total_bytes = msg_sent * payload_packet_size(payload_bytes) + (
         control * control_packet_size()
@@ -759,16 +712,11 @@ def summary_from_outcomes(
         messages=messages,
         expected_receivers=expected_receivers,
         deliveries=deliveries,
-        delivery_ratio=(deliveries / per_node_messages) if messages else 0.0,
         mean_latency_ms=mean,
         latency_ci_ms=ci,
         median_latency_ms=median,
         p95_latency_ms=p95,
         payload_transmissions=msg_sent,
-        payload_per_delivery=(msg_sent / deliveries) if deliveries else 0.0,
-        payload_per_message_per_node=(
-            (msg_sent / per_node_messages) if messages else 0.0
-        ),
         top_link_share=(
             top_share(merged_links[1], top_fraction)
             if merged_links is not None

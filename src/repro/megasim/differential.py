@@ -26,10 +26,13 @@ and only statistical agreement is claimed.
 
 Faults extend the regime rather than leaving it: both halves accept a
 ``failure``/``gray`` plan, and the *outcome-deterministic* subset --
-crash-stop nodes (victims replayed bit-for-bit from the ``failures``
-stream) and fully-lossy directed links (``link_loss_probability=1.0``,
-links replayed from ``failures.gray``) -- keeps every observable exact,
+crash-stop nodes and fully-lossy directed links
+(``link_loss_probability=1.0``) -- keeps every observable exact,
 retries included, because no per-packet coin flip is ever consulted.
+Both kernels pick those targets with the same functions
+(:func:`~repro.failures.crash_victims`,
+:func:`~repro.failures.gray_targets`) on the same seed, so they impair
+the same nodes and links by construction.
 Fractional loss probabilities draw Bernoulli coins from different
 streams in the two kernels and belong to the statistical tier
 (``tests/megasim/test_faults.py``).

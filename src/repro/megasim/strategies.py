@@ -88,8 +88,6 @@ class FlatEvaluator(EagerEvaluator):
     """Flat(p): eager with fixed probability, degenerate ends drawless."""
 
     def __init__(self, probability: float) -> None:
-        if not 0.0 <= probability <= 1.0:
-            raise ValueError(f"probability out of range: {probability}")
         self.probability = probability
         self.uses_rng = 0.0 < probability < 1.0
 
@@ -113,8 +111,6 @@ class TtlEvaluator(EagerEvaluator):
     uses_round = True
 
     def __init__(self, eager_rounds: int) -> None:
-        if eager_rounds < 0:
-            raise ValueError(f"eager_rounds must be >= 0, got {eager_rounds}")
         self.eager_rounds = eager_rounds
 
     def eager_mask(
@@ -134,8 +130,6 @@ class RadiusEvaluator(EagerEvaluator):
     def __init__(
         self, topology: VectorTopology, metric_kind: str, radius: float
     ) -> None:
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
         self.topology = topology
         self.metric_kind = metric_kind
         self.radius = radius
@@ -186,10 +180,6 @@ class HybridEvaluator(EagerEvaluator):
         radius: float,
         eager_rounds: int,
     ) -> None:
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
-        if eager_rounds < 0:
-            raise ValueError(f"eager_rounds must be >= 0, got {eager_rounds}")
         self.best = best
         self.topology = topology
         self.metric_kind = metric_kind
@@ -247,60 +237,47 @@ def compile_strategy(
     """Compile an event-kernel strategy factory for ``topology``."""
     if round_ms is None:
         round_ms = topology.round_ms
-    retry_rounds = max(3, ms_to_rounds(retry_period_ms, round_ms))
+    first_delay_rounds, nearest_source = 0, False
+    if isinstance(factory, (RadiusFactory, HybridFactory)):
+        # Radius's ScheduleNext discipline: first request after T0, to
+        # the nearest source by the monitor metric.
+        first_delay_rounds = ms_to_rounds(
+            factory.params.radius_first_delay_ms, round_ms
+        )
+        nearest_source = True
+    metric_kind = (
+        factory.metric if isinstance(factory, RadiusFactory) else METRIC_LATENCY
+    )
+    evaluator: EagerEvaluator
     if isinstance(factory, FlatFactory):
-        return CompiledStrategy(
-            evaluator=FlatEvaluator(factory.probability),
-            first_delay_rounds=0,
-            retry_rounds=retry_rounds,
-            nearest_source=False,
+        evaluator = FlatEvaluator(factory.probability)
+    elif isinstance(factory, TtlFactory):
+        evaluator = TtlEvaluator(factory.eager_rounds)
+    elif isinstance(factory, RadiusFactory):
+        evaluator = RadiusEvaluator(topology, metric_kind, factory.params.radius_ms)
+    elif isinstance(factory, RankedFactory):
+        evaluator = RankedEvaluator(
+            topology.best_mask(factory.params.ranked_fraction)
         )
-    if isinstance(factory, TtlFactory):
-        return CompiledStrategy(
-            evaluator=TtlEvaluator(factory.eager_rounds),
-            first_delay_rounds=0,
-            retry_rounds=retry_rounds,
-            nearest_source=False,
+    elif isinstance(factory, HybridFactory):
+        params = factory.params
+        evaluator = HybridEvaluator(
+            topology.best_mask(params.ranked_fraction),
+            topology,
+            metric_kind,
+            params.hybrid_radius_ms,
+            params.hybrid_eager_rounds,
         )
-    if isinstance(factory, RadiusFactory):
-        return CompiledStrategy(
-            evaluator=RadiusEvaluator(
-                topology, factory.metric, factory.params.radius_ms
-            ),
-            first_delay_rounds=ms_to_rounds(
-                factory.params.radius_first_delay_ms, round_ms
-            ),
-            retry_rounds=retry_rounds,
-            nearest_source=True,
-            metric_kind=factory.metric,
+    else:
+        raise UnsupportedStrategyError(
+            f"the vector backend cannot evaluate {type(factory).__name__}; "
+            "supported factories: Flat, Ttl, Radius (oracle), Ranked (oracle), "
+            "Hybrid (oracle)"
         )
-    if isinstance(factory, RankedFactory):
-        return CompiledStrategy(
-            evaluator=RankedEvaluator(
-                topology.best_mask(factory.params.ranked_fraction)
-            ),
-            first_delay_rounds=0,
-            retry_rounds=retry_rounds,
-            nearest_source=False,
-        )
-    if isinstance(factory, HybridFactory):
-        return CompiledStrategy(
-            evaluator=HybridEvaluator(
-                topology.best_mask(factory.params.ranked_fraction),
-                topology,
-                METRIC_LATENCY,
-                factory.params.hybrid_radius_ms,
-                factory.params.hybrid_eager_rounds,
-            ),
-            first_delay_rounds=ms_to_rounds(
-                factory.params.radius_first_delay_ms, round_ms
-            ),
-            retry_rounds=retry_rounds,
-            nearest_source=True,
-            metric_kind=METRIC_LATENCY,
-        )
-    raise UnsupportedStrategyError(
-        f"the vector backend cannot evaluate {type(factory).__name__}; "
-        "supported factories: Flat, Ttl, Radius (oracle), Ranked (oracle), "
-        "Hybrid (oracle)"
+    return CompiledStrategy(
+        evaluator=evaluator,
+        first_delay_rounds=first_delay_rounds,
+        retry_rounds=max(3, ms_to_rounds(retry_period_ms, round_ms)),
+        nearest_source=nearest_source,
+        metric_kind=metric_kind,
     )

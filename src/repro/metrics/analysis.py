@@ -30,17 +30,31 @@ class RunSummary:
     messages: int
     expected_receivers: int
     deliveries: int
-    delivery_ratio: float
     mean_latency_ms: float
     latency_ci_ms: float
     median_latency_ms: float
     p95_latency_ms: float
     payload_transmissions: int
-    payload_per_delivery: float
-    payload_per_message_per_node: float
     top_link_share: float
     control_packets: int
     total_bytes: int
+
+    # The ratios are derived here, from the counts, for both kernels.
+
+    @property
+    def delivery_ratio(self) -> float:
+        expected = self.messages * self.expected_receivers
+        return self.deliveries / expected if self.messages else 0.0
+
+    @property
+    def payload_per_delivery(self) -> float:
+        sent = self.payload_transmissions
+        return sent / self.deliveries if self.deliveries else 0.0
+
+    @property
+    def payload_per_message_per_node(self) -> float:
+        expected = self.messages * self.expected_receivers
+        return self.payload_transmissions / expected if self.messages else 0.0
 
     def row(self) -> Dict[str, float]:
         """Flat dict for table rendering."""
@@ -83,23 +97,18 @@ def summarize(
         mean_latency, ci = mean_confidence_interval(latencies)
     else:
         mean_latency, ci = float("nan"), float("nan")
-    payload = recorder.payload_transmissions
     control = (
         recorder.sent_packets.get("IHAVE", 0) + recorder.sent_packets.get("IWANT", 0)
     )
-    per_node_messages = messages * expected_receivers
     return RunSummary(
         messages=messages,
         expected_receivers=expected_receivers,
         deliveries=deliveries,
-        delivery_ratio=(deliveries / per_node_messages) if messages else 0.0,
         mean_latency_ms=mean_latency,
         latency_ci_ms=ci,
         median_latency_ms=percentile(latencies, 0.5),
         p95_latency_ms=percentile(latencies, 0.95),
-        payload_transmissions=payload,
-        payload_per_delivery=(payload / deliveries) if deliveries else 0.0,
-        payload_per_message_per_node=(payload / per_node_messages) if messages else 0.0,
+        payload_transmissions=recorder.payload_transmissions,
         top_link_share=link_concentration(recorder.link_payload_counts, top_fraction),
         control_packets=control,
         total_bytes=sum(recorder.sent_bytes.values()),

@@ -19,6 +19,7 @@ implemented here:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -54,6 +55,23 @@ class OracleRanking:
 
     def is_best(self, node: int) -> bool:
         return node in self._best
+
+
+#: One :class:`OracleRanking` per (model, fraction): the closeness sort
+#: is O(n^2) and the same for every node, so strategies share it.  Keyed
+#: weakly by the model, so a dead model's entries go with it.
+_oracle_rankings: weakref.WeakKeyDictionary[
+    ClientNetworkModel, Dict[float, OracleRanking]
+] = weakref.WeakKeyDictionary()
+
+
+def oracle_ranking(model: ClientNetworkModel, fraction: float) -> OracleRanking:
+    """The shared :class:`OracleRanking` of ``model`` at ``fraction``."""
+    rankings = _oracle_rankings.setdefault(model, {})
+    ranking = rankings.get(fraction)
+    if ranking is None:
+        ranking = rankings[fraction] = OracleRanking(model, fraction)
+    return ranking
 
 
 class ScoreRanking:

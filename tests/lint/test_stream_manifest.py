@@ -66,7 +66,6 @@ def test_manifest_covers_the_core_streams():
     patterns = {(e["kind"], e["pattern"]) for e in manifest["streams"]}
     for expected in (
         ("stream", "failures"),
-        ("derive_seed", "failures"),  # megasim's intentional replay
         ("stream", "network.fabric"),
         ("stream", "node.{node}"),
         ("derive_seed", "megasim.topology.plane"),

@@ -79,9 +79,9 @@ class TestStreamCollision:
         assert rules_of(source) == []
 
     def test_cross_module_failures_clash(self, tmp_path: Path):
-        # The real-tree shape this rule exists for: an injector module
-        # owns the "failures" stream, and a far-away vector adapter
-        # derives the same key to replay it.
+        # The shape this rule exists for: an injector module owns the
+        # "failures" stream, and a far-away vector adapter derives the
+        # same key to replay it.
         pkg = tmp_path / "src" / "repro"
         pkg.mkdir(parents=True)
         (pkg / "injection.py").write_text(

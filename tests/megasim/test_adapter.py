@@ -70,7 +70,8 @@ class TestDenseTopology:
         assert set(np.flatnonzero(mask).tolist()) == set(
             OracleRanking(model, 0.2).best_nodes
         )
-        assert topology.best_mask(0.2) is mask  # cached
+        # A fresh array each call, read from the shared ranking.
+        assert np.array_equal(topology.best_mask(0.2), mask)
 
     def test_unknown_metric_rejected(self) -> None:
         topology = DenseTopology(ClientNetworkModel.uniform(4))

@@ -174,6 +174,32 @@ def test_rejected_parameters_are_one_line_usage_errors(argv, field, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "backend",
+    [[], ["--backend", "vector"], ["--backend", "vector", "--clients", "5000"]],
+    ids=["event", "vector-dense", "vector-synthetic"],
+)
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["run", "flat", "--probability", "1.5"], "probability"),
+        (["run", "ttl", "--rounds", "-1"], "eager_rounds"),
+    ],
+)
+def test_bad_strategy_parameters_are_one_line_usage_errors(
+    argv, field, backend, capsys
+):
+    """A strategy parameter the factory rejects is a usage error on every
+    backend, raised before any model is built."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + backend)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro: error: ") and field in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_topology_save_writes_model_file(tmp_path, capsys):
     from repro.topology.export import load_model
 
