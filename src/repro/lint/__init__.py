@@ -5,11 +5,11 @@ strategy's full event stream must be identical across runs, machines and
 ``--workers`` counts.  The golden tests catch a determinism bug *after*
 it runs; this package catches the usual causes before that.  Linting is
 a two-phase collect/analyze pipeline: each file is walked once into
-per-file findings plus structured facts (stream-name call sites, RNG
-constructor sites, numpy call sites -- :mod:`repro.lint.facts`), then
-the project-scope rules run over the merged fact set.
+structured facts (:mod:`repro.lint.facts`: stream-name, RNG-constructor
+and numpy call sites, banned-name calls, set iterations, dataclass
+factories), then every rule runs once over the merged fact set.
 
-Per-file rules, over ``src/repro``:
+Per-file rules (each reads one file's facts at a time):
 
 ========  ==========================================================
 DET001    no wall-clock calls outside the measurement allowlist
@@ -69,9 +69,13 @@ from repro.lint.engine import (
 )
 from repro.lint.facts import (
     FactCollector,
+    FactorySite,
     FileFacts,
+    NameSite,
     NumpySite,
     RngSite,
+    SetOrderSite,
+    Site,
     StreamSite,
     collect_facts_for_module,
 )
@@ -81,7 +85,6 @@ from repro.lint.rules import (
     RULES,
     RULES_BY_ID,
     VECTOR_MODULES,
-    ProjectRule,
     Rule,
 )
 
@@ -89,17 +92,20 @@ __all__ = [
     "Baseline",
     "CORE_MODULES",
     "FactCollector",
+    "FactorySite",
     "FileFacts",
     "Finding",
     "LintError",
     "Location",
     "MANIFEST_VERSION",
+    "NameSite",
     "NumpySite",
-    "ProjectRule",
     "RULES",
     "RULES_BY_ID",
     "RngSite",
     "Rule",
+    "SetOrderSite",
+    "Site",
     "StreamSite",
     "VECTOR_MODULES",
     "collect_facts",

@@ -3,13 +3,12 @@
 The engine is deliberately boring -- all judgement lives in the rules.
 Linting runs in two phases:
 
-1. **collect** -- every file is parsed and walked once, producing the
-   per-file findings (DET001..DET005) *and* a :class:`FileFacts` record
-   of stream-name, RNG-constructor and numpy call sites
-   (:mod:`repro.lint.facts`).
-2. **analyze** -- the project-scope rules (DET010..DET012,
-   VEC001..VEC004) run once over the merged, sorted fact set and emit
-   findings that may span files.
+1. **collect** -- every file is parsed and walked once by the fact
+   collector (:mod:`repro.lint.facts`) into a :class:`FileFacts`
+   record; no rule sees a syntax tree.
+2. **analyze** -- every rule in :data:`~repro.lint.rules.RULES` runs
+   once, through the same ``check(facts)`` call, over the merged,
+   sorted fact set and emits findings that may span files.
 
 Three layers filter raw findings before anything is reported:
 
@@ -34,12 +33,12 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline
-from repro.lint.facts import FileFacts, StreamSite
+from repro.lint.facts import FileFacts, StreamSite, collect_facts_for_module
 from repro.lint.findings import Finding
-from repro.lint.rules import RULES, ModuleContext, ProjectRule, Rule
+from repro.lint.rules import RULES, Rule
 
 #: ``# noqa`` / ``# noqa: DET001`` / ``# noqa: DET001, VEC002``
 _NOQA_RE = re.compile(
@@ -96,30 +95,31 @@ def repo_root_for(path: Path) -> Optional[Path]:
 
 
 # ---------------------------------------------------------------------------
-# Phase 1: collect.
+# Collect and analyze.
 # ---------------------------------------------------------------------------
 
 
-def _parse_context(
+def _file_facts(
     source: str, *, module: str, rel_path: str, filename: str
-) -> ModuleContext:
+) -> FileFacts:
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
         raise LintError(f"syntax error in {rel_path}: {exc}") from exc
-    return ModuleContext(module=module, path=rel_path, tree=tree, source=source)
+    return collect_facts_for_module(module, rel_path, tree)
 
 
-def _collect(
-    ctx: ModuleContext, rules: Sequence[Rule]
-) -> Tuple[List[Finding], FileFacts]:
-    """Run the per-file rules and the fact collector over one module."""
-    raw: List[Finding] = []
-    for rule in rules:
-        if isinstance(rule, ProjectRule):
-            continue
-        raw.extend(rule.check(ctx))
-    return raw, ctx.facts
+def _analyze(
+    facts: Sequence[FileFacts],
+    rules: Optional[Sequence[Rule]],
+    lines_by_path: Dict[str, Sequence[str]],
+) -> List[Finding]:
+    """Run every rule once over the fact set; sorted, noqa applied."""
+    findings: List[Finding] = []
+    for rule in rules if rules is not None else RULES:
+        findings.extend(rule.check(facts))
+    findings.sort()
+    return _apply_noqa(findings, lines_by_path)
 
 
 def lint_source(
@@ -133,18 +133,11 @@ def lint_source(
 
     ``module`` controls rule scoping (e.g. pass ``"repro.sim.engine"``
     to exercise the DET004 core scope, or ``"repro.megasim.fixture"``
-    for the VEC rules); the string is treated as a one-file project, so
-    the project-scope rules run over its facts too.  Suppression
-    comments are honoured exactly as for on-disk files.
+    for the VEC rules); the string is treated as a one-file project.
+    Suppression comments are honoured exactly as for on-disk files.
     """
-    active = tuple(rules) if rules is not None else RULES
-    ctx = _parse_context(source, module=module, rel_path=path, filename=path)
-    raw, facts = _collect(ctx, active)
-    for rule in active:
-        if isinstance(rule, ProjectRule):
-            raw.extend(rule.check_project((facts,)))
-    raw.sort()
-    return _apply_noqa(raw, {path: source.splitlines()})
+    facts = _file_facts(source, module=module, rel_path=path, filename=path)
+    return _analyze((facts,), rules, {path: source.splitlines()})
 
 
 def lint_file(
@@ -170,32 +163,14 @@ def lint_paths(
 ) -> List[Finding]:
     """Lint files and directories; directories are walked recursively.
 
-    Phase 1 collects per-file findings and facts; phase 2 runs the
-    project-scope rules over the merged fact set.  Results are sorted
-    (path, line, col, rule) and the fact set is sorted before analysis,
-    so output never depends on filesystem enumeration order *or* on the
-    order of the ``paths`` argument -- the linter holds itself to
-    DET003's standard.
+    Results are sorted (path, line, col, rule) and the fact set is
+    sorted before analysis, so output never depends on filesystem
+    enumeration order *or* on the order of the ``paths`` argument --
+    the linter holds itself to DET003's standard.
     """
-    active = tuple(rules) if rules is not None else RULES
-    findings: List[Finding] = []
-    all_facts: List[FileFacts] = []
     lines_by_path: Dict[str, Sequence[str]] = {}
-    for path in paths:
-        for file_path in _python_files(Path(path)):
-            ctx = _file_context(file_path, root)
-            if ctx.path in lines_by_path:
-                continue  # the same file listed twice is still one fact set
-            raw, facts = _collect(ctx, active)
-            findings.extend(raw)
-            all_facts.append(facts)
-            lines_by_path[ctx.path] = ctx.source.splitlines()
-    all_facts.sort()
-    for rule in active:
-        if isinstance(rule, ProjectRule):
-            findings.extend(rule.check_project(all_facts))
-    findings.sort()
-    findings = _apply_noqa(findings, lines_by_path)
+    facts = _collect(paths, root, lines_by_path)
+    findings = _analyze(facts, rules, lines_by_path)
     if baseline is not None:
         findings = baseline.filter(findings)
     return findings
@@ -206,32 +181,37 @@ def collect_facts(
     *,
     root: Optional[Path] = None,
 ) -> List[FileFacts]:
-    """Phase 1 only: the merged, sorted fact set for ``paths``."""
+    """The merged, sorted fact set for ``paths``."""
+    return _collect(paths, root, {})
+
+
+def _collect(
+    paths: Iterable[Path],
+    root: Optional[Path],
+    lines_by_path: Dict[str, Sequence[str]],
+) -> List[FileFacts]:
+    """Walk each file once; fill ``lines_by_path`` for noqa lookups."""
     all_facts: List[FileFacts] = []
-    seen: Set[str] = set()
     for path in paths:
         for file_path in _python_files(Path(path)):
-            ctx = _file_context(file_path, root)
-            if ctx.path in seen:
-                continue
-            seen.add(ctx.path)
-            all_facts.append(ctx.facts)
+            rel = _relative_posix(file_path, root)
+            if rel in lines_by_path:
+                continue  # the same file listed twice is still one fact set
+            try:
+                source = file_path.read_text(encoding="utf-8")
+            except OSError as exc:
+                raise LintError(f"cannot read {file_path}: {exc}") from exc
+            all_facts.append(
+                _file_facts(
+                    source,
+                    module=module_name_for(file_path),
+                    rel_path=rel,
+                    filename=str(file_path),
+                )
+            )
+            lines_by_path[rel] = source.splitlines()
     all_facts.sort()
     return all_facts
-
-
-def _file_context(file_path: Path, root: Optional[Path]) -> ModuleContext:
-    try:
-        source = file_path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LintError(f"cannot read {file_path}: {exc}") from exc
-    rel = _relative_posix(file_path, root)
-    return _parse_context(
-        source,
-        module=module_name_for(file_path),
-        rel_path=rel,
-        filename=str(file_path),
-    )
 
 
 # ---------------------------------------------------------------------------

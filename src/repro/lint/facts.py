@@ -1,18 +1,21 @@
-"""Phase-1 fact collection: one AST walk per file, structured facts out.
+"""Fact collection: one AST walk per file, structured facts out.
 
-The per-file rules (DET001..DET005) judge a module in isolation; the
-project-scope rules (DET010..DET012, VEC001..VEC004) need to see the
+Every rule judges facts, never a syntax tree.  Some rules need the
 whole tree at once -- a stream-name collision is invisible from either
-of its two call sites.  Following the paper's own move (global structure
-derived from purely local rules), the engine splits linting into
+of its two call sites -- and the rest read one file's facts at a time,
+so, following the paper's own move (global structure derived from
+purely local rules), the engine splits linting into
 
 1. **collect** -- this module.  Each file is walked exactly once and
    reduced to a :class:`FileFacts` record: every RNG stream-name call
    site (with its resolved literal/f-string pattern and loop context),
-   every RNG constructor site (with the seed's dataflow lineage), and
-   every determinism-relevant numpy call site.
-2. **analyze** -- the project rules in :mod:`repro.lint.rules` run over
-   the merged, sorted fact set and emit findings that may span files.
+   every RNG constructor site (with the seed's dataflow lineage), every
+   determinism-relevant numpy call site, every resolved call to a banned
+   wall-clock, global-random or ambient name (and every ``os.environ``
+   load), every iteration or sequence launder of a set, and every
+   dataclass factory declaration.
+2. **analyze** -- the rules in :mod:`repro.lint.rules` run over the
+   merged, sorted fact set and emit findings that may span files.
 
 Facts are frozen and totally ordered so the analyze phase -- and the
 generated stream manifest -- cannot depend on filesystem walk order.
@@ -29,7 +32,7 @@ pattern-level rules.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 #: Method names that name-derive an RNG stream (see repro/sim/rng.py).
@@ -62,24 +65,76 @@ NUMPY_RANDOM_ALLOWED: Tuple[str, ...] = (
     "BitGenerator",
 ) + tuple(name.rsplit(".", 1)[1] for name in NUMPY_BIT_GENERATORS)
 
-#: Calls whose return value is ambient process state (never a valid
-#: seed): wall clocks and the OS entropy pool.
-AMBIENT_SEED_CALLS: Tuple[str, ...] = (
+#: Wall-clock reads (DET001).
+WALL_CLOCK_CALLS: Tuple[str, ...] = (
     "time.time",
     "time.time_ns",
     "time.monotonic",
     "time.monotonic_ns",
     "time.perf_counter",
     "time.perf_counter_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "time.clock_gettime",
+    "time.localtime",
+    "time.gmtime",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.datetime.today",
+    "datetime.date.today",
+)
+
+#: Reads of the OS entropy pool.  Like every ``secrets.*`` call, they
+#: are banned in the sim core (DET004) and never a valid seed (DET011).
+ENTROPY_CALLS: Tuple[str, ...] = (
     "os.urandom",
     "os.getrandom",
-    "os.getpid",
     "uuid.uuid1",
     "uuid.uuid4",
-    "secrets.token_bytes",
-    "secrets.randbits",
-    "secrets.randbelow",
 )
+
+#: Ambient-environment reads banned in the sim core (DET004), besides
+#: ``open()``, ``secrets.*`` and ``os.environ`` loads.
+ENVIRONMENT_CALLS: Tuple[str, ...] = ENTROPY_CALLS + (
+    "os.getenv",
+    "os.putenv",
+    "io.open",
+    "socket.gethostname",
+    "platform.node",
+)
+
+#: Banned in the sim core like the calls above -- segment creation draws
+#: a random OS name -- except in the megasim arena (DET004).
+SHARED_MEMORY_CALLS: Tuple[str, ...] = (
+    "multiprocessing.shared_memory.SharedMemory",
+    "multiprocessing.shared_memory.ShareableList",
+)
+
+#: Calls whose return value is ambient process state (never a valid
+#: seed): wall clocks, the OS entropy pool, ``secrets.*`` and the pid.
+AMBIENT_SEED_CALLS: Tuple[str, ...] = (
+    WALL_CLOCK_CALLS + ENTROPY_CALLS + ("os.getpid",)
+)
+
+#: Every resolved name a :class:`NameSite` records; ``random.*`` (bar
+#: ``random.Random``) and ``secrets.*`` are matched by prefix.
+_BANNED_NAMES = frozenset(
+    WALL_CLOCK_CALLS + ENVIRONMENT_CALLS + SHARED_MEMORY_CALLS + ("open",)
+)
+
+#: Calls that launder a set's arbitrary order into a sequence (DET003).
+SET_LAUNDERS: Tuple[str, ...] = ("list", "tuple", "iter", "enumerate")
+
+#: Methods whose result on a set is again a set.
+_SET_METHODS: Tuple[str, ...] = (
+    "union",
+    "intersection",
+    "difference",
+    "symmetric_difference",
+    "copy",
+)
+
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
 #: Parameter names that mark a "per-index helper": a function called
 #: once per message/node/slot whose stream key must embed that index.
@@ -87,7 +142,7 @@ INDEX_PARAM_NAMES: Tuple[str, ...] = ("index", "idx", "i")
 
 
 # ---------------------------------------------------------------------------
-# Shared AST helpers (also used by the per-file rules in rules.py).
+# Shared AST helpers.
 # ---------------------------------------------------------------------------
 
 
@@ -155,13 +210,19 @@ def in_scope(module: str, prefixes: Sequence[str]) -> bool:
 
 
 @dataclass(frozen=True, order=True)
-class StreamSite:
-    """One ``.stream(...)`` / ``.derive_seed(...)`` / ``.spawn(...)``
-    call site."""
+class Site:
+    """A source position; every fact record starts with one."""
 
     path: str
     line: int
     col: int
+
+
+@dataclass(frozen=True, order=True)
+class StreamSite(Site):
+    """One ``.stream(...)`` / ``.derive_seed(...)`` / ``.spawn(...)``
+    call site."""
+
     module: str
     #: Dotted qualname of the enclosing function (``"<module>"`` at top
     #: level, ``"Cluster._build_nodes"`` inside a method).
@@ -190,12 +251,9 @@ class StreamSite:
 
 
 @dataclass(frozen=True, order=True)
-class RngSite:
+class RngSite(Site):
     """One RNG-constructor call site with its seed's dataflow lineage."""
 
-    path: str
-    line: int
-    col: int
     module: str
     function: str
     constructor: str  # resolved callable, e.g. "random.Random"
@@ -208,12 +266,9 @@ class RngSite:
 
 
 @dataclass(frozen=True, order=True)
-class NumpySite:
+class NumpySite(Site):
     """One determinism-relevant numpy call site."""
 
-    path: str
-    line: int
-    col: int
     module: str
     #: "argsort" | "lexsort" | "unique" | "legacy-random"
     #: | "set-operand"
@@ -232,49 +287,52 @@ class NumpySite:
 
 
 @dataclass(frozen=True, order=True)
+class NameSite(Site):
+    """A resolved banned name: a call to a wall-clock, global-random
+    (``random.*`` other than ``random.Random``) or ambient-environment
+    callable, or an ``os.environ`` load.  Names resolve only through
+    plain Name/Attribute chains, so a method on a computed receiver that
+    shadows a module name is never recorded."""
+
+    name: str
+
+
+@dataclass(frozen=True, order=True)
+class SetOrderSite(Site):
+    """A set whose arbitrary order escapes: iterated by a ``for`` loop
+    (``form == "for"``) or a comprehension (``"comprehension"``), or
+    laundered into a sequence (``"list"``, ``"tuple"``, ``"iter"``,
+    ``"enumerate"``)."""
+
+    form: str
+
+
+@dataclass(frozen=True, order=True)
+class FactorySite(Site):
+    """A dataclass factory declaration (the class defines ``__call__``
+    or is named ``*Factory``), located at its dataclass decorator."""
+
+    name: str
+    frozen: bool
+
+
+@dataclass(frozen=True, order=True)
 class FileFacts:
-    """Everything phase 2 needs to know about one file."""
+    """Everything the rules need to know about one file."""
 
     path: str
     module: str
     streams: Tuple[StreamSite, ...] = field(default_factory=tuple)
     rngs: Tuple[RngSite, ...] = field(default_factory=tuple)
     numpy: Tuple[NumpySite, ...] = field(default_factory=tuple)
+    names: Tuple[NameSite, ...] = field(default_factory=tuple)
+    set_orders: Tuple[SetOrderSite, ...] = field(default_factory=tuple)
+    factories: Tuple[FactorySite, ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
 # The collector: one walk, same-scope dataflow.
 # ---------------------------------------------------------------------------
-
-
-class _MutableNumpySite:
-    """Builder for NumpySite: ``positional_use`` is discovered after the
-    call itself has been recorded."""
-
-    def __init__(self, path: str, line: int, col: int, module: str, op: str,
-                 func: str, stable: bool, return_index: bool) -> None:
-        self.path = path
-        self.line = line
-        self.col = col
-        self.module = module
-        self.op = op
-        self.func = func
-        self.stable = stable
-        self.return_index = return_index
-        self.positional_use = False
-
-    def freeze(self) -> NumpySite:
-        return NumpySite(
-            path=self.path,
-            line=self.line,
-            col=self.col,
-            module=self.module,
-            op=self.op,
-            func=self.func,
-            stable=self.stable,
-            return_index=self.return_index,
-            positional_use=self.positional_use,
-        )
 
 
 class _Scope:
@@ -283,8 +341,8 @@ class _Scope:
     def __init__(self, outer: Optional["_Scope"] = None) -> None:
         self.setish: Dict[str, bool] = dict(outer.setish) if outer else {}
         self.derived: Dict[str, bool] = dict(outer.derived) if outer else {}
-        #: unique-result companion name -> numpy site builder.
-        self.companions: Dict[str, _MutableNumpySite] = (
+        #: unique-result companion name -> index of its numpy site.
+        self.companions: Dict[str, int] = (
             dict(outer.companions) if outer else {}
         )
 
@@ -298,11 +356,14 @@ class FactCollector:
         self.aliases = aliases
         self.streams: List[StreamSite] = []
         self.rngs: List[RngSite] = []
-        self.numpy: List[_MutableNumpySite] = []
+        self.numpy: List[NumpySite] = []
+        self.names: List[NameSite] = []
+        self.set_orders: List[SetOrderSite] = []
+        self.factories: List[FactorySite] = []
         self._qualname: List[str] = []
         self._index_param: List[str] = [""]
         self._loop_depth = 0
-        self._last_unique: Optional[_MutableNumpySite] = None
+        self._last_unique: Optional[int] = None
 
     def collect(self, tree: ast.AST) -> FileFacts:
         scope = _Scope()
@@ -312,7 +373,10 @@ class FactCollector:
             module=self.module,
             streams=tuple(sorted(self.streams)),
             rngs=tuple(sorted(self.rngs)),
-            numpy=tuple(sorted(site.freeze() for site in self.numpy)),
+            numpy=tuple(sorted(self.numpy)),
+            names=tuple(sorted(self.names)),
+            set_orders=tuple(sorted(self.set_orders)),
+            factories=tuple(sorted(self.factories)),
         )
 
     # -- statement walk ----------------------------------------------
@@ -321,14 +385,28 @@ class FactCollector:
         for stmt in body:
             self._stmt(stmt, scope)
 
+    def _node(self, node: ast.AST, scope: _Scope) -> None:
+        """Walk any node: statements and expressions get their own
+        walks; anything else (arguments, handlers, with-items, match
+        cases, patterns) only holds those."""
+        if isinstance(node, ast.stmt):
+            self._stmt(node, scope)
+        elif isinstance(node, ast.expr):
+            self._expr(node, scope)
+        else:
+            for child in ast.iter_child_nodes(node):
+                self._node(child, scope)
+
+    def _header(self, stmt: ast.stmt, scope: _Scope) -> None:
+        """Walk a definition's decorators, arguments and bases -- every
+        child but its body."""
+        for child in ast.iter_child_nodes(stmt):
+            if not isinstance(child, ast.stmt):
+                self._node(child, scope)
+
     def _stmt(self, stmt: ast.stmt, scope: _Scope) -> None:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for default in list(stmt.args.defaults) + [
-                d for d in stmt.args.kw_defaults if d is not None
-            ]:
-                self._expr(default, scope)
-            for decorator in stmt.decorator_list:
-                self._expr(decorator, scope)
+            self._header(stmt, scope)
             args = stmt.args
             params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
             index_param = next(
@@ -343,18 +421,25 @@ class FactCollector:
             self._qualname.pop()
             return
         if isinstance(stmt, ast.ClassDef):
-            for decorator in stmt.decorator_list:
-                self._expr(decorator, scope)
+            self._header(stmt, scope)
+            self._factory_site(stmt)
             self._qualname.append(stmt.name)
             self._walk_body(stmt.body, _Scope(scope))
             self._qualname.pop()
             return
         if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
             value = stmt.value
+            self._last_unique = None
             if value is not None:
-                self._last_unique = None
                 self._expr(value, scope)
-                last_unique = self._last_unique
+            last_unique = self._last_unique
+            for child in ast.iter_child_nodes(stmt):
+                if child is not value:
+                    self._node(child, scope)
+            if isinstance(stmt, ast.AugAssign):
+                # ``x op= v`` rebinds x to ``x op v``.
+                value = ast.BinOp(stmt.target, stmt.op, stmt.value)
+            if value is not None:
                 targets: List[ast.expr]
                 if isinstance(stmt, ast.Assign):
                     targets = list(stmt.targets)
@@ -365,6 +450,9 @@ class FactCollector:
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._expr(stmt.iter, scope)
+            if _is_setish(stmt.iter, scope):
+                self._set_order(stmt.iter, "for")
+            self._expr(stmt.target, scope)
             self._loop_depth += 1
             self._walk_body(stmt.body, scope)
             self._loop_depth -= 1
@@ -377,24 +465,17 @@ class FactCollector:
             self._loop_depth -= 1
             self._walk_body(stmt.orelse, scope)
             return
-        # Generic statement: scan expression children, recurse into any
-        # nested statement bodies (if/with/try/match...).
+        # Any other statement: its expressions, nested bodies (if/with/
+        # try/match...) and the handlers, with-items and cases between.
         for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._stmt(child, scope)
-            elif isinstance(child, ast.expr):
-                self._expr(child, scope)
-            else:
-                for sub_stmt in getattr(child, "body", []):
-                    if isinstance(sub_stmt, ast.stmt):
-                        self._stmt(sub_stmt, scope)
+            self._node(child, scope)
 
     def _bind(
         self,
         target: ast.expr,
         value: ast.expr,
         scope: _Scope,
-        last_unique: Optional[_MutableNumpySite],
+        last_unique: Optional[int],
     ) -> None:
         if isinstance(target, ast.Name):
             scope.setish[target.id] = _is_setish(value, scope)
@@ -430,17 +511,48 @@ class FactCollector:
                     isinstance(index, ast.Name)
                     and index.id in scope.companions
                 ):
-                    scope.companions[index.id].positional_use = True
+                    position = scope.companions[index.id]
+                    self.numpy[position] = replace(
+                        self.numpy[position], positional_use=True
+                    )
+            elif isinstance(sub, ast.Attribute):
+                if (
+                    sub.attr == "environ"
+                    and isinstance(sub.ctx, ast.Load)
+                    and resolve_name(sub, self.aliases) == "os.environ"
+                ):
+                    self.names.append(
+                        NameSite(self.path, sub.lineno, sub.col_offset, "os.environ")
+                    )
+            elif isinstance(sub, _COMPREHENSIONS):
+                for generator in sub.generators:
+                    if _is_setish(generator.iter, scope):
+                        self._set_order(generator.iter, "comprehension")
 
     def _call(self, call: ast.Call, scope: _Scope, in_loop: bool) -> None:
         func = call.func
         resolved = resolve_name(func, self.aliases)
         if isinstance(func, ast.Attribute) and func.attr in STREAM_METHODS:
             self._stream_site(call, func.attr, in_loop)
+        if (
+            isinstance(func, ast.Name)
+            and func.id in SET_LAUNDERS
+            and call.args
+            and _is_setish(call.args[0], scope)
+        ):
+            self._set_order(call, func.id)
         if resolved is None:
             if isinstance(func, ast.Attribute) and func.attr == "argsort":
                 self._sort_site(call, "argsort", ".argsort")
             return
+        if (
+            (resolved.startswith("random.") and resolved != "random.Random")
+            or resolved in _BANNED_NAMES
+            or resolved.startswith("secrets.")
+        ):
+            self.names.append(
+                NameSite(self.path, call.lineno, call.col_offset, resolved)
+            )
         if resolved in RNG_CONSTRUCTORS:
             self._rng_site(call, resolved, scope)
         if resolved in ("numpy.argsort", "numpy.lexsort"):
@@ -448,7 +560,11 @@ class FactCollector:
         elif isinstance(func, ast.Attribute) and func.attr == "argsort":
             self._sort_site(call, "argsort", ".argsort")
         if resolved == "numpy.unique":
-            self._unique_site(call)
+            self._last_unique = len(self.numpy)
+            return_index = _keyword_constant(call, "return_index") is True
+            self._record_numpy(
+                call, "unique", "numpy.unique", return_index=return_index
+            )
         if resolved.startswith("numpy.random."):
             tail = resolved[len("numpy.random."):]
             if tail and "." not in tail and tail not in NUMPY_RANDOM_ALLOWED:
@@ -508,28 +624,9 @@ class FactCollector:
         )
 
     def _sort_site(self, call: ast.Call, op: str, func: str) -> None:
-        if op == "lexsort":
-            stable = True  # np.lexsort is stable by specification
-        else:
-            stable = any(
-                keyword.arg == "kind"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value == "stable"
-                for keyword in call.keywords
-            )
+        # np.lexsort is stable by specification.
+        stable = op == "lexsort" or _keyword_constant(call, "kind") == "stable"
         self._record_numpy(call, op, func, stable=stable)
-
-    def _unique_site(self, call: ast.Call) -> None:
-        return_index = any(
-            keyword.arg == "return_index"
-            and isinstance(keyword.value, ast.Constant)
-            and keyword.value.value is True
-            for keyword in call.keywords
-        )
-        site = self._record_numpy(
-            call, "unique", "numpy.unique", return_index=return_index
-        )
-        self._last_unique = site
 
     def _record_numpy(
         self,
@@ -538,19 +635,52 @@ class FactCollector:
         func: str,
         stable: bool = False,
         return_index: bool = False,
-    ) -> _MutableNumpySite:
-        site = _MutableNumpySite(
-            path=self.path,
-            line=call.lineno,
-            col=call.col_offset,
-            module=self.module,
-            op=op,
-            func=func,
-            stable=stable,
-            return_index=return_index,
+    ) -> None:
+        self.numpy.append(
+            NumpySite(
+                path=self.path,
+                line=call.lineno,
+                col=call.col_offset,
+                module=self.module,
+                op=op,
+                func=func,
+                stable=stable,
+                return_index=return_index,
+            )
         )
-        self.numpy.append(site)
-        return site
+
+    def _set_order(self, node: ast.expr, form: str) -> None:
+        self.set_orders.append(
+            SetOrderSite(self.path, node.lineno, node.col_offset, form)
+        )
+
+    def _factory_site(self, cls: ast.ClassDef) -> None:
+        if not cls.name.endswith("Factory") and not any(
+            isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name == "__call__"
+            for item in cls.body
+        ):
+            return
+        for decorator in cls.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = decorator if call is None else call.func
+            if resolve_name(target, self.aliases) in (
+                "dataclass",
+                "dataclasses.dataclass",
+            ):
+                frozen = call is not None and (
+                    _keyword_constant(call, "frozen") is True
+                )
+                self.factories.append(
+                    FactorySite(
+                        self.path,
+                        decorator.lineno,
+                        decorator.col_offset,
+                        cls.name,
+                        frozen,
+                    )
+                )
+                return
 
     def _function(self) -> str:
         return ".".join(self._qualname) if self._qualname else "<module>"
@@ -559,7 +689,7 @@ class FactCollector:
 def collect_facts_for_module(
     module: str, path: str, tree: ast.AST, aliases: Optional[Dict[str, str]] = None
 ) -> FileFacts:
-    """Collect one file's facts (the engine's phase-1 entry point)."""
+    """Collect one file's facts (the engine's collect-phase entry point)."""
     if aliases is None:
         aliases = import_table(tree)
     return FactCollector(module, path, aliases).collect(tree)
@@ -568,6 +698,14 @@ def collect_facts_for_module(
 # ---------------------------------------------------------------------------
 # Expression predicates.
 # ---------------------------------------------------------------------------
+
+
+def _keyword_constant(call: ast.Call, name: str) -> object:
+    """The literal value of keyword argument ``name``, or None."""
+    for keyword in call.keywords:
+        if keyword.arg == name and isinstance(keyword.value, ast.Constant):
+            return keyword.value.value
+    return None
 
 
 def _key_pattern(node: ast.expr) -> Tuple[str, str, bool, bool]:
@@ -662,15 +800,22 @@ def _lineage_of(node: ast.expr, scope: _Scope, aliases: Dict[str, str]) -> str:
 
 
 def _is_setish(node: ast.expr, scope: _Scope) -> bool:
+    """True when the expression is a set: a literal or comprehension, a
+    ``set()``/``frozenset()`` call, a set-typed local, a set method
+    result (``a.union(b)``, ``a.copy()``, ...) or a set operator."""
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
     if isinstance(node, ast.Name):
         return scope.setish.get(node.id, False)
     if isinstance(node, ast.Call):
         func = node.func
-        if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
-            return True
-        return False
+        if isinstance(func, ast.Name):
+            return func.id in ("set", "frozenset")
+        return (
+            isinstance(func, ast.Attribute)
+            and func.attr in _SET_METHODS
+            and _is_setish(func.value, scope)
+        )
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
     ):
@@ -707,9 +852,7 @@ def _comprehension_call_ids(node: ast.expr) -> Set[int]:
     (their bodies run once per element -- loop context)."""
     ids: Set[int] = set()
     for sub in ast.walk(node):
-        if isinstance(
-            sub, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-        ):
+        if isinstance(sub, _COMPREHENSIONS):
             for inner in ast.walk(sub):
                 if isinstance(inner, ast.Call):
                     ids.add(id(inner))

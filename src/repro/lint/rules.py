@@ -1,12 +1,14 @@
 """The determinism rule set: per-file DET001..DET005, project-scope
 DET010..DET012 and VEC001..VEC004.
 
-The per-file rules are AST passes over one module.  Rules resolve
-imported names through the module's import table, so ``from time import
+Every rule has one shape: ``check(facts)`` over the merged, sorted
+:class:`~repro.lint.facts.FileFacts` of every linted file, which the
+collector in :mod:`repro.lint.facts` produces in one walk per file.
+The per-file rules read one file's facts at a time; the project-scope
+rules see whole-program invariants no single file reveals.  Names are
+resolved through each module's import table, so ``from time import
 perf_counter`` and ``import time as t`` are caught the same way as the
-plain spelling.  The project-scope rules consume the phase-1 facts of
-:mod:`repro.lint.facts` -- merged across every linted file -- so they
-can see whole-program invariants no single file reveals.
+plain spelling.
 
 Why the per-file five exist: the reproduction's correctness story is the
 golden-trace harness -- every strategy's full event trace must be
@@ -57,18 +59,17 @@ bookkeeping or container iteration order:
 
 from __future__ import annotations
 
-import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.lint.facts import (
+    ENVIRONMENT_CALLS,
+    SHARED_MEMORY_CALLS,
+    WALL_CLOCK_CALLS,
     FileFacts,
     NumpySite,
+    Site,
     StreamSite,
-    collect_facts_for_module,
-    dotted_name as _dotted,
-    import_table as _import_table,
     in_scope as _in_scope,
-    resolve_name,
 )
 from repro.lint.findings import Finding, Location
 
@@ -105,50 +106,26 @@ WALL_CLOCK_ALLOWLIST: Tuple[str, ...] = (
 )
 
 
-class ModuleContext:
-    """Everything a rule needs to know about one parsed module."""
-
-    def __init__(self, module: str, path: str, tree: ast.AST, source: str) -> None:
-        self.module = module
-        self.path = path
-        self.tree = tree
-        self.source = source
-        self.aliases = _import_table(tree)
-        self._facts: Optional[FileFacts] = None
-
-    @property
-    def facts(self) -> FileFacts:
-        """The module's phase-1 facts, collected once on first use."""
-        if self._facts is None:
-            self._facts = collect_facts_for_module(
-                self.module, self.path, self.tree, self.aliases
-            )
-        return self._facts
-
-
-#: Shared AST helpers live in repro.lint.facts; the alias keeps the
-#: historical private name rules have always used.
-_resolve = resolve_name
-
-
 class Rule:
-    """Base class: a rule id, a summary and an AST check."""
+    """Base class: a rule id, a summary and a check over the merged,
+    sorted fact set."""
 
     rule_id: str = ""
     summary: str = ""
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
         raise NotImplementedError
 
     def finding(
-        self, ctx: ModuleContext, node: ast.AST, message: str
+        self, site: Site, message: str, related: Tuple[Location, ...] = ()
     ) -> Finding:
         return Finding(
-            path=ctx.path,
-            line=getattr(node, "lineno", 1),
-            col=getattr(node, "col_offset", 0),
+            path=site.path,
+            line=site.line,
+            col=site.col,
             rule=self.rule_id,
             message=message,
+            related=related,
         )
 
 
@@ -161,42 +138,22 @@ class WallClockRule(Rule):
         "timers instead"
     )
 
-    BANNED: Set[str] = {
-        "time.time",
-        "time.time_ns",
-        "time.monotonic",
-        "time.monotonic_ns",
-        "time.perf_counter",
-        "time.perf_counter_ns",
-        "time.process_time",
-        "time.process_time_ns",
-        "time.clock_gettime",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-    }
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if _in_scope(ctx.module, WALL_CLOCK_ALLOWLIST):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
+        for file_facts in facts:
+            if _in_scope(file_facts.module, WALL_CLOCK_ALLOWLIST):
                 continue
-            resolved = _resolve(node.func, ctx.aliases)
-            if resolved in self.BANNED:
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"wall-clock call {resolved}() is nondeterministic; "
-                    "read simulated time from the Simulator",
-                )
+            for site in file_facts.names:
+                if site.name in WALL_CLOCK_CALLS:
+                    yield self.finding(
+                        site,
+                        f"wall-clock call {site.name}() is nondeterministic; "
+                        "read simulated time from the Simulator",
+                    )
 
 
 class GlobalRandomRule(Rule):
-    """DET002: the module-level random generator is banned."""
+    """DET002: the module-level random generator is banned; only
+    constructing an explicitly seeded ``random.Random`` is allowed."""
 
     rule_id = "DET002"
     summary = (
@@ -204,34 +161,16 @@ class GlobalRandomRule(Rule):
         "random.Random(seed) or a sim.rng stream"
     )
 
-    #: The only attribute of the random module that may be *called*:
-    #: constructing an explicitly seeded instance.
-    ALLOWED = {"random.Random"}
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = _resolve(node.func, ctx.aliases)
-            if resolved is None or resolved in self.ALLOWED:
-                continue
-            head, _, rest = resolved.partition(".")
-            if head != "random" or not rest:
-                continue
-            # Only flag direct uses of the module itself, not methods on
-            # an instance that happens to shadow the name.
-            func = node.func
-            receiver = func.value if isinstance(func, ast.Attribute) else func
-            if isinstance(func, ast.Attribute) and not isinstance(
-                receiver, (ast.Name, ast.Attribute)
-            ):
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"{resolved}() draws from the process-global generator; "
-                "pass an explicitly seeded random.Random or use sim.rng",
-            )
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
+        for file_facts in facts:
+            for site in file_facts.names:
+                if site.name.startswith("random."):
+                    yield self.finding(
+                        site,
+                        f"{site.name}() draws from the process-global "
+                        "generator; pass an explicitly seeded random.Random "
+                        "or use sim.rng",
+                    )
 
 
 class UnsortedSetIterationRule(Rule):
@@ -239,8 +178,8 @@ class UnsortedSetIterationRule(Rule):
 
     CPython string hashing is salted per process (PYTHONHASHSEED), so the
     iteration order of any set containing strings -- and, transitively,
-    any list built from one -- varies across runs.  The rule tracks
-    set-typed locals by simple same-scope dataflow and flags:
+    any list built from one -- varies across runs.  The collector tracks
+    set-typed locals by simple same-scope dataflow and records:
 
     - ``for x in <set-expr>`` and comprehension iteration, and
     - ``list()/tuple()/iter()/enumerate()`` applied to a set expression
@@ -254,168 +193,21 @@ class UnsortedSetIterationRule(Rule):
     rule_id = "DET003"
     summary = "iteration over an unordered set; wrap it in sorted(...)"
 
-    _LAUNDER = {"list", "tuple", "iter", "enumerate"}
-    _SET_METHODS = {
-        "union",
-        "intersection",
-        "difference",
-        "symmetric_difference",
-        "copy",
+    _MESSAGES = {
+        "for": "iterating a set in arbitrary order; "
+        "wrap the iterable in sorted(...)",
+        "comprehension": "comprehension iterates a set in arbitrary "
+        "order; wrap the iterable in sorted(...)",
     }
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        findings: List[Finding] = []
-        self._visit_scope(ctx, ctx.tree, {}, findings)
-        yield from findings
-
-    # -- scope walk --------------------------------------------------
-
-    def _visit_scope(
-        self,
-        ctx: ModuleContext,
-        scope_node: ast.AST,
-        outer: Dict[str, bool],
-        findings: List[Finding],
-    ) -> None:
-        """Walk one lexical scope, tracking which locals hold sets."""
-        setish: Dict[str, bool] = dict(outer)
-        body = getattr(scope_node, "body", [])
-        for stmt in body:
-            self._visit_stmt(ctx, stmt, setish, findings)
-
-    def _visit_stmt(
-        self,
-        ctx: ModuleContext,
-        stmt: ast.stmt,
-        setish: Dict[str, bool],
-        findings: List[Finding],
-    ) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._scan_expr_children(ctx, stmt, setish, findings, skip_body=True)
-            self._visit_scope(ctx, stmt, setish, findings)
-            return
-        if isinstance(stmt, ast.ClassDef):
-            self._visit_scope(ctx, stmt, setish, findings)
-            return
-        if isinstance(stmt, ast.Assign):
-            self._scan_expr(ctx, stmt.value, setish, findings)
-            is_set = self._is_setish(stmt.value, setish)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    setish[target.id] = is_set
-            return
-        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            self._scan_expr(ctx, stmt.value, setish, findings)
-            if isinstance(stmt.target, ast.Name):
-                setish[stmt.target.id] = self._is_setish(stmt.value, setish)
-            return
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            if self._is_setish(stmt.iter, setish):
-                findings.append(
-                    self.finding(
-                        ctx,
-                        stmt.iter,
-                        "iterating a set in arbitrary order; "
-                        "wrap the iterable in sorted(...)",
-                    )
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
+        for file_facts in facts:
+            for site in file_facts.set_orders:
+                message = self._MESSAGES.get(site.form) or (
+                    f"{site.form}() of a set leaks arbitrary iteration "
+                    "order; use sorted(...) instead"
                 )
-            else:
-                self._scan_expr(ctx, stmt.iter, setish, findings)
-            for part in stmt.body + stmt.orelse:
-                self._visit_stmt(ctx, part, setish, findings)
-            return
-        # Generic statement: scan nested expressions, recurse into any
-        # statement bodies (if/while/with/try).
-        for child in ast.iter_child_nodes(stmt):
-            if isinstance(child, ast.stmt):
-                self._visit_stmt(ctx, child, setish, findings)
-            elif isinstance(child, ast.expr):
-                self._scan_expr(ctx, child, setish, findings)
-            else:
-                for sub in ast.walk(child):
-                    if isinstance(sub, ast.stmt):
-                        self._visit_stmt(ctx, sub, setish, findings)
-                        break
-                else:
-                    continue
-
-    def _scan_expr_children(
-        self,
-        ctx: ModuleContext,
-        node: ast.AST,
-        setish: Dict[str, bool],
-        findings: List[Finding],
-        skip_body: bool = False,
-    ) -> None:
-        for child in ast.iter_child_nodes(node):
-            if skip_body and isinstance(child, ast.stmt):
-                continue
-            if isinstance(child, ast.expr):
-                self._scan_expr(ctx, child, setish, findings)
-
-    def _scan_expr(
-        self,
-        ctx: ModuleContext,
-        node: ast.expr,
-        setish: Dict[str, bool],
-        findings: List[Finding],
-    ) -> None:
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Call):
-                func = sub.func
-                if (
-                    isinstance(func, ast.Name)
-                    and func.id in self._LAUNDER
-                    and sub.args
-                    and self._is_setish(sub.args[0], setish)
-                ):
-                    findings.append(
-                        self.finding(
-                            ctx,
-                            sub,
-                            f"{func.id}() of a set leaks arbitrary iteration "
-                            "order; use sorted(...) instead",
-                        )
-                    )
-            elif isinstance(
-                sub, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for gen in sub.generators:
-                    if self._is_setish(gen.iter, setish):
-                        findings.append(
-                            self.finding(
-                                ctx,
-                                gen.iter,
-                                "comprehension iterates a set in arbitrary "
-                                "order; wrap the iterable in sorted(...)",
-                            )
-                        )
-
-    # -- set-expression predicate ------------------------------------
-
-    def _is_setish(self, node: ast.expr, setish: Dict[str, bool]) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(node, ast.Name):
-            return setish.get(node.id, False)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in {"set", "frozenset"}:
-                return True
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in self._SET_METHODS
-                and self._is_setish(func.value, setish)
-            ):
-                return True
-            return False
-        if isinstance(node, ast.BinOp) and isinstance(
-            node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-        ):
-            return self._is_setish(node.left, setish) or self._is_setish(
-                node.right, setish
-            )
-        return False
+                yield self.finding(site, message)
 
 
 class EnvironmentReadRule(Rule):
@@ -427,70 +219,41 @@ class EnvironmentReadRule(Rule):
         "value through configuration instead"
     )
 
-    BANNED_CALLS: Set[str] = {
-        "os.getenv",
-        "os.putenv",
-        "os.urandom",
-        "os.getrandom",
-        "io.open",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "socket.gethostname",
-        "platform.node",
-    }
-    BANNED_PREFIXES: Tuple[str, ...] = ("secrets.",)
-    #: Banned like the calls above -- segment creation draws a random
-    #: OS name -- but exempt inside :data:`SHARED_MEMORY_ALLOWLIST`.
-    SHARED_MEMORY_CALLS: Set[str] = {
-        "multiprocessing.shared_memory.SharedMemory",
-        "multiprocessing.shared_memory.ShareableList",
-    }
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
+        for file_facts in facts:
+            if not _in_scope(file_facts.module, CORE_MODULES):
+                continue
+            shm_exempt = _in_scope(file_facts.module, SHARED_MEMORY_ALLOWLIST)
+            for site in file_facts.names:
+                message = self._message(site.name, shm_exempt)
+                if message is not None:
+                    yield self.finding(site, message)
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not _in_scope(ctx.module, CORE_MODULES):
-            return
-        shm_exempt = _in_scope(ctx.module, SHARED_MEMORY_ALLOWLIST)
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.Call):
-                resolved = _resolve(node.func, ctx.aliases)
-                if resolved is None:
-                    continue
-                if resolved in self.SHARED_MEMORY_CALLS:
-                    if not shm_exempt:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"{resolved}() creates an OS-named shared "
-                            "segment (ambient /psm_* name); only the "
-                            "megasim arena may own segments",
-                        )
-                elif resolved == "open":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "open() in the sim core reads the real filesystem; "
-                        "load data in the experiment layer and pass it in",
-                    )
-                elif resolved in self.BANNED_CALLS or resolved.startswith(
-                    self.BANNED_PREFIXES
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{resolved}() reads ambient process state the "
-                        "golden traces cannot replay",
-                    )
-            elif isinstance(node, ast.Attribute) and isinstance(
-                node.ctx, ast.Load
-            ):
-                resolved = _resolve(node, ctx.aliases)
-                if resolved == "os.environ":
-                    yield self.finding(
-                        ctx,
-                        node,
-                        "os.environ read in the sim core; environment "
-                        "lookups belong in the CLI/experiment layer",
-                    )
+    @staticmethod
+    def _message(name: str, shm_exempt: bool) -> Optional[str]:
+        if name in SHARED_MEMORY_CALLS:
+            if shm_exempt:
+                return None
+            return (
+                f"{name}() creates an OS-named shared segment (ambient "
+                "/psm_* name); only the megasim arena may own segments"
+            )
+        if name == "open":
+            return (
+                "open() in the sim core reads the real filesystem; "
+                "load data in the experiment layer and pass it in"
+            )
+        if name == "os.environ":
+            return (
+                "os.environ read in the sim core; environment "
+                "lookups belong in the CLI/experiment layer"
+            )
+        if name in ENVIRONMENT_CALLS or name.startswith("secrets."):
+            return (
+                f"{name}() reads ambient process state the "
+                "golden traces cannot replay"
+            )
+        return None
 
 
 class UnfrozenFactoryRule(Rule):
@@ -508,49 +271,16 @@ class UnfrozenFactoryRule(Rule):
     rule_id = "DET005"
     summary = "factory dataclass must be @dataclass(frozen=True)"
 
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            decorated = self._dataclass_decorator(node, ctx)
-            if decorated is None:
-                continue
-            decorator, frozen = decorated
-            if frozen:
-                continue
-            is_factory = node.name.endswith("Factory") or any(
-                isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and item.name == "__call__"
-                for item in node.body
-            )
-            if is_factory:
-                yield self.finding(
-                    ctx,
-                    decorator,
-                    f"factory dataclass {node.name} is not frozen; the "
-                    "parallel engine requires frozen (picklable, "
-                    "hash-stable) factories",
-                )
-
-    def _dataclass_decorator(
-        self, node: ast.ClassDef, ctx: ModuleContext
-    ) -> Optional[Tuple[ast.AST, bool]]:
-        """Return (decorator node, frozen?) if the class is a dataclass."""
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            resolved = _resolve(target, ctx.aliases)
-            if resolved not in {"dataclass", "dataclasses.dataclass"}:
-                continue
-            frozen = False
-            if isinstance(decorator, ast.Call):
-                for keyword in decorator.keywords:
-                    if keyword.arg == "frozen":
-                        frozen = (
-                            isinstance(keyword.value, ast.Constant)
-                            and keyword.value.value is True
-                        )
-            return decorator, frozen
-        return None
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
+        for file_facts in facts:
+            for site in file_facts.factories:
+                if not site.frozen:
+                    yield self.finding(
+                        site,
+                        f"factory dataclass {site.name} is not frozen; the "
+                        "parallel engine requires frozen (picklable, "
+                        "hash-stable) factories",
+                    )
 
 
 #: Modules (dotted-prefix match) the vectorization-safety rules apply
@@ -560,42 +290,7 @@ class UnfrozenFactoryRule(Rule):
 VECTOR_MODULES: Tuple[str, ...] = ("repro.megasim",)
 
 
-class ProjectRule(Rule):
-    """A rule over the merged project-wide fact set (phase 2).
-
-    The engine runs :meth:`check_project` once over every linted file's
-    facts.  :meth:`check` keeps the single-file entry points
-    (``lint_source``/``lint_file``) working by treating the one module
-    as a one-file project.
-    """
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        yield from self.check_project((ctx.facts,))
-
-    def check_project(
-        self, facts: Sequence[FileFacts]
-    ) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def site_finding(
-        self,
-        path: str,
-        line: int,
-        col: int,
-        message: str,
-        related: Tuple[Location, ...] = (),
-    ) -> Finding:
-        return Finding(
-            path=path,
-            line=line,
-            col=col,
-            rule=self.rule_id,
-            message=message,
-            related=related,
-        )
-
-
-class StreamCollisionRule(ProjectRule):
+class StreamCollisionRule(Rule):
     """DET010: every resolved stream key must be globally unique.
 
     Two modules both deriving ``"failures"`` receive the *same* seeded
@@ -615,9 +310,7 @@ class StreamCollisionRule(ProjectRule):
         "sites; stream names must be globally unique"
     )
 
-    def check_project(
-        self, facts: Sequence[FileFacts]
-    ) -> Iterator[Finding]:
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
         by_key: Dict[str, List[StreamSite]] = {}
         for file_facts in facts:
             for site in file_facts.streams:
@@ -633,10 +326,8 @@ class StreamCollisionRule(ProjectRule):
             related = tuple(
                 Location(s.path, s.line, s.col) for s in sites[1:]
             )
-            yield self.site_finding(
-                primary.path,
-                primary.line,
-                primary.col,
+            yield self.finding(
+                primary,
                 f'stream key "{primary.pattern}" is derived from {owners} '
                 "distinct functions; a shared key silently correlates "
                 "subsystems that expect independent streams",
@@ -644,7 +335,7 @@ class StreamCollisionRule(ProjectRule):
             )
 
 
-class RngLineageRule(ProjectRule):
+class RngLineageRule(Rule):
     """DET011: every RNG must descend from the root-seed lineage.
 
     A generator seeded with a literal constant, with ambient process
@@ -669,25 +360,21 @@ class RngLineageRule(ProjectRule):
         "missing": "is constructed without a seed (OS-entropy seeded)",
     }
 
-    def check_project(
-        self, facts: Sequence[FileFacts]
-    ) -> Iterator[Finding]:
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
         for file_facts in facts:
             for site in file_facts.rngs:
                 reason = self._REASONS.get(site.lineage)
                 if reason is None:
                     continue
-                yield self.site_finding(
-                    site.path,
-                    site.line,
-                    site.col,
+                yield self.finding(
+                    site,
                     f"{site.constructor}() {reason}; derive the seed "
                     "from RandomStreams.derive_seed/spawn so the "
                     "generator joins the root-seed lineage",
                 )
 
 
-class UnparameterizedStreamRule(ProjectRule):
+class UnparameterizedStreamRule(Rule):
     """DET012: stream keys derived per iteration must embed the index.
 
     A literal key inside a loop (or inside a per-index helper -- a
@@ -703,9 +390,7 @@ class UnparameterizedStreamRule(ProjectRule):
         "parameterize it with the index"
     )
 
-    def check_project(
-        self, facts: Sequence[FileFacts]
-    ) -> Iterator[Finding]:
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
         for file_facts in facts:
             for site in file_facts.streams:
                 if site.dynamic or site.parameterized:
@@ -720,23 +405,19 @@ class UnparameterizedStreamRule(ProjectRule):
                 else:
                     continue
                 placeholder = site.index_param or "index"
-                yield self.site_finding(
-                    site.path,
-                    site.line,
-                    site.col,
+                yield self.finding(
+                    site,
                     f'literal stream key "{site.pattern}" derived {where} '
                     "re-creates the same stream per iteration; "
                     f'parameterize it (f"{site.pattern}.{{{placeholder}}}")',
                 )
 
 
-class _VectorRule(ProjectRule):
+class _VectorRule(Rule):
     """Base for the vectorization-safety family: scoped to the numpy
     scale tier, judged from the collected numpy call facts."""
 
-    def check_project(
-        self, facts: Sequence[FileFacts]
-    ) -> Iterator[Finding]:
+    def check(self, facts: Sequence[FileFacts]) -> Iterator[Finding]:
         for file_facts in facts:
             if not _in_scope(file_facts.module, VECTOR_MODULES):
                 continue
@@ -763,10 +444,8 @@ class UnstableSortRule(_VectorRule):
     def check_site(self, site: NumpySite) -> Optional[Finding]:
         if site.op != "argsort" or site.stable:
             return None
-        return self.site_finding(
-            site.path,
-            site.line,
-            site.col,
+        return self.finding(
+            site,
             f'{site.func}() without kind="stable" breaks ties in '
             "implementation-defined order; pass kind=\"stable\" so equal "
             "keys keep their input order",
@@ -788,10 +467,8 @@ class LegacyNumpyRandomRule(_VectorRule):
     def check_site(self, site: NumpySite) -> Optional[Finding]:
         if site.op != "legacy-random":
             return None
-        return self.site_finding(
-            site.path,
-            site.line,
-            site.col,
+        return self.finding(
+            site,
             f"{site.func}() draws from numpy's process-global legacy "
             "generator; use numpy.random.default_rng(derive_seed(...)) "
             "streams instead",
@@ -819,10 +496,8 @@ class UniquePositionalRule(_VectorRule):
     def check_site(self, site: NumpySite) -> Optional[Finding]:
         if site.op != "unique" or site.return_index or not site.positional_use:
             return None
-        return self.site_finding(
-            site.path,
-            site.line,
-            site.col,
+        return self.finding(
+            site,
             "a positional companion of numpy.unique() is used as a "
             "subscript index but return_index=True was not requested; "
             "first-occurrence selection must ask for the index array "
@@ -845,10 +520,8 @@ class SetOperandRule(_VectorRule):
     def check_site(self, site: NumpySite) -> Optional[Finding]:
         if site.op != "set-operand":
             return None
-        return self.site_finding(
-            site.path,
-            site.line,
-            site.col,
+        return self.finding(
+            site,
             f"{site.func}() operand is built from unordered set/dict "
             "iteration, so element order varies per process; wrap the "
             "elements in sorted(...) first",

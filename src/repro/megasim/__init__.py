@@ -13,8 +13,8 @@ the differential harness in :mod:`repro.megasim.differential` and
 documented in DESIGN.md section 10.  Entry points:
 
 - :func:`repro.megasim.runner.run_megasim` -- the library entry, and
-  what ``repro run --backend vector`` (shorthand: ``python -m
-  repro.megasim``) calls above ``DENSE_MODEL_LIMIT`` clients
+  what ``repro run --backend vector`` calls above ``DENSE_MODEL_LIMIT``
+  clients
 - :class:`repro.backends.VectorBackend` -- the same kernel over a dense
   event-kernel model, for populations up to that limit
 

@@ -11,40 +11,30 @@ computation over *nodes* quantifies hub emergence.
 from __future__ import annotations
 
 import math
-from typing import Mapping, Tuple
+from typing import Any, Mapping
 
 
-def link_concentration(
-    link_counts: Mapping[Tuple[int, int], int], fraction: float = 0.05
-) -> float:
+def _top_share(counts: Mapping[Any, int], fraction: float = 0.05) -> float:
     """Share of total payload carried by the top ``fraction`` of used
-    connections.
+    keys -- connections for :func:`link_concentration`, transmitting
+    nodes for :func:`node_concentration` (hub emergence, Fig. 4c's node
+    circles).
 
     A perfectly even spread returns ``fraction``; values well above it
-    indicate structure.  Connections that carried nothing do not count
-    as "used", matching how the paper selects among observed
-    connections.
+    indicate structure.  Keys that carried nothing do not count as
+    "used", matching how the paper selects among observed connections.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction out of range: {fraction}")
-    counts = sorted(link_counts.values(), reverse=True)
-    total = sum(counts)
+    values = sorted(counts.values(), reverse=True)
+    total = sum(values)
     if total == 0:
         return 0.0
-    top_n = max(1, math.ceil(len(counts) * fraction))
-    return sum(counts[:top_n]) / total
+    top_n = max(1, math.ceil(len(values) * fraction))
+    return sum(values[:top_n]) / total
 
 
-def node_concentration(
-    node_counts: Mapping[int, int], fraction: float = 0.05
-) -> float:
-    """Share of total payload transmitted by the top ``fraction`` of
-    transmitting nodes (hub emergence, Fig. 4c's node circles)."""
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction out of range: {fraction}")
-    counts = sorted(node_counts.values(), reverse=True)
-    total = sum(counts)
-    if total == 0:
-        return 0.0
-    top_n = max(1, math.ceil(len(counts) * fraction))
-    return sum(counts[:top_n]) / total
+#: Both public names bind the one body (a wrapper would add a call to
+#: every run summary, which ``tests/test_call_budget.py`` pins).
+link_concentration = _top_share
+node_concentration = _top_share

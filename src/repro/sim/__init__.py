@@ -20,7 +20,6 @@ All simulated time throughout the repository is expressed in floating point
 
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventHandle, EventQueue
-from repro.sim.process import Process, Signal, spawn
 from repro.sim.rng import RandomStreams
 from repro.sim.timers import PeriodicTimer
 
@@ -31,7 +30,4 @@ __all__ = [
     "EventQueue",
     "RandomStreams",
     "PeriodicTimer",
-    "Process",
-    "Signal",
-    "spawn",
 ]

@@ -54,6 +54,30 @@ class TestWallClock:
         )
         assert rules_of(source) == []
 
+    def test_every_expression_position_is_walked(self):
+        # Decorator, class base and keyword, default, annotation, with
+        # item, except type, assignment and augmented-assignment target,
+        # match guard: the fact walk reaches each of them.
+        source = (
+            "import time\n"
+            "@deco(time.time())\n"
+            "class A(base(time.time()), meta=time.time()):\n"
+            "    pass\n"
+            "def f(x=time.time(), y: g(time.time()) = 1):\n"
+            "    with ctx(time.time()):\n"
+            "        pass\n"
+            "    try:\n"
+            "        pass\n"
+            "    except E(time.time()):\n"
+            "        pass\n"
+            "    out[time.time()] = 1\n"
+            "    out[time.time()] += 1\n"
+            "    match x:\n"
+            "        case 1 if time.time():\n"
+            "            pass\n"
+        )
+        assert rules_of(source) == ["DET001"] * 10
+
     def test_time_sleep_is_not_a_clock_read(self):
         # sleep blocks but does not observe the clock value; other rules
         # would catch it if it ever mattered, DET001 stays focused.
@@ -190,6 +214,31 @@ class TestUnsortedSetIteration:
             "    print(k, v)\n"
         )
         assert rules_of(source) == []
+
+    def test_every_statement_of_a_handler_or_case_is_walked(self):
+        source = (
+            "s = {1, 2}\n"
+            "try:\n"
+            "    pass\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "    for x in s:\n"
+            "        pass\n"
+            "match s:\n"
+            "    case _:\n"
+            "        pass\n"
+            "        ys = list(s)\n"
+        )
+        assert rules_of(source) == ["DET003"] * 2
+
+    def test_augmented_set_operator_keeps_tracking(self):
+        source = (
+            "def f(other):\n"
+            "    s = set()\n"
+            "    s |= other\n"
+            "    return [x for x in s]\n"
+        )
+        assert rules_of(source) == ["DET003"]
 
     def test_reassignment_clears_tracking(self):
         source = (

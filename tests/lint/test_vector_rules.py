@@ -9,6 +9,8 @@ source is clean elsewhere.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.lint import lint_source
 
 MEGASIM = "repro.megasim.fixture"
@@ -151,6 +153,15 @@ class TestSetOperand:
             "def f(x):\n"
             "    return np.asarray(set(x))\n"
         )
+        assert rules_of(source) == ["VEC004"]
+
+    @pytest.mark.parametrize(
+        "operand", ["np.array(a.union(b))", "np.asarray(a.copy())"]
+    )
+    def test_set_method_result_operand_fires(self, operand):
+        # The set predicate is shared with DET003: a set method's result
+        # is again a set.
+        source = f"import numpy as np\na = {{1}}\nb = {{2}}\narr = {operand}\n"
         assert rules_of(source) == ["VEC004"]
 
     def test_dict_view_operand_fires(self):
