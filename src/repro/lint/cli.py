@@ -30,14 +30,19 @@ from repro.lint.findings import Finding
 from repro.lint.rules import RULES
 
 
+def rule_catalogue() -> str:
+    """One ``ID  summary`` line per rule in :data:`RULES`."""
+    return "\n".join(f"{rule.rule_id}  {rule.summary}" for rule in RULES)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.lint",
         description=(
-            "Static determinism analysis for the reproduction: bans wall "
-            "clocks, global RNG, unsorted set iteration, ambient "
-            "environment reads and unfrozen factories."
+            "Static determinism analysis for the reproduction.  Rules:\n\n"
+            + rule_catalogue()
         ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument(
         "paths",
@@ -114,8 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in RULES:
-            print(f"{rule.rule_id}  {rule.summary}")
+        print(rule_catalogue())
         return 0
 
     if args.write_baseline and not args.baseline:

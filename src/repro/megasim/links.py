@@ -91,8 +91,8 @@ def top_share(counts: NDArray[np.int64], fraction: float = 0.05) -> float:
 
     Bit-equal to :func:`repro.metrics.structure.link_concentration` on
     the dict form of the same links: both sort the integer counts
-    descending, cut at ``max(1, ceil(len * fraction))``, and divide the
-    two exact integer sums.
+    descending, cut at ``max(1, ceil(used * fraction))`` where ``used``
+    counts the nonzero entries, and divide the two exact integer sums.
     """
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction out of range: {fraction}")
@@ -100,7 +100,7 @@ def top_share(counts: NDArray[np.int64], fraction: float = 0.05) -> float:
     if total == 0:
         return 0.0
     ordered = np.sort(counts, kind="stable")[::-1]
-    top_n = max(1, math.ceil(ordered.shape[0] * fraction))
+    top_n = max(1, math.ceil(int(np.count_nonzero(counts)) * fraction))
     return int(ordered[:top_n].sum()) / total
 
 

@@ -30,7 +30,8 @@ def _top_share(counts: Mapping[Any, int], fraction: float = 0.05) -> float:
     total = sum(values)
     if total == 0:
         return 0.0
-    top_n = max(1, math.ceil(len(values) * fraction))
+    used = len(values) - values.count(0)
+    top_n = max(1, math.ceil(used * fraction))
     return sum(values[:top_n]) / total
 
 

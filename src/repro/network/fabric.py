@@ -5,13 +5,15 @@ it packets, and it applies, in order,
 
 1. **silencing** -- a silenced node neither sends nor receives (the
    paper fails nodes "by silencing them with firewall rules", §6.3);
-2. **uplink serialization** -- via the sender's
+2. **partitions** -- a packet across the cut never leaves;
+3. **uplink serialization** -- via the sender's
    :class:`~repro.network.nic.NetworkInterface`;
-3. **loss** -- an independent omission probability per packet
+4. **loss** -- an independent omission probability per packet
    (0 by default; the connection transport layers FIFO reliability on
-   top, like NeEM's TCP links);
-4. **propagation delay** -- the topology model's latency for the pair,
-   optionally jittered.
+   top, like NeEM's TCP links), then the directed link's own loss;
+5. **propagation delay** -- the topology model's latency for the pair,
+   optionally jittered, plus gray-failure latency and service delays;
+6. **the connection floor** -- the caller's lower bound on delivery.
 
 Every packet outcome is reported to an optional :class:`PacketObserver`,
 which is how the metrics recorder sees traffic without the protocol code
@@ -19,14 +21,12 @@ having to do any accounting.
 
 Packets enter in bursts: :meth:`NetworkFabric.send_many` takes the
 copies one sender hands over at one instant (a gossip forward's ``f``
-copies), and :meth:`NetworkFabric.send` is a burst of one.  A burst is
-reported to the observer once (``on_send`` for a lone packet,
-``on_send_burst`` for more), and on the healthy path it reserves the
-sender's NIC as one running sum, reads one latency row and schedules its
-deliveries as consecutive events -- the same sequence numbers, NIC
-departures and draws as one send per packet.  The in-flight record is
-the delivery event itself (:class:`SendReceipt`): its ``time`` is the
-delivery time and its ``args`` hold the packet.
+copies), and :meth:`NetworkFabric.send` is a burst of one.  One loop runs
+the stages above over a burst in packet order, with the same sequence
+numbers, NIC departures and draws as one send per packet; a stage that
+is not configured draws nothing.  The in-flight record is the delivery
+event itself (:class:`SendReceipt`): its ``time`` is the delivery time
+and its ``args`` hold the packet.
 
 Beyond the paper's clean crash-stop model the fabric supports *gray*
 failures (see :mod:`repro.failures.gray`): per-node slowdowns (degraded
@@ -35,11 +35,6 @@ or receives) and per-directed-link profiles (extra loss, extra latency,
 packet duplication -- asymmetric links are expressed by overriding only
 one direction).  All gray knobs draw randomness from a dedicated stream
 so enabling them never perturbs the base fabric's seeded behaviour.
-
-The healthy run -- no loss, no jitter, no gray state; an observer is
-allowed -- is the short one (:attr:`NetworkFabric.fast_path`).  Any
-impairment routes each packet of a burst, in order, through
-``_send_full``, the one path that draws randomness.
 """
 
 from __future__ import annotations
@@ -186,11 +181,9 @@ class NetworkFabric:
             )
             for node in range(model.size)
         ]
-        # Fast-path state: the latency matrix is immutable after model
-        # construction, so rows can be indexed directly, and the healthy
-        # configuration is precomputed into one boolean (see :meth:`send`).
+        # The latency matrix is immutable after model construction, so
+        # rows can be indexed directly.
         self._latency_rows = model.latency_ms
-        self._refresh_fast_path()
 
     @property
     def size(self) -> int:
@@ -207,28 +200,6 @@ class NetworkFabric:
 
     def set_observer(self, observer: Optional[PacketObserver]) -> None:
         self.observer = observer
-
-    @property
-    def fast_path(self) -> bool:
-        """True while healthy sends take the slim branch of :meth:`send`."""
-        return self._fast_path
-
-    def _refresh_fast_path(self) -> None:
-        """Recompute the per-send fast-path predicate.
-
-        The fast path is taken when nothing on the send path can draw
-        randomness or impose gray delays (an observer does neither): the
-        common healthy-network case then does one NIC reservation, one
-        latency-row lookup and one ``schedule_at``.  Every mutator of the
-        inputs below re-invokes this, so :meth:`send` itself checks a
-        single boolean.
-        """
-        self._fast_path = (
-            self.config.loss_probability == 0.0
-            and self.config.jitter_ms == 0.0
-            and not self._links
-            and not self._service_delay
-        )
 
     # -- failure injection ----------------------------------------------------
 
@@ -302,14 +273,12 @@ class NetworkFabric:
             self._service_delay[node] = service_delay_ms
         else:
             self._service_delay.pop(node, None)
-        self._refresh_fast_path()
 
     def clear_node_slowdown(self, node: int) -> None:
         """Restore ``node`` to healthy speed."""
         self._check_node(node)
         self.nics[node].set_slowdown(1.0)
         self._service_delay.pop(node, None)
-        self._refresh_fast_path()
 
     def node_service_delay(self, node: int) -> float:
         return self._service_delay.get(node, 0.0)
@@ -319,11 +288,9 @@ class NetworkFabric:
         self._check_node(src)
         self._check_node(dst)
         self._links[(src, dst)] = profile
-        self._refresh_fast_path()
 
     def clear_link(self, src: int, dst: int) -> None:
         self._links.pop((src, dst), None)
-        self._refresh_fast_path()
 
     def link_profile(self, src: int, dst: int) -> Optional[LinkProfile]:
         return self._links.get((src, dst))
@@ -334,7 +301,6 @@ class NetworkFabric:
             nic.set_slowdown(1.0)
         self._service_delay.clear()
         self._links.clear()
-        self._refresh_fast_path()
 
     # -- data path -------------------------------------------------------------
 
@@ -349,18 +315,13 @@ class NetworkFabric:
     ) -> Sequence[Optional[SendReceipt]]:
         """Inject a burst: packets one sender hands over at this instant.
 
-        ``floors[i]`` floor-bounds packet ``i``'s delivery time; the
-        connection layer uses it to enforce per-connection FIFO ordering.
-        Returns, per packet, its :class:`SendReceipt` while in flight, or
-        ``None`` when it was dropped at the source (silenced sender,
-        partition or loss).
-
-        The healthy common case (:meth:`_refresh_fast_path`) performs
-        exactly the arithmetic of the full path with every inactive stage
-        skipped -- that configuration draws no randomness on the full
-        path either, so the two cannot diverge.  Silenced and partitioned
-        senders stay on the full path, so every packet is observed
-        exactly once.
+        ``floors[i]`` floor-bounds packet ``i``'s delivery time (the
+        connection layer's per-connection FIFO order).  Returns, per
+        packet, its :class:`SendReceipt` while in flight, or ``None`` when
+        it was dropped at the source.  The burst is observed once, the
+        NIC is reserved for exactly the packets no partition stops, and
+        one call schedules every receipt, a duplicating link's copy
+        right after its original.
         """
         sim = self.sim
         now = sim.now
@@ -375,80 +336,75 @@ class NetworkFabric:
             else:
                 _observe_burst(observer, packets, now)
         src = packets[0].src
-        if (
-            self._fast_path
-            and self._partition_of is None
-            and not self._silenced[src]
-        ):
+        if self._silenced[src]:
+            for packet in packets:
+                self._drop(packet, "sender-silenced")
+            return [None] * len(packets)
+        partition = self._partition_of
+        side = -1
+        if partition is not None:
+            side = partition[src]
+            sizes = [p.size_bytes for p in packets if partition[p.dst] == side]
+        departures: List[float] = []
+        if sizes:
             departures = self.nics[src].transmissions_done_at(now, sizes)
-            row = self._latency_rows[src]
-            times = []
-            args = []
-            for packet, departed, floor in zip(packets, departures, floors):
-                deliver_at = departed + row[packet.dst]
-                if deliver_at < floor:
-                    deliver_at = floor
-                times.append(deliver_at)
+        loss = self.config.loss_probability
+        jitter = self.config.jitter_ms
+        links = self._links
+        service = self._service_delay
+        row = self._latency_rows[src]
+        reached = 0
+        times = []
+        args = []
+        placed: List[Optional[int]] = []  # index into ``times`` per packet
+        for packet, floor in zip(packets, floors):
+            dst = packet.dst
+            if partition is not None and partition[dst] != side:
+                self._drop(packet, "partitioned")
+                placed.append(None)
+                continue
+            departed = departures[reached]
+            reached += 1
+            if loss > 0.0 and self._rng.random() < loss:
+                self._drop(packet, "loss")
+                placed.append(None)
+                continue
+            link = links.get((src, dst)) if links else None
+            if (
+                link is not None
+                and link.loss_probability > 0.0
+                and self._gray_rng.random() < link.loss_probability
+            ):
+                self._drop(packet, "link-loss")
+                placed.append(None)
+                continue
+            delay = row[dst]
+            if jitter > 0.0:
+                delay += self._rng.uniform(0.0, jitter)
+            if link is not None:
+                delay += link.extra_latency_ms
+            if service:
+                delay += service.get(src, 0.0)
+                delay += service.get(dst, 0.0)
+            deliver_at = departed + delay
+            if deliver_at < floor:
+                deliver_at = floor
+            placed.append(len(times))
+            times.append(deliver_at)
+            args.append((packet,))
+            if (
+                link is not None
+                and link.duplicate_probability > 0.0
+                and self._gray_rng.random() < link.duplicate_probability
+            ):
+                # A duplicating middlebox: the copy trails the original by
+                # one extra propagation delay.
+                times.append(deliver_at + delay)
                 args.append((packet,))
-            return sim.schedule_at_many(times, self._deliver, args, SendReceipt)
-        return [
-            self._send_full(packet, now, floor)
-            for packet, floor in zip(packets, floors)
-        ]
-
-    def _send_full(
-        self, packet: Packet, now: float, min_deliver_at: float
-    ) -> Optional[SendReceipt]:
-        """The full send path of one (observed) packet: silencing,
-        partitions, loss, jitter, gray failures."""
-        if self._silenced[packet.src]:
-            self._drop(packet, "sender-silenced")
-            return None
-        if not self.can_communicate(packet.src, packet.dst):
-            self._drop(packet, "partitioned")
-            return None
-        serialized_at = self.nics[packet.src].transmission_done_at(
-            now, packet.size_bytes
-        )
-        if (
-            self.config.loss_probability > 0.0
-            and self._rng.random() < self.config.loss_probability
-        ):
-            self._drop(packet, "loss")
-            return None
-        # Emptiness cached by truthiness: the common healthy case skips
-        # the tuple allocation and dict probe entirely.
-        link = (
-            self._links.get((packet.src, packet.dst)) if self._links else None
-        )
-        if (
-            link is not None
-            and link.loss_probability > 0.0
-            and self._gray_rng.random() < link.loss_probability
-        ):
-            self._drop(packet, "link-loss")
-            return None
-        delay = self.model.latency(packet.src, packet.dst)
-        if self.config.jitter_ms > 0.0:
-            delay += self._rng.uniform(0.0, self.config.jitter_ms)
-        if link is not None:
-            delay += link.extra_latency_ms
-        if self._service_delay:
-            delay += self._service_delay.get(packet.src, 0.0)
-            delay += self._service_delay.get(packet.dst, 0.0)
-        deliver_at = max(serialized_at + delay, min_deliver_at)
-        receipt = self.sim.schedule_at_many(
-            (deliver_at,), self._deliver, ((packet,),), SendReceipt
-        )[0]
-        if (
-            link is not None
-            and link.duplicate_probability > 0.0
-            and self._gray_rng.random() < link.duplicate_probability
-        ):
-            # A duplicating middlebox: the copy trails the original by
-            # one extra propagation delay.
-            self.sim.schedule_at(deliver_at + delay, self._deliver, packet)
-        return receipt
+        receipts = sim.schedule_at_many(times, self._deliver, args, SendReceipt)
+        if len(receipts) == len(packets) and None not in placed:
+            return receipts
+        return [None if at is None else receipts[at] for at in placed]
 
     def abort(self, receipt: SendReceipt, reason: str = "purged") -> None:
         """Cancel an in-flight packet (connection-buffer purging)."""

@@ -19,9 +19,8 @@ class NetworkInterface:
     """Tracks when a node's uplink is next free.
 
     The fabric asks :meth:`transmissions_done_at` for every burst of
-    outgoing packets (:meth:`transmission_done_at` for one); the answer
-    is when each packet's last byte leaves the host, i.e. the earliest
-    moment its propagation delay can start.
+    outgoing packets; the answer is when each packet's last byte leaves
+    the host, i.e. the earliest moment its propagation delay can start.
     """
 
     def __init__(self, bandwidth_bytes_per_ms: Optional[float]) -> None:
@@ -44,11 +43,6 @@ class NetworkInterface:
         if factor < 1.0:
             raise ValueError(f"slowdown factor must be >= 1, got {factor}")
         self.slowdown = factor
-
-    def transmission_done_at(self, now: float, size_bytes: int) -> float:
-        """Reserve uplink time for a packet; return its serialization
-        completion time."""
-        return self.transmissions_done_at(now, (size_bytes,))[0]
 
     def transmissions_done_at(
         self, now: float, sizes: Sequence[int]

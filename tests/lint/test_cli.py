@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.lint.cli import main
+from repro.lint.rules import RULES
 
 BAD = "import time\nx = time.time()\n"
 CLEAN = "def f(sim):\n    return sim.now\n"
@@ -66,6 +69,15 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("DET001", "DET002", "DET003", "DET004", "DET005"):
         assert rule_id in out
+
+
+def test_help_names_every_rule(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    for rule in RULES:
+        assert rule.rule_id in out
 
 
 def test_write_then_enforce_baseline(tmp_path, capsys):

@@ -8,8 +8,10 @@ the per-packet code that burst replaced -- ``ConnectionTransport._submit``,
 drives both through the same interleavings of bursts (1-16 distinct
 destinations, mixed MSG/IHAVE), single sends and ``run(until=...)``
 steps, under randomized loss, jitter, link profiles (loss, extra
-latency, duplication), node slowdowns and service delays, silenced
-senders and receivers, a partition, buffer capacities 1-4 under every
+latency, duplication) on one directed link or on every one (the shape
+``GrayFailurePlan(lossy_link_fraction=1.0)`` applies), node slowdowns
+and service delays, silenced senders and receivers, a partition and
+bursts it stops whole, buffer capacities 1-4 under every
 :class:`PurgePolicy`, and an observer or none.  After every step it
 compares, per packet, the live queue entries ``(time, seq)`` and the
 firing order with delivery times; and the observer's totals and drop
@@ -29,6 +31,20 @@ Mutants of the burst path this kills, each a one-token or one-line edit
   ``EventQueue.push_many``'s heap entry;
 - purge victim: ``victim = 0`` -> ``victim = -1`` in
   ``ConnectionTransport._purge``.
+
+Every packet, healthy or impaired, now takes ``NetworkFabric.send_many``'s
+one loop.  Mutants of that loop it kills (all three under
+``--hypothesis-seed`` 1-4 and a random seed; the swapped draws survive
+seed 5):
+
+- a NIC reservation for a burst dropped before the NIC: the
+  ``if sizes:`` guard around ``transmissions_done_at`` removed, so a
+  wholly partitioned burst moves an idle uplink's ``free_at`` to now;
+- fabric-loss and link-loss draws swapped: the link-loss check moved
+  above the fabric-loss check;
+- a duplicate copy scheduled after the next packet's receipt: copies
+  collected and appended after the loop instead of right after their
+  originals.
 """
 
 from __future__ import annotations
@@ -95,6 +111,17 @@ class ReferenceFabric(NetworkFabric):
         self.nics = [
             ReferenceInterface(nic.bandwidth_bytes_per_ms) for nic in self.nics
         ]
+
+    @property
+    def _fast_path(self) -> bool:
+        """The healthy-fabric predicate the per-packet path switched on,
+        computed from the same state the fabric once cached it from."""
+        return (
+            self.config.loss_probability == 0.0
+            and self.config.jitter_ms == 0.0
+            and not self._links
+            and not self._service_delay
+        )
 
     def send(
         self, packet: Packet, min_deliver_at: float = 0.0
@@ -307,6 +334,21 @@ class Stack:
         elif name == "link":
             src, dst, loss, extra, duplicate = args
             self.fabric.set_link(src, dst, LinkProfile(loss, extra, duplicate))
+        elif name == "lossy":
+            # One profile on every directed link, as GrayFailurePlan
+            # applies lossy_link_fraction=1.0.
+            profile = LinkProfile(*args)
+            for src in range(NODES):
+                for dst in range(NODES):
+                    if src != dst:
+                        self.fabric.set_link(src, dst, profile)
+        elif name == "severed":
+            # Once the sender's NIC is idle, a partition and then a burst
+            # whose every packet crosses it.
+            wait, cut, burst_op = args
+            self.apply(step, ("run", wait))
+            self.apply(step, ("partition", cut))
+            self.apply(step, burst_op)
         elif name == "slow":
             node, factor, delay = args
             self.fabric.set_node_slowdown(node, factor, delay)
@@ -423,6 +465,19 @@ def link(draw):
     )
 
 
+@st.composite
+def severed(draw):
+    cut = draw(st.integers(1, NODES - 1))
+    src = draw(st.integers(0, cut - 1))
+    dsts = draw(
+        st.lists(st.integers(cut, NODES - 1), min_size=1, max_size=8, unique=True)
+    )
+    kinds = draw(st.lists(message, min_size=len(dsts), max_size=len(dsts)))
+    wait = draw(st.sampled_from([1.0, 30.0]))
+    messages = [(d, k, s) for d, (k, s) in zip(dsts, kinds)]
+    return ("severed", wait, cut, ("burst", src, messages))
+
+
 operation = st.one_of(
     burst(),
     burst(),
@@ -432,6 +487,13 @@ operation = st.one_of(
     st.tuples(st.just("silence"), node),
     st.tuples(st.just("unsilence"), node),
     link(),
+    st.tuples(
+        st.just("lossy"),
+        st.sampled_from([0.05, 0.5]),
+        st.sampled_from([0.0, 4.0]),
+        st.sampled_from([0.0, 0.5]),
+    ),
+    severed(),
     st.tuples(
         st.just("slow"), node, st.sampled_from([1.0, 3.0]), st.sampled_from([0.0, 2.5])
     ),

@@ -1,8 +1,11 @@
-"""The fabric's slim send path: when it is live, and that it changes nothing.
+"""A link table that changes nothing changes no run.
 
-A recorder is attached to every experiment run, so the fast path must
-tolerate an observer or it never runs outside unit tests (which is what
-happened between the PR that added it and the PR that added these).
+``fast`` and ``full`` name the two fabric states a healthy-path switch
+once told apart: an empty link table, and one holding a zero-effect
+:class:`LinkProfile` on one directed link.  Every packet now takes the
+one send loop of ``NetworkFabric.send_many``, which looks links up only
+when the table is non-empty; these tests hold that the lookup draws
+nothing and moves nothing, over whole runs and over refused sends.
 """
 
 from __future__ import annotations
@@ -20,77 +23,33 @@ from repro.experiments.golden import (
 )
 from repro.experiments.scenarios import flat_factory, radius_factory
 from repro.metrics.recorder import MetricsRecorder
-from repro.network.fabric import FabricConfig, LinkProfile, NetworkFabric
+from repro.network.fabric import LinkProfile, NetworkFabric
 from repro.network.message import Packet
-from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.runtime.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
 
 
-def observed_cluster(**fabric_kwargs):
-    """A cluster wired the way ``run_experiment`` wires it."""
-    cluster = Cluster(
-        canonical_model(),
-        flat_factory(1.0),
-        config=ClusterConfig(fabric=FabricConfig(**fabric_kwargs)),
-        seed=3,
-    )
-    cluster.fabric.set_observer(MetricsRecorder())
-    return cluster
-
-
-def test_healthy_observed_cluster_is_on_the_fast_path():
-    assert observed_cluster().fabric.fast_path
-
-
-@pytest.mark.parametrize(
-    "fabric_kwargs", [{"loss_probability": 0.1}, {"jitter_ms": 2.0}]
-)
-def test_loss_and_jitter_leave_the_fast_path(fabric_kwargs):
-    assert not observed_cluster(**fabric_kwargs).fabric.fast_path
-
-
-@pytest.mark.parametrize(
-    "impair",
-    [
-        lambda fabric: fabric.set_link(0, 1, LinkProfile()),
-        lambda fabric: fabric.set_node_slowdown(2, service_delay_ms=1.0),
-    ],
-    ids=["set_link", "service_delay"],
-)
-def test_gray_state_leaves_the_fast_path_until_cleared(impair):
-    fabric = observed_cluster().fabric
-    impair(fabric)
-    assert not fabric.fast_path
-    fabric.clear_gray()
-    assert fabric.fast_path
-
-
-def test_fast_path_is_read_only():
-    with pytest.raises(AttributeError):
-        observed_cluster().fabric.fast_path = False
-
-
-# -- fast / full parity --------------------------------------------------------
+# -- empty / zero-effect link table ---------------------------------------------
 
 
 def run_spec(monkeypatch, factory, force_full):
     """``run_experiment`` on the canonical model; with ``force_full`` a
-    zero-effect profile on one directed link keeps every send on
-    ``_send_full`` (non-empty link table) without drawing any randomness."""
-    paths = []
+    zero-effect profile on one directed link makes the link table
+    non-empty without changing any packet."""
+    tables = []
 
     def build(*args, **kwargs):
         cluster = Cluster(*args, **kwargs)
         if force_full:
             cluster.fabric.set_link(0, 1, LinkProfile())
-        paths.append(cluster.fabric.fast_path)
+        tables.append(cluster.fabric.link_profile(0, 1))
         return cluster
 
     monkeypatch.setattr(runner, "Cluster", build)
     spec = dataclasses.replace(canonical_spec("flat"), strategy_factory=factory)
     result = runner.run_experiment(canonical_model(), spec)
-    assert paths == [not force_full]
+    assert tables == [LinkProfile() if force_full else None]
     return result
 
 
@@ -124,7 +83,6 @@ def test_refused_sends_are_observed_exactly_once(force_full):
         fabric.register(node, lambda packet: None)
     if force_full:
         fabric.set_link(2, 3, LinkProfile())
-    assert fabric.fast_path is not force_full
 
     def send(src, dst):
         return fabric.send(Packet(src, dst, "MSG", None, 100))

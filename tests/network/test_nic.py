@@ -9,7 +9,7 @@ from repro.network.nic import NetworkInterface
 
 def test_serialization_delay():
     nic = NetworkInterface(bandwidth_bytes_per_ms=100.0)
-    done = nic.transmission_done_at(now=0.0, size_bytes=500)
+    (done,) = nic.transmissions_done_at(now=0.0, sizes=[500])
     assert done == pytest.approx(5.0)
 
 
@@ -17,28 +17,28 @@ def test_burst_queues_fifo():
     """A fanout burst serializes back-to-back: the key effect the paper's
     section 5.3 worries about."""
     nic = NetworkInterface(bandwidth_bytes_per_ms=100.0)
-    first = nic.transmission_done_at(0.0, 300)
-    second = nic.transmission_done_at(0.0, 300)
-    third = nic.transmission_done_at(0.0, 300)
-    assert (first, second, third) == (pytest.approx(3.0), pytest.approx(6.0), pytest.approx(9.0))
+    burst = nic.transmissions_done_at(0.0, [300, 300])
+    (third,) = nic.transmissions_done_at(0.0, [300])
+    assert [*burst, third] == [
+        pytest.approx(3.0), pytest.approx(6.0), pytest.approx(9.0)
+    ]
 
 
 def test_idle_gap_resets_queue():
     nic = NetworkInterface(bandwidth_bytes_per_ms=100.0)
-    nic.transmission_done_at(0.0, 100)  # done at 1.0
-    done = nic.transmission_done_at(50.0, 100)
-    assert done == pytest.approx(51.0)
+    nic.transmissions_done_at(0.0, [100])  # done at 1.0
+    assert nic.transmissions_done_at(50.0, [100]) == [pytest.approx(51.0)]
 
 
 def test_infinite_bandwidth_is_instant():
     nic = NetworkInterface(bandwidth_bytes_per_ms=None)
-    assert nic.transmission_done_at(7.0, 10**9) == 7.0
+    assert nic.transmissions_done_at(7.0, [10**9, 1]) == [7.0, 7.0]
 
 
 def test_counters_accumulate():
     nic = NetworkInterface(bandwidth_bytes_per_ms=100.0)
-    nic.transmission_done_at(0.0, 100)
-    nic.transmission_done_at(0.0, 200)
+    nic.transmissions_done_at(0.0, [100])
+    nic.transmissions_done_at(0.0, [200])
     assert nic.bytes_sent == 300
     assert nic.packets_sent == 2
     assert nic.busy_time_ms == pytest.approx(3.0)
@@ -46,10 +46,10 @@ def test_counters_accumulate():
 
 def test_reset():
     nic = NetworkInterface(bandwidth_bytes_per_ms=100.0)
-    nic.transmission_done_at(0.0, 100)
+    nic.transmissions_done_at(0.0, [100])
     nic.reset()
     assert nic.bytes_sent == 0
-    assert nic.transmission_done_at(0.0, 100) == pytest.approx(1.0)
+    assert nic.transmissions_done_at(0.0, [100]) == [pytest.approx(1.0)]
 
 
 def test_rejects_nonpositive_bandwidth():
