@@ -16,7 +16,7 @@ import contextlib
 import sys
 from typing import Any, Dict, Iterator, List, Optional
 
-from repro.backends import BACKEND_NAMES, DENSE_MODEL_LIMIT, get_backend
+from repro.backends import BACKEND_NAMES, DENSE_MODEL_LIMIT, megasim_spec
 from repro.experiments.figures import (
     FULL,
     QUICK,
@@ -33,6 +33,7 @@ from repro.experiments.figures import (
 from repro.experiments.parallel import resolve_workers
 from repro.experiments.replication import run_replicated
 from repro.experiments.reporting import format_table
+from repro.experiments.runner import run_experiment
 from repro.experiments.scenarios import (
     flat_factory,
     hybrid_factory,
@@ -42,7 +43,6 @@ from repro.experiments.scenarios import (
 )
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
-from repro.gossip.config import GossipConfig
 from repro.topology.cache import cached_model
 from repro.topology.inet import InetParameters
 from repro.topology.stats import compute_statistics
@@ -114,7 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=list(BACKEND_NAMES), default="event",
         help="simulation backend: the discrete-event kernel (default) "
         "or the vectorized round kernel (requires the repro[vector] "
-        "extra; oracle strategies only)",
+        "extra; oracle strategies only).  The vector kernel routes a "
+        f"real Inet model up to {DENSE_MODEL_LIMIT} clients, which "
+        f"admits --clients <= --routers - {InetParameters.transit_count} "
+        f"({FULL.routers - InetParameters.transit_count} at --scale full), "
+        "and a synthetic plane above that",
     )
     run.add_argument(
         "--loss", type=_fraction(closed=True), default=0.0,
@@ -124,21 +128,18 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--fail-fraction", type=_fraction(closed=False), default=0.0,
         help="fraction of nodes crash-stopped (FailurePlan; supported "
-        "by both backends)",
+        "by both backends; at least one node must stay alive)",
     )
     run.add_argument(
         "--view-degree", type=int, default=None,
-        help="scale tier only (--backend vector above "
-        f"{DENSE_MODEL_LIMIT} clients): gossip over static partial "
-        "views instead of the oracle sampler.  Up to that many clients "
-        "the vector backend routes a real Inet model, which admits "
-        f"--clients <= --routers - {InetParameters.transit_count} "
-        f"({FULL.routers - InetParameters.transit_count} at --scale full)",
+        help="vector backend only: gossip over static partial views of "
+        "this many nodes instead of the oracle sampler",
     )
     run.add_argument(
         "--track-links", action="store_true",
-        help="scale tier only: record per-link payload counts and "
-        "report the emergent-structure metrics",
+        help="vector backend only: record per-link payload counts and "
+        "report the emergent-structure metrics (always on up to "
+        f"{DENSE_MODEL_LIMIT} clients)",
     )
     _add_scale_arguments(run)
 
@@ -228,64 +229,42 @@ def command_topology(args: argparse.Namespace) -> int:
 def command_run(args: argparse.Namespace) -> int:
     """``repro run``: one experiment (or a replicated study), one row."""
     scale = _scale(args)
-    synthetic = args.backend == "vector" and scale.clients > DENSE_MODEL_LIMIT
-    scale_tier = (
-        f"the synthetic scale tier (--backend vector, --clients > "
-        f"{DENSE_MODEL_LIMIT})"
-    )
+    vector = args.backend == "vector"
     for flag, where, misused in (
-        ("--replications", "the event backend",
-         args.replications > 1 and args.backend != "event"),
-        ("--view-degree", scale_tier,
-         args.view_degree is not None and not synthetic),
-        ("--track-links", scale_tier, args.track_links and not synthetic),
+        ("--replications", "the event backend", args.replications > 1 and vector),
+        ("--view-degree", "the vector backend",
+         args.view_degree is not None and not vector),
+        ("--track-links", "the vector backend", args.track_links and not vector),
     ):
         if misused:
             print(f"{flag} is only supported by {where}", file=sys.stderr)
             return 2
+    # The tier choice, made once: a routed Inet model for the event
+    # kernel and for the vector kernel up to DENSE_MODEL_LIMIT clients;
+    # above it no model, and the slot kernel runs its synthetic plane.
+    dense = not vector or scale.clients <= DENSE_MODEL_LIMIT
     with _field_errors():
         factory = STRATEGIES[args.strategy](args)
-    failure = (
-        FailurePlan(fraction=args.fail_fraction) if args.fail_fraction else None
-    )
-    gray = (
-        GrayFailurePlan(lossy_link_fraction=1.0, link_loss_probability=args.loss)
-        if args.loss
-        else None
-    )
-    if synthetic:
-        # A dense all-pairs latency model is infeasible at this scale:
-        # run the megasim synthetic plane topology directly.  (Imported
-        # here so ``--backend event`` never needs numpy.)
-        from repro.megasim.runner import MegasimSpec, run_megasim
-
-        with _field_errors():
-            gossip = GossipConfig.for_population(scale.clients)
-            mega_spec = MegasimSpec(
-                strategy_factory=factory,
-                nodes=scale.clients,
-                fanout=gossip.fanout,
-                rounds=gossip.rounds,
-                messages=scale.messages,
-                seed=scale.seed,
-                view_degree=args.view_degree,
-                track_links=args.track_links,
-                failure=failure,
-                gray=gray,
-            )
-        mega = run_megasim(mega_spec, workers=args.workers)
-        row: Dict[str, Any] = dict(
-            mega.summary.row(), failed_nodes=len(mega.failed), retries=mega.retries
+        failure = None
+        if args.fail_fraction:
+            failure = FailurePlan(fraction=args.fail_fraction)
+            failure.victim_count(scale.clients)
+        gray = (
+            GrayFailurePlan(lossy_link_fraction=1.0, link_loss_probability=args.loss)
+            if args.loss
+            else None
         )
-        if mega.structure is None:
-            del row["top5_share_pct"]  # NaN without --track-links
-        else:
-            row["effective_degree"] = mega.structure.effective_degree
-            row["used_links"] = mega.structure.used_links
-    else:
-        with _field_errors():
-            spec = scale.spec(factory, seed=scale.seed, failure=failure, gray=gray)
-            model = build_model(scale)
+        spec = scale.spec(factory, seed=scale.seed, failure=failure, gray=gray)
+        if vector:
+            mega_spec = megasim_spec(
+                spec,
+                scale.clients,
+                view_degree=args.view_degree,
+                track_links=dense or args.track_links,
+            )
+        model = build_model(scale) if dense else None
+    row: Dict[str, Any]
+    if not vector:
         if args.replications > 1:
             row = run_replicated(
                 model,
@@ -294,8 +273,25 @@ def command_run(args: argparse.Namespace) -> int:
                 workers=resolve_workers(args.workers),
             ).row()
         else:
-            backend = get_backend(args.backend, workers=args.workers)
-            row = backend.run(model, spec).summary.row()
+            row = run_experiment(model, spec).summary.row()
+    else:
+        # Imported here so ``--backend event`` never needs numpy.
+        from repro.megasim.adapter import DenseTopology
+        from repro.megasim.runner import run_megasim
+
+        mega = run_megasim(
+            mega_spec,
+            workers=args.workers,
+            topology=None if model is None else DenseTopology(model),
+        )
+        row = dict(
+            mega.summary.row(), failed_nodes=len(mega.failed), retries=mega.retries
+        )
+        if mega.structure is None:
+            del row["top5_share_pct"]  # NaN without link tracking
+        else:
+            row["effective_degree"] = mega.structure.effective_degree
+            row["used_links"] = mega.structure.used_links
     print(format_table([dict(strategy=args.strategy, **row)]))
     return 0
 

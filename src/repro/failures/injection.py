@@ -35,6 +35,18 @@ class FailurePlan:
         if self.target == "best" and self.ranked_nodes is None:
             raise ValueError("target='best' requires ranked_nodes")
 
+    def victim_count(self, size: int) -> int:
+        """How many of a ``size``-node population the plan silences:
+        ``round(fraction * size)``, refused when that is every node (a
+        run with no live sender has nothing to measure)."""
+        count = int(round(self.fraction * size))
+        if count and count == size:
+            raise ValueError(
+                f"fraction={self.fraction} silences all {size} nodes of the "
+                "population; at least one must stay alive"
+            )
+        return count
+
 
 def crash_victims(
     plan: FailurePlan,
@@ -49,7 +61,7 @@ def crash_victims(
     ranked nodes uniformly.  Both kernels call this, so a seed silences
     the same nodes on either.
     """
-    count = int(round(plan.fraction * size))
+    count = plan.victim_count(size)
     if count == 0:
         return []
     rng = streams.stream("failures")
@@ -77,7 +89,9 @@ class FailureInjector:
     def apply(self, plan: FailurePlan) -> List[int]:
         """Silence the victims; returns their ids."""
         cluster = self.cluster
-        victims = crash_victims(plan, cluster.size, cluster.sim.rng, self.failed)
+        victims = crash_victims(
+            plan, cluster.model.size, cluster.sim.rng, self.failed
+        )
         for node in victims:
             cluster.fabric.silence(node)
         self.failed.extend(victims)

@@ -13,10 +13,12 @@ the differential harness in :mod:`repro.megasim.differential` and
 documented in DESIGN.md section 10.  Entry points:
 
 - :func:`repro.megasim.runner.run_megasim` -- the library entry, and
-  what ``repro run --backend vector`` calls above ``DENSE_MODEL_LIMIT``
-  clients
-- :class:`repro.backends.VectorBackend` -- the same kernel over a dense
-  event-kernel model, for populations up to that limit
+  what ``repro run --backend vector`` calls at every population: over a
+  :class:`~repro.megasim.adapter.DenseTopology` wrapping the routed Inet
+  model up to ``DENSE_MODEL_LIMIT`` clients, over the synthetic plane
+  above it
+- :func:`repro.backends.megasim_spec` -- the one translation of an
+  event-kernel ``ExperimentSpec`` into a :class:`MegasimSpec`
 
 numpy is an *optional* dependency (the ``repro[vector]`` extra); the
 core library and the event kernel never import it.
@@ -39,7 +41,6 @@ from repro.megasim.adapter import (
     UniformTopology,
     VectorTopology,
     summary_from_outcomes,
-    to_recorder,
 )
 from repro.megasim.rounds import MessageOutcome, disseminate
 from repro.megasim.runner import MegasimResult, MegasimSpec, run_megasim
@@ -60,5 +61,4 @@ __all__ = [
     "disseminate",
     "run_megasim",
     "summary_from_outcomes",
-    "to_recorder",
 ]

@@ -19,13 +19,11 @@ the injectors' own draws (:func:`~repro.failures.crash_victims`,
 :func:`~repro.failures.gray_targets`), so both backends impair the same
 nodes and links for a given seed.
 
-Outbound: :func:`to_recorder` replays a finished run into a
-:class:`~repro.metrics.recorder.MetricsRecorder` (small N -- it builds
-per-message Python dicts), and :func:`summary_from_outcomes` fills a
+Outbound: :func:`summary_from_outcomes` fills a
 :class:`~repro.metrics.analysis.RunSummary` directly from slot
 histograms (latency statistics with the same formulas ``summarize()``
-uses; the ratios are the summary's own properties), so large runs report
-in the recorder's metric schema without recorder-sized state.
+uses; the ratios are the summary's own properties), so every run
+reports in the recorder's metric schema without recorder-sized state.
 """
 
 from __future__ import annotations
@@ -42,7 +40,6 @@ from repro.megasim.links import LinkTable, merge_link_arrays, top_share
 from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
-from repro.metrics.recorder import MetricsRecorder
 from repro.monitors.ranking import oracle_ranking
 from repro.network.message import control_packet_size, payload_packet_size
 from repro.sim.rng import RandomStreams
@@ -560,46 +557,6 @@ def compile_faults(
 
 
 # -- results adapters --------------------------------------------------------
-
-
-def to_recorder(
-    outcomes: "List[MessageOutcome]",
-    round_ms: float,
-    payload_bytes: int = 256,
-) -> MetricsRecorder:
-    """Replay finished messages into a recorder (small-N analysis path).
-
-    Every message is timestamped from 0, so latencies are
-    ``slot * round_ms`` exactly as the kernel measured them.  Builds
-    per-(message, node) dict entries -- do not call this at 10^5+ nodes;
-    use :func:`summary_from_outcomes` there.
-    """
-    recorder = MetricsRecorder()
-    msg_size = payload_packet_size(payload_bytes)
-    ctrl_size = control_packet_size()
-    for message_id, outcome in enumerate(outcomes):
-        recorder.on_multicast(message_id, outcome.origin, 0.0)
-        delivered = np.flatnonzero(outcome.deliver_slot >= 0)
-        slots = outcome.deliver_slot[delivered]
-        for node, slot in zip(delivered.tolist(), slots.tolist()):
-            recorder.on_app_deliver(node, message_id, slot * round_ms)
-        recorder.sent_packets["MSG"] += outcome.msg_sent
-        recorder.sent_bytes["MSG"] += outcome.msg_sent * msg_size
-        recorder.sent_packets["IHAVE"] += outcome.ihave_sent
-        recorder.sent_bytes["IHAVE"] += outcome.ihave_sent * ctrl_size
-        recorder.sent_packets["IWANT"] += outcome.iwant_sent
-        recorder.sent_bytes["IWANT"] += outcome.iwant_sent * ctrl_size
-        recorder.delivered_packets["MSG"] += int(outcome.payload_received.sum())
-        for node in np.flatnonzero(outcome.payload_sent).tolist():
-            recorder.node_payload_sent[node] += int(outcome.payload_sent[node])
-        for node in np.flatnonzero(outcome.payload_received).tolist():
-            recorder.node_payload_received[node] += int(
-                outcome.payload_received[node]
-            )
-        if outcome.link_counts is not None:
-            for link, count in outcome.link_counts.items():
-                recorder.link_payload_counts[link] += count
-    return recorder
 
 
 def _slot_latency_stats(

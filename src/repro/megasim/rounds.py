@@ -120,7 +120,7 @@ class MessageOutcome:
     ``link_sends`` the aligned transmission counts -- so a million-node
     tracked run costs two flat arrays, not a Python dict.  The
     :attr:`link_counts` dict view is derived on demand for the small-N
-    recorder/differential paths.
+    differential suite.
     """
 
     origin: int
@@ -146,8 +146,8 @@ class MessageOutcome:
     def link_counts(self) -> Optional[Dict[Tuple[int, int], int]]:
         """Per-link payload counts as ``{(src, dst): count}`` (small N).
 
-        Materializes a dict per call -- fine for the recorder and the
-        differential suite, not meant for 10^5+ nodes.
+        Materializes a dict per call -- fine for the differential
+        suite, not meant for 10^5+ nodes.
         """
         if self.link_keys is None or self.link_sends is None:
             return None

@@ -47,7 +47,6 @@ from repro.megasim.adapter import (
     build_views,
     compile_faults,
     summary_from_outcomes,
-    to_recorder,
 )
 from repro.megasim.arena import (
     MegasimArena,
@@ -64,7 +63,6 @@ from repro.megasim.links import (
 from repro.megasim.rounds import MessageOutcome, disseminate
 from repro.megasim.strategies import compile_strategy
 from repro.metrics.analysis import RunSummary
-from repro.metrics.recorder import MetricsRecorder
 from repro.runtime.node import StrategyFactory
 from repro.scheduler.interfaces import DEFAULT_RETRY_PERIOD_MS
 from repro.sim.rng import RandomStreams
@@ -182,12 +180,6 @@ class MegasimResult:
         """IWANT retries across all messages (the event kernel's
         ``retries_sent`` tally)."""
         return sum(outcome.retries for outcome in self.outcomes)
-
-    def to_recorder(self) -> MetricsRecorder:
-        """Replay into a recorder (small-N analysis only)."""
-        return to_recorder(
-            self.outcomes, self.round_ms, payload_bytes=self.spec.payload_bytes
-        )
 
 
 def build_topology(spec: MegasimSpec) -> VectorTopology:

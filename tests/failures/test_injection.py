@@ -106,6 +106,17 @@ def test_plan_validation():
         FailurePlan(fraction=0.5, target="best")  # missing ranked_nodes
 
 
+def test_plan_that_would_silence_every_node_is_refused():
+    """``fraction < 1`` still rounds to the whole of a small population;
+    the count rule refuses that by name instead of leaving no sender."""
+    plan = FailurePlan(fraction=0.9)
+    assert plan.victim_count(10) == 9
+    with pytest.raises(ValueError, match=r"fraction=0\.9 silences all 3 nodes"):
+        plan.victim_count(3)
+    with pytest.raises(ValueError, match="silences all 3 nodes"):
+        FailureInjector(make_cluster(3)).apply(plan)
+
+
 def test_silenced_node_sends_and_receives_nothing():
     model = complete_topology(6, latency_ms=10.0)
     cluster, recorder = build_cluster(model, lambda ctx: PureEagerStrategy())

@@ -23,11 +23,12 @@ from repro.megasim.adapter import (
     UniformTopology,
     build_views,
     summary_from_outcomes,
-    to_recorder,
 )
 from repro.megasim.runner import MegasimSpec, run_megasim
 from repro.metrics.analysis import summarize
+from repro.metrics.recorder import MetricsRecorder
 from repro.monitors.ranking import OracleRanking
+from repro.network.message import control_packet_size, payload_packet_size
 from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
 from repro.topology.simple import complete_topology
@@ -196,6 +197,31 @@ class TestSyntheticTopologies:
             assert float(spread.mean()) < 1.5
 
 
+def replay(result) -> MetricsRecorder:
+    """What ``summarize()`` reads, replayed from a finished megasim run
+    into a recorder: every message multicast at 0, every delivery at
+    ``slot * round_ms``, the packet/byte counters and the link table."""
+    recorder = MetricsRecorder()
+    msg_size = payload_packet_size(result.spec.payload_bytes)
+    ctrl_size = control_packet_size()
+    for message_id, outcome in enumerate(result.outcomes):
+        recorder.on_multicast(message_id, outcome.origin, 0.0)
+        delivered = np.flatnonzero(outcome.deliver_slot >= 0)
+        slots = outcome.deliver_slot[delivered]
+        for node, slot in zip(delivered.tolist(), slots.tolist()):
+            recorder.on_app_deliver(node, message_id, slot * result.round_ms)
+        for kind, count, size in (
+            ("MSG", outcome.msg_sent, msg_size),
+            ("IHAVE", outcome.ihave_sent, ctrl_size),
+            ("IWANT", outcome.iwant_sent, ctrl_size),
+        ):
+            recorder.sent_packets[kind] += count
+            recorder.sent_bytes[kind] += count * size
+        for link, count in (outcome.link_counts or {}).items():
+            recorder.link_payload_counts[link] += count
+    return recorder
+
+
 class TestResultAdapters:
     """summary_from_outcomes must agree with the recorder pipeline."""
 
@@ -216,25 +242,8 @@ class TestResultAdapters:
         )
         result = run_megasim(spec)
         direct = result.summary
-        via_recorder = summarize(result.to_recorder(), expected_receivers=48)
+        via_recorder = summarize(replay(result), expected_receivers=48)
         assert direct == via_recorder
-
-    def test_recorder_carries_link_and_node_counters(self) -> None:
-        spec = MegasimSpec(
-            strategy_factory=flat_factory(1.0),
-            nodes=16,
-            fanout=15,
-            rounds=1,
-            messages=1,
-            seed=0,
-            topology="uniform",
-            origins=(0,),
-            track_links=True,
-        )
-        recorder = run_megasim(spec).to_recorder()
-        assert recorder.sent_packets["MSG"] == 15
-        assert recorder.node_payload_sent[0] == 15
-        assert sum(recorder.link_payload_counts.values()) == 15
 
     def test_top_link_share_nan_without_tracking(self) -> None:
         spec = MegasimSpec(

@@ -1,5 +1,5 @@
-"""The scale tier from the shell: ``repro run --backend vector`` above
-``DENSE_MODEL_LIMIT``, and the numpy gate."""
+"""The scale tier from the shell: ``repro run --backend vector`` on both
+sides of ``DENSE_MODEL_LIMIT``, and the numpy gate."""
 
 from __future__ import annotations
 
@@ -139,15 +139,52 @@ def test_every_strategy_choice_builds_a_factory(capsys) -> None:
     [
         ["--view-degree", "8", "--backend", "event", "--clients", str(NODES)],
         ["--track-links", "--backend", "event", "--clients", str(NODES)],
-        ["--view-degree", "8", "--backend", "vector", "--clients", "24"],
-        ["--track-links", "--backend", "vector", "--clients", "24"],
+        ["--view-degree", "8", "--backend", "event", "--clients", "24"],
+        ["--track-links", "--backend", "event", "--clients", "24"],
     ],
 )
 def test_scale_tier_flags_are_rejected_elsewhere(capsys, argv: List[str]) -> None:
-    """Off the synthetic tier the flags exit 2 by name, before any model
-    is built -- never silently ignored."""
+    """Off the vector backend the flags exit 2 by name at any
+    population, before any model is built -- never silently ignored."""
     assert main(["run", "eager", *argv]) == 2
-    assert f"{argv[0]} is only supported by" in capsys.readouterr().err
+    assert f"{argv[0]} is only supported by the vector backend" in (
+        capsys.readouterr().err
+    )
+
+
+def test_dense_tier_takes_view_degree(capsys) -> None:
+    """Below the limit the vector backend runs partial views over the
+    routed model, and tracks links there without being asked."""
+    assert main(
+        ["run", "eager", "--backend", "vector", "--clients", "24",
+         "--messages", "2", "--view-degree", "8"]
+    ) == 0
+    header, _rule, cells = capsys.readouterr().out.splitlines()
+    row = dict(zip(header.split(), cells.split()))
+    assert float(row["delivery_pct"]) > 90.0
+    assert float(row["effective_degree"]) <= 8.0
+
+
+def test_both_tiers_print_the_same_columns(capsys, monkeypatch) -> None:
+    """One vector path: on either side of ``DENSE_MODEL_LIMIT`` the
+    command prints the same row shape (lowered here so that both sides
+    stay test-sized)."""
+    monkeypatch.setattr("repro.cli.DENSE_MODEL_LIMIT", 30)
+    rows = []
+    for clients in ("24", "40"):
+        assert main(
+            ["run", "radius", "--backend", "vector", "--clients", clients,
+             "--messages", "2", "--track-links", "--fail-fraction", "0.25"]
+        ) == 0
+        header, _rule, cells = capsys.readouterr().out.splitlines()
+        rows.append(dict(zip(header.split(), cells.split())))
+    dense, synthetic = rows
+    assert list(dense) == list(synthetic) == [
+        "strategy", "latency_ms", "payload_per_msg", "delivery_pct",
+        "top5_share_pct", "failed_nodes", "retries", "effective_degree",
+        "used_links",
+    ]
+    assert (dense["failed_nodes"], synthetic["failed_nodes"]) == ("6", "10")
 
 
 def test_megasim_module_is_shorthand_for_run_backend_vector() -> None:

@@ -160,6 +160,16 @@ def test_topology_out_of_range_sizes_exit_2_naming_the_flag(flag, value, capsys)
         (["topology", "--routers", "200", "--clients", "500"], "client_count=500"),
         (["run", "radius", "--backend", "vector", "--clients", "1000"],
          "client_count=1000"),
+        # A crash plan that rounds to the whole population leaves no
+        # sender: refused by name on both backends and on both tiers.
+        (["run", "eager", "--clients", "3", "--messages", "1",
+          "--fail-fraction", "0.9"], "fraction=0.9 silences all 3 nodes"),
+        (["run", "eager", "--backend", "vector", "--clients", "3",
+          "--messages", "1", "--fail-fraction", "0.9"],
+         "fraction=0.9 silences all 3 nodes"),
+        (["run", "eager", "--backend", "vector", "--clients", "5000",
+          "--messages", "1", "--fail-fraction", "0.9999"],
+         "fraction=0.9999 silences all 5000 nodes"),
     ],
 )
 def test_rejected_parameters_are_one_line_usage_errors(argv, field, capsys):
