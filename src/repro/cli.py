@@ -14,13 +14,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, List, Optional, Type
 
 from repro.backends import BACKEND_NAMES, DENSE_MODEL_LIMIT, megasim_spec
 from repro.experiments.figures import (
     FULL,
     QUICK,
     Scale,
+    SweepPointError,
     build_model,
     figure4,
     figure5a,
@@ -175,13 +176,17 @@ def _at_least(minimum: int):
 
 
 @contextlib.contextmanager
-def _field_errors() -> Iterator[None]:
+def _field_errors(
+    errors: Type[ValueError] = ValueError,
+) -> Iterator[None]:
     """Around the *construction* of parameters, specs and the model: a
     ``ValueError`` there names the field the command line got wrong, so
-    it is a usage error -- one line and exit status 2, not a traceback."""
+    it is a usage error -- one line and exit status 2, not a traceback.
+    ``errors`` narrows the guard to the errors a wider block raises
+    before it runs anything."""
     try:
         yield
-    except ValueError as error:
+    except errors as error:
         print(f"repro: error: {error}", file=sys.stderr)
         raise SystemExit(2) from None
 
@@ -312,11 +317,13 @@ def command_figure(args: argparse.Namespace) -> int:
     if args.figure in TABLES:
         rows = figure_fn(scale)
     else:
-        rows = figure_fn(
-            scale,
-            workers=resolve_workers(args.workers),
-            replications=args.replications,
-        )
+        # A point the model cannot run is refused before the pool starts.
+        with _field_errors(SweepPointError):
+            rows = figure_fn(
+                scale,
+                workers=resolve_workers(args.workers),
+                replications=args.replications,
+            )
     print(format_table(rows))
     return 0
 

@@ -144,6 +144,10 @@ class SweepPoint:
 RowsFn = Callable[[Row, ExperimentResult], List[Row]]
 
 
+class SweepPointError(ValueError):
+    """A sweep point the model cannot run, refused before any run starts."""
+
+
 def sweep(
     build: Callable[..., Tuple[List[SweepPoint], RowsFn]]
 ) -> Callable[..., List[Row]]:
@@ -151,7 +155,10 @@ def sweep(
     figure function ``figure(scale, params, workers, replications,
     progress, **axes)`` returning the table.
 
-    Point ``i`` runs under seed ``scale.seed + 1000 + i``; with
+    Every point's crash plan is checked against the model before the
+    pool starts: one that silences the whole population raises
+    :class:`SweepPointError` naming the point.  Point ``i`` runs under
+    seed ``scale.seed + 1000 + i``; with
     ``replications > 1`` it runs under that many seeds derived from it
     (section 5.4 discipline) and its rows are aggregated.  All runs --
     points x replications -- are fanned over ``workers`` in one batch.
@@ -170,6 +177,13 @@ def sweep(
         points, rows_of = build(model, params, **axes)
         batches = []
         for offset, point in enumerate(points):
+            if point.failure is not None:
+                try:
+                    point.failure.victim_count(model.size)
+                except ValueError as error:
+                    raise SweepPointError(
+                        f"{build.__name__} point {point.labels}: {error}"
+                    ) from None
             spec = scale.spec(
                 point.factory,
                 seed=scale.seed + 1000 + offset,

@@ -28,15 +28,15 @@ reports in the recorder's metric schema without recorder-sized state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Tuple, Union
 
 import numpy as np
 from numpy.typing import NDArray
 
 from repro.failures.gray import GrayFailurePlan, gray_targets
 from repro.failures.injection import FailurePlan, crash_victims
-from repro.megasim.links import LinkTable, merge_link_arrays, top_share
+from repro.megasim.links import merge_link_arrays, top_share
 from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
@@ -51,6 +51,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Metric kinds a strategy may request, mirroring the oracle monitors.
 METRIC_LATENCY = "latency"
 METRIC_DISTANCE = "distance"
+
+#: A radius: one value for every pair, or one per pair (Hybrid's
+#: ``2 * rho`` / ``rho`` by forward round).
+Radius = Union[float, NDArray[np.float64]]
 
 
 class VectorTopology(Protocol):
@@ -70,6 +74,17 @@ class VectorTopology(Protocol):
         """``Metric(p)`` of the oracle monitor at ``src`` about ``dst``."""
         ...
 
+    def closer(
+        self,
+        kind: str,
+        src: NDArray[np.int32],
+        dst: NDArray[np.int32],
+        radius: Radius,
+    ) -> NDArray[np.bool_]:
+        """``metric(kind, src, dst) < radius``, element for element;
+        ``radius`` is a scalar or one value per pair."""
+        ...
+
     def best_mask(self, fraction: float) -> NDArray[np.bool_]:
         """Boolean membership array of the oracle best-node set."""
         ...
@@ -78,6 +93,86 @@ class VectorTopology(Protocol):
 def _check_kind(kind: str) -> None:
     if kind not in (METRIC_LATENCY, METRIC_DISTANCE):
         raise ValueError(f"unknown metric kind {kind!r}")
+
+
+#: :func:`plane_closer` settles a pair by ``dx*dx + dy*dy`` against
+#: ``radius * radius`` unless the two lie within this relative distance
+#: of each other; only those pairs are settled by ``np.hypot`` itself.
+#: The band is four orders of magnitude wider than the few-ulp combined
+#: error of the three quantities, so every decision is the hypot
+#: decision (DESIGN §10).
+_CLOSER_BAND = 1e-12
+#: Radii outside ``[2**-480, 2**480]`` (their squares may underflow or
+#: overflow), negative radii and NaN settle every pair by ``np.hypot``.
+_CLOSER_RADIUS_RANGE = (2.0**-480, 2.0**480)
+
+
+def plane_points(xy: NDArray[np.float64]) -> NDArray[np.complex128]:
+    """An ``(n, 2)`` C-contiguous coordinate record as ``n`` complex
+    numbers ``x + iy`` -- a view, so one 16-byte gather fetches both
+    coordinates of a node."""
+    if xy.ndim != 2 or xy.shape[1] != 2 or not xy.flags.c_contiguous:
+        raise ValueError(
+            f"coordinates must be a C-contiguous (n, 2) array, got {xy.shape}"
+        )
+    return xy.view(np.complex128).reshape(-1)
+
+
+def _offsets(
+    points: NDArray[np.complex128],
+    src: NDArray[np.int32],
+    dst: NDArray[np.int32],
+) -> NDArray[np.complex128]:
+    """``points[src] - points[dst]``: one gather per endpoint; the real
+    and imaginary parts are the doubles ``x[src] - x[dst]`` and
+    ``y[src] - y[dst]`` of two separate coordinate columns."""
+    offset = np.take(points, src)
+    offset -= np.take(points, dst)
+    return offset
+
+
+def plane_distance(
+    points: NDArray[np.complex128],
+    src: NDArray[np.int32],
+    dst: NDArray[np.int32],
+) -> NDArray[np.float64]:
+    """Euclidean distance of each pair, ``np.hypot(dx, dy)``.  (Complex
+    ``np.abs`` is not bit-identical to it.)  ``math.hypot`` and
+    ``np.hypot`` share the libm implementation, so this matches
+    ``geometry.euclidean`` bit for bit."""
+    offset = _offsets(points, src, dst)
+    return np.asarray(np.hypot(offset.real, offset.imag), dtype=np.float64)
+
+
+def plane_closer(
+    points: NDArray[np.complex128],
+    src: NDArray[np.int32],
+    dst: NDArray[np.int32],
+    radius: Radius,
+) -> NDArray[np.bool_]:
+    """``plane_distance(points, src, dst) < radius`` without a hypot per
+    pair: the squared distance against the squared radius, and
+    ``np.hypot`` only for the pairs inside :data:`_CLOSER_BAND` of the
+    boundary, or for every pair when the radius leaves
+    :data:`_CLOSER_RADIUS_RANGE`.  Coordinates must be finite."""
+    radii = np.asarray(radius, dtype=np.float64)
+    squares = _offsets(points, src, dst).view(np.float64)
+    np.square(squares, out=squares)
+    squared = squares[0::2] + squares[1::2]
+    bound = radii * radii
+    closer = squared < bound * (1.0 - _CLOSER_BAND)
+    # ``closer`` implies ``squared <= bound * (1 + band)``: the xor
+    # leaves the pairs inside the band.
+    unsure = squared <= bound * (1.0 + _CLOSER_BAND)
+    unsure ^= closer
+    low, high = _CLOSER_RADIUS_RANGE
+    unsure |= ~((radii >= low) & (radii <= high))
+    rows = np.flatnonzero(unsure)
+    if rows.size:
+        closer[rows] = plane_distance(
+            points, np.take(src, rows), np.take(dst, rows)
+        ) < (np.take(radii, rows) if radii.ndim else radii)
+    return closer
 
 
 class DenseTopology:
@@ -98,8 +193,11 @@ class DenseTopology:
     ) -> None:
         self.model = model
         self._latency = np.asarray(model.latency_ms, dtype=np.float64)
-        self._px = np.asarray([p.x for p in model.positions], dtype=np.float64)
-        self._py = np.asarray([p.y for p in model.positions], dtype=np.float64)
+        self._points = plane_points(
+            np.asarray(
+                [(p.x, p.y) for p in model.positions], dtype=np.float64
+            ).reshape(-1, 2)
+        )
         if round_ms is None:
             round_ms = self._uniform_latency() or model.mean_latency()
         if round_ms <= 0:
@@ -136,14 +234,20 @@ class DenseTopology:
     ) -> NDArray[np.float64]:
         _check_kind(kind)
         if kind == METRIC_LATENCY:
-            result = self._latency[src, dst]
-        else:
-            # math.hypot and np.hypot share the libm implementation, so
-            # this matches geometry.euclidean bit-for-bit.
-            result = np.hypot(
-                self._px[src] - self._px[dst], self._py[src] - self._py[dst]
-            )
-        return np.asarray(result, dtype=np.float64)
+            return np.asarray(self._latency[src, dst], dtype=np.float64)
+        return plane_distance(self._points, src, dst)
+
+    def closer(
+        self,
+        kind: str,
+        src: NDArray[np.int32],
+        dst: NDArray[np.int32],
+        radius: Radius,
+    ) -> NDArray[np.bool_]:
+        _check_kind(kind)
+        if kind == METRIC_LATENCY:
+            return np.asarray(self._latency[src, dst] < radius, dtype=bool)
+        return plane_closer(self._points, src, dst, radius)
 
     def best_mask(self, fraction: float) -> NDArray[np.bool_]:
         mask = np.zeros(self.size, dtype=bool)
@@ -185,6 +289,15 @@ class UniformTopology:
             result = np.abs(src.astype(np.float64) - dst.astype(np.float64))
         return np.asarray(result, dtype=np.float64)
 
+    def closer(
+        self,
+        kind: str,
+        src: NDArray[np.int32],
+        dst: NDArray[np.int32],
+        radius: Radius,
+    ) -> NDArray[np.bool_]:
+        return np.asarray(self.metric(kind, src, dst) < radius, dtype=bool)
+
     def best_mask(self, fraction: float) -> NDArray[np.bool_]:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction out of range: {fraction}")
@@ -198,10 +311,11 @@ class PlaneTopology:
     """Random positions on a square plane; latency = distance in ms.
 
     The scale-tier environment: per-pair quantities are computed on
-    demand from position arrays, so memory is O(n).  The best-node set
-    uses distance-to-centroid as the closeness proxy (exact mean
-    pairwise distance is O(n^2) and this topology has no event-kernel
-    twin to be bit-equal with).
+    demand from one ``(n, 2)`` coordinate record (16 bytes a node, so
+    a pair costs one gather per endpoint), and memory is O(n).  The
+    best-node set uses distance-to-centroid as the closeness proxy
+    (exact mean pairwise distance is O(n^2) and this topology has no
+    event-kernel twin to be bit-equal with).
     """
 
     def __init__(self, n: int, seed: int = 0, side: float = 100.0) -> None:
@@ -209,47 +323,50 @@ class PlaneTopology:
             raise ValueError(f"need at least one node, got {n}")
         if side <= 0:
             raise ValueError(f"side must be positive, got {side}")
-        self._n = n
-        self.side = float(side)
         rng = np.random.default_rng(
             RandomStreams(seed).derive_seed("megasim.topology.plane")
         )
-        # One draw for both columns, scaled in place: the same doubles as
-        # ``uniform(0.0, side, n)`` for x and then for y, at half the cost.
-        positions = rng.random((2, n))
-        positions *= self.side
-        self._px: NDArray[np.float64] = positions[0]
-        self._py: NDArray[np.float64] = positions[1]
-        self._round_ms = side / 2.0
+        # Every x, then every y, in stream order, scaled into the record's
+        # columns: the same doubles as ``uniform(0.0, side, n)`` for x and
+        # then for y.
+        coordinates = np.empty((n, 2), dtype=np.float64)
+        for axis in (0, 1):
+            np.multiply(rng.random(n), side, out=coordinates[:, axis])
+        self._init(coordinates, side)
+
+    def _init(self, coordinates: NDArray[np.float64], side: float) -> None:
+        self._points = plane_points(coordinates)
+        self._n = int(coordinates.shape[0])
+        if self._n < 1:
+            raise ValueError("a plane needs at least one node")
+        self.side = float(side)
+        self._xy = coordinates
+        self._round_ms = self.side / 2.0
 
     @classmethod
-    def from_positions(
-        cls,
-        px: NDArray[np.float64],
-        py: NDArray[np.float64],
-        side: float,
+    def from_coordinates(
+        cls, coordinates: NDArray[np.float64], side: float
     ) -> "PlaneTopology":
-        """Rebuild a plane from existing position arrays *without*
-        re-deriving them -- the shared-arena path, where workers attach
-        the parent's positions zero-copy instead of regenerating 16 MB
-        of coordinates per process."""
-        if px.shape != py.shape or px.ndim != 1 or px.shape[0] < 1:
-            raise ValueError(
-                f"positions must be equal-length 1-D arrays, got "
-                f"{px.shape} / {py.shape}"
-            )
+        """Rebuild a plane from an existing ``(n, 2)`` coordinate record
+        *without* re-deriving it -- the shared-arena path, where workers
+        attach the parent's record zero-copy instead of regenerating it
+        per process."""
         topology = cls.__new__(cls)
-        topology._n = int(px.shape[0])
-        topology.side = float(side)
-        topology._px = px
-        topology._py = py
-        topology._round_ms = float(side) / 2.0
+        topology._init(coordinates, side)
         return topology
 
     @property
+    def coordinates(self) -> NDArray[np.float64]:
+        """The ``(n, 2)`` coordinate record (what an arena must ship)."""
+        return self._xy
+
+    @property
     def positions(self) -> Tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """The ``(x, y)`` coordinate arrays (what an arena must ship)."""
-        return self._px, self._py
+        """The ``(x, y)`` coordinate columns, as read-only views."""
+        columns = self._xy[:, 0], self._xy[:, 1]
+        for column in columns:
+            column.setflags(write=False)
+        return columns
 
     @property
     def size(self) -> int:
@@ -263,18 +380,27 @@ class PlaneTopology:
         self, kind: str, src: NDArray[np.int32], dst: NDArray[np.int32]
     ) -> NDArray[np.float64]:
         _check_kind(kind)
-        result = np.hypot(
-            self._px[src] - self._px[dst], self._py[src] - self._py[dst]
-        )
-        return np.asarray(result, dtype=np.float64)
+        return plane_distance(self._points, src, dst)
+
+    def closer(
+        self,
+        kind: str,
+        src: NDArray[np.int32],
+        dst: NDArray[np.int32],
+        radius: Radius,
+    ) -> NDArray[np.bool_]:
+        _check_kind(kind)
+        return plane_closer(self._points, src, dst, radius)
 
     def best_mask(self, fraction: float) -> NDArray[np.bool_]:
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"fraction out of range: {fraction}")
         count = max(1, round(self._n * fraction))
-        centroid_x = float(np.mean(self._px))
-        centroid_y = float(np.mean(self._py))
-        closeness = np.hypot(self._px - centroid_x, self._py - centroid_y)
+        # Contiguous columns: the means sum exactly as they always have.
+        px, py = (np.ascontiguousarray(column) for column in self.positions)
+        centroid_x = float(np.mean(px))
+        centroid_y = float(np.mean(py))
+        closeness = np.hypot(px - centroid_x, py - centroid_y)
         best = np.argsort(closeness, kind="stable")[:count]
         mask = np.zeros(self._n, dtype=bool)
         mask[best] = True
@@ -413,12 +539,18 @@ class CompiledFaults:
     drop_keys: Optional[NDArray[np.int64]] = None
     lossy_keys: Optional[NDArray[np.int64]] = None
     loss_probability: float = 0.0
+    #: ``~crashed``, computed once: :meth:`deliver_mask` reads it per batch.
+    alive: Optional[NDArray[np.bool_]] = field(
+        init=False, default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError(
                 f"loss_probability out of range: {self.loss_probability}"
             )
+        if self.crashed is not None:
+            object.__setattr__(self, "alive", ~self.crashed)
 
     @property
     def needs_rng(self) -> bool:
@@ -456,10 +588,11 @@ class CompiledFaults:
         then always-drop links, then per-packet Bernoulli loss drawn from
         ``loss_rng`` for the packets still standing.
         """
-        keep = np.ones(src.shape[0], dtype=bool)
-        if self.crashed is not None:
-            keep &= ~self.crashed[src]
-            keep &= ~self.crashed[dst]
+        if self.alive is not None:
+            keep = np.take(self.alive, src)
+            keep &= np.take(self.alive, dst)
+        else:
+            keep = np.ones(src.shape[0], dtype=bool)
         if self.drop_keys is not None and self.drop_keys.size:
             keep &= ~self._link_member(self.drop_keys, src, dst)
         if self.loss_probability > 0.0:
@@ -468,10 +601,10 @@ class CompiledFaults:
                     "CompiledFaults with loss_probability > 0 needs a "
                     "dedicated loss RNG (megasim.loss.{index} stream)"
                 )
-            candidates = keep.copy()
+            candidates = keep
             if self.lossy_keys is not None:
-                candidates &= self._link_member(self.lossy_keys, src, dst)
-            rows = np.flatnonzero(candidates)
+                candidates = keep & self._link_member(self.lossy_keys, src, dst)
+            rows = np.flatnonzero(candidates)  # read before ``keep`` changes
             if rows.size:
                 dropped = loss_rng.random(rows.size) < self.loss_probability
                 keep[rows[dropped]] = False
@@ -624,17 +757,17 @@ def summary_from_outcomes(
     payload_bytes: int = 256,
     top_fraction: float = 0.05,
     expected_receivers: Optional[int] = None,
-    merged_links: Optional[LinkTable] = None,
+    top_link_share: Optional[float] = None,
 ) -> RunSummary:
     """A :class:`RunSummary` straight from slot histograms.
 
     ``top_link_share`` is computed when link tracking was on for every
     message and reported as NaN otherwise (at scale, per-link dicts are
-    deliberately not collected).  ``expected_receivers`` defaults to
-    ``n``; pass the alive population when crash faults are in play (the
-    event engine also normalizes delivery ratio by alive nodes).
-    ``merged_links`` hands in an already computed
-    :func:`~repro.megasim.links.merge_link_arrays` table of ``outcomes``.
+    deliberately not collected); a caller that already holds the share
+    of ``outcomes`` at ``top_fraction`` (NaN when untracked) hands it
+    in.  ``expected_receivers`` defaults to ``n``; pass the alive
+    population when crash faults are in play (the event engine also
+    normalizes delivery ratio by alive nodes).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -654,10 +787,15 @@ def summary_from_outcomes(
         msg_sent += outcome.msg_sent
         ihave_sent += outcome.ihave_sent
         iwant_sent += outcome.iwant_sent
-    # Link concentration straight from the outcomes' columnar link
-    # arrays -- no per-link dicts, so this path holds at 10^6 nodes.
-    if merged_links is None:
+    if top_link_share is None:
+        # Link concentration straight from the outcomes' columnar link
+        # arrays -- no per-link dicts, so this path holds at 10^6 nodes.
         merged_links = merge_link_arrays(outcomes)
+        top_link_share = (
+            top_share(merged_links[1], top_fraction)
+            if merged_links is not None
+            else float("nan")
+        )
     mean, ci, median, p95 = _slot_latency_stats(
         _slot_histogram(outcomes), round_ms
     )
@@ -674,11 +812,7 @@ def summary_from_outcomes(
         median_latency_ms=median,
         p95_latency_ms=p95,
         payload_transmissions=msg_sent,
-        top_link_share=(
-            top_share(merged_links[1], top_fraction)
-            if merged_links is not None
-            else float("nan")
-        ),
+        top_link_share=top_link_share,
         control_packets=control,
         total_bytes=total_bytes,
     )

@@ -115,7 +115,7 @@ class ArenaLayout:
     #: message index -- derived once in the parent, never re-derived.
     seeds: Tuple[Tuple[int, int], ...]
     #: The topology itself, unless it is a plane (``plane_side`` set),
-    #: whose ``plane.px`` / ``plane.py`` positions are among the arrays.
+    #: whose ``plane.xy`` coordinate record is among the arrays.
     topology: Optional[VectorTopology] = None
     plane_side: Optional[float] = None
     arrays: Tuple[Tuple[str, ArrayRef], ...] = ()
@@ -342,9 +342,7 @@ def _environment_arrays(
     """The named arrays a worker needs to rebuild the environment."""
     arrays: Dict[str, NDArray[np.generic]] = {}
     if isinstance(topology, PlaneTopology):
-        px, py = topology.positions
-        arrays["plane.px"] = px
-        arrays["plane.py"] = py
+        arrays["plane.xy"] = topology.coordinates
     if views is not None:
         arrays["views"] = views
     if faults is not None:
@@ -478,9 +476,8 @@ def _materialize_env(
     if topology is None:
         if layout.plane_side is None:
             raise ValueError("layout carries neither a topology nor a plane")
-        topology = PlaneTopology.from_positions(
-            cast(NDArray[np.float64], arrays["plane.px"]),
-            cast(NDArray[np.float64], arrays["plane.py"]),
+        topology = PlaneTopology.from_coordinates(
+            cast(NDArray[np.float64], arrays["plane.xy"]),
             side=layout.plane_side,
         )
     faults: Optional[CompiledFaults] = None

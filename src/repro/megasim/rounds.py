@@ -641,25 +641,27 @@ def _deliver_hits(
 def _first_occurrences(
     dst: NDArray[np.intp], scratch: SlotScratch
 ) -> Tuple[NDArray[np.intp], NDArray[np.intp]]:
-    """``np.unique(dst, return_index=True)`` without the sort.
+    """``np.unique(dst, return_index=True)`` without the argsort.
 
     With batches concatenated in processing order, the first occurrence
-    per value is the event kernel's first-arrival-wins rule.  For slots
-    whose arrival batch rivals the population size (the epidemic bulge:
-    up to fanout * n pairs), sorting the batch is the kernel's single
-    most expensive reduction; a reverse-order scatter into the reusable
-    ``first_pos`` map leaves exactly the first position per value and
-    reads winners back in ascending id order -- the same (values,
-    first_index) pair ``np.unique`` returns, in O(batch + n).
+    per value is the event kernel's first-arrival-wins rule.  A
+    reverse-order scatter into the reusable ``first_pos`` map leaves
+    exactly the first position per value; the winners are read back in
+    ascending id order -- the same (values, first_index) pair
+    ``np.unique`` returns.  A batch that rivals the population (the
+    epidemic bulge: up to fanout * n pairs) reads them with one O(n)
+    pass over the map; a smaller one keeps the packets that hold their
+    value's first position and sorts those values alone.
     """
-    if dst.size < scratch.n // 4:
-        return np.unique(dst, return_index=True)
     first_pos = scratch.first_pos
     positions = scratch.arange(dst.size)
     # Writing positions in descending order means the lowest index --
     # the first occurrence -- lands last and wins.
     first_pos[dst[::-1]] = positions[::-1]
-    winners = np.flatnonzero(first_pos >= 0)
+    if dst.size < scratch.n // 4:
+        winners = np.sort(dst[np.take(first_pos, dst) == positions])
+    else:
+        winners = np.flatnonzero(first_pos >= 0)
     first = first_pos[winners]
     first_pos[winners] = -1  # restore the rest state for the next slot
     return winners, first

@@ -160,19 +160,25 @@ class MegasimResult:
     structure: Optional[StructureMetrics] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        # One merge of the link table feeds both reductions (None when
-        # links were not tracked, which each re-derives at no cost).
-        merged_links = merge_link_arrays(self.outcomes)
+        # One merge of the link table and one top share feed both the
+        # structure metrics and the summary (no structure: links were
+        # not tracked, and the summary reports NaN).
+        self.structure = structure_metrics(
+            self.outcomes,
+            self.spec.nodes,
+            merged_links=merge_link_arrays(self.outcomes),
+        )
         self.summary = summary_from_outcomes(
             self.outcomes,
             self.spec.nodes,
             self.round_ms,
             payload_bytes=self.spec.payload_bytes,
             expected_receivers=self.spec.nodes - len(self.failed),
-            merged_links=merged_links,
-        )
-        self.structure = structure_metrics(
-            self.outcomes, self.spec.nodes, merged_links=merged_links
+            top_link_share=(
+                self.structure.top_link_share
+                if self.structure is not None
+                else float("nan")
+            ),
         )
 
     @property

@@ -141,8 +141,7 @@ class RadiusEvaluator(EagerEvaluator):
         rnd: Optional[NDArray[np.int32]],
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
-        metric = self.topology.metric(self.metric_kind, src, dst)
-        return np.asarray(metric < self.radius, dtype=bool)
+        return self.topology.closer(self.metric_kind, src, dst, self.radius)
 
 
 class RankedEvaluator(EagerEvaluator):
@@ -194,9 +193,9 @@ class HybridEvaluator(EagerEvaluator):
         rng: np.random.Generator,
     ) -> NDArray[np.bool_]:
         assert rnd is not None  # uses_round
-        metric = self.topology.metric(self.metric_kind, src, dst)
         effective = np.where(rnd < self.eager_rounds, 2.0 * self.radius, self.radius)
-        return np.asarray(self.best[src] | (metric < effective), dtype=bool)
+        closer = self.topology.closer(self.metric_kind, src, dst, effective)
+        return np.asarray(self.best[src] | closer, dtype=bool)
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,9 @@ class TestSyntheticTopologies:
         )
         px = rng.uniform(0.0, side, n)
         py = rng.uniform(0.0, side, n)
-        assert topology._px.tobytes() == px.tobytes()
-        assert topology._py.tobytes() == py.tobytes()
+        x, y = topology.positions
+        assert x.tobytes() == px.tobytes()
+        assert y.tobytes() == py.tobytes()
 
     def test_plane_latency_equals_distance(self) -> None:
         topology = PlaneTopology(20, seed=0)

@@ -84,9 +84,10 @@ GOLDEN_PATH = Path(__file__).resolve().parent.parent / "golden" / "megasim.json"
 
 
 def _golden_spec(factory, **overrides) -> MegasimSpec:
-    # 3000 nodes: the first and last slots of each epidemic resolve
-    # arrivals through ``np.unique`` (batch < n / 4), the bulge slots
-    # through the scatter map -- both ``_first_occurrences`` branches.
+    # 3000 nodes: the first and last slots of each epidemic read their
+    # arrival winners back from the scattered packets (batch < n / 4),
+    # the bulge slots from the whole scatter map -- both
+    # ``_first_occurrences`` read-backs.
     return MegasimSpec(
         strategy_factory=factory, nodes=3000, fanout=6, messages=3, seed=17,
         **overrides,

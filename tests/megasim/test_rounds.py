@@ -417,6 +417,39 @@ def test_uniform_slot_delivers_every_hit_node_at_the_next_round() -> None:
     assert state.payload_received[[0, 3, 7, 12]].tolist() == [1, 1, 2, 1]
 
 
+def _assert_first_occurrences(dst, scratch) -> None:
+    """``_first_occurrences`` returns what ``np.unique(dst,
+    return_index=True)`` does and leaves the scatter map at rest."""
+    winners, first = rounds._first_occurrences(dst, scratch)
+    values, index = np.unique(dst, return_index=True)
+    assert winners.tolist() == values.tolist()
+    assert first.tolist() == index.tolist()
+    assert (scratch.first_pos == -1).all()
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 40])
+@pytest.mark.parametrize("batch", [[], [0], [0, 0]])
+def test_first_occurrences_of_empty_and_singleton_batches(n, batch) -> None:
+    _assert_first_occurrences(np.asarray(batch, dtype=np.intp), SlotScratch(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    share=st.floats(0.0, 3.0),
+    distinct=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_first_occurrences_match_np_unique(n, share, distinct, seed) -> None:
+    """Batches on both sides of the ``n // 4`` switch, with few or many
+    repeated values, through one scratch reused the way slots reuse it."""
+    rng = np.random.default_rng(seed)
+    scratch = SlotScratch(n)
+    for size in (int(share * n), n // 4 - 1, n // 4):
+        values = rng.integers(0, min(n, distinct), size=max(size, 0))
+        _assert_first_occurrences(values.astype(np.intp), scratch)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     n=st.integers(1, 60),
@@ -690,9 +723,8 @@ def _pull_run(n, degree, loss, crashes, name, snap, delay, retry, seed) -> bytes
     are common: nearest-source ties, broken by advert arrival order."""
     topology = PlaneTopology(n, seed=seed, side=100.0)
     if snap:
-        topology = PlaneTopology.from_positions(
-            *(np.round(axis / 25.0) * 25.0 for axis in topology.positions),
-            side=100.0,
+        topology = PlaneTopology.from_coordinates(
+            np.round(topology.coordinates / 25.0) * 25.0, side=100.0
         )
     strategy = replace(
         compile_strategy(_PULL_STRATEGIES[name], topology),

@@ -170,6 +170,9 @@ def test_topology_out_of_range_sizes_exit_2_naming_the_flag(flag, value, capsys)
         (["run", "eager", "--backend", "vector", "--clients", "5000",
           "--messages", "1", "--fail-fraction", "0.9999"],
          "fraction=0.9999 silences all 5000 nodes"),
+        # A sweep point's crash plan is checked before the pool starts:
+        # Fig. 5b's 80 % cell leaves no live node of two.
+        (["figure", "5b", "--clients", "2"], "fraction=0.8 silences all 2 nodes"),
     ],
 )
 def test_rejected_parameters_are_one_line_usage_errors(argv, field, capsys):
