@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench-perf lint lint-streams evaluate evaluate-quick figures clean
+.PHONY: install test bench-perf lint lint-streams reach evaluate evaluate-quick figures clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -36,6 +36,14 @@ lint-streams:
 	PYTHONPATH=src $(PYTHON) -m repro.lint --streams src/repro > tests/lint/data/stream_manifest.json
 	git diff --stat --exit-code tests/lint/data/stream_manifest.json \
 		|| echo "stream manifest updated; review the diff above"
+
+# Regenerate the pinned list of functions no product entry point enters
+# (tests/reach/collect.py, numpy needed) and show what changed.  CI
+# diffs this file, so a reach change is: run this target, review, commit.
+reach:
+	PYTHONPATH=src $(PYTHON) tests/reach/collect.py
+	git diff --stat --exit-code tests/reach/unreached.txt \
+		|| echo "unreached list updated; review the diff above"
 
 # Paper-scale regeneration of every table and figure (several minutes).
 evaluate:

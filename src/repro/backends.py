@@ -45,17 +45,27 @@ def megasim_spec(
     """``spec`` over a ``nodes``-client population, as a slot-kernel spec.
 
     Crash-stop failure plans and the lossy-link subset of gray failures
-    carry over (:func:`repro.megasim.adapter.compile_faults`); continuous
-    churn, node classes, and the remaining gray impairments (slow,
-    flappy, extra-latency, duplicating) have no slot-synchronous
-    counterpart and raise a ``ValueError`` naming the field rather than
-    being silently approximated.  ``view_degree`` and ``track_links``
-    are slot-kernel knobs with no event-kernel field.
+    carry over (:func:`repro.megasim.adapter.compile_faults`).  Node
+    classes, fabric-wide loss and jitter, IHAVE batching and the
+    remaining gray impairments (slow, flappy, extra-latency,
+    duplicating) have no slot-synchronous counterpart: each raises a
+    ``ValueError`` naming the field rather than being silently dropped.
+    ``view_degree`` and ``track_links`` are slot-kernel knobs with no
+    event-kernel field.
     """
-    for feature in ("churn", "node_classes"):
-        if getattr(spec, feature) is not None:
+    cluster = spec.cluster
+    for name, value in (
+        ("node_classes", spec.node_classes),
+        ("cluster.fabric.loss_probability", cluster.fabric.loss_probability),
+        ("cluster.fabric.jitter_ms", cluster.fabric.jitter_ms),
+        (
+            "cluster.scheduler.ihave_batch_window_ms",
+            cluster.scheduler.ihave_batch_window_ms,
+        ),
+    ):
+        if value:
             raise ValueError(
-                f"the vector backend does not support spec.{feature}; "
+                f"the vector backend does not support spec.{name}; "
                 "use --backend event"
             )
     if spec.gray is not None:
@@ -64,7 +74,7 @@ def megasim_spec(
         check_gray_supported(spec.gray)
     from repro.megasim.runner import MegasimSpec
 
-    gossip = spec.cluster.gossip
+    gossip = cluster.gossip
     return MegasimSpec(
         strategy_factory=spec.strategy_factory,
         nodes=nodes,
@@ -72,7 +82,7 @@ def megasim_spec(
         rounds=gossip.rounds,
         messages=spec.traffic.messages,
         seed=spec.seed,
-        retry_period_ms=spec.cluster.scheduler.retry_period_ms,
+        retry_period_ms=cluster.scheduler.retry_period_ms,
         payload_bytes=gossip.payload_bytes,
         view_degree=view_degree,
         track_links=track_links,

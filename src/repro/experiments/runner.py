@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.failures.churn import ChurnConfig, ChurnProcess
 from repro.failures.gray import GrayFailureInjector, GrayFailurePlan
 from repro.failures.injection import FailureInjector, FailurePlan
 from repro.metrics.analysis import (
@@ -47,9 +46,6 @@ class ExperimentSpec:
     #: Gray failures (slow nodes, lossy links, flappy nodes), applied at
     #: the same instant as crash failures: after warmup, before logging.
     gray: Optional[GrayFailurePlan] = None
-    #: Continuous churn (kills + crash-restarts) running through the
-    #: measured traffic phase; started after warmup, stopped at drain.
-    churn: Optional[ChurnConfig] = None
     node_classes: Optional[NodeClassesFn] = None
 
 
@@ -69,8 +65,8 @@ class ExperimentResult:
     class_rates: Dict[str, float]
     class_latencies: Dict[str, Tuple[float, float]]
     mean_receipt_round: float = float("nan")
-    #: Recovery-pipeline counters (retries, recovery_stalls,
-    #: blacklist_skips, backoff_resets, restarts) summed over nodes.
+    #: Request-queue counters summed over nodes: ``{"retries": n}``,
+    #: the IWANTs sent beyond each entry's first.
     recovery: Dict[str, int] = field(default_factory=dict)
 
     def row(self) -> Dict[str, float]:
@@ -111,18 +107,11 @@ def run_experiment(
         GrayFailureInjector(cluster).apply(spec.gray)
     alive = cluster.alive_nodes
 
-    churn: Optional[ChurnProcess] = None
-    if spec.churn is not None:
-        churn = ChurnProcess(cluster, spec.churn)
-        churn.start()
-
     recorder.enable()
     generator = TrafficGenerator(cluster, senders=alive, config=spec.traffic)
     generator.start()
     while not generator.finished:
         cluster.run_for(10.0 * spec.traffic.mean_interval_ms)
-    if churn is not None:
-        churn.stop()
     cluster.run_for(spec.drain_ms)
     recorder.disable()
     cluster.stop()
@@ -144,13 +133,7 @@ def run_experiment(
         else float("nan")
     )
 
-    recovery = cluster.recovery_counters()
-    if churn is not None:
-        recovery["churn_kills"] = churn.kills
-        recovery["churn_revivals"] = churn.revivals
-        recovery["churn_restarts"] = churn.restarts
-    for name, value in recovery.items():
-        recorder.record_recovery(name, value)
+    retries = sum(node.scheduler.requests.retries_sent for node in cluster.nodes)
 
     return ExperimentResult(
         summary=summarize(recorder, expected_receivers=len(alive)),
@@ -160,5 +143,5 @@ def run_experiment(
         class_rates=class_rates,
         class_latencies=class_latencies,
         mean_receipt_round=mean_round,
-        recovery=recovery,
+        recovery={"retries": retries},
     )

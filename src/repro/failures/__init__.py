@@ -12,7 +12,6 @@ draws themselves; the injectors and the vector backend's
 links on both kernels.
 """
 
-from repro.failures.churn import ChurnConfig, ChurnProcess
 from repro.failures.gray import (
     AppliedGrayFailures,
     GrayFailureInjector,
@@ -24,8 +23,6 @@ from repro.failures.injection import FailureInjector, FailurePlan, crash_victims
 __all__ = [
     "FailureInjector",
     "FailurePlan",
-    "ChurnProcess",
-    "ChurnConfig",
     "GrayFailurePlan",
     "GrayFailureInjector",
     "AppliedGrayFailures",

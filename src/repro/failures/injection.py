@@ -102,16 +102,3 @@ class FailureInjector:
         for node in nodes:
             self.cluster.fabric.silence(node)
         self.failed.extend(nodes)
-
-    def revive(self, nodes: Sequence[int], wipe_state: bool = False) -> None:
-        """Bring nodes back.  ``wipe_state=False`` models a firewall
-        outage ending (state intact); ``wipe_state=True`` models a
-        crash-*restart*: the node rejoins with scheduler and gossip
-        state rebuilt from scratch (see ``ProtocolNode.restart``)."""
-        revived = set(nodes)
-        for node in nodes:
-            if wipe_state and hasattr(self.cluster, "restart_node"):
-                self.cluster.restart_node(node)
-            else:
-                self.cluster.fabric.unsilence(node)
-        self.failed = [n for n in self.failed if n not in revived]

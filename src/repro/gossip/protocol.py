@@ -42,8 +42,6 @@ class GossipProtocol:
         Application up-call ``Deliver(d)``.
     id_source:
         Generator of probabilistically unique identifiers.
-    now:
-        Clock accessor used only to timestamp the known-ids set for GC.
     """
 
     def __init__(
@@ -54,7 +52,6 @@ class GossipProtocol:
         l_send: LSendFn,
         deliver: DeliverFn,
         id_source: MessageIdSource,
-        now: Callable[[], float] = lambda: 0.0,
     ) -> None:
         self.node = node
         self.config = config
@@ -66,7 +63,6 @@ class GossipProtocol:
         self.l_send_many: LSendManyFn = self._l_send_each
         self.deliver = deliver
         self.id_source = id_source
-        self.now = now
         self.known = KnownIds(config.known_ids_capacity)
         self.delivered_count = 0
         self.duplicate_count = 0
@@ -107,7 +103,7 @@ class GossipProtocol:
         self.deliver(message_id, payload)
         self.delivered_count += 1
         self.receipt_rounds[round_] += 1
-        self.known.add(message_id, self.now())
+        self.known.add(message_id)
         if round_ >= self.config.rounds:
             return
         peers = self.peer_sampler.sample(self.config.fanout)

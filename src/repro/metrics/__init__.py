@@ -26,8 +26,6 @@ from repro.metrics.analysis import (
 from repro.metrics.confidence import mean_confidence_interval
 from repro.metrics.dissemination import DisseminationTracker, ObserverChain
 from repro.metrics.export import (
-    recovery_to_dict,
-    save_recovery_json,
     save_structure_json,
     structure_to_dict,
     structure_to_dot,
@@ -46,8 +44,6 @@ __all__ = [
     "structure_to_dict",
     "structure_to_dot",
     "save_structure_json",
-    "recovery_to_dict",
-    "save_recovery_json",
     "completion_times",
     "completion_curve",
     "throughput_over_time",

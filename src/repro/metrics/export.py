@@ -9,10 +9,7 @@ contribution.  These exporters produce that figure's data as artifacts:
   links with their weights;
 - :func:`structure_to_dot` -- a Graphviz DOT rendering (positions pinned,
   pen widths proportional to traffic) that `neato -n2` turns straight
-  into the Fig. 4 style of plot;
-- :func:`recovery_to_dict` -- the recovery-pipeline counters (retries,
-  stalls, blacklist skips, restarts) plus packet-drop reasons, so
-  resilience runs export what the recovery machinery actually did.
+  into the Fig. 4 style of plot.
 """
 
 from __future__ import annotations
@@ -82,29 +79,6 @@ def save_structure_json(
     """Write the Fig. 4 JSON artifact to ``path``."""
     document = structure_to_dict(recorder, model, fraction)
     Path(path).write_text(json.dumps(document, indent=1), encoding="utf-8")
-
-
-def recovery_to_dict(recorder: MetricsRecorder) -> dict:
-    """Recovery-pipeline counters and drop reasons as a JSON document."""
-    return {
-        "format": "repro-recovery-counters",
-        "version": 1,
-        "recovery": dict(sorted(recorder.recovery.items())),
-        "drops": dict(sorted(recorder.dropped_packets.items())),
-        "requests": {
-            "iwant_sent": recorder.sent_packets.get("IWANT", 0),
-            "ihave_sent": recorder.sent_packets.get("IHAVE", 0),
-        },
-    }
-
-
-def save_recovery_json(
-    recorder: MetricsRecorder, path: Union[str, Path]
-) -> None:
-    """Write the recovery-counters JSON artifact to ``path``."""
-    Path(path).write_text(
-        json.dumps(recovery_to_dict(recorder), indent=1), encoding="utf-8"
-    )
 
 
 def structure_to_dot(

@@ -59,11 +59,6 @@ class MetricsRecorder:
         # Application-level.
         self.multicasts: Dict[int, Tuple[int, float]] = {}
         self.deliveries: Dict[int, Dict[int, float]] = defaultdict(dict)
-        # Recovery-pipeline counters (retries, stalls, blacklist skips,
-        # restarts, ...), harvested from node state at the end of a run
-        # by the experiment runner -- not gated by ``recording`` since
-        # they are totals, not events.
-        self.recovery: Counter = Counter()
 
     # -- gating ---------------------------------------------------------------
 
@@ -123,10 +118,6 @@ class MetricsRecorder:
         per_node = self.deliveries[message_id]
         if node not in per_node:
             per_node[node] = now
-
-    def record_recovery(self, name: str, count: int = 1) -> None:
-        """Accumulate a recovery-pipeline counter (e.g. ``retries``)."""
-        self.recovery[name] += count
 
     # -- simple aggregates ------------------------------------------------------------
 

@@ -109,14 +109,9 @@ class Transport:
         """Create the endpoint for ``node`` (registers its handler)."""
         return Endpoint(self, node)
 
-    def _submit(self, packet: Packet) -> None:
-        raise NotImplementedError
-
     def _submit_many(self, packets: Sequence[Packet]) -> None:
-        """Submit a burst; a transport without a burst path of its own
-        submits its packets one at a time."""
-        for packet in packets:
-            self._submit(packet)
+        """Submit a burst (a single send is a burst of one)."""
+        raise NotImplementedError
 
     def _inject(
         self, packets: Sequence[Packet], floors: Sequence[float]

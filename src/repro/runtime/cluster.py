@@ -11,7 +11,7 @@ experiment harness, so every consumer exercises the same wiring.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.gossip.config import GossipConfig
 from repro.membership.neem_overlay import NeemOverlay, OverlayConfig
@@ -56,10 +56,6 @@ class ClusterConfig:
     latency_monitor: LatencyMonitorConfig = field(default_factory=LatencyMonitorConfig)
     enable_gossip_ranking: bool = False
     ranking: RankingConfig = field(default_factory=RankingConfig)
-    #: Retention window for per-node state GC (None disables sweeping;
-    #: capacity-based eviction still bounds memory).
-    gc_retention_ms: Optional[float] = None
-    gc_period_ms: Optional[float] = None
 
 
 class Cluster:
@@ -170,8 +166,6 @@ class Cluster:
                     overlay=overlay,
                     latency_monitor=latency_monitor,
                     ranking=ranking,
-                    gc_retention_ms=self.config.gc_retention_ms,
-                    gc_period_ms=self.config.gc_period_ms,
                 )
             )
 
@@ -225,20 +219,6 @@ class Cluster:
     def silence(self, node: int) -> None:
         """Fail ``node`` the way the paper does: firewall it."""
         self.fabric.silence(node)
-
-    def restart_node(self, node: int) -> None:
-        """Crash-restart ``node``: reconnect it with wiped scheduler and
-        gossip state (see :meth:`ProtocolNode.restart`)."""
-        self.nodes[node].restart()
-        self.fabric.unsilence(node)
-
-    def recovery_counters(self) -> Dict[str, int]:
-        """Cluster-wide recovery counters summed over nodes."""
-        totals: Dict[str, int] = {}
-        for node in self.nodes:
-            for name, value in node.recovery_counters().items():
-                totals[name] = totals.get(name, 0) + value
-        return totals
 
     @property
     def alive_nodes(self) -> List[int]:

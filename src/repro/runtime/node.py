@@ -19,7 +19,6 @@ from functools import partial
 from typing import Any, Callable, Dict, Optional
 
 from repro.gossip.config import GossipConfig
-from repro.gossip.known_ids import KnownIds
 from repro.gossip.message_ids import MessageIdSource
 from repro.gossip.protocol import GossipProtocol
 from repro.membership.neem_overlay import NeemOverlay
@@ -27,7 +26,6 @@ from repro.membership.peer_sampling import PeerSamplingService
 from repro.monitors.latency import RuntimeLatencyMonitor
 from repro.monitors.ranking import GossipRanking
 from repro.network.transport import Endpoint
-from repro.scheduler.health import PeerHealth
 from repro.scheduler.interfaces import SchedulerConfig, TransmissionStrategy
 from repro.scheduler.lazy_point_to_point import LazyPointToPoint
 from repro.sim.engine import Simulator
@@ -76,8 +74,6 @@ class ProtocolNode:
         overlay: Optional[NeemOverlay] = None,
         latency_monitor: Optional[RuntimeLatencyMonitor] = None,
         ranking: Optional[GossipRanking] = None,
-        gc_retention_ms: Optional[float] = None,
-        gc_period_ms: Optional[float] = None,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -87,36 +83,23 @@ class ProtocolNode:
         self.overlay = overlay
         self.latency_monitor = latency_monitor
         self.ranking = ranking
-        self.scheduler_config = scheduler_config
-        self.restarts = 0
-        #: Recovery counters from schedulers discarded by restart().
-        self._recovery_carryover: Dict[str, int] = {}
 
-        # Health-aware recovery: IWANT outcomes feed per-peer scores, and
-        # the latency monitor's suspicion signal (when running) acts as a
-        # hard blacklist so requests route around likely-dead sources.
-        self.health: Optional[PeerHealth] = None
-        if scheduler_config.recovery.health_aware:
-            self.health = PeerHealth()
-            if latency_monitor is not None:
-                self.health.suspicion = (
-                    lambda peer: peer in latency_monitor.suspected
-                )
-
-        self.scheduler = LazyPointToPoint(
-            sim, node, strategy, endpoint.send, scheduler_config,
-            health=self.health,
+        self.scheduler = scheduler = LazyPointToPoint(
+            sim, node, strategy, endpoint.send, scheduler_config
         )
         self.gossip = GossipProtocol(
             node=node,
             config=gossip_config,
             peer_sampler=peer_sampler,
-            l_send=self.scheduler.l_send,
+            l_send=scheduler.l_send,
             deliver=partial(deliver, node),
             id_source=MessageIdSource(sim.rng.stream(f"ids.{node}")),
-            # Reads the clock attribute without a Python frame.
-            now=partial(getattr, sim, "now"),
         )
+        # Join the scheduler to gossip above and the endpoint below,
+        # bursts included.
+        scheduler.bind(self.gossip.l_receive)
+        scheduler.send_many = endpoint.send_many
+        self.gossip.l_send_many = scheduler.l_send_many
 
         # Failure detection: when the latency monitor runs with a
         # suspicion threshold, suspected peers are purged from the
@@ -131,20 +114,9 @@ class ProtocolNode:
                 lambda peer: peer not in latency_monitor.suspected
             )
 
-        self.gc = None
-        if gc_retention_ms is not None:
-            from repro.runtime.gc import DEFAULT_PERIOD_MS, StateGarbageCollector
-
-            self.gc = StateGarbageCollector(
-                sim,
-                self.gossip,
-                self.scheduler,
-                retention_ms=gc_retention_ms,
-                period_ms=gc_period_ms or DEFAULT_PERIOD_MS,
-            )
-
-        self._dispatch: Dict[str, Callable[[int, str, Any], None]] = {}
-        self._wire_scheduler()
+        self._dispatch: Dict[str, Callable[[int, str, Any], None]] = {
+            kind: scheduler.handle for kind in LazyPointToPoint.KINDS
+        }
         if overlay is not None:
             for kind in NeemOverlay.KINDS:
                 self._dispatch[kind] = overlay.handle
@@ -167,8 +139,6 @@ class ProtocolNode:
             self.latency_monitor.start()
         if self.ranking is not None:
             self.ranking.start()
-        if self.gc is not None:
-            self.gc.start()
 
     def stop(self) -> None:
         if self.overlay is not None:
@@ -177,56 +147,6 @@ class ProtocolNode:
             self.latency_monitor.stop()
         if self.ranking is not None:
             self.ranking.stop()
-        if self.gc is not None:
-            self.gc.stop()
-
-    def restart(self) -> None:
-        """Crash-restart: come back with scheduler/gossip state wiped.
-
-        Models a process restart (as opposed to the paper's firewall
-        silencing, which preserves state): the payload cache, received
-        set, request queue and known-ids set are rebuilt from scratch, so
-        the node re-learns everything through gossip.  The overlay view
-        and monitors survive -- they model longer-lived infrastructure
-        (rejoin bootstrap, kernel RTT caches) and keeping them makes the
-        wiped-state effect attributable to the scheduler alone.
-        """
-        self.restarts += 1
-        for name, value in self.recovery_counters().items():
-            self._recovery_carryover[name] = value
-        old_requests = self.scheduler.requests
-        old_requests.cancel_all()
-        self.scheduler = LazyPointToPoint(
-            self.sim,
-            self.node,
-            self.strategy,
-            self.endpoint.send,
-            self.scheduler_config,
-            health=self.health,
-        )
-        self.gossip.known = KnownIds(self.gossip.config.known_ids_capacity)
-        self.gossip.l_send = self.scheduler.l_send
-        self._wire_scheduler()
-        if self.gc is not None:
-            self.gc.scheduler = self.scheduler
-
-    def recovery_counters(self) -> Dict[str, int]:
-        """Lifetime recovery counters, surviving restarts."""
-        requests = self.scheduler.requests
-        carry = self._recovery_carryover
-        return {
-            "retries": carry.get("retries", 0) + requests.retries_sent,
-            "backoff_resets": (
-                carry.get("backoff_resets", 0) + requests.backoff_resets
-            ),
-            "blacklist_skips": (
-                carry.get("blacklist_skips", 0) + requests.blacklist_skips
-            ),
-            "recovery_stalls": (
-                carry.get("recovery_stalls", 0) + requests.recovery_stalls
-            ),
-            "restarts": self.restarts,
-        }
 
     # -- application interface ---------------------------------------------------
 
@@ -235,16 +155,6 @@ class ProtocolNode:
         return self.gossip.multicast(payload)
 
     # -- internals ------------------------------------------------------------
-
-    def _wire_scheduler(self) -> None:
-        """Join the (current) scheduler to gossip above and the endpoint
-        below, bursts included."""
-        scheduler = self.scheduler
-        scheduler.bind(self.gossip.l_receive)
-        scheduler.send_many = self.endpoint.send_many
-        self.gossip.l_send_many = scheduler.l_send_many
-        for kind in LazyPointToPoint.KINDS:
-            self._dispatch[kind] = scheduler.handle
 
     def _receive(self, src: int, kind: str, payload: Any) -> None:
         # The endpoint routes listed kinds itself; anything else lands

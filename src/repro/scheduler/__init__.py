@@ -18,7 +18,6 @@ architecture:
 """
 
 from repro.scheduler.cache import PayloadCache
-from repro.scheduler.health import PeerHealth
 from repro.scheduler.interfaces import (
     PerformanceMonitor,
     SchedulerConfig,
@@ -31,25 +30,14 @@ from repro.scheduler.lazy_point_to_point import (
     LazyPointToPoint,
 )
 from repro.scheduler.requests import RequestQueue
-from repro.scheduler.retry import (
-    ExponentialBackoffPolicy,
-    FixedRetryPolicy,
-    RecoveryConfig,
-    RetryPolicy,
-)
 
 __all__ = [
     "PayloadCache",
-    "PeerHealth",
     "PerformanceMonitor",
     "SchedulerConfig",
     "TransmissionStrategy",
     "LazyPointToPoint",
     "RequestQueue",
-    "RecoveryConfig",
-    "RetryPolicy",
-    "FixedRetryPolicy",
-    "ExponentialBackoffPolicy",
     "MSG",
     "IHAVE",
     "IWANT",

@@ -9,17 +9,16 @@ Point-to-Point module asks the Transmission Strategy two questions --
 
 -- and feeds it ``Queue(i, s)`` / ``Clear(i)`` notifications.  In this
 implementation ``ScheduleNext`` is decomposed into the three timing
-primitives a discrete-event loop needs (first-request delay, retry
-period, source selection); any schedule is safe as long as every queued
-request is eventually scheduled, which the request queue guarantees.
+primitives a discrete-event loop needs (first-request delay, the fixed
+retry period ``T``, source selection); any schedule is safe as long as
+every queued request is eventually scheduled, which the request queue
+guarantees.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Protocol, Sequence, Set, runtime_checkable
-
-from repro.scheduler.retry import RecoveryConfig
 
 
 @runtime_checkable
@@ -95,10 +94,6 @@ class SchedulerConfig:
     ``IHAVE`` packet per (message, destination), advertisements to the
     same destination accumulate for the window and leave as one packet.
     0 (the default, matching the paper's model) sends immediately.
-
-    ``recovery`` configures the adaptive recovery pipeline (retry
-    backoff, health-aware source selection, stall escalation); its
-    defaults are inert and keep the paper's fixed-``T`` schedule.
     """
 
     retry_period_ms: float = DEFAULT_RETRY_PERIOD_MS
@@ -106,7 +101,6 @@ class SchedulerConfig:
     cache_capacity: int = 4096
     received_capacity: int = 4096
     ihave_batch_window_ms: float = 0.0
-    recovery: RecoveryConfig = field(default_factory=RecoveryConfig)
 
     def __post_init__(self) -> None:
         if self.retry_period_ms <= 0:

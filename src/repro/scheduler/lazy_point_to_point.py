@@ -24,7 +24,6 @@ from repro.network.message import (
     payload_packet_size,
 )
 from repro.scheduler.cache import PayloadCache
-from repro.scheduler.health import PeerHealth
 from repro.scheduler.interfaces import SchedulerConfig, TransmissionStrategy
 from repro.scheduler.requests import RequestQueue
 from repro.sim.engine import Simulator
@@ -55,7 +54,6 @@ class LazyPointToPoint:
         strategy: TransmissionStrategy,
         send: SendFn,
         config: Optional[SchedulerConfig] = None,
-        health: Optional[PeerHealth] = None,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -68,14 +66,7 @@ class LazyPointToPoint:
         self._l_receive: Optional[LReceiveFn] = None
         self.cache = PayloadCache(self.config.cache_capacity)
         self.received = KnownIds(self.config.received_capacity)
-        self.health = health
-        self.requests = RequestQueue(
-            sim,
-            strategy,
-            self._send_request,
-            recovery=self.config.recovery,
-            health=health,
-        )
+        self.requests = RequestQueue(sim, strategy, self._send_request)
         # Advertisement batching (ihave_batch_window_ms > 0).
         self._pending_ihaves: Dict[int, List[int]] = {}
         # Counters (diagnostics; authoritative traffic numbers come from
@@ -121,7 +112,7 @@ class LazyPointToPoint:
                 burst.append((peer, MSG, msg, msg_size))
                 continue
             if not lazy:
-                self.cache.put(message_id, payload, round_, now=self.sim.now)
+                self.cache.put(message_id, payload, round_)
             lazy += 1
             if window <= 0:
                 burst.append((peer, IHAVE, message_id, control_packet_size()))
@@ -169,8 +160,8 @@ class LazyPointToPoint:
         if message_id in self.received:
             self.duplicate_payloads += 1
             return
-        self.received.add(message_id, self.sim.now)
-        self.requests.clear_from(message_id, src)
+        self.received.add(message_id)
+        self.requests.clear(message_id)
         if self._l_receive is None:  # pragma: no cover - wiring error
             raise RuntimeError("LazyPointToPoint.bind() was never called")
         self._l_receive(message_id, payload, round_, src)

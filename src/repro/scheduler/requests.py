@@ -15,25 +15,6 @@ sources (IHAVE senders) in arrival order.  The schedule follows section
   A later advertisement simply re-queues the message.
 
 ``Clear(i)`` (payload received) cancels everything for the message.
-
-On top of the paper's schedule sits an opt-in recovery pipeline
-(:class:`~repro.scheduler.retry.RecoveryConfig`):
-
-- a pluggable :class:`~repro.scheduler.retry.RetryPolicy` replaces the
-  fixed period (exponential backoff with deterministic jitter);
-- a :class:`~repro.scheduler.health.PeerHealth` tracker, fed by request
-  outcomes and the latency monitor's suspicion signal, lets source
-  selection skip suspected or repeatedly-unresponsive sources while
-  healthier candidates exist (``blacklist_skips`` counts them);
-- stall escalation: after ``stall_threshold`` fruitless retries the
-  entry re-arms against its full source set (so freshly advertised and
-  previously asked sources are retried), resets the backoff and counts a
-  ``recovery_stall``.  Another escalation requires a source advertised
-  since the last one, so an entry with only dead sources still clears
-  itself.
-
-With the default config every addition is inert and the schedule is
-bit-identical to the paper's.
 """
 
 from __future__ import annotations
@@ -41,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set
 
-from repro.scheduler.health import PeerHealth
 from repro.scheduler.interfaces import TransmissionStrategy
-from repro.scheduler.retry import RecoveryConfig, RetryPolicy
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
 
@@ -57,15 +36,6 @@ class _PendingMessage:
     source_set: Set[int] = field(default_factory=set)
     asked: Set[int] = field(default_factory=set)
     timer: Optional[EventHandle] = None
-    #: Requests sent for this message (drives the retry policy).
-    attempts: int = 0
-    #: Consecutive retries that found the payload still missing.
-    fruitless: int = 0
-    #: The source asked most recently (health accounting).
-    last_asked: Optional[int] = None
-    #: Source count at the last stall escalation; another escalation
-    #: requires a fresh advertisement beyond this mark.
-    sources_at_stall: int = -1
 
 
 class RequestQueue:
@@ -76,25 +46,14 @@ class RequestQueue:
         sim: Simulator,
         strategy: TransmissionStrategy,
         send_request: SendRequestFn,
-        recovery: Optional[RecoveryConfig] = None,
-        health: Optional[PeerHealth] = None,
     ) -> None:
         self.sim = sim
         self.strategy = strategy
         self.send_request = send_request
-        self.recovery = recovery or RecoveryConfig()
-        self.health = health
-        #: None = the paper's fixed strategy period (read at fire time).
-        self._policy: Optional[RetryPolicy] = self.recovery.build_policy(
-            strategy.retry_period_ms
-        )
         self._pending: Dict[int, _PendingMessage] = {}
         self.requests_sent = 0
-        # Recovery counters (harvested by the metrics recorder).
+        #: Requests beyond the first for their entry.
         self.retries_sent = 0
-        self.backoff_resets = 0
-        self.blacklist_skips = 0
-        self.recovery_stalls = 0
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -133,91 +92,25 @@ class RequestQueue:
         if state is not None and state.timer is not None:
             state.timer.cancel()
 
-    def clear_from(self, message_id: int, provider: int) -> None:
-        """``Clear(i)`` with provenance: the payload arrived from
-        ``provider``.  Credits the provider's health score when we had
-        asked it."""
-        state = self._pending.get(message_id)
-        if (
-            state is not None
-            and self.health is not None
-            and provider in state.asked
-        ):
-            self.health.record_success(provider)
-        self.clear(message_id)
-
-    def cancel_all(self) -> None:
-        """Drop every pending entry and cancel its timer (node restart)."""
-        for state in self._pending.values():
-            if state.timer is not None:
-                state.timer.cancel()
-        self._pending.clear()
-
     # -- internals ------------------------------------------------------------
 
     def _fire(self, message_id: int) -> None:
         state = self._pending.get(message_id)
         if state is None:  # pragma: no cover - cleared race; timer cancelled
             return
-        if state.last_asked is not None:
-            # We are firing again, so the previous request went
-            # unanswered for a full retry interval.
-            state.fruitless += 1
-            if self.health is not None:
-                self.health.record_failure(state.last_asked)
-            self._maybe_escalate(state)
         unasked = [s for s in state.sources if s not in state.asked]
         if not unasked:
             del self._pending[message_id]
             return
-        source = self.strategy.select_source(
-            message_id, self._healthy_subset(unasked), state.asked
-        )
-        state.asked.add(source)
-        state.last_asked = source
-        state.attempts += 1
-        self.requests_sent += 1
-        if state.attempts > 1:
+        source = self.strategy.select_source(message_id, unasked, state.asked)
+        if state.asked:
             self.retries_sent += 1
+        state.asked.add(source)
+        self.requests_sent += 1
         self.send_request(message_id, source)
         # Always re-arm: the next firing either requests from a remaining
         # (or newly advertised) source, or finds none and drops the entry,
         # which is how "the queue eventually clears itself".
         state.timer = self.sim.schedule(
-            self._retry_delay(message_id, state), self._fire, message_id
+            self.strategy.retry_period_ms, self._fire, message_id
         )
-
-    def _retry_delay(self, message_id: int, state: _PendingMessage) -> float:
-        if self._policy is None:
-            return self.strategy.retry_period_ms
-        return self._policy.delay(message_id, state.attempts)
-
-    def _healthy_subset(self, unasked: List[int]) -> List[int]:
-        """Drop blacklisted sources while healthier candidates exist."""
-        if self.health is None or not self.recovery.health_aware:
-            return unasked
-        threshold = self.recovery.health_blacklist_threshold
-        healthy = [
-            s for s in unasked if not self.health.is_blacklisted(s, threshold)
-        ]
-        if not healthy or len(healthy) == len(unasked):
-            return unasked
-        self.blacklist_skips += len(unasked) - len(healthy)
-        return healthy
-
-    def _maybe_escalate(self, state: _PendingMessage) -> None:
-        """Stall escalation: re-arm against the full source set."""
-        threshold = self.recovery.stall_threshold
-        if threshold == 0 or state.fruitless < threshold:
-            return
-        if len(state.sources) <= state.sources_at_stall:
-            # No advertisement since the last escalation; let the entry
-            # run out and clear itself instead of spinning forever.
-            return
-        self.recovery_stalls += 1
-        state.sources_at_stall = len(state.sources)
-        state.asked.clear()
-        state.fruitless = 0
-        if self._policy is not None and state.attempts > 0:
-            self.backoff_resets += 1
-            state.attempts = 0

@@ -70,25 +70,6 @@ def test_best_plan_skips_already_failed():
     assert len(cluster.alive_nodes) == 6
 
 
-def test_revive_restores_connectivity():
-    cluster = make_cluster(6)
-    injector = FailureInjector(cluster)
-    injector.fail_nodes([2, 4])
-    injector.revive([2])
-    assert injector.failed == [4]
-    assert not cluster.fabric.is_silenced(2)
-    assert cluster.fabric.is_silenced(4)
-
-
-def test_revive_with_wipe_restarts_node():
-    cluster = make_cluster(6)
-    injector = FailureInjector(cluster)
-    injector.fail_nodes([3])
-    injector.revive([3], wipe_state=True)
-    assert not cluster.fabric.is_silenced(3)
-    assert cluster.nodes[3].restarts == 1
-
-
 def test_fail_nodes_explicit():
     cluster = make_cluster(6)
     injector = FailureInjector(cluster)

@@ -36,25 +36,6 @@ def test_readd_refreshes_position():
     assert 0 in known
 
 
-def test_seen_at_tracks_timestamp():
-    known = KnownIds()
-    known.add(1, now=5.0)
-    assert known.seen_at(1) == 5.0
-    known.add(1, now=9.0)
-    assert known.seen_at(1) == 9.0
-    assert known.seen_at(42) is None
-
-
-def test_expire_before():
-    known = KnownIds()
-    known.add(1, now=1.0)
-    known.add(2, now=5.0)
-    known.add(3, now=10.0)
-    assert known.expire_before(6.0) == 2
-    assert 3 in known
-    assert 1 not in known and 2 not in known
-
-
 def test_rejects_bad_capacity():
     with pytest.raises(ValueError):
         KnownIds(capacity=0)

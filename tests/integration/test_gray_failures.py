@@ -1,13 +1,8 @@
-"""Adaptive recovery under gray failures (slow nodes + lossy links).
+"""The paper's fixed-T request schedule under gray failures.
 
-The acceptance scenario for the recovery pipeline: a 20%-slow-node +
-5%-lossy-link profile, pure lazy push (so every delivery rides the
-IWANT/retry path).  The adaptive configuration (exponential backoff +
-health-aware source selection + stall escalation) must deliver at least
-the fixed-T baseline's reliability while sending *fewer* IWANT requests
--- it routes around degraded sources instead of hammering them on the
-paper's fixed schedule.  Everything is seeded, so the comparison is
-deterministic.
+A 20%-slow-node + 5%-lossy-link profile with pure lazy push, so every
+delivery rides the IWANT/retry path.  Everything is seeded, so two runs
+of the same spec must agree on every counter.
 """
 
 from __future__ import annotations
@@ -17,8 +12,6 @@ from repro.experiments.workload import TrafficConfig
 from repro.failures.gray import GrayFailurePlan
 from repro.gossip.config import GossipConfig
 from repro.runtime.cluster import ClusterConfig
-from repro.scheduler.interfaces import SchedulerConfig
-from repro.scheduler.retry import RecoveryConfig
 from repro.strategies.flat import PureLazyStrategy
 from repro.topology.simple import complete_topology
 
@@ -33,21 +26,10 @@ GRAY = GrayFailurePlan(
     link_extra_latency_ms=50.0,
 )
 
-ADAPTIVE = RecoveryConfig(
-    retry_policy="backoff",
-    backoff_multiplier=2.0,
-    backoff_cap_ms=3_200.0,
-    health_aware=True,
-    stall_threshold=4,
-)
 
-
-def run_gray(recovery: RecoveryConfig, seed: int = 29):
+def run_gray(seed: int = 29):
     model = complete_topology(40, latency_ms=20.0)
-    config = ClusterConfig(
-        gossip=GossipConfig.for_population(model.size, fanout=6),
-        scheduler=SchedulerConfig(recovery=recovery),
-    )
+    config = ClusterConfig(gossip=GossipConfig.for_population(model.size, fanout=6))
     spec = ExperimentSpec(
         strategy_factory=lambda ctx: PureLazyStrategy(),
         cluster=config,
@@ -60,34 +42,11 @@ def run_gray(recovery: RecoveryConfig, seed: int = 29):
     return run_experiment(model, spec)
 
 
-def test_adaptive_recovery_beats_fixed_t_under_gray_failures():
-    baseline = run_gray(RecoveryConfig())
-    adaptive = run_gray(ADAPTIVE)
-
-    baseline_iwants = baseline.recorder.sent_packets.get("IWANT", 0)
-    adaptive_iwants = adaptive.recorder.sent_packets.get("IWANT", 0)
-
-    # At least the baseline's reliability, with fewer requests.
-    assert (
-        adaptive.summary.delivery_ratio >= baseline.summary.delivery_ratio
-    )
-    assert adaptive_iwants < baseline_iwants
-
-    # The recovery machinery actually engaged, and its counters surface
-    # through the experiment result / metrics recorder.
-    assert adaptive.recovery["retries"] > 0
-    assert adaptive.recovery["blacklist_skips"] > 0
-    assert adaptive.recovery == dict(adaptive.recorder.recovery)
-
-    # The baseline run never exercises the opt-in machinery.
-    assert baseline.recovery["blacklist_skips"] == 0
-    assert baseline.recovery["backoff_resets"] == 0
-    assert baseline.recovery["recovery_stalls"] == 0
-
-
 def test_gray_failure_run_is_deterministic():
-    first = run_gray(ADAPTIVE)
-    second = run_gray(ADAPTIVE)
+    first = run_gray()
+    second = run_gray()
+    # The retry path actually engaged.
+    assert first.recovery["retries"] > 0
     assert first.recovery == second.recovery
     assert first.summary.delivery_ratio == second.summary.delivery_ratio
     assert first.recorder.sent_packets == second.recorder.sent_packets

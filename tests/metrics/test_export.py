@@ -7,8 +7,6 @@ import json
 import pytest
 
 from repro.metrics.export import (
-    recovery_to_dict,
-    save_recovery_json,
     save_structure_json,
     structure_to_dict,
     structure_to_dot,
@@ -91,33 +89,3 @@ def test_empty_recorder_exports_cleanly():
     assert document["links"] == []
     assert document["top_share"] == 0.0
 
-
-def test_recovery_dict_contents():
-    recorder = MetricsRecorder()
-    recorder.record_recovery("retries", 7)
-    recorder.record_recovery("recovery_stalls", 2)
-    recorder.record_recovery("retries")  # accumulates
-    recorder.on_drop(
-        Packet(src=0, dst=1, kind="MSG", payload=None, size_bytes=320),
-        0.0,
-        "link-loss",
-    )
-    recorder.on_send(
-        Packet(src=0, dst=1, kind="IWANT", payload=None, size_bytes=20), 0.0
-    )
-    document = recovery_to_dict(recorder)
-    assert document["format"] == "repro-recovery-counters"
-    assert document["version"] == 1
-    assert document["recovery"] == {"recovery_stalls": 2, "retries": 8}
-    assert document["drops"] == {"link-loss": 1}
-    assert document["requests"]["iwant_sent"] == 1
-    assert document["requests"]["ihave_sent"] == 0
-
-
-def test_recovery_json_round_trip(tmp_path):
-    recorder = MetricsRecorder()
-    recorder.record_recovery("restarts", 3)
-    path = tmp_path / "recovery.json"
-    save_recovery_json(recorder, path)
-    document = json.loads(path.read_text())
-    assert document["recovery"] == {"restarts": 3}

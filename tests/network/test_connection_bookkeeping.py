@@ -60,6 +60,11 @@ class _LegacyConnectionTransport(Transport):
         self._rng = fabric.sim.rng.stream("network.connections")
         self.purged_count = 0
 
+    def _submit_many(self, packets) -> None:
+        # The per-packet loop this copy inherited from ``Transport``.
+        for packet in packets:
+            self._submit(packet)
+
     def _submit(self, packet: Packet) -> None:
         pair = (packet.src, packet.dst)
         in_flight = self._in_flight.setdefault(pair, {})

@@ -54,8 +54,6 @@ def test_retransmission_period_sweep():
         )
         by_t[period] = run_experiment(model, spec)
     assert all(r.summary.delivery_ratio > 0.99 for r in by_t.values())
-    # Paper defaults never stall-escalate (the subsystem is opt-in).
-    assert all(r.recovery.get("recovery_stalls", 0) == 0 for r in by_t.values())
     payload = {t: r.summary.payload_per_delivery for t, r in by_t.items()}
     iwants = {t: r.recorder.sent_packets.get("IWANT", 0) for t, r in by_t.items()}
     # The paper's choice achieves ~1 payload per delivery.

@@ -60,67 +60,3 @@ def test_node_multicast_returns_unique_ids():
     ids = {node.multicast(f"m{i}") for i in range(10)}
     assert len(ids) == 10
 
-
-def test_restart_wipes_scheduler_and_gossip_state():
-    model = complete_topology(5, latency_ms=10.0)
-    cluster, recorder = build_cluster(model, lambda ctx: PureEagerStrategy())
-    mid = cluster.multicast(0, "x")
-    cluster.run_for(2_000.0)
-    node = cluster.nodes[2]
-    assert mid in node.gossip.known
-    assert mid in node.scheduler.received
-
-    old_scheduler = node.scheduler
-    node.restart()
-
-    assert node.restarts == 1
-    assert node.scheduler is not old_scheduler
-    assert mid not in node.gossip.known
-    assert mid not in node.scheduler.received
-    assert node.scheduler.cache.get(mid) is None
-    assert len(node.scheduler.requests) == 0
-
-
-def test_restart_cancels_pending_requests(sim):
-    """A request schedule armed before the crash must not fire after."""
-    from repro.strategies.flat import PureLazyStrategy
-
-    model = complete_topology(5, latency_ms=10.0)
-    cluster, recorder = build_cluster(model, lambda ctx: PureLazyStrategy())
-    cluster.multicast(0, "x")
-    cluster.run_for(30.0)  # IHAVEs landed; IWANT retries pending
-    node = next(n for n in cluster.nodes if len(n.scheduler.requests) > 0)
-    node.restart()
-    assert len(node.scheduler.requests) == 0
-
-
-def test_restarted_node_relearns_through_gossip():
-    model = complete_topology(5, latency_ms=10.0)
-    cluster, recorder = build_cluster(model, lambda ctx: PureEagerStrategy())
-    cluster.nodes[2].restart()
-    mid = cluster.multicast(0, "y")
-    cluster.run_for(2_000.0)
-    assert 2 in recorder.deliveries[mid]  # dispatch still wired up
-
-
-def test_restart_counters_carry_over():
-    model = complete_topology(4)
-    cluster, _ = build_cluster(model, lambda ctx: PureEagerStrategy())
-    node = cluster.nodes[1]
-    node.scheduler.requests.retries_sent = 3
-    node.restart()
-    assert node.scheduler.requests.retries_sent == 0  # fresh queue
-    node.scheduler.requests.retries_sent = 2
-    counters = node.recovery_counters()
-    assert counters["retries"] == 5
-    assert counters["restarts"] == 1
-
-
-def test_cluster_restart_node_unsilences():
-    model = complete_topology(4)
-    cluster, _ = build_cluster(model, lambda ctx: PureEagerStrategy())
-    cluster.fabric.silence(2)
-    cluster.restart_node(2)
-    assert not cluster.fabric.is_silenced(2)
-    assert cluster.nodes[2].restarts == 1
-    assert cluster.recovery_counters()["restarts"] == 1

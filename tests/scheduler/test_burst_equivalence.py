@@ -53,7 +53,7 @@ class PerPeerScheduler(LazyPointToPoint):
             )
         else:
             self.lazy_sends += 1
-            self.cache.put(message_id, payload, round_, now=self.sim.now)
+            self.cache.put(message_id, payload, round_)
             self._advertise(peer, message_id)
 
     def _advertise(self, peer: int, message_id: int) -> None:
@@ -110,7 +110,7 @@ def _observed(result):
         recorder.link_payload_counts,
         recorder.node_payload_sent,
         recorder.node_payload_received,
-        recorder.recovery,
+        result.recovery,
     )
 
 

@@ -161,17 +161,6 @@ def test_sources_arriving_mid_cycle_are_eventually_asked(sim):
     assert [src for _, _, src in requests] == [7, 8, 9]
 
 
-def test_cancel_all_drops_entries_and_timers(sim):
-    queue, requests = build(sim, retry=100.0)
-    queue.queue(1, source=7)
-    queue.queue(2, source=8)
-    queue.cancel_all()
-    sim.run()
-    assert requests == []
-    assert len(queue) == 0
-    assert sim.pending_events == 0
-
-
 # -- property: Clear(i) always cancels the schedule --------------------------
 
 

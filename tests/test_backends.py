@@ -14,10 +14,10 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.experiments.scenarios import flat_factory, radius_factory
 from repro.experiments.workload import TrafficConfig
-from repro.failures.churn import ChurnConfig
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
+from repro.network.fabric import FabricConfig
 from repro.runtime.cluster import ClusterConfig
 from repro.scheduler.interfaces import SchedulerConfig
 from repro.topology.routing import ClientNetworkModel
@@ -155,9 +155,24 @@ def test_vector_backend_is_worker_count_invariant() -> None:
         assert np.array_equal(ours.deliver_slot, theirs.deliver_slot)
 
 
-def test_vector_backend_rejects_churn_by_name() -> None:
-    spec = tiny_spec(churn=ChurnConfig(interval_ms=1_000.0))
-    with pytest.raises(ValueError, match="does not support spec.churn"):
+@pytest.mark.parametrize(
+    "field, cluster",
+    [
+        (
+            "cluster.fabric.loss_probability",
+            ClusterConfig(fabric=FabricConfig(loss_probability=0.1)),
+        ),
+        ("cluster.fabric.jitter_ms", ClusterConfig(fabric=FabricConfig(jitter_ms=5.0))),
+        (
+            "cluster.scheduler.ihave_batch_window_ms",
+            ClusterConfig(scheduler=SchedulerConfig(ihave_batch_window_ms=30.0)),
+        ),
+    ],
+)
+def test_vector_backend_rejects_event_only_settings_by_name(field, cluster) -> None:
+    """Settings only the event kernel models are refused, not dropped."""
+    spec = tiny_spec(cluster=cluster)
+    with pytest.raises(ValueError, match=f"does not support spec.{field}; "):
         megasim_spec(spec, MODEL.size)
 
 

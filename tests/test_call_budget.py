@@ -14,17 +14,23 @@ next change is measured against it.
 
 Pinned counts (calls / deliveries, seed 1001):
 
-=====================  ===================  ===================  ===================  ===================
-cell                   before burst path    burst path           shared fault draws   one fabric path
-=====================  ===================  ===================  ===================  ===================
-Flat 1.0               776,774 / 2,400      318,154 / 2,400      318,154 / 2,400      318,153 / 2,400
-Radius, faults         871,175 / 1,920      600,350 / 1,920      600,344 / 1,920      441,214 / 1,920
-=====================  ===================  ===================  ===================  ===================
+=====================  ===================  ===================  ===================  ===================  ===================
+cell                   before burst path    burst path           shared fault draws   one fabric path      fixed-T queue only
+=====================  ===================  ===================  ===================  ===================  ===================
+Flat 1.0               776,774 / 2,400      318,154 / 2,400      318,154 / 2,400      318,153 / 2,400      315,628 / 2,400
+Radius, faults         871,175 / 1,920      600,350 / 1,920      600,344 / 1,920      441,214 / 1,920      435,533 / 1,920
+=====================  ===================  ===================  ===================  ===================  ===================
 
 With one fabric path, Flat 1.0's sends cost what they did; its one call
 fewer is the fast-path predicate the fabric computed once per cluster.
 Radius with faults loses the per-packet impaired path: 312.7 -> 229.8
 calls per delivery.
+
+With the request queue reduced to Fig. 3's fixed-``T`` schedule, each
+firing stops calling the health filter and the retry-policy lookup, each
+payload receipt clears its entry in one call instead of two, and each
+node wires its scheduler once: 229.8 -> 226.8 calls per delivery for
+Radius with faults, 132.6 -> 131.5 for Flat 1.0.
 """
 
 from __future__ import annotations
@@ -62,8 +68,8 @@ def _radius_faults_spec() -> runner.ExperimentSpec:
 
 #: cell -> (spec builder, pinned repro calls, deliveries)
 PINS = {
-    "flat_1.0": (_flat_spec, 318_153, 2_400),
-    "radius_faults": (_radius_faults_spec, 441_214, 1_920),
+    "flat_1.0": (_flat_spec, 315_628, 2_400),
+    "radius_faults": (_radius_faults_spec, 435_533, 1_920),
 }
 
 
