@@ -8,7 +8,8 @@ slot-synchronous, 10^5-10^6 nodes) runs a
 :class:`~repro.megasim.runner.MegasimSpec`, and :func:`megasim_spec` is
 the one place an experiment spec becomes one: the same frozen strategy
 factory, the same ``GossipConfig`` fanout and round cap, the same
-traffic, seed, scheduler and fault plans.
+traffic, seed and retry period, and the same fault plans: crash-stop
+silencing and per-link loss are the one fault model both kernels run.
 
 ``repro run --backend vector`` makes the tier choice once: up to
 :data:`DENSE_MODEL_LIMIT` clients the slot kernel runs over the routed
@@ -20,9 +21,11 @@ imported lazily, so ``--backend event`` never requires the
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+import dataclasses
+from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.experiments.runner import ExperimentSpec
+from repro.runtime.cluster import ClusterConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (keeps numpy lazy)
     from repro.megasim.runner import MegasimSpec
@@ -36,6 +39,36 @@ BACKEND_NAMES = ("event", "vector")
 DENSE_MODEL_LIMIT = 4096
 
 
+#: ``ClusterConfig`` settings :func:`megasim_spec` carries over
+#: (``gossip`` and ``scheduler`` are read field by field) or
+#: approximates: the slot kernel samples from the oracle or its own
+#: ``view_degree`` views rather than the shuffled overlay and its
+#: bootstrap, and has no uplink serialization.
+_TRANSLATED = frozenset({
+    "cluster.gossip.fanout",
+    "cluster.gossip.rounds",
+    "cluster.gossip.payload_bytes",
+    "cluster.scheduler.retry_period_ms",
+    "cluster.overlay",
+    "cluster.bootstrap_degree",
+    "cluster.fabric",
+})
+
+
+def _untranslated(config: Any, default: Any, prefix: str) -> Iterator[str]:
+    """Names of the settings in ``config`` that differ from ``default``
+    and that :func:`megasim_spec` neither carries over nor approximates."""
+    for field in dataclasses.fields(config):
+        name = prefix + field.name
+        if name in _TRANSLATED:
+            continue
+        value, base = getattr(config, field.name), getattr(default, field.name)
+        if name in ("cluster.gossip", "cluster.scheduler"):
+            yield from _untranslated(value, base, name + ".")
+        elif value != base:
+            yield name
+
+
 def megasim_spec(
     spec: ExperimentSpec,
     nodes: int,
@@ -44,34 +77,29 @@ def megasim_spec(
 ) -> "MegasimSpec":
     """``spec`` over a ``nodes``-client population, as a slot-kernel spec.
 
-    Crash-stop failure plans and the lossy-link subset of gray failures
-    carry over (:func:`repro.megasim.adapter.compile_faults`).  Node
-    classes, fabric-wide loss and jitter, IHAVE batching and the
-    remaining gray impairments (slow, flappy, extra-latency,
-    duplicating) have no slot-synchronous counterpart: each raises a
-    ``ValueError`` naming the field rather than being silently dropped.
-    ``view_degree`` and ``track_links`` are slot-kernel knobs with no
-    event-kernel field.
+    Both fault plans carry over whole: crash-stop failures and lossy
+    links are the one fault model of both kernels
+    (:func:`repro.megasim.adapter.compile_faults`).  Three cluster
+    settings are approximated rather than modelled: the shuffled
+    overlay (``cluster.overlay``) and its ``cluster.bootstrap_degree``
+    become oracle sampling or ``view_degree`` views, and the uplink
+    bandwidth (``cluster.fabric``) has no slot-level counterpart.
+    Node classes and every other ``ClusterConfig`` setting the slot
+    kernel does not read (connection buffers and purging, datagrams,
+    cache and known-id capacities, IHAVE batching, the latency monitor
+    and gossip ranking, ...) raise a ``ValueError`` naming the field
+    when set away from its ``ClusterConfig()`` default, rather than
+    being silently dropped.  ``view_degree`` and ``track_links`` are
+    slot-kernel knobs with no event-kernel field.
     """
     cluster = spec.cluster
-    for name, value in (
-        ("node_classes", spec.node_classes),
-        ("cluster.fabric.loss_probability", cluster.fabric.loss_probability),
-        ("cluster.fabric.jitter_ms", cluster.fabric.jitter_ms),
-        (
-            "cluster.scheduler.ihave_batch_window_ms",
-            cluster.scheduler.ihave_batch_window_ms,
-        ),
-    ):
-        if value:
-            raise ValueError(
-                f"the vector backend does not support spec.{name}; "
-                "use --backend event"
-            )
-    if spec.gray is not None:
-        from repro.megasim.adapter import check_gray_supported
-
-        check_gray_supported(spec.gray)
+    refused = ["node_classes"] if spec.node_classes else []
+    refused += _untranslated(cluster, ClusterConfig(), "cluster.")
+    if refused:
+        raise ValueError(
+            f"the vector backend does not support spec.{refused[0]}; "
+            "use --backend event"
+        )
     from repro.megasim.runner import MegasimSpec
 
     gossip = cluster.gossip

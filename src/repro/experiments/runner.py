@@ -43,8 +43,8 @@ class ExperimentSpec:
     drain_ms: float = 5_000.0
     seed: int = 0
     failure: Optional[FailurePlan] = None
-    #: Gray failures (slow nodes, lossy links, flappy nodes), applied at
-    #: the same instant as crash failures: after warmup, before logging.
+    #: Lossy directed links, applied at the same instant as crash
+    #: failures: after warmup, before logging.
     gray: Optional[GrayFailurePlan] = None
     node_classes: Optional[NodeClassesFn] = None
 

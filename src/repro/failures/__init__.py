@@ -5,6 +5,8 @@ letting them join the overlay and warm up, i.e. immediately before
 starting to log message deliveries."  :class:`FailureInjector` does the
 same against the simulated fabric: silenced nodes stay in peers' views
 and keep receiving gossip targets, but all their traffic is dropped.
+:class:`GrayFailureInjector` adds the model's one other impairment,
+per-directed-link loss.
 
 :func:`crash_victims` and :func:`gray_targets` are the seeded target
 draws themselves; the injectors and the vector backend's

@@ -10,10 +10,10 @@ the exact `OracleRanking` tie-breaking); :class:`UniformTopology` and
 :class:`PlaneTopology` are synthetic environments that never materialize
 an O(n^2) matrix and therefore scale to 10^6 nodes.
 
-Faults: :func:`compile_faults` lowers the supported subset of the event
-kernel's :class:`~repro.failures.injection.FailurePlan` /
-:class:`~repro.failures.gray.GrayFailurePlan` into a
-:class:`CompiledFaults` -- a crashed-node mask, always-drop link keys
+Faults: :func:`compile_faults` lowers the event kernel's whole fault
+model -- :class:`~repro.failures.injection.FailurePlan` crashes and
+:class:`~repro.failures.gray.GrayFailurePlan` lossy links -- into a
+:class:`CompiledFaults`: a crashed-node mask, always-drop link keys
 and a Bernoulli loss probability.  Victims and lossy links come from
 the injectors' own draws (:func:`~repro.failures.crash_victims`,
 :func:`~repro.failures.gray_targets`), so both backends impair the same
@@ -489,17 +489,8 @@ def _distinct_rows(
 
 
 class UnsupportedFaultError(ValueError):
-    """Raised for fault-plan features the vector kernel cannot express."""
+    """Raised for a fault plan the vector kernel cannot afford to compile."""
 
-
-#: :class:`GrayFailurePlan` fields the vector kernel has no slot-level
-#: model for; each is rejected by name (not a blanket refusal).
-UNSUPPORTED_GRAY_FIELDS = (
-    "slow_fraction",
-    "flappy_fraction",
-    "link_extra_latency_ms",
-    "link_duplicate_probability",
-)
 
 #: Largest population for which a *fractional* ``lossy_link_fraction``
 #: may enumerate all n*(n-1) directed links, replicating the event
@@ -508,19 +499,9 @@ UNSUPPORTED_GRAY_FIELDS = (
 LINK_ENUMERATION_LIMIT = 2048
 
 
-def check_gray_supported(plan: GrayFailurePlan) -> None:
-    """Reject gray-plan fields the vector kernel cannot model, by name."""
-    for name in UNSUPPORTED_GRAY_FIELDS:
-        if getattr(plan, name):
-            raise UnsupportedFaultError(
-                f"the vector backend does not support spec.gray.{name}; "
-                "use --backend event"
-            )
-
-
 @dataclass(frozen=True)
 class CompiledFaults:
-    """A :class:`FailurePlan`/:class:`GrayFailurePlan` subset, vector form.
+    """A :class:`FailurePlan` plus :class:`GrayFailurePlan`, vector form.
 
     ``crashed`` marks crash-stop nodes (the paper's firewalled failures):
     they originate nothing, and every packet addressed to -- or sent
@@ -625,15 +606,14 @@ def compile_faults(
     failure: Optional[FailurePlan] = None,
     gray: Optional[GrayFailurePlan] = None,
 ) -> Optional[CompiledFaults]:
-    """Compile the supported fault-plan subset for an ``n``-node run.
+    """Compile both fault plans for an ``n``-node run.
 
     Crash victims and lossy links are drawn by the event injectors' own
     functions from ``RandomStreams(seed)``, the streams a cluster built
     with ``seed`` hands its injectors.  Returns ``None`` when both plans
     are absent or no-ops, so the fault-free kernel path stays
     byte-identical to the pre-fault one.
-    Raises :class:`UnsupportedFaultError` (naming the field) for plan
-    features with no slot-synchronous counterpart, and for fractional
+    Raises :class:`UnsupportedFaultError` for a fractional
     ``lossy_link_fraction`` above :data:`LINK_ENUMERATION_LIMIT` nodes
     (which would need the O(n^2) link enumeration the scale tier exists
     to avoid).
@@ -650,7 +630,6 @@ def compile_faults(
     lossy_keys: Optional[NDArray[np.int64]] = None
     loss_probability = 0.0
     if gray is not None:
-        check_gray_supported(gray)
         if gray.lossy_link_fraction > 0.0 and gray.link_loss_probability > 0.0:
             if gray.lossy_link_fraction >= 1.0:
                 # Every directed link impaired: no enumeration needed,

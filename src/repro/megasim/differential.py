@@ -4,8 +4,7 @@ In the *slot-exact regime* the event kernel degenerates to a
 synchronous-round machine and the two backends must agree **exactly**:
 
 - uniform one-way latency ``L`` (every hop takes exactly one slot),
-- no NIC serialization (``bandwidth_bytes_per_ms=None``), no loss, no
-  jitter,
+- no NIC serialization (``bandwidth_bytes_per_ms=None``) and no loss,
 - oracle peer sampling (``overlay=None``) over datagrams
   (``use_connections=False``),
 - fanout >= n - 1, so the sampler returns *all* other nodes without
@@ -24,11 +23,13 @@ then compare field by field.  Outside the regime (partial fanout,
 probabilistic strategies) the kernels draw from different RNG streams
 and only statistical agreement is claimed.
 
-Faults extend the regime rather than leaving it: both halves accept a
-``failure``/``gray`` plan, and the *outcome-deterministic* subset --
-crash-stop nodes and fully-lossy directed links
-(``link_loss_probability=1.0``) -- keeps every observable exact,
-retries included, because no per-packet coin flip is ever consulted.
+Faults extend the regime rather than leaving it: both halves accept the
+one fault model both kernels share, a ``failure`` plan of crash-stop
+nodes and a ``gray`` plan of lossy directed links.  Its
+*outcome-deterministic* subset -- crash-stop nodes and fully-lossy
+directed links (``link_loss_probability=1.0``) -- keeps every
+observable exact, retries included, because no per-packet coin flip is
+ever consulted.
 Both kernels pick those targets with the same functions
 (:func:`~repro.failures.crash_victims`,
 :func:`~repro.failures.gray_targets`) on the same seed, so they impair

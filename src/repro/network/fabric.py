@@ -5,15 +5,19 @@ it packets, and it applies, in order,
 
 1. **silencing** -- a silenced node neither sends nor receives (the
    paper fails nodes "by silencing them with firewall rules", §6.3);
-2. **partitions** -- a packet across the cut never leaves;
-3. **uplink serialization** -- via the sender's
+2. **uplink serialization** -- via the sender's
    :class:`~repro.network.nic.NetworkInterface`;
-4. **loss** -- an independent omission probability per packet
-   (0 by default; the connection transport layers FIFO reliability on
-   top, like NeEM's TCP links), then the directed link's own loss;
-5. **propagation delay** -- the topology model's latency for the pair,
-   optionally jittered, plus gray-failure latency and service delays;
-6. **the connection floor** -- the caller's lower bound on delivery.
+3. **link loss** -- a directed link's own omission probability
+   (:class:`LinkProfile`; no link is lossy by default, and the
+   connection transport layers FIFO reliability on top, like NeEM's
+   TCP links);
+4. **propagation delay** -- the topology model's latency for the pair.
+
+That is the whole fault model: crash-stop silencing plus Bernoulli loss
+per directed link, exactly what the slot kernel's
+:func:`~repro.megasim.adapter.compile_faults` models.  Link-loss draws
+come from their own ``network.fabric.gray`` stream, so impairing links
+never perturbs any other component's seeded behaviour.
 
 Every packet outcome is reported to an optional :class:`PacketObserver`,
 which is how the metrics recorder sees traffic without the protocol code
@@ -23,18 +27,12 @@ Packets enter in bursts: :meth:`NetworkFabric.send_many` takes the
 copies one sender hands over at one instant (a gossip forward's ``f``
 copies), and :meth:`NetworkFabric.send` is a burst of one.  One loop runs
 the stages above over a burst in packet order, with the same sequence
-numbers, NIC departures and draws as one send per packet; a stage that
-is not configured draws nothing.  The in-flight record is the delivery
-event itself (:class:`SendReceipt`): its ``time`` is the delivery time
-and its ``args`` hold the packet.
-
-Beyond the paper's clean crash-stop model the fabric supports *gray*
-failures (see :mod:`repro.failures.gray`): per-node slowdowns (degraded
-NIC bandwidth and/or added service delay on every packet the node sends
-or receives) and per-directed-link profiles (extra loss, extra latency,
-packet duplication -- asymmetric links are expressed by overriding only
-one direction).  All gray knobs draw randomness from a dedicated stream
-so enabling them never perturbs the base fabric's seeded behaviour.
+numbers, NIC departures and draws as one send per packet; a link without
+loss draws nothing.  The in-flight record is the delivery event itself
+(:class:`SendReceipt`): its ``time`` is the delivery time and its
+``args`` hold the packet.  One sender's NIC is FIFO and a pair's delay
+is one matrix entry, so the packets of one directed pair are delivered
+in send order, at non-decreasing times.
 """
 
 from __future__ import annotations
@@ -70,46 +68,23 @@ class FabricConfig:
     ``bandwidth_bytes_per_ms`` is the default per-node uplink; 1250
     bytes/ms equals 10 Mbit/s, a plausible 2007 broadband uplink that
     keeps eager bursts cheap-but-not-free.  Per-node overrides model
-    heterogeneous capacity.  ``jitter_ms`` adds a uniform random delay in
-    ``[0, jitter_ms]`` per packet.
+    heterogeneous capacity.
     """
 
     bandwidth_bytes_per_ms: Optional[float] = 1250.0
-    loss_probability: float = 0.0
-    jitter_ms: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.loss_probability <= 1.0:
-            raise ValueError(f"loss_probability out of range: {self.loss_probability}")
-        if self.jitter_ms < 0:
-            raise ValueError(f"jitter_ms must be >= 0, got {self.jitter_ms}")
 
 
 @dataclass(frozen=True)
 class LinkProfile:
-    """Gray-failure overrides for one *directed* link.
-
-    ``loss_probability`` is applied independently of (and in addition
-    to) the fabric-wide loss; ``extra_latency_ms`` stretches the link's
-    propagation delay; ``duplicate_probability`` delivers a second copy
-    of the packet one extra propagation delay later (a retransmitting
-    middlebox).  Asymmetric impairments override a single direction.
-    """
+    """The loss of one *directed* link: asymmetric impairments override
+    a single direction."""
 
     loss_probability: float = 0.0
-    extra_latency_ms: float = 0.0
-    duplicate_probability: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.loss_probability <= 1.0:
             raise ValueError(
                 f"loss_probability out of range: {self.loss_probability}"
-            )
-        if self.extra_latency_ms < 0:
-            raise ValueError("extra_latency_ms must be >= 0")
-        if not 0.0 <= self.duplicate_probability <= 1.0:
-            raise ValueError(
-                f"duplicate_probability out of range: {self.duplicate_probability}"
             )
 
 
@@ -165,13 +140,7 @@ class NetworkFabric:
         self.config = config or FabricConfig()
         self._handlers: Dict[int, Handler] = {}
         self._silenced: List[bool] = [False] * model.size
-        self._partition_of: Optional[List[int]] = None
-        self._rng = sim.rng.stream("network.fabric")
-        # Gray-failure state; a separate stream keeps the base fabric's
-        # seeded draws (loss, jitter) identical whether or not gray
-        # impairments are configured.
         self._gray_rng = sim.rng.stream("network.fabric.gray")
-        self._service_delay: Dict[int, float] = {}
         self._links: Dict[Tuple[int, int], LinkProfile] = {}
         self.observer: Optional[PacketObserver] = None
         overrides = node_bandwidth or {}
@@ -208,80 +177,8 @@ class NetworkFabric:
         self._check_node(node)
         self._silenced[node] = True
 
-    def unsilence(self, node: int) -> None:
-        self._check_node(node)
-        self._silenced[node] = False
-
     def is_silenced(self, node: int) -> bool:
         return self._silenced[node]
-
-    @property
-    def silenced_nodes(self) -> List[int]:
-        return [n for n, s in enumerate(self._silenced) if s]
-
-    def partition(self, groups: Sequence[Sequence[int]]) -> None:
-        """Split the network: nodes communicate only within their group.
-
-        ``groups`` must cover every node exactly once.  Packets in
-        flight across the cut when the partition forms are dropped at
-        delivery, like a link going down under them.  Call :meth:`heal`
-        to reconnect.
-        """
-        assignment = [-1] * self.model.size
-        for index, group in enumerate(groups):
-            for node in group:
-                self._check_node(node)
-                if assignment[node] != -1:
-                    raise ValueError(f"node {node} appears in two groups")
-                assignment[node] = index
-        missing = [n for n, g in enumerate(assignment) if g == -1]
-        if missing:
-            raise ValueError(f"nodes not assigned to any group: {missing}")
-        self._partition_of = assignment
-
-    def heal(self) -> None:
-        """Remove the partition; traffic flows everywhere again."""
-        self._partition_of = None
-
-    @property
-    def partitioned(self) -> bool:
-        return self._partition_of is not None
-
-    def can_communicate(self, a: int, b: int) -> bool:
-        """True when no partition separates ``a`` and ``b``."""
-        if self._partition_of is None:
-            return True
-        return self._partition_of[a] == self._partition_of[b]
-
-    # -- gray failures ---------------------------------------------------------
-
-    def set_node_slowdown(
-        self,
-        node: int,
-        bandwidth_factor: float = 1.0,
-        service_delay_ms: float = 0.0,
-    ) -> None:
-        """Degrade ``node``: uplink bandwidth divided by
-        ``bandwidth_factor`` and ``service_delay_ms`` added to every
-        packet the node sends *or* receives (a busy host is slow on both
-        paths)."""
-        self._check_node(node)
-        if service_delay_ms < 0:
-            raise ValueError("service_delay_ms must be >= 0")
-        self.nics[node].set_slowdown(bandwidth_factor)
-        if service_delay_ms > 0:
-            self._service_delay[node] = service_delay_ms
-        else:
-            self._service_delay.pop(node, None)
-
-    def clear_node_slowdown(self, node: int) -> None:
-        """Restore ``node`` to healthy speed."""
-        self._check_node(node)
-        self.nics[node].set_slowdown(1.0)
-        self._service_delay.pop(node, None)
-
-    def node_service_delay(self, node: int) -> float:
-        return self._service_delay.get(node, 0.0)
 
     def set_link(self, src: int, dst: int, profile: LinkProfile) -> None:
         """Impair the *directed* link ``src -> dst`` (asymmetric allowed)."""
@@ -289,39 +186,24 @@ class NetworkFabric:
         self._check_node(dst)
         self._links[(src, dst)] = profile
 
-    def clear_link(self, src: int, dst: int) -> None:
-        self._links.pop((src, dst), None)
-
     def link_profile(self, src: int, dst: int) -> Optional[LinkProfile]:
         return self._links.get((src, dst))
 
-    def clear_gray(self) -> None:
-        """Remove every gray impairment (slowdowns and link profiles)."""
-        for nic in self.nics:
-            nic.set_slowdown(1.0)
-        self._service_delay.clear()
-        self._links.clear()
-
     # -- data path -------------------------------------------------------------
 
-    def send(
-        self, packet: Packet, min_deliver_at: float = 0.0
-    ) -> Optional[SendReceipt]:
+    def send(self, packet: Packet) -> Optional[SendReceipt]:
         """Inject one packet: a burst of one (see :meth:`send_many`)."""
-        return self.send_many((packet,), (min_deliver_at,))[0]
+        return self.send_many((packet,))[0]
 
     def send_many(
-        self, packets: Sequence[Packet], floors: Sequence[float]
+        self, packets: Sequence[Packet]
     ) -> Sequence[Optional[SendReceipt]]:
         """Inject a burst: packets one sender hands over at this instant.
 
-        ``floors[i]`` floor-bounds packet ``i``'s delivery time (the
-        connection layer's per-connection FIFO order).  Returns, per
-        packet, its :class:`SendReceipt` while in flight, or ``None`` when
-        it was dropped at the source.  The burst is observed once, the
-        NIC is reserved for exactly the packets no partition stops, and
-        one call schedules every receipt, a duplicating link's copy
-        right after its original.
+        Returns, per packet, its :class:`SendReceipt` while in flight, or
+        ``None`` when it was dropped at the source.  The burst is
+        observed once, the NIC is reserved for every packet, and one
+        call schedules every receipt.
         """
         sim = self.sim
         now = sim.now
@@ -340,35 +222,14 @@ class NetworkFabric:
             for packet in packets:
                 self._drop(packet, "sender-silenced")
             return [None] * len(packets)
-        partition = self._partition_of
-        side = -1
-        if partition is not None:
-            side = partition[src]
-            sizes = [p.size_bytes for p in packets if partition[p.dst] == side]
-        departures: List[float] = []
-        if sizes:
-            departures = self.nics[src].transmissions_done_at(now, sizes)
-        loss = self.config.loss_probability
-        jitter = self.config.jitter_ms
+        departures = self.nics[src].transmissions_done_at(now, sizes)
         links = self._links
-        service = self._service_delay
         row = self._latency_rows[src]
-        reached = 0
         times = []
         args = []
         placed: List[Optional[int]] = []  # index into ``times`` per packet
-        for packet, floor in zip(packets, floors):
+        for packet, departed in zip(packets, departures):
             dst = packet.dst
-            if partition is not None and partition[dst] != side:
-                self._drop(packet, "partitioned")
-                placed.append(None)
-                continue
-            departed = departures[reached]
-            reached += 1
-            if loss > 0.0 and self._rng.random() < loss:
-                self._drop(packet, "loss")
-                placed.append(None)
-                continue
             link = links.get((src, dst)) if links else None
             if (
                 link is not None
@@ -378,31 +239,11 @@ class NetworkFabric:
                 self._drop(packet, "link-loss")
                 placed.append(None)
                 continue
-            delay = row[dst]
-            if jitter > 0.0:
-                delay += self._rng.uniform(0.0, jitter)
-            if link is not None:
-                delay += link.extra_latency_ms
-            if service:
-                delay += service.get(src, 0.0)
-                delay += service.get(dst, 0.0)
-            deliver_at = departed + delay
-            if deliver_at < floor:
-                deliver_at = floor
             placed.append(len(times))
-            times.append(deliver_at)
+            times.append(departed + row[dst])
             args.append((packet,))
-            if (
-                link is not None
-                and link.duplicate_probability > 0.0
-                and self._gray_rng.random() < link.duplicate_probability
-            ):
-                # A duplicating middlebox: the copy trails the original by
-                # one extra propagation delay.
-                times.append(deliver_at + delay)
-                args.append((packet,))
         receipts = sim.schedule_at_many(times, self._deliver, args, SendReceipt)
-        if len(receipts) == len(packets) and None not in placed:
+        if len(receipts) == len(packets):
             return receipts
         return [None if at is None else receipts[at] for at in placed]
 
@@ -421,11 +262,6 @@ class NetworkFabric:
             self._drop(packet, "sender-silenced")
         elif silenced[dst]:
             self._drop(packet, "receiver-silenced")
-        elif self._partition_of is not None and not self.can_communicate(
-            packet.src, dst
-        ):
-            # A partition formed while the packet was in flight.
-            self._drop(packet, "partitioned")
         else:
             handler = self._handlers.get(dst)
             if handler is None:

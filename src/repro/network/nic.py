@@ -7,7 +7,9 @@ limits virtual-node packing because this burstiness otherwise "induces
 additional latency which would falsify results" (section 5.3).  The NIC
 model reproduces that effect: each node owns an uplink of
 ``bandwidth_bytes_per_ms`` and packets queue for serialization in FIFO
-order.
+order.  So one sender's packets depart in the order it handed them
+over, which is what keeps a connection's deliveries in send order
+(:mod:`repro.network.transport`).
 """
 
 from __future__ import annotations
@@ -30,19 +32,10 @@ class NetworkInterface:
                 f"bandwidth must be positive, got {bandwidth_bytes_per_ms}"
             )
         self.bandwidth_bytes_per_ms = bandwidth_bytes_per_ms
-        #: Gray-failure degradation: effective bandwidth is divided by
-        #: this factor (1.0 = healthy).  Only affects future packets.
-        self.slowdown = 1.0
         self._uplink_free_at = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
         self.busy_time_ms = 0.0
-
-    def set_slowdown(self, factor: float) -> None:
-        """Degrade (or restore) the uplink: bandwidth /= ``factor``."""
-        if factor < 1.0:
-            raise ValueError(f"slowdown factor must be >= 1, got {factor}")
-        self.slowdown = factor
 
     def transmissions_done_at(
         self, now: float, sizes: Sequence[int]
@@ -58,14 +51,13 @@ class NetworkInterface:
         bandwidth = self.bandwidth_bytes_per_ms
         if bandwidth is None:
             return [now] * len(sizes)
-        slowdown = self.slowdown
         free_at = self._uplink_free_at
         if free_at < now:
             free_at = now
         busy = self.busy_time_ms
         done: List[float] = []
         for size in sizes:
-            duration = size * slowdown / bandwidth
+            duration = size / bandwidth
             free_at += duration
             busy += duration
             done.append(free_at)

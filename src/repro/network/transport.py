@@ -20,16 +20,16 @@ one.  A burst goes to the fabric as one :meth:`NetworkFabric.send_many`
 call, a lone packet through :meth:`NetworkFabric.send`, so observers and
 per-call probes see single sends as before.
 
-A connection's whole state is one :class:`_Connection` record -- the
-FIFO floor plus the in-flight receipts in send order -- found by one
-int-keyed lookup per packet.  Because the floor makes ``deliver_at``
-non-decreasing along that list and same-instant events fire in
-scheduling order, the receipts that have already fired are always a
-prefix of it (purge victims are popped when aborted, source-dropped
-sends never enter): reaping pops that prefix, never scanning the rest.
-A burst is reaped, purged and sent in packet order; a second packet for
-one connection within a burst first sends what precedes it, since its
-floor is the first one's delivery time.
+A connection's whole state is its list of in-flight receipts in send
+order, found by one int-keyed lookup per packet.  The fabric delivers a
+directed pair's packets at non-decreasing times (one FIFO uplink, one
+latency per pair) and same-instant events fire in scheduling order, so
+the receipts that have already fired are always a prefix of that list
+(purge victims are popped when aborted, source-dropped sends never
+enter): reaping pops that prefix, never scanning the rest.  A burst is
+reaped, purged and sent in packet order; a second packet for one
+connection within a burst first sends what precedes it, so that the
+buffer it is counted against holds the first one.
 """
 
 from __future__ import annotations
@@ -113,14 +113,12 @@ class Transport:
         """Submit a burst (a single send is a burst of one)."""
         raise NotImplementedError
 
-    def _inject(
-        self, packets: Sequence[Packet], floors: Sequence[float]
-    ) -> Sequence[Optional[SendReceipt]]:
+    def _inject(self, packets: Sequence[Packet]) -> Sequence[Optional[SendReceipt]]:
         """Hand packets to the fabric: a lone one through ``send`` (so it
         is observed, and counted, as a single send), more as one burst."""
         if len(packets) == 1:
-            return (self._fabric.send(packets[0], floors[0]),)
-        return self._fabric.send_many(packets, floors)
+            return (self._fabric.send(packets[0]),)
+        return self._fabric.send_many(packets)
 
 
 class DatagramTransport(Transport):
@@ -128,26 +126,14 @@ class DatagramTransport(Transport):
 
     def _submit_many(self, packets: Sequence[Packet]) -> None:
         if packets:
-            self._inject(packets, [0.0] * len(packets))
-
-
-class _Connection:
-    """One directed connection: its FIFO floor (the latest delivery time
-    handed out) and its in-flight receipts, oldest first."""
-
-    __slots__ = ("floor", "receipts")
-
-    def __init__(self) -> None:
-        self.floor = 0.0
-        self.receipts: List[SendReceipt] = []
+            self._inject(packets)
 
 
 class ConnectionTransport(Transport):
     """FIFO-per-pair transport with bounded, purging connection buffers.
 
-    FIFO is enforced by floor-bounding each packet's delivery time with
-    the previous delivery time on the same directed pair (a TCP stream
-    cannot reorder).  The "buffer" is the set of in-flight packets per
+    The fabric already delivers each directed pair in send order, as a
+    TCP stream would.  The "buffer" is the set of in-flight packets per
     pair; when it exceeds ``buffer_capacity`` the purge policy picks a
     victim, which is then aborted mid-flight -- modelling NeEM dropping
     user-space-buffered messages when a connection blocks.
@@ -164,8 +150,9 @@ class ConnectionTransport(Transport):
             raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
         self.buffer_capacity = buffer_capacity
         self.purge_policy = purge_policy
-        #: ``src * size + dst`` -> the directed connection's record.
-        self._connections: Dict[int, _Connection] = {}
+        #: ``src * size + dst`` -> the directed connection's in-flight
+        #: receipts, oldest first.
+        self._connections: Dict[int, List[SendReceipt]] = {}
         self._size = fabric.size
         self._rng = fabric.sim.rng.stream("network.connections")
         self.purged_count = 0
@@ -175,29 +162,28 @@ class ConnectionTransport(Transport):
         connections = self._connections
         capacity = self.buffer_capacity
         burst: List[Packet] = []
-        links: List[_Connection] = []
-        floors: List[float] = []
+        keys: List[int] = []
+        queues: List[List[SendReceipt]] = []
         for packet in packets:
             key = packet.src * size + packet.dst
-            connection = connections.get(key)
-            if connection is None:
-                connection = connections[key] = _Connection()
-            elif connection in links:
-                self._send(burst, links, floors)
+            receipts = connections.get(key)
+            if receipts is None:
+                receipts = connections[key] = []
+            elif key in keys:
+                self._send(burst, queues)
                 burst = []
-                links = []
-                floors = []
-            receipts = connection.receipts
+                keys = []
+                queues = []
             # Reap the fired prefix (module docstring).
             while receipts and (receipts[0].fired or receipts[0].cancelled):
                 del receipts[0]
             if len(receipts) >= capacity and self._purge(packet, receipts):
                 continue
             burst.append(packet)
-            links.append(connection)
-            floors.append(connection.floor)
+            keys.append(key)
+            queues.append(receipts)
         if burst:
-            self._send(burst, links, floors)
+            self._send(burst, queues)
 
     def _purge(self, packet: Packet, receipts: List[SendReceipt]) -> bool:
         """Make room in a full buffer; True when ``packet`` itself was
@@ -221,10 +207,8 @@ class ConnectionTransport(Transport):
         return False
 
     def _send(
-        self, packets: List[Packet], links: List[_Connection], floors: List[float]
+        self, packets: List[Packet], queues: List[List[SendReceipt]]
     ) -> None:
-        receipts = self._inject(packets, floors)
-        for link, receipt in zip(links, receipts):
+        for receipts, receipt in zip(queues, self._inject(packets)):
             if receipt is not None:
-                link.floor = receipt.time
-                link.receipts.append(receipt)
+                receipts.append(receipt)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.app.pubsub import PubSub
 from repro.gossip.config import GossipConfig
+from repro.network.fabric import LinkProfile
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.strategies.flat import PureEagerStrategy, PureLazyStrategy
 from repro.topology.simple import complete_topology
@@ -103,11 +104,16 @@ def test_real_loss_shows_as_lasting_gap():
     cluster, pubsub = make_pubsub(n=8)
     pubsub.publish(0, "t", "seq0")
     cluster.run_for(2_000.0)
-    # Node 5 misses sequence 1 entirely: silence it for the publish.
-    cluster.fabric.silence(5)
+    # Node 5 misses sequence 1 entirely: every link into it drops all
+    # packets for the publish, then heals.
+    fabric = cluster.fabric
+    senders = [src for src in range(8) if src != 5]
+    for src in senders:
+        fabric.set_link(src, 5, LinkProfile(loss_probability=1.0))
     pubsub.publish(0, "t", "seq1")
     cluster.run_for(3_000.0)
-    cluster.fabric.unsilence(5)
+    for src in senders:
+        fabric.set_link(src, 5, LinkProfile())
     pubsub.publish(0, "t", "seq2")
     cluster.run_for(3_000.0)
     cluster.stop()

@@ -3,8 +3,8 @@
 The paper sizes fanout and view degree from Eugster et al.'s analytic
 estimates.  Here the same estimates (encoded in
 :mod:`repro.gossip.config`) are checked against the behaviour of the
-actual simulated protocol: run eager push gossip under datagram loss and
-compare measured miss/atomicity rates with the formulas.
+actual simulated protocol: run eager push gossip over datagrams with
+every directed link lossy, and compare measured miss/atomicity rates with the formulas.
 
 Run at fanout 6, where the predicted miss rate (~e^-5.94 = 0.26%) is
 large enough to measure with a few thousand delivery opportunities.
@@ -16,10 +16,10 @@ import math
 
 import pytest
 
+from repro.failures.gray import GrayFailureInjector, GrayFailurePlan
 from repro.gossip.config import GossipConfig, atomic_delivery_probability
 from repro.metrics.recorder import MetricsRecorder
 from repro.runtime.cluster import Cluster, ClusterConfig
-from repro.network.fabric import FabricConfig
 from repro.strategies.flat import PureEagerStrategy
 from repro.topology.simple import complete_topology
 
@@ -36,10 +36,12 @@ def lossy_run():
         gossip=GossipConfig(fanout=FANOUT, rounds=6),
         overlay=None,  # oracle sampling: matches the analytic model
         use_connections=False,  # raw datagrams so loss applies per packet
-        fabric=FabricConfig(loss_probability=LOSS),
     )
     recorder = MetricsRecorder()
     cluster = Cluster(model, lambda ctx: PureEagerStrategy(), config=config, seed=8)
+    GrayFailureInjector(cluster).apply(
+        GrayFailurePlan(lossy_link_fraction=1.0, link_loss_probability=LOSS)
+    )
     cluster.fabric.set_observer(recorder)
     cluster.set_multicast_hook(recorder.on_multicast)
     cluster.set_deliver(
@@ -77,4 +79,4 @@ def test_atomicity_fraction_matches_formula(lossy_run):
 
 
 def test_losses_actually_happened(lossy_run):
-    assert lossy_run.dropped_packets["loss"] > 0
+    assert lossy_run.dropped_packets["link-loss"] > 0

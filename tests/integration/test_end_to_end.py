@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.failures.gray import GrayFailureInjector, GrayFailurePlan
 from repro.gossip.config import GossipConfig
+from repro.network.fabric import FabricConfig
 from repro.strategies.flat import FlatStrategy, PureEagerStrategy, PureLazyStrategy
 from repro.topology.simple import complete_topology, star_topology
 from tests.conftest import build_cluster
@@ -66,15 +68,22 @@ def test_packet_loss_recovered_by_lazy_retries():
     still deliver everywhere -- the resilience argument for keeping
     redundant IHAVEs."""
     model = complete_topology(15, latency_ms=10.0, seed=4)
-    from repro.network.fabric import FabricConfig
-
-    cluster, recorder, mid = run_one_multicast(
+    cluster, recorder = build_cluster(
         model,
         lambda ctx: PureLazyStrategy(retry_period_ms=200.0),
-        fabric=FabricConfig(bandwidth_bytes_per_ms=None, loss_probability=0.2),
+        seed=11,
+        fabric=FabricConfig(bandwidth_bytes_per_ms=None),
         gossip=GossipConfig(fanout=6, rounds=4),
-        drain=20_000.0,
     )
+    GrayFailureInjector(cluster).apply(
+        GrayFailurePlan(lossy_link_fraction=1.0, link_loss_probability=0.2)
+    )
+    cluster.start()
+    cluster.run_for(3_000.0)
+    mid = cluster.multicast(0, "payload")
+    cluster.run_for(20_000.0)
+    cluster.stop()
+    assert recorder.dropped_packets["link-loss"] > 0
     assert len(recorder.deliveries[mid]) == 15
 
 

@@ -66,7 +66,7 @@ def test_manifest_covers_the_core_streams():
     patterns = {(e["kind"], e["pattern"]) for e in manifest["streams"]}
     for expected in (
         ("stream", "failures"),
-        ("stream", "network.fabric"),
+        ("stream", "network.fabric.gray"),
         ("stream", "node.{node}"),
         ("derive_seed", "megasim.topology.plane"),
         ("derive_seed", "spawn:{name}"),  # RandomStreams.spawn's prefix

@@ -382,17 +382,6 @@ class TestFaultCompilation:
         }
         assert dropped == set(applied.lossy_links)
 
-    def test_unsupported_gray_fields_are_named(self) -> None:
-        from repro.failures.gray import GrayFailurePlan
-        from repro.megasim.adapter import UnsupportedFaultError, compile_faults
-
-        with pytest.raises(UnsupportedFaultError, match="spec.gray.slow_fraction"):
-            compile_faults(8, 0, gray=GrayFailurePlan(slow_fraction=0.5))
-        with pytest.raises(
-            UnsupportedFaultError, match="spec.gray.flappy_fraction"
-        ):
-            compile_faults(8, 0, gray=GrayFailurePlan(flappy_fraction=0.5))
-
     def test_fractional_links_refused_above_enumeration_limit(self) -> None:
         from repro.failures.gray import GrayFailurePlan
         from repro.megasim.adapter import (

@@ -1,23 +1,22 @@
 """Batch send path == the per-packet path it replaced.
 
-A gossip forward now crosses transport -> fabric -> NIC -> event queue as
-one burst (``Endpoint.send_many``).  This file carries verbatim copies of
-the per-packet code that burst replaced -- ``ConnectionTransport._submit``,
-``NetworkFabric.send`` / ``_send_full`` / ``abort`` with their
-``SendReceipt`` record, ``NetworkInterface.transmission_done_at`` -- and
-drives both through the same interleavings of bursts (1-16 distinct
-destinations, mixed MSG/IHAVE), single sends and ``run(until=...)``
-steps, under randomized loss, jitter, link profiles (loss, extra
-latency, duplication) on one directed link or on every one (the shape
-``GrayFailurePlan(lossy_link_fraction=1.0)`` applies), node slowdowns
-and service delays, silenced senders and receivers, a partition and
-bursts it stops whole, buffer capacities 1-4 under every
-:class:`PurgePolicy`, and an observer or none.  After every step it
-compares, per packet, the live queue entries ``(time, seq)`` and the
-firing order with delivery times; and the observer's totals and drop
-reasons, every NIC's state, every connection's floor and live
-in-flight list, and the ``network.fabric``, ``network.fabric.gray`` and
-``network.connections`` stream states.
+A gossip forward crosses transport -> fabric -> NIC -> event queue as
+one burst (``Endpoint.send_many``).  This file carries copies of the
+per-packet code that burst replaced -- ``ConnectionTransport._submit``,
+``NetworkFabric.send`` / ``abort`` with their ``SendReceipt`` record,
+``NetworkInterface.transmission_done_at`` -- cut to the stages the fabric
+still has: silencing, uplink serialization, directed-link loss and the
+pair's latency.  It drives both through the same interleavings of bursts
+(1-16 distinct destinations, mixed MSG/IHAVE), single sends and
+``run(until=...)`` steps, under per-node bandwidth overrides, link loss
+on one directed link or on every one (the shape
+``GrayFailurePlan(lossy_link_fraction=1.0)`` applies), silenced senders
+and receivers, buffer capacities 1-4 under every :class:`PurgePolicy`,
+and an observer or none.  After every step it compares, per packet, the
+live queue entries ``(time, seq)`` and the firing order with delivery
+times; and the observer's totals and drop reasons, every NIC's state,
+every connection's live in-flight list, and the ``network.fabric.gray``
+and ``network.connections`` stream states.
 
 Mutants of the burst path this kills, each a one-token or one-line edit
 (checked when written):
@@ -25,26 +24,12 @@ Mutants of the burst path this kills, each a one-token or one-line edit
 - running-sum order: ``free_at += duration`` moved after ``done.append``
   in ``NetworkInterface.transmissions_done_at`` (each packet reports its
   start, not its end);
-- floor clamp: ``deliver_at < floor`` -> ``deliver_at > floor`` in
-  ``NetworkFabric.send_many``;
 - seq order: ``(time, seq, ...)`` -> ``(time, -seq, ...)`` in
   ``EventQueue.push_many``'s heap entry;
 - purge victim: ``victim = 0`` -> ``victim = -1`` in
-  ``ConnectionTransport._purge``.
-
-Every packet, healthy or impaired, now takes ``NetworkFabric.send_many``'s
-one loop.  Mutants of that loop it kills (all three under
-``--hypothesis-seed`` 1-4 and a random seed; the swapped draws survive
-seed 5):
-
-- a NIC reservation for a burst dropped before the NIC: the
-  ``if sizes:`` guard around ``transmissions_done_at`` removed, so a
-  wholly partitioned burst moves an idle uplink's ``free_at`` to now;
-- fabric-loss and link-loss draws swapped: the link-loss check moved
-  above the fabric-loss check;
-- a duplicate copy scheduled after the next packet's receipt: copies
-  collected and appended after the loop instead of right after their
-  originals.
+  ``ConnectionTransport._purge``;
+- a draw for a lossless link: the ``link.loss_probability > 0.0`` guard
+  removed from ``NetworkFabric.send_many``'s loss check.
 """
 
 from __future__ import annotations
@@ -59,7 +44,7 @@ from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, LinkProfile, NetworkFabric
 from repro.network.message import Packet, SlotRecord
 from repro.network.nic import NetworkInterface
-from repro.network.transport import ConnectionTransport, _Connection
+from repro.network.transport import ConnectionTransport
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
 from repro.topology.geometry import Point
@@ -70,7 +55,7 @@ MSG_BYTES = 320
 IHAVE_BYTES = 80
 
 
-# -- the per-packet reference, verbatim --------------------------------------
+# -- the per-packet reference ------------------------------------------------
 
 
 class SendReceipt(SlotRecord):
@@ -97,7 +82,7 @@ class ReferenceInterface(NetworkInterface):
         start = self._uplink_free_at
         if start < now:
             start = now
-        duration = size_bytes * self.slowdown / self.bandwidth_bytes_per_ms
+        duration = size_bytes / self.bandwidth_bytes_per_ms
         self._uplink_free_at = start + duration
         self.busy_time_ms += duration
         return self._uplink_free_at
@@ -112,82 +97,22 @@ class ReferenceFabric(NetworkFabric):
             ReferenceInterface(nic.bandwidth_bytes_per_ms) for nic in self.nics
         ]
 
-    @property
-    def _fast_path(self) -> bool:
-        """The healthy-fabric predicate the per-packet path switched on,
-        computed from the same state the fabric once cached it from."""
-        return (
-            self.config.loss_probability == 0.0
-            and self.config.jitter_ms == 0.0
-            and not self._links
-            and not self._service_delay
-        )
-
-    def send(
-        self, packet: Packet, min_deliver_at: float = 0.0
-    ) -> Optional["SendReceipt"]:
-        """Inject a packet.
-
-        ``min_deliver_at`` floor-bounds the delivery time; the connection
-        layer uses it to enforce per-connection FIFO ordering.  Returns a
-        :class:`SendReceipt` for in-flight packets, or ``None`` when the
-        packet was dropped at the source (silenced sender or loss).
-
-        The healthy common case (:meth:`_refresh_fast_path`) takes a slim
-        branch that performs exactly the same arithmetic as the full path
-        with every inactive stage skipped.  That configuration draws no
-        randomness on the full path either, so the two cannot diverge;
-        silenced and partitioned sends stay on the full path, so every
-        packet is observed exactly once.
-        """
-        sim = self.sim
-        now = sim.now
+    def send(self, packet: Packet) -> Optional["SendReceipt"]:
+        """Inject a packet.  Returns a :class:`SendReceipt` for in-flight
+        packets, or ``None`` when the packet was dropped at the source
+        (silenced sender or link loss)."""
+        now = self.sim.now
         packet.sent_at = now
-        src = packet.src
-        if (
-            self._fast_path
-            and self._partition_of is None
-            and not self._silenced[src]
-        ):
-            observer = self.observer
-            if observer is not None:
-                observer.on_send(packet, now)
-            deliver_at = self.nics[src].transmission_done_at(
-                now, packet.size_bytes
-            ) + self._latency_rows[src][packet.dst]
-            if deliver_at < min_deliver_at:
-                deliver_at = min_deliver_at
-            handle = sim.schedule_at(deliver_at, self._deliver, packet)
-            return SendReceipt(packet, handle, deliver_at)
-        return self._send_full(packet, now, min_deliver_at)
-
-    def _send_full(
-        self, packet: Packet, now: float, min_deliver_at: float
-    ) -> Optional["SendReceipt"]:
-        """The full send path: observers, loss, jitter, gray failures."""
         if self.observer is not None:
             self.observer.on_send(packet, now)
 
         if self._silenced[packet.src]:
             self._drop(packet, "sender-silenced")
             return None
-        if not self.can_communicate(packet.src, packet.dst):
-            self._drop(packet, "partitioned")
-            return None
         serialized_at = self.nics[packet.src].transmission_done_at(
             now, packet.size_bytes
         )
-        if (
-            self.config.loss_probability > 0.0
-            and self._rng.random() < self.config.loss_probability
-        ):
-            self._drop(packet, "loss")
-            return None
-        # Emptiness cached by truthiness: the common healthy case skips
-        # the tuple allocation and dict probe entirely.
-        link = (
-            self._links.get((packet.src, packet.dst)) if self._links else None
-        )
+        link = self._links.get((packet.src, packet.dst))
         if (
             link is not None
             and link.loss_probability > 0.0
@@ -195,24 +120,8 @@ class ReferenceFabric(NetworkFabric):
         ):
             self._drop(packet, "link-loss")
             return None
-        delay = self.model.latency(packet.src, packet.dst)
-        if self.config.jitter_ms > 0.0:
-            delay += self._rng.uniform(0.0, self.config.jitter_ms)
-        if link is not None:
-            delay += link.extra_latency_ms
-        if self._service_delay:
-            delay += self._service_delay.get(packet.src, 0.0)
-            delay += self._service_delay.get(packet.dst, 0.0)
-        deliver_at = max(serialized_at + delay, min_deliver_at)
+        deliver_at = serialized_at + self.model.latency(packet.src, packet.dst)
         handle = self.sim.schedule_at(deliver_at, self._deliver, packet)
-        if (
-            link is not None
-            and link.duplicate_probability > 0.0
-            and self._gray_rng.random() < link.duplicate_probability
-        ):
-            # A duplicating middlebox: the copy trails the original by
-            # one extra propagation delay.
-            self.sim.schedule_at(deliver_at + delay, self._deliver, packet)
         return SendReceipt(packet, handle, deliver_at)
 
     def abort(self, receipt: "SendReceipt", reason: str = "purged") -> None:
@@ -231,11 +140,8 @@ class ReferenceTransport(ConnectionTransport):
 
     def _submit(self, packet: Packet) -> None:
         key = packet.src * self._size + packet.dst
-        connection = self._connections.get(key)
-        if connection is None:
-            connection = self._connections[key] = _Connection()
-        receipts = connection.receipts
-        # Reap the fired prefix (module docstring).
+        receipts = self._connections.setdefault(key, [])
+        # Reap the fired prefix.
         while receipts and not receipts[0].handle.pending:
             del receipts[0]
         if len(receipts) >= self.buffer_capacity:
@@ -256,9 +162,8 @@ class ReferenceTransport(ConnectionTransport):
                 victim = self._rng.choice(range(len(receipts)))
             self._fabric.abort(receipts.pop(victim))
 
-        receipt = self._fabric.send(packet, connection.floor)
+        receipt = self._fabric.send(packet)
         if receipt is not None:
-            connection.floor = receipt.deliver_at
             receipts.append(receipt)
 
 
@@ -269,12 +174,14 @@ class Stack:
     """Simulator + fabric + connection transport, everything observable
     logged; ``batched`` picks the burst path or the reference."""
 
-    def __init__(self, batched, seed, model, config, capacity, policy, observe):
+    def __init__(
+        self, batched, seed, model, config, overrides, capacity, policy, observe
+    ):
         self.batched = batched
         self.sim = Simulator(seed=seed)
         fabric_cls = NetworkFabric if batched else ReferenceFabric
         transport_cls = ConnectionTransport if batched else ReferenceTransport
-        self.fabric = fabric_cls(self.sim, model, config)
+        self.fabric = fabric_cls(self.sim, model, config, node_bandwidth=overrides)
         self.totals: Counter = Counter()
         if observe:
             self.fabric.set_observer(self)
@@ -329,12 +236,10 @@ class Stack:
             self.sim.run(until=self.sim.now + args[0])
         elif name == "silence":
             self.fabric.silence(args[0])
-        elif name == "unsilence":
-            self.fabric.unsilence(args[0])
         elif name == "link":
-            src, dst, loss, extra, duplicate = args
-            self.fabric.set_link(src, dst, LinkProfile(loss, extra, duplicate))
-        elif name == "lossy":
+            src, dst, loss = args
+            self.fabric.set_link(src, dst, LinkProfile(loss))
+        else:
             # One profile on every directed link, as GrayFailurePlan
             # applies lossy_link_fraction=1.0.
             profile = LinkProfile(*args)
@@ -342,23 +247,6 @@ class Stack:
                 for dst in range(NODES):
                     if src != dst:
                         self.fabric.set_link(src, dst, profile)
-        elif name == "severed":
-            # Once the sender's NIC is idle, a partition and then a burst
-            # whose every packet crosses it.
-            wait, cut, burst_op = args
-            self.apply(step, ("run", wait))
-            self.apply(step, ("partition", cut))
-            self.apply(step, burst_op)
-        elif name == "slow":
-            node, factor, delay = args
-            self.fabric.set_node_slowdown(node, factor, delay)
-        elif name == "partition":
-            cut = args[0]
-            self.fabric.partition([range(cut), range(cut, NODES)])
-        elif name == "heal":
-            self.fabric.heal()
-        else:
-            self.fabric.clear_gray()
 
     def queued(self):
         """Live queue entries, per packet: (time, seq, what is delivered)."""
@@ -373,18 +261,16 @@ class Stack:
 
     def connections(self):
         state = {}
-        for key, connection in self.transport._connections.items():
+        for key, receipts in self.transport._connections.items():
             if self.batched:
                 live = [
                     r.args[0].payload
-                    for r in connection.receipts
+                    for r in receipts
                     if not (r.fired or r.cancelled)
                 ]
             else:
-                live = [
-                    r.packet.payload for r in connection.receipts if r.handle.pending
-                ]
-            state[key] = (connection.floor, live)
+                live = [r.packet.payload for r in receipts if r.handle.pending]
+            state[key] = live
         return state
 
     def observable(self):
@@ -403,9 +289,7 @@ class Stack:
             self.sim.now,
             [
                 streams.stream(name).getstate()
-                for name in (
-                    "network.fabric", "network.fabric.gray", "network.connections"
-                )
+                for name in ("network.fabric.gray", "network.connections")
             ],
         )
 
@@ -455,78 +339,46 @@ def single(draw):
 def link(draw):
     src = draw(node)
     dst = draw(node.filter(lambda n: n != src))
-    return (
-        "link",
-        src,
-        dst,
-        draw(st.sampled_from([0.0, 0.3])),
-        draw(st.sampled_from([0.0, 4.0])),
-        draw(st.sampled_from([0.0, 0.5])),
-    )
+    return ("link", src, dst, draw(st.sampled_from([0.0, 0.3])))
 
 
-@st.composite
-def severed(draw):
-    cut = draw(st.integers(1, NODES - 1))
-    src = draw(st.integers(0, cut - 1))
-    dsts = draw(
-        st.lists(st.integers(cut, NODES - 1), min_size=1, max_size=8, unique=True)
-    )
-    kinds = draw(st.lists(message, min_size=len(dsts), max_size=len(dsts)))
-    wait = draw(st.sampled_from([1.0, 30.0]))
-    messages = [(d, k, s) for d, (k, s) in zip(dsts, kinds)]
-    return ("severed", wait, cut, ("burst", src, messages))
-
-
+repeat = st.tuples(st.just("repeat"), burst(), st.integers(2, 5))
 operation = st.one_of(
     burst(),
     burst(),
-    st.tuples(st.just("repeat"), burst(), st.integers(2, 5)),
+    repeat,
     single(),
     st.tuples(st.just("run"), st.sampled_from([0.0, 1.0, 3.0, 8.0, 30.0])),
     st.tuples(st.just("silence"), node),
-    st.tuples(st.just("unsilence"), node),
     link(),
-    st.tuples(
-        st.just("lossy"),
-        st.sampled_from([0.05, 0.5]),
-        st.sampled_from([0.0, 4.0]),
-        st.sampled_from([0.0, 0.5]),
-    ),
-    severed(),
-    st.tuples(
-        st.just("slow"), node, st.sampled_from([1.0, 3.0]), st.sampled_from([0.0, 2.5])
-    ),
-    st.tuples(st.just("partition"), st.integers(1, NODES - 1)),
-    st.tuples(st.just("heal")),
-    st.tuples(st.just("clear_gray")),
+    st.tuples(st.just("lossy"), st.sampled_from([0.0, 0.05, 0.5])),
 )
 
 
 @settings(max_examples=150, deadline=None)
 @given(
+    fill=repeat,
     operations=st.lists(operation, min_size=1, max_size=40),
     seed=st.integers(0, 1000),
     bandwidth=st.sampled_from([None, 40.0, 1250.0]),
-    loss=st.sampled_from([0.0, 0.2]),
-    jitter=st.sampled_from([0.0, 3.0]),
+    overrides=st.dictionaries(node, st.sampled_from([None, 10.0, 400.0])),
     capacity=st.integers(1, 4),
     policy=st.sampled_from(list(PurgePolicy)),
     observe=st.booleans(),
 )
 def test_bursts_match_the_per_packet_path(
-    operations, seed, bandwidth, loss, jitter, capacity, policy, observe
+    fill, operations, seed, bandwidth, overrides, capacity, policy, observe
 ):
+    """Every example opens with a repeated burst, so connections fill and
+    purge under every policy before the rest of the interleaving."""
     model = _model(seed)
-    config = FabricConfig(
-        bandwidth_bytes_per_ms=bandwidth, loss_probability=loss, jitter_ms=jitter
-    )
+    config = FabricConfig(bandwidth_bytes_per_ms=bandwidth)
     stacks = [
-        Stack(batched, seed, model, config, capacity, policy, observe)
+        Stack(batched, seed, model, config, overrides, capacity, policy, observe)
         for batched in (True, False)
     ]
     batched, reference = stacks
-    for step, op in enumerate([*operations, ("heal",), ("run", 1e6)]):
+    for step, op in enumerate([fill, *operations, ("run", 1e6)]):
         for stack in stacks:
             stack.apply(step, op)
         assert batched.observable() == reference.observable(), (step, op)

@@ -1,13 +1,14 @@
 """Differential property test for the connection transport's bookkeeping.
 
-``ConnectionTransport`` keeps one record per directed connection and
-reaps only the *fired prefix* of its in-flight list.  That must be
-observationally identical to the bookkeeping it replaced -- two
-tuple-keyed dicts and a full rescan of the in-flight set on every send --
-of which this file carries a verbatim copy.  Hypothesis drives both
-through the same interleavings of send / ``run(until=...)`` / silence /
-gray-duplicate links, for every purge policy and small capacities, and
-after every step compares:
+``ConnectionTransport`` keeps one receipt list per directed connection
+and reaps only the *fired prefix* of it.  That must be observationally
+identical to the bookkeeping it replaced -- a tuple-keyed dict of
+in-flight sets and a full rescan of the set on every send -- of which
+this file carries a copy (less the FIFO floor it also kept: the fabric
+now delivers each pair in order by construction).  Hypothesis drives
+both through the same interleavings of send / ``run(until=...)`` /
+silence / lossy links, under per-node bandwidth overrides, for every
+purge policy and small capacities, and after every step compares:
 
 - the full event log: observer ``on_send`` / ``on_deliver`` / ``on_drop``
   calls and receiver up-calls, with exact timestamps;
@@ -16,6 +17,9 @@ after every step compares:
   equal seeds mean equal draw counts, and equal ``DROP_RANDOM`` victims);
 - the live in-flight set per pair, in insertion order -- what a purge
   decision sees -- and that fired receipts really are a prefix.
+
+With no floor anywhere, the run must still be FIFO: each connection's
+packets are delivered in send order, at non-decreasing times.
 """
 
 from __future__ import annotations
@@ -35,12 +39,12 @@ from repro.network.fabric import (
 from repro.network.message import Packet
 from repro.network.transport import ConnectionTransport, Transport
 from repro.sim.engine import Simulator
-from repro.topology.routing import ClientNetworkModel
+from repro.topology.simple import complete_topology
 
 NODES = 3
 
 
-# -- the legacy bookkeeping (full-scan reap), verbatim ------------------------------
+# -- the legacy bookkeeping (full-scan reap) ----------------------------------------
 
 
 class _LegacyConnectionTransport(Transport):
@@ -55,7 +59,6 @@ class _LegacyConnectionTransport(Transport):
             raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
         self.buffer_capacity = buffer_capacity
         self.purge_policy = purge_policy
-        self._last_delivery: Dict[Tuple[int, int], float] = {}
         self._in_flight: Dict[Tuple[int, int], Dict[int, SendReceipt]] = {}
         self._rng = fabric.sim.rng.stream("network.connections")
         self.purged_count = 0
@@ -85,11 +88,9 @@ class _LegacyConnectionTransport(Transport):
             self._fabric.abort(receipt, reason="purged")
             self.purged_count += 1
 
-        floor = self._last_delivery.get(pair, 0.0)
-        receipt = self._fabric.send(packet, min_deliver_at=floor)
+        receipt = self._fabric.send(packet)
         if receipt is None:
             return
-        self._last_delivery[pair] = receipt.deliver_at
         in_flight[packet.packet_id] = receipt
 
     def _pick_victim(
@@ -124,12 +125,27 @@ def _live_payloads(receipts) -> list:
 
 def _live_of_current(transport: ConnectionTransport) -> Dict[Tuple[int, int], list]:
     live = {}
-    for key, connection in transport._connections.items():
-        pending = [r.handle.pending for r in connection.receipts]
+    for key, receipts in transport._connections.items():
+        pending = [r.handle.pending for r in receipts]
         assert pending == sorted(pending), "fired receipts are not a prefix"
         if any(pending):
-            live[divmod(key, NODES)] = _live_payloads(connection.receipts)
+            live[divmod(key, NODES)] = _live_payloads(receipts)
     return live
+
+
+def _assert_fifo(log) -> None:
+    """Each directed pair's deliveries are in send order (payloads are
+    ``(step, index)``, increasing in send order) at non-decreasing
+    times."""
+    last = {}
+    for entry in log:
+        if entry[0] == "deliver":
+            _, src, dst, payload, now = entry
+            previous = last.get((src, dst))
+            if previous is not None:
+                assert previous[0] < payload, ("out of send order", entry)
+                assert previous[1] <= now, ("delivery time fell", entry)
+            last[src, dst] = (payload, now)
 
 
 # -- one observed stack per implementation --------------------------------------------
@@ -138,14 +154,15 @@ def _live_of_current(transport: ConnectionTransport) -> Dict[Tuple[int, int], li
 class Stack:
     """Simulator + fabric + transport with everything observable logged."""
 
-    def __init__(self, transport_cls, seed, jitter, capacity, policy):
+    def __init__(self, transport_cls, seed, bandwidths, capacity, policy):
         self.sim = Simulator(seed=seed)
         self.fabric = NetworkFabric(
             self.sim,
-            ClientNetworkModel.uniform(NODES, latency_ms=10.0),
+            complete_topology(NODES, latency_ms=10.0, jitter_ms=6.0, seed=seed),
             # A slow uplink queues bursts, so several packets per pair
-            # are in flight at once; jitter exercises the FIFO floor.
-            FabricConfig(bandwidth_bytes_per_ms=40.0, jitter_ms=jitter),
+            # are in flight at once; per-node overrides mix the speeds.
+            FabricConfig(bandwidth_bytes_per_ms=40.0),
+            node_bandwidth=bandwidths,
         )
         self.log = []
         self.fabric.set_observer(self)
@@ -179,16 +196,10 @@ class Stack:
             self.sim.run(until=self.sim.now + args[0])
         elif name == "silence":
             self.fabric.silence(args[0])
-        elif name == "unsilence":
-            self.fabric.unsilence(args[0])
-        elif name == "duplicate":
+        else:
             src, dst, probability = args
             if src != dst:
-                self.fabric.set_link(
-                    src, dst, LinkProfile(duplicate_probability=probability)
-                )
-        else:
-            self.fabric.clear_gray()
+                self.fabric.set_link(src, dst, LinkProfile(probability))
 
     def observable(self):
         return (
@@ -210,9 +221,7 @@ operation = st.one_of(
     send,
     st.tuples(st.just("run"), st.floats(min_value=0.0, max_value=25.0)),
     st.tuples(st.just("silence"), node),
-    st.tuples(st.just("unsilence"), node),
-    st.tuples(st.just("duplicate"), node, node, st.sampled_from([0.5, 1.0])),
-    st.tuples(st.just("clear_gray")),
+    st.tuples(st.just("lossy"), node, node, st.sampled_from([0.0, 0.5, 1.0])),
 )
 
 
@@ -221,17 +230,18 @@ operation = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(
     operations=st.lists(operation, min_size=1, max_size=40),
-    jitter=st.sampled_from([0.0, 6.0]),
+    bandwidths=st.dictionaries(node, st.sampled_from([None, 10.0, 400.0])),
     seed=st.integers(0, 1000),
 )
 def test_connection_records_match_full_scan_bookkeeping(
-    policy, capacity, operations, jitter, seed
+    policy, capacity, operations, bandwidths, seed
 ):
-    current = Stack(ConnectionTransport, seed, jitter, capacity, policy)
-    legacy = Stack(_LegacyConnectionTransport, seed, jitter, capacity, policy)
+    current = Stack(ConnectionTransport, seed, bandwidths, capacity, policy)
+    legacy = Stack(_LegacyConnectionTransport, seed, bandwidths, capacity, policy)
     for step, op in enumerate([*operations, ("run", 1e6)]):
         current.apply(step, op)
         legacy.apply(step, op)
         assert current.observable() == legacy.observable(), (step, op)
         assert _live_of_current(current.transport) == legacy.transport.live()
     assert current.sim.pending_events == 0
+    _assert_fifo(current.log)

@@ -1,12 +1,23 @@
-"""Network fabric tests."""
+"""Network fabric tests: silencing, serialization, link loss, latency."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.experiments import runner
+from repro.experiments.golden import (
+    CANONICAL_PARAMS,
+    canonical_model,
+    canonical_spec,
+    trace_digest,
+)
+from repro.experiments.scenarios import flat_factory, radius_factory
 from repro.metrics.recorder import MetricsRecorder
 from repro.network.fabric import FabricConfig, LinkProfile, NetworkFabric
 from repro.network.message import Packet
+from repro.runtime.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
 
@@ -58,13 +69,19 @@ def test_serialization_adds_to_latency():
 
 
 def test_loss_drops_packets():
-    sim, fabric = make_fabric(loss_probability=1.0)
+    sim, fabric = make_fabric()
     observer = RecordingObserver()
     fabric.set_observer(observer)
     fabric.register(1, lambda p: pytest.fail("must not deliver"))
+    # All-links loss, the shape GrayFailurePlan(lossy_link_fraction=1.0)
+    # applies.
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                fabric.set_link(src, dst, LinkProfile(loss_probability=1.0))
     assert fabric.send(packet()) is None
     sim.run()
-    assert observer.drops == [("MSG", "loss")]
+    assert observer.drops == [("MSG", "link-loss")]
 
 
 def test_silenced_sender_and_receiver():
@@ -77,13 +94,12 @@ def test_silenced_sender_and_receiver():
     fabric.silence(0)
     assert fabric.send(packet(src=0, dst=1)) is None
 
-    fabric.unsilence(0)
     fabric.silence(1)
-    fabric.send(packet(src=0, dst=1))
+    fabric.send(packet(src=3, dst=1))
     sim.run()
     reasons = [r for _, r in observer.drops]
     assert reasons == ["sender-silenced", "receiver-silenced"]
-    assert fabric.silenced_nodes == [1]
+    assert [fabric.is_silenced(n) for n in range(4)] == [True, True, False, False]
 
 
 def test_silencing_mid_flight_drops_at_destination():
@@ -94,16 +110,6 @@ def test_silencing_mid_flight_drops_at_destination():
     fabric.silence(1)  # packet is in flight
     sim.run()
     assert got == []
-
-
-def test_min_deliver_at_floor():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.register(1, lambda p: got.append(sim.now))
-    receipt = fabric.send(packet(), min_deliver_at=77.0)
-    assert receipt.deliver_at == 77.0
-    sim.run()
-    assert got == [77.0]
 
 
 def test_abort_cancels_in_flight():
@@ -142,8 +148,9 @@ def test_unknown_node_rejected():
 
 
 def test_abort_and_midflight_drop_reasons_reach_recorder():
-    """purged / sender-silenced / partitioned all land in the metrics
-    recorder's drop counters, including drops decided mid-flight."""
+    """purged / sender-silenced / receiver-silenced all land in the
+    metrics recorder's drop counters, including drops decided
+    mid-flight."""
     sim, fabric = make_fabric()
     recorder = MetricsRecorder()
     fabric.set_observer(recorder)
@@ -156,28 +163,13 @@ def test_abort_and_midflight_drop_reasons_reach_recorder():
     fabric.silence(2)
 
     sim.run()
-    fabric.unsilence(2)
-    fabric.send(packet(src=3, dst=1))  # partition forms mid-flight
-    fabric.partition([[0, 1, 2], [3]])
+    fabric.send(packet(src=3, dst=1))  # receiver silenced mid-flight
+    fabric.silence(1)
     sim.run()
 
     assert recorder.dropped_packets["purged"] == 1
     assert recorder.dropped_packets["sender-silenced"] == 1
-    assert recorder.dropped_packets["partitioned"] == 1
-
-
-def test_partition_midflight_drops_packet():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.register(1, got.append)
-    fabric.send(packet())
-    fabric.partition([[0, 2, 3], [1]])  # cut forms while in flight
-    sim.run()
-    assert got == []
-    fabric.heal()
-    fabric.send(packet())
-    sim.run()
-    assert len(got) == 1
+    assert recorder.dropped_packets["receiver-silenced"] == 1
 
 
 def test_abort_after_delivery_is_noop():
@@ -192,40 +184,7 @@ def test_abort_after_delivery_is_noop():
     assert observer.delivers != []
 
 
-# -- gray failures -------------------------------------------------------------
-
-
-def test_node_slowdown_stretches_serialization():
-    sim, fabric = make_fabric(bandwidth_bytes_per_ms=100.0)
-    got = []
-    fabric.register(1, lambda p: got.append(sim.now))
-    fabric.set_node_slowdown(0, bandwidth_factor=4.0)
-    fabric.send(packet(size=500))  # 4x5 ms serialization + 10 ms propagation
-    sim.run()
-    assert got == [pytest.approx(30.0)]
-
-
-def test_service_delay_applies_to_both_directions():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.register(1, lambda p: got.append(sim.now))
-    fabric.register(2, lambda p: got.append(sim.now))
-    fabric.set_node_slowdown(1, service_delay_ms=25.0)
-    fabric.send(packet(src=0, dst=1))  # slow receiver
-    fabric.send(packet(src=1, dst=2))  # slow sender
-    sim.run()
-    assert got == [pytest.approx(35.0), pytest.approx(35.0)]
-
-
-def test_clear_node_slowdown_restores_speed():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.register(1, lambda p: got.append(sim.now))
-    fabric.set_node_slowdown(0, service_delay_ms=100.0)
-    fabric.clear_node_slowdown(0)
-    fabric.send(packet())
-    sim.run()
-    assert got == [pytest.approx(10.0)]
+# -- link loss -----------------------------------------------------------------
 
 
 def test_link_loss_is_directional():
@@ -243,60 +202,78 @@ def test_link_loss_is_directional():
     assert ("MSG", "link-loss") in observer.drops
 
 
-def test_link_extra_latency_and_duplication():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.register(1, lambda p: got.append(sim.now))
-    fabric.set_link(
-        0, 1, LinkProfile(extra_latency_ms=5.0, duplicate_probability=1.0)
-    )
-    fabric.send(packet())
+def test_link_profile_validation():
+    with pytest.raises(ValueError):
+        LinkProfile(loss_probability=1.5)
+
+
+# -- a link table that changes nothing changes no run ---------------------------
+
+
+def run_spec(monkeypatch, factory, lossless_link):
+    """``run_experiment`` on the canonical model; with ``lossless_link``
+    a zero-loss profile on one directed link makes the link table
+    non-empty without changing any packet."""
+    tables = []
+
+    def build(*args, **kwargs):
+        cluster = Cluster(*args, **kwargs)
+        if lossless_link:
+            cluster.fabric.set_link(0, 1, LinkProfile())
+        tables.append(cluster.fabric.link_profile(0, 1))
+        return cluster
+
+    monkeypatch.setattr(runner, "Cluster", build)
+    spec = dataclasses.replace(canonical_spec("flat"), strategy_factory=factory)
+    result = runner.run_experiment(canonical_model(), spec)
+    assert tables == [LinkProfile() if lossless_link else None]
+    return result
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [flat_factory(1.0), radius_factory(CANONICAL_PARAMS)],
+    ids=["flat-1.0", "radius"],
+)
+def test_lossless_link_table_changes_no_run(monkeypatch, factory):
+    """The send loop looks links up only when the table is non-empty;
+    the lookup draws nothing and moves nothing."""
+    empty = run_spec(monkeypatch, factory, lossless_link=False)
+    lossless = run_spec(monkeypatch, factory, lossless_link=True)
+    assert trace_digest(empty) == trace_digest(lossless)
+    for counter in (
+        "sent_packets",
+        "sent_bytes",
+        "link_payload_counts",
+        "delivered_packets",
+        "dropped_packets",
+    ):
+        assert getattr(empty.recorder, counter) == getattr(lossless.recorder, counter)
+    assert empty.recorder.sent_packets["MSG"] > 0
+
+
+@pytest.mark.parametrize("lossless_link", [False, True], ids=["empty", "lossless"])
+def test_refused_sends_are_observed_exactly_once(lossless_link):
+    sim = Simulator(seed=1)
+    fabric = NetworkFabric(sim, ClientNetworkModel.uniform(4, latency_ms=10.0))
+    recorder = MetricsRecorder()
+    fabric.set_observer(recorder)
+    for node in range(4):
+        fabric.register(node, lambda packet: None)
+    if lossless_link:
+        fabric.set_link(2, 3, LinkProfile())
+    fabric.set_link(0, 2, LinkProfile(loss_probability=1.0))
+
+    def send(src, dst):
+        return fabric.send(Packet(src, dst, "MSG", None, 100))
+
+    assert send(0, 2) is None
+    assert send(0, 1) is not None
+    assert send(2, 3) is not None
+    fabric.silence(2)
+    assert send(2, 3) is None
     sim.run()
-    # Original at 10 + 5; the duplicate trails by one extra delay.
-    assert got == [pytest.approx(15.0), pytest.approx(30.0)]
 
-
-def test_clear_gray_removes_all_impairments():
-    sim, fabric = make_fabric()
-    got = []
-    fabric.register(1, lambda p: got.append(sim.now))
-    fabric.set_node_slowdown(0, service_delay_ms=50.0)
-    fabric.set_link(0, 1, LinkProfile(loss_probability=1.0))
-    fabric.clear_gray()
-    assert fabric.link_profile(0, 1) is None
-    assert fabric.node_service_delay(0) == 0.0
-    fabric.send(packet())
-    sim.run()
-    assert got == [pytest.approx(10.0)]
-
-
-def test_gray_knobs_do_not_perturb_base_randomness():
-    """Enabling a link profile elsewhere must not shift the jittered
-    delivery times of unimpaired traffic (separate RNG stream)."""
-
-    def delivery_times(impair: bool):
-        sim, fabric = make_fabric(jitter_ms=5.0)
-        if impair:
-            fabric.set_link(2, 3, LinkProfile(duplicate_probability=0.5))
-        times = []
-        fabric.register(1, lambda p: times.append(sim.now))
-        fabric.register(3, lambda p: None)
-        for _ in range(20):
-            fabric.send(packet())
-            fabric.send(packet(src=2, dst=3))
-        sim.run()
-        return times
-
-    assert delivery_times(False) == delivery_times(True)
-
-
-def test_jitter_within_bounds():
-    sim, fabric = make_fabric(jitter_ms=5.0)
-    times = []
-    fabric.register(1, lambda p: times.append(sim.now))
-    base = 0.0
-    for _ in range(50):
-        fabric.send(packet())
-    sim.run()
-    assert all(10.0 <= t - base <= 15.0 or t >= 10.0 for t in times)
-    assert max(times) > 10.0  # jitter actually applied
+    assert recorder.sent_packets == {"MSG": 4}
+    assert recorder.dropped_packets == {"link-loss": 1, "sender-silenced": 2}
+    assert recorder.delivered_packets == {"MSG": 1}

@@ -8,6 +8,7 @@ from repro.network.fabric import FabricConfig, NetworkFabric
 from repro.network.transport import ConnectionTransport, DatagramTransport
 from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
+from repro.topology.simple import complete_topology
 
 send_plan = st.lists(
     st.tuples(st.integers(0, 3), st.integers(0, 3)),  # (src, dst) pairs
@@ -23,11 +24,8 @@ send_plan = st.lists(
 def test_connection_transport_fifo_for_any_plan(plan, jitter, seed):
     """FIFO per directed pair holds for arbitrary interleavings."""
     sim = Simulator(seed=seed)
-    model = ClientNetworkModel.uniform(4, latency_ms=10.0)
-    fabric = NetworkFabric(
-        sim, model,
-        FabricConfig(bandwidth_bytes_per_ms=None, jitter_ms=jitter),
-    )
+    model = complete_topology(4, latency_ms=10.0, jitter_ms=jitter, seed=seed)
+    fabric = NetworkFabric(sim, model, FabricConfig(bandwidth_bytes_per_ms=None))
     transport = ConnectionTransport(fabric)
     endpoints = [transport.endpoint(node) for node in range(4)]
     received = {node: [] for node in range(4)}

@@ -17,6 +17,9 @@ from repro.experiments.workload import TrafficConfig
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
+from repro.monitors.latency import LatencyMonitorConfig
+from repro.monitors.ranking import RankingConfig
+from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig
 from repro.runtime.cluster import ClusterConfig
 from repro.scheduler.interfaces import SchedulerConfig
@@ -159,13 +162,43 @@ def test_vector_backend_is_worker_count_invariant() -> None:
     "field, cluster",
     [
         (
-            "cluster.fabric.loss_probability",
-            ClusterConfig(fabric=FabricConfig(loss_probability=0.1)),
-        ),
-        ("cluster.fabric.jitter_ms", ClusterConfig(fabric=FabricConfig(jitter_ms=5.0))),
-        (
             "cluster.scheduler.ihave_batch_window_ms",
             ClusterConfig(scheduler=SchedulerConfig(ihave_batch_window_ms=30.0)),
+        ),
+        (
+            "cluster.scheduler.cache_capacity",
+            ClusterConfig(scheduler=SchedulerConfig(cache_capacity=1)),
+        ),
+        (
+            "cluster.scheduler.received_capacity",
+            ClusterConfig(scheduler=SchedulerConfig(received_capacity=1)),
+        ),
+        (
+            "cluster.scheduler.payload_bytes",
+            ClusterConfig(scheduler=SchedulerConfig(payload_bytes=512)),
+        ),
+        (
+            "cluster.gossip.known_ids_capacity",
+            ClusterConfig(gossip=GossipConfig(known_ids_capacity=1)),
+        ),
+        ("cluster.use_connections", ClusterConfig(use_connections=False)),
+        (
+            "cluster.connection_buffer_capacity",
+            ClusterConfig(connection_buffer_capacity=1),
+        ),
+        (
+            "cluster.connection_purge_policy",
+            ClusterConfig(connection_purge_policy=PurgePolicy.DROP_NEWEST),
+        ),
+        ("cluster.enable_latency_monitor", ClusterConfig(enable_latency_monitor=True)),
+        (
+            "cluster.latency_monitor",
+            ClusterConfig(latency_monitor=LatencyMonitorConfig(probe_period_ms=1.0)),
+        ),
+        ("cluster.enable_gossip_ranking", ClusterConfig(enable_gossip_ranking=True)),
+        (
+            "cluster.ranking",
+            ClusterConfig(ranking=RankingConfig(exchange_period_ms=1.0)),
         ),
     ],
 )
@@ -176,33 +209,22 @@ def test_vector_backend_rejects_event_only_settings_by_name(field, cluster) -> N
         megasim_spec(spec, MODEL.size)
 
 
+def test_vector_backend_approximates_overlay_and_bandwidth() -> None:
+    """The three approximated settings translate like the defaults."""
+    approximated = ClusterConfig(
+        gossip=GossipConfig(fanout=23, rounds=6),
+        fabric=FabricConfig(bandwidth_bytes_per_ms=None),
+        overlay=None,
+        bootstrap_degree=3,
+    )
+    assert megasim_spec(tiny_spec(cluster=approximated), MODEL.size) == (
+        megasim_spec(tiny_spec(), MODEL.size)
+    )
+
+
 def test_vector_backend_rejects_node_classes_by_name() -> None:
     spec = tiny_spec(node_classes=lambda model: {"best": [0]})
     with pytest.raises(ValueError, match="does not support spec.node_classes"):
-        megasim_spec(spec, MODEL.size)
-
-
-@pytest.mark.parametrize(
-    "field, plan",
-    [
-        ("slow_fraction", GrayFailurePlan(slow_fraction=0.1)),
-        ("flappy_fraction", GrayFailurePlan(flappy_fraction=0.1)),
-        (
-            "link_extra_latency_ms",
-            GrayFailurePlan(lossy_link_fraction=0.1, link_extra_latency_ms=5.0),
-        ),
-        (
-            "link_duplicate_probability",
-            GrayFailurePlan(
-                lossy_link_fraction=0.1, link_duplicate_probability=0.1
-            ),
-        ),
-    ],
-)
-def test_vector_backend_rejects_gray_subfields_by_name(field, plan) -> None:
-    pytest.importorskip("numpy")
-    spec = tiny_spec(gray=plan)
-    with pytest.raises(ValueError, match=f"does not support spec.gray.{field}"):
         megasim_spec(spec, MODEL.size)
 
 

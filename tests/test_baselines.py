@@ -12,13 +12,11 @@ from repro.sim.engine import Simulator
 from repro.topology.simple import random_metric_topology
 
 
-def make_stack(n=16, seed=1, jitter=0.0):
+def make_stack(n=16, seed=1):
     sim = Simulator(seed=seed)
     model = random_metric_topology(n, mean_latency_ms=40.0, seed=seed)
     # Infinite uplink bandwidth so tree latencies are pure path latency.
-    fabric = NetworkFabric(
-        sim, model, FabricConfig(bandwidth_bytes_per_ms=None, jitter_ms=jitter)
-    )
+    fabric = NetworkFabric(sim, model, FabricConfig(bandwidth_bytes_per_ms=None))
     transport = ConnectionTransport(fabric)
     deliveries = {}
 
