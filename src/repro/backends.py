@@ -8,7 +8,8 @@ slot-synchronous, 10^5-10^6 nodes) runs a
 :class:`~repro.megasim.runner.MegasimSpec`, and :func:`megasim_spec` is
 the one place an experiment spec becomes one: the same frozen strategy
 factory, the same ``GossipConfig`` fanout and round cap, the same
-traffic, seed and retry period, and the same fault plans: crash-stop
+traffic, seed, retry period and payload size (both read
+``SchedulerConfig``'s), and the same fault plans: crash-stop
 silencing and per-link loss are the one fault model both kernels run.
 
 ``repro run --backend vector`` makes the tier choice once: up to
@@ -47,8 +48,8 @@ DENSE_MODEL_LIMIT = 4096
 _TRANSLATED = frozenset({
     "cluster.gossip.fanout",
     "cluster.gossip.rounds",
-    "cluster.gossip.payload_bytes",
     "cluster.scheduler.retry_period_ms",
+    "cluster.scheduler.payload_bytes",
     "cluster.overlay",
     "cluster.bootstrap_degree",
     "cluster.fabric",
@@ -111,7 +112,7 @@ def megasim_spec(
         messages=spec.traffic.messages,
         seed=spec.seed,
         retry_period_ms=cluster.scheduler.retry_period_ms,
-        payload_bytes=gossip.payload_bytes,
+        payload_bytes=cluster.scheduler.payload_bytes,
         view_degree=view_degree,
         track_links=track_links,
         failure=spec.failure,

@@ -78,13 +78,12 @@ def recommended_rounds(nodes: int, fanout: int, margin: int = 3) -> int:
 class GossipConfig:
     """Parameters of the Fig. 2 protocol (paper defaults).
 
-    ``payload_bytes`` is the application payload size used for wire-size
-    accounting; the gossip logic itself is payload-agnostic.
+    The gossip logic is payload-agnostic: the payload's wire size is
+    :attr:`repro.scheduler.interfaces.SchedulerConfig.payload_bytes`.
     """
 
     fanout: int = 11
     rounds: int = 6
-    payload_bytes: int = 256
     known_ids_capacity: int = 4096
 
     def __post_init__(self) -> None:
@@ -92,8 +91,6 @@ class GossipConfig:
             raise ValueError(f"fanout must be >= 1, got {self.fanout}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.payload_bytes < 1:
-            raise ValueError(f"payload_bytes must be >= 1")
 
     @classmethod
     def for_population(cls, nodes: int, fanout: int = 11, **kwargs) -> "GossipConfig":

@@ -74,27 +74,31 @@ class MetricsRecorder:
         self.on_send_burst((packet,), now)
 
     def on_send_burst(self, packets: Sequence[Packet], now: float) -> None:
-        """``on_send`` for each packet of a burst, in one call."""
+        """``on_send`` for each packet of a burst, in one call.  A burst
+        has one sender, so its payload count is added once."""
         if not self.recording:
             return
         sent_packets = self.sent_packets
         sent_bytes = self.sent_bytes
         link_payload_counts = self.link_payload_counts
-        node_payload_sent = self.node_payload_sent
+        src = packets[0].src
+        payloads = 0
         for packet in packets:
             kind = packet.kind
             sent_packets[kind] += 1
             sent_bytes[kind] += packet.size_bytes
             if kind in PAYLOAD_KINDS:
-                src = packet.src
                 link_payload_counts[src, packet.dst] += 1
-                node_payload_sent[src] += 1
+                payloads += 1
+        if payloads:
+            self.node_payload_sent[src] += payloads
 
     def on_deliver(self, packet: Packet, now: float) -> None:
         if not self.recording:
             return
-        self.delivered_packets[packet.kind] += 1
-        if packet.kind in PAYLOAD_KINDS:
+        kind = packet.kind
+        self.delivered_packets[kind] += 1
+        if kind in PAYLOAD_KINDS:
             self.node_payload_received[packet.dst] += 1
 
     def on_drop(self, packet: Packet, now: float, reason: str) -> None:

@@ -26,13 +26,18 @@ having to do any accounting.
 Packets enter in bursts: :meth:`NetworkFabric.send_many` takes the
 copies one sender hands over at one instant (a gossip forward's ``f``
 copies), and :meth:`NetworkFabric.send` is a burst of one.  One loop runs
-the stages above over a burst in packet order, with the same sequence
-numbers, NIC departures and draws as one send per packet; a link without
-loss draws nothing.  The in-flight record is the delivery event itself
-(:class:`SendReceipt`): its ``time`` is the delivery time and its
-``args`` hold the packet.  One sender's NIC is FIFO and a pair's delay
-is one matrix entry, so the packets of one directed pair are delivered
-in send order, at non-decreasing times.
+the stages above over a burst in packet order -- reserving the sender's
+NIC, drawing link loss and adding the pair's latency -- with the same
+sequence numbers, NIC departures and draws as one send per packet; a
+link without loss draws nothing.  The in-flight record is the delivery
+event itself (:class:`SendReceipt`): its ``time`` is the delivery time
+and its ``args`` hold the packet.  One sender's NIC is FIFO and a pair's
+delay is one matrix entry, so the packets of one directed pair are
+delivered in send order, at non-decreasing times.  That is what lets a
+connection (:mod:`repro.network.transport`) hold its in-flight receipts
+only: a delivered one leaves at delivery, through the receive callback,
+and one dropped on arrival through the ``lost`` callback of
+:meth:`NetworkFabric.register`.
 """
 
 from __future__ import annotations
@@ -114,13 +119,14 @@ class SendReceipt(Event):
         return self
 
 
-def _observe_burst(
+def _observe(
     observer: PacketObserver, packets: Sequence[Packet], now: float
 ) -> None:
-    burst = getattr(observer, "on_send_burst", None)
-    if burst is not None:
-        burst(packets, now)
-        return
+    if len(packets) > 1:
+        burst = getattr(observer, "on_send_burst", None)
+        if burst is not None:
+            burst(packets, now)
+            return
     for packet in packets:
         observer.on_send(packet, now)
 
@@ -139,6 +145,7 @@ class NetworkFabric:
         self.model = model
         self.config = config or FabricConfig()
         self._handlers: Dict[int, Handler] = {}
+        self._lost: Dict[int, Handler] = {}
         self._silenced: List[bool] = [False] * model.size
         self._gray_rng = sim.rng.stream("network.fabric.gray")
         self._links: Dict[Tuple[int, int], LinkProfile] = {}
@@ -160,12 +167,21 @@ class NetworkFabric:
 
     # -- wiring -------------------------------------------------------------
 
-    def register(self, node: int, handler: Handler) -> None:
-        """Attach the receive callback for ``node``.  One per node."""
+    def register(
+        self, node: int, handler: Handler, lost: Optional[Handler] = None
+    ) -> None:
+        """Attach the receive callback for ``node``.  One per node.
+
+        ``lost``, when given, is called instead of ``handler`` for a
+        packet addressed to ``node`` that was in flight and is dropped on
+        arrival because one of its ends was silenced meanwhile.
+        """
         if node in self._handlers:
             raise ValueError(f"node {node} already registered")
         self._check_node(node)
         self._handlers[node] = handler
+        if lost is not None:
+            self._lost[node] = lost
 
     def set_observer(self, observer: Optional[PacketObserver]) -> None:
         self.observer = observer
@@ -201,51 +217,77 @@ class NetworkFabric:
         """Inject a burst: packets one sender hands over at this instant.
 
         Returns, per packet, its :class:`SendReceipt` while in flight, or
-        ``None`` when it was dropped at the source.  The burst is
-        observed once, the NIC is reserved for every packet, and one
-        call schedules every receipt.
+        ``None`` when it was dropped at the source.  One loop reserves
+        the NIC for every packet, makes the link-loss draws and computes
+        the delivery times; then the burst is observed once and one call
+        schedules every receipt.
         """
         sim = self.sim
         now = sim.now
-        sizes = []
-        for packet in packets:
-            packet.sent_at = now
-            sizes.append(packet.size_bytes)
         observer = self.observer
-        if observer is not None:
-            if len(packets) == 1:
-                observer.on_send(packets[0], now)
-            else:
-                _observe_burst(observer, packets, now)
         src = packets[0].src
         if self._silenced[src]:
             for packet in packets:
+                packet.sent_at = now
+            if observer is not None:
+                _observe(observer, packets, now)
+            for packet in packets:
                 self._drop(packet, "sender-silenced")
             return [None] * len(packets)
-        departures = self.nics[src].transmissions_done_at(now, sizes)
+        nic = self.nics[src]
+        bandwidth = nic.bandwidth_bytes_per_ms
+        free_at = nic.uplink_free_at
+        if free_at < now:
+            free_at = now
+        busy = nic.busy_time_ms
+        sent_bytes = 0
         links = self._links
         row = self._latency_rows[src]
         times = []
         args = []
-        placed: List[Optional[int]] = []  # index into ``times`` per packet
-        for packet, departed in zip(packets, departures):
+        lost: List[int] = []  # link-loss victims, by index in ``packets``
+        for packet in packets:
+            packet.sent_at = now
+            size = packet.size_bytes
+            sent_bytes += size
+            if bandwidth is not None:
+                # The uplink is FIFO: a running sum of serialization
+                # times, each packet leaving where the previous one ended.
+                duration = size / bandwidth
+                free_at += duration
+                busy += duration
             dst = packet.dst
-            link = links.get((src, dst)) if links else None
-            if (
-                link is not None
-                and link.loss_probability > 0.0
-                and self._gray_rng.random() < link.loss_probability
-            ):
-                self._drop(packet, "link-loss")
-                placed.append(None)
-                continue
-            placed.append(len(times))
-            times.append(departed + row[dst])
+            if links:
+                link = links.get((src, dst))
+                if (
+                    link is not None
+                    and link.loss_probability > 0.0
+                    and self._gray_rng.random() < link.loss_probability
+                ):
+                    lost.append(len(times) + len(lost))
+                    continue
+            times.append(free_at + row[dst])
             args.append((packet,))
-        receipts = sim.schedule_at_many(times, self._deliver, args, SendReceipt)
-        if len(receipts) == len(packets):
-            return receipts
-        return [None if at is None else receipts[at] for at in placed]
+        nic.bytes_sent += sent_bytes
+        nic.packets_sent += len(packets)
+        if bandwidth is not None:
+            nic.uplink_free_at = free_at
+            nic.busy_time_ms = busy
+        if observer is not None:
+            if len(packets) == 1:
+                observer.on_send(packets[0], now)
+            else:
+                _observe(observer, packets, now)
+        if not lost:
+            return sim.schedule_at_many(times, self._deliver, args, SendReceipt)
+        for index in lost:
+            self._drop(packets[index], "link-loss")
+        placed: List[Optional[SendReceipt]] = list(
+            sim.schedule_at_many(times, self._deliver, args, SendReceipt)
+        )
+        for index in lost:
+            placed.insert(index, None)
+        return placed
 
     def abort(self, receipt: SendReceipt, reason: str = "purged") -> None:
         """Cancel an in-flight packet (connection-buffer purging)."""
@@ -259,9 +301,9 @@ class NetworkFabric:
         if silenced[packet.src]:
             # The sender was firewalled while the packet was in flight; a
             # firewall drops it at the source network, so it never arrives.
-            self._drop(packet, "sender-silenced")
+            self._drop_arrival(packet, "sender-silenced")
         elif silenced[dst]:
-            self._drop(packet, "receiver-silenced")
+            self._drop_arrival(packet, "receiver-silenced")
         else:
             handler = self._handlers.get(dst)
             if handler is None:
@@ -271,6 +313,12 @@ class NetworkFabric:
             if observer is not None:
                 observer.on_deliver(packet, self.sim.now)
             handler(packet)
+
+    def _drop_arrival(self, packet: Packet, reason: str) -> None:
+        self._drop(packet, reason)
+        lost = self._lost.get(packet.dst)
+        if lost is not None:
+            lost(packet)
 
     def _drop(self, packet: Packet, reason: str) -> None:
         if self.observer is not None:

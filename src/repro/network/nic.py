@@ -9,20 +9,25 @@ model reproduces that effect: each node owns an uplink of
 ``bandwidth_bytes_per_ms`` and packets queue for serialization in FIFO
 order.  So one sender's packets depart in the order it handed them
 over, which is what keeps a connection's deliveries in send order
-(:mod:`repro.network.transport`).
+(:mod:`repro.network.transport`, where a connection holds its in-flight
+receipts and a delivered one leaves at delivery).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 
 class NetworkInterface:
-    """Tracks when a node's uplink is next free.
+    """A node's uplink: when it is next free, and what it has sent.
 
-    The fabric asks :meth:`transmissions_done_at` for every burst of
-    outgoing packets; the answer is when each packet's last byte leaves
-    the host, i.e. the earliest moment its propagation delay can start.
+    :meth:`repro.network.fabric.NetworkFabric.send_many` reserves it in
+    the same loop that draws link loss and computes delivery times: each
+    packet of a burst starts serializing where the previous one ended,
+    or at the send instant if the uplink was idle, and takes
+    ``size_bytes / bandwidth_bytes_per_ms``.  That running sum advances
+    :attr:`uplink_free_at` and :attr:`busy_time_ms`; an infinitely fast
+    uplink (``None`` bandwidth) only counts.
     """
 
     def __init__(self, bandwidth_bytes_per_ms: Optional[float]) -> None:
@@ -32,50 +37,14 @@ class NetworkInterface:
                 f"bandwidth must be positive, got {bandwidth_bytes_per_ms}"
             )
         self.bandwidth_bytes_per_ms = bandwidth_bytes_per_ms
-        self._uplink_free_at = 0.0
+        #: When the last reserved byte leaves the host.
+        self.uplink_free_at = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
         self.busy_time_ms = 0.0
 
-    def transmissions_done_at(
-        self, now: float, sizes: Sequence[int]
-    ) -> List[float]:
-        """Reserve uplink time for packets handed over back to back at
-        ``now``; return their serialization completion times, in order.
-
-        A running sum: each packet starts where the previous one ended,
-        with the same float additions as one reservation per packet.
-        """
-        self.bytes_sent += sum(sizes)
-        self.packets_sent += len(sizes)
-        bandwidth = self.bandwidth_bytes_per_ms
-        if bandwidth is None:
-            return [now] * len(sizes)
-        free_at = self._uplink_free_at
-        if free_at < now:
-            free_at = now
-        busy = self.busy_time_ms
-        done: List[float] = []
-        for size in sizes:
-            duration = size / bandwidth
-            free_at += duration
-            busy += duration
-            done.append(free_at)
-        self._uplink_free_at = free_at
-        self.busy_time_ms = busy
-        return done
-
-    @property
-    def queue_delay(self) -> float:
-        """How far ahead of "now" the uplink is currently booked.
-
-        Only meaningful relative to the caller's clock; exposed for
-        metrics and tests.
-        """
-        return self._uplink_free_at
-
     def reset(self) -> None:
-        self._uplink_free_at = 0.0
+        self.uplink_free_at = 0.0
         self.bytes_sent = 0
         self.packets_sent = 0
         self.busy_time_ms = 0.0

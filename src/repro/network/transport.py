@@ -20,16 +20,20 @@ one.  A burst goes to the fabric as one :meth:`NetworkFabric.send_many`
 call, a lone packet through :meth:`NetworkFabric.send`, so observers and
 per-call probes see single sends as before.
 
-A connection's whole state is its list of in-flight receipts in send
-order, found by one int-keyed lookup per packet.  The fabric delivers a
-directed pair's packets at non-decreasing times (one FIFO uplink, one
-latency per pair) and same-instant events fire in scheduling order, so
-the receipts that have already fired are always a prefix of that list
-(purge victims are popped when aborted, source-dropped sends never
-enter): reaping pops that prefix, never scanning the rest.  A burst is
-reaped, purged and sent in packet order; a second packet for one
-connection within a burst first sends what precedes it, so that the
-buffer it is counted against holds the first one.
+A connection holds its in-flight receipts; a delivered one leaves at
+delivery.  Its whole state is that list, in send order, found by one
+int-keyed lookup per packet.  The fabric delivers a directed pair's
+packets at non-decreasing times (one FIFO uplink, one latency per pair)
+and same-instant events fire in scheduling order, so the receipts that
+have fired are always a prefix of the list (purge victims are popped
+when aborted, source-dropped sends never enter).  The receiving endpoint
+pops that prefix -- the receipt itself -- when its packet arrives, or is
+dropped on arrival because an end was silenced meanwhile.  Only a
+packet to a node that has no endpoint fires without reaching one; the
+send side pops such receipts when it finds the buffer at capacity,
+before purging.  A burst is purged and sent in packet order; a second
+packet for one connection within a burst first sends what precedes it,
+so that the buffer it is counted against holds the first one.
 """
 
 from __future__ import annotations
@@ -53,7 +57,9 @@ class Endpoint:
         self.node = node
         self._receiver: Optional[Receiver] = None
         self._listeners: Dict[str, Receiver] = {}
-        transport._fabric.register(node, self._on_packet)
+        self._connections = transport._connections
+        self._size = transport._size
+        transport._fabric.register(node, self._on_packet, self._on_lost)
 
     def set_receiver(self, receiver: Receiver) -> None:
         """Install the up-call invoked as ``receiver(src, kind, payload)``
@@ -84,7 +90,19 @@ class Endpoint:
             ]
         )
 
+    def _on_lost(self, packet: Packet) -> None:
+        """A packet in flight to this node was dropped on arrival: its
+        receipt, the fired prefix, leaves its connection."""
+        receipts = self._connections.get(packet.src * self._size + self.node)
+        if receipts and receipts[0].fired:
+            del receipts[0]
+
     def _on_packet(self, packet: Packet) -> None:
+        # The delivered receipt leaves its connection as in ``_on_lost``
+        # (inlined: this runs once per delivered packet).
+        receipts = self._connections.get(packet.src * self._size + self.node)
+        if receipts and receipts[0].fired:
+            del receipts[0]
         kind = packet.kind
         receiver = self._listeners.get(kind, self._receiver)
         if receiver is not None:
@@ -96,6 +114,10 @@ class Transport:
 
     def __init__(self, fabric: NetworkFabric) -> None:
         self._fabric = fabric
+        self._size = fabric.size
+        #: ``src * size + dst`` -> the directed connection's in-flight
+        #: receipts, oldest first (a datagram transport keeps none).
+        self._connections: Dict[int, List[SendReceipt]] = {}
 
     @property
     def fabric(self) -> NetworkFabric:
@@ -113,20 +135,17 @@ class Transport:
         """Submit a burst (a single send is a burst of one)."""
         raise NotImplementedError
 
-    def _inject(self, packets: Sequence[Packet]) -> Sequence[Optional[SendReceipt]]:
-        """Hand packets to the fabric: a lone one through ``send`` (so it
-        is observed, and counted, as a single send), more as one burst."""
-        if len(packets) == 1:
-            return (self._fabric.send(packets[0]),)
-        return self._fabric.send_many(packets)
-
 
 class DatagramTransport(Transport):
     """Unordered, independently lossy point-to-point packets."""
 
     def _submit_many(self, packets: Sequence[Packet]) -> None:
-        if packets:
-            self._inject(packets)
+        # A lone packet goes through ``send``, so it is observed, and
+        # counted, as a single send.
+        if len(packets) == 1:
+            self._fabric.send(packets[0])
+        elif packets:
+            self._fabric.send_many(packets)
 
 
 class ConnectionTransport(Transport):
@@ -150,40 +169,52 @@ class ConnectionTransport(Transport):
             raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
         self.buffer_capacity = buffer_capacity
         self.purge_policy = purge_policy
-        #: ``src * size + dst`` -> the directed connection's in-flight
-        #: receipts, oldest first.
-        self._connections: Dict[int, List[SendReceipt]] = {}
-        self._size = fabric.size
         self._rng = fabric.sim.rng.stream("network.connections")
         self.purged_count = 0
 
     def _submit_many(self, packets: Sequence[Packet]) -> None:
-        size = self._size
+        if not packets:
+            return
+        # One sender per burst: its connections' keys share a base.
+        base = packets[0].src * self._size
         connections = self._connections
         capacity = self.buffer_capacity
+        fabric = self._fabric
         burst: List[Packet] = []
         keys: List[int] = []
         queues: List[List[SendReceipt]] = []
         for packet in packets:
-            key = packet.src * size + packet.dst
+            key = base + packet.dst
             receipts = connections.get(key)
             if receipts is None:
                 receipts = connections[key] = []
             elif key in keys:
-                self._send(burst, queues)
+                # Send what precedes the repeat (module docstring).
+                sent = fabric.send_many(burst) if len(burst) > 1 else (
+                    fabric.send(burst[0]),
+                )
+                for queue, receipt in zip(queues, sent):
+                    if receipt is not None:
+                        queue.append(receipt)
                 burst = []
                 keys = []
                 queues = []
-            # Reap the fired prefix (module docstring).
-            while receipts and (receipts[0].fired or receipts[0].cancelled):
-                del receipts[0]
-            if len(receipts) >= capacity and self._purge(packet, receipts):
-                continue
+            if len(receipts) >= capacity:
+                # Only receipts that never reached an endpoint can have
+                # left the queue here (module docstring).
+                while receipts and not receipts[0].pending:
+                    del receipts[0]
+                if len(receipts) >= capacity and self._purge(packet, receipts):
+                    continue
             burst.append(packet)
             keys.append(key)
             queues.append(receipts)
-        if burst:
-            self._send(burst, queues)
+        if not burst:
+            return
+        sent = fabric.send_many(burst) if len(burst) > 1 else (fabric.send(burst[0]),)
+        for queue, receipt in zip(queues, sent):
+            if receipt is not None:
+                queue.append(receipt)
 
     def _purge(self, packet: Packet, receipts: List[SendReceipt]) -> bool:
         """Make room in a full buffer; True when ``packet`` itself was
@@ -205,10 +236,3 @@ class ConnectionTransport(Transport):
             victim = self._rng.choice(range(len(receipts)))
         self._fabric.abort(receipts.pop(victim))
         return False
-
-    def _send(
-        self, packets: List[Packet], queues: List[List[SendReceipt]]
-    ) -> None:
-        for receipts, receipt in zip(queues, self._inject(packets)):
-            if receipt is not None:
-                receipts.append(receipt)

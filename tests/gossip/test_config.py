@@ -67,7 +67,6 @@ def test_invalid_inputs_rejected():
 def test_gossip_config_defaults_and_validation():
     config = GossipConfig()
     assert config.fanout == 11
-    assert config.payload_bytes == 256
     with pytest.raises(ValueError):
         GossipConfig(fanout=0)
     with pytest.raises(ValueError):

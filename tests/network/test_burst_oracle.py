@@ -6,7 +6,10 @@ per-packet code that burst replaced -- ``ConnectionTransport._submit``,
 ``NetworkFabric.send`` / ``abort`` with their ``SendReceipt`` record,
 ``NetworkInterface.transmission_done_at`` -- cut to the stages the fabric
 still has: silencing, uplink serialization, directed-link loss and the
-pair's latency.  It drives both through the same interleavings of bursts
+pair's latency -- plus the connection rule both follow: a connection
+holds its in-flight receipts, and a delivered one leaves at delivery
+(so does one dropped on arrival because an end was silenced).  It
+drives both through the same interleavings of bursts
 (1-16 distinct destinations, mixed MSG/IHAVE), single sends and
 ``run(until=...)`` steps, under per-node bandwidth overrides, link loss
 on one directed link or on every one (the shape
@@ -15,21 +18,25 @@ and receivers, buffer capacities 1-4 under every :class:`PurgePolicy`,
 and an observer or none.  After every step it compares, per packet, the
 live queue entries ``(time, seq)`` and the firing order with delivery
 times; and the observer's totals and drop reasons, every NIC's state,
-every connection's live in-flight list, and the ``network.fabric.gray``
+every connection's whole receipt list, and the ``network.fabric.gray``
 and ``network.connections`` stream states.
 
 Mutants of the burst path this kills, each a one-token or one-line edit
 (checked when written):
 
-- running-sum order: ``free_at += duration`` moved after ``done.append``
-  in ``NetworkInterface.transmissions_done_at`` (each packet reports its
-  start, not its end);
+- running-sum order: ``free_at += duration`` moved below
+  ``times.append(...)`` in ``NetworkFabric.send_many``'s loop (each
+  packet departs at its start, not its end);
 - seq order: ``(time, seq, ...)`` -> ``(time, -seq, ...)`` in
   ``EventQueue.push_many``'s heap entry;
 - purge victim: ``victim = 0`` -> ``victim = -1`` in
   ``ConnectionTransport._purge``;
 - a draw for a lossless link: the ``link.loss_probability > 0.0`` guard
-  removed from ``NetworkFabric.send_many``'s loss check.
+  removed from ``NetworkFabric.send_many``'s loss check;
+- delivered receipt left in its list: the fired-prefix pop removed from
+  ``Endpoint._on_packet`` in ``repro.network.transport``;
+- receipt dropped on arrival left in its list: the same pop removed from
+  ``Endpoint._on_lost``.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, LinkProfile, NetworkFabric
 from repro.network.message import Packet, SlotRecord
 from repro.network.nic import NetworkInterface
-from repro.network.transport import ConnectionTransport
+from repro.network.transport import ConnectionTransport, Endpoint
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle
 from repro.topology.geometry import Point
@@ -79,13 +86,13 @@ class ReferenceInterface(NetworkInterface):
         self.packets_sent += 1
         if self.bandwidth_bytes_per_ms is None:
             return now
-        start = self._uplink_free_at
+        start = self.uplink_free_at
         if start < now:
             start = now
         duration = size_bytes / self.bandwidth_bytes_per_ms
-        self._uplink_free_at = start + duration
+        self.uplink_free_at = start + duration
         self.busy_time_ms += duration
-        return self._uplink_free_at
+        return self.uplink_free_at
 
 
 class ReferenceFabric(NetworkFabric):
@@ -131,8 +138,28 @@ class ReferenceFabric(NetworkFabric):
             self._drop(receipt.packet, reason)
 
 
+class ReferenceEndpoint(Endpoint):
+    """An endpoint that pops an arriving packet's receipt."""
+
+    def _on_lost(self, packet: Packet) -> None:
+        key = packet.src * self._size + packet.dst
+        receipts = self._connections.get(key, [])
+        # The arriving receipt heads its list: pop the fired prefix.
+        while receipts and not receipts[0].handle.pending:
+            del receipts[0]
+
+    def _on_packet(self, packet: Packet) -> None:
+        self._on_lost(packet)
+        receiver = self._listeners.get(packet.kind, self._receiver)
+        if receiver is not None:
+            receiver(packet.src, packet.kind, packet.payload)
+
+
 class ReferenceTransport(ConnectionTransport):
     """The connection transport submitting one packet at a time."""
+
+    def endpoint(self, node: int) -> Endpoint:
+        return ReferenceEndpoint(self, node)
 
     def _submit_many(self, packets) -> None:
         for packet in packets:
@@ -141,9 +168,6 @@ class ReferenceTransport(ConnectionTransport):
     def _submit(self, packet: Packet) -> None:
         key = packet.src * self._size + packet.dst
         receipts = self._connections.setdefault(key, [])
-        # Reap the fired prefix.
-        while receipts and not receipts[0].handle.pending:
-            del receipts[0]
         if len(receipts) >= self.buffer_capacity:
             self.purged_count += 1
             if self.purge_policy is PurgePolicy.DROP_NEWEST:
@@ -260,17 +284,15 @@ class Stack:
         return sorted(entries)
 
     def connections(self):
+        """Every connection's whole receipt list: payload and whether it
+        is still in flight."""
         state = {}
         for key, receipts in self.transport._connections.items():
             if self.batched:
-                live = [
-                    r.args[0].payload
-                    for r in receipts
-                    if not (r.fired or r.cancelled)
-                ]
+                held = [(r.args[0].payload, r.pending) for r in receipts]
             else:
-                live = [r.packet.payload for r in receipts if r.handle.pending]
-            state[key] = live
+                held = [(r.packet.payload, r.handle.pending) for r in receipts]
+            state[key] = held
         return state
 
     def observable(self):
@@ -281,7 +303,7 @@ class Stack:
             self.received,
             self.totals,
             [
-                (nic._uplink_free_at, nic.bytes_sent, nic.packets_sent, nic.busy_time_ms)
+                (nic.uplink_free_at, nic.bytes_sent, nic.packets_sent, nic.busy_time_ms)
                 for nic in self.fabric.nics
             ],
             self.connections(),

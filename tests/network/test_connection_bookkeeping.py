@@ -1,11 +1,13 @@
 """Differential property test for the connection transport's bookkeeping.
 
-``ConnectionTransport`` keeps one receipt list per directed connection
-and reaps only the *fired prefix* of it.  That must be observationally
-identical to the bookkeeping it replaced -- a tuple-keyed dict of
-in-flight sets and a full rescan of the set on every send -- of which
-this file carries a copy (less the FIFO floor it also kept: the fabric
-now delivers each pair in order by construction).  Hypothesis drives
+``ConnectionTransport`` keeps one receipt list per directed connection,
+holding exactly the in-flight receipts: a delivered one leaves at
+delivery (so does one dropped on arrival because an end was silenced).
+That must be observationally identical to the bookkeeping it replaced
+-- a tuple-keyed dict of in-flight sets and a full rescan of the set on
+every send -- of which this file carries a copy (less the FIFO floor it
+also kept: the fabric now delivers each pair in order by
+construction).  Hypothesis drives
 both through the same interleavings of send / ``run(until=...)`` /
 silence / lossy links, under per-node bandwidth overrides, for every
 purge policy and small capacities, and after every step compares:
@@ -16,7 +18,12 @@ purge policy and small capacities, and after every step compares:
 - the state of the ``network.connections`` stream (equal states from
   equal seeds mean equal draw counts, and equal ``DROP_RANDOM`` victims);
 - the live in-flight set per pair, in insertion order -- what a purge
-  decision sees -- and that fired receipts really are a prefix.
+  decision sees -- and that no list holds a receipt that has fired.
+
+Two fixed interleavings per policy and capacity fill a buffer: right
+after receipts on it were dropped on arrival at a silenced node, and
+with receipts to a node that has no endpoint, which only the send side
+reaps.
 
 With no floor anywhere, the run must still be FIFO: each connection's
 packets are delivered in send order, at non-decreasing times.
@@ -126,9 +133,8 @@ def _live_payloads(receipts) -> list:
 def _live_of_current(transport: ConnectionTransport) -> Dict[Tuple[int, int], list]:
     live = {}
     for key, receipts in transport._connections.items():
-        pending = [r.handle.pending for r in receipts]
-        assert pending == sorted(pending), "fired receipts are not a prefix"
-        if any(pending):
+        assert all(r.pending for r in receipts), "a connection holds a fired receipt"
+        if receipts:
             live[divmod(key, NODES)] = _live_payloads(receipts)
     return live
 
@@ -154,7 +160,9 @@ def _assert_fifo(log) -> None:
 class Stack:
     """Simulator + fabric + transport with everything observable logged."""
 
-    def __init__(self, transport_cls, seed, bandwidths, capacity, policy):
+    def __init__(
+        self, transport_cls, seed, bandwidths, capacity, policy, endpoints=NODES
+    ):
         self.sim = Simulator(seed=seed)
         self.fabric = NetworkFabric(
             self.sim,
@@ -169,7 +177,7 @@ class Stack:
         self.transport = transport_cls(
             self.fabric, buffer_capacity=capacity, purge_policy=policy
         )
-        self.endpoints = [self.transport.endpoint(n) for n in range(NODES)]
+        self.endpoints = [self.transport.endpoint(n) for n in range(endpoints)]
         for node, endpoint in enumerate(self.endpoints):
             endpoint.set_receiver(
                 lambda src, kind, payload, node=node: self.log.append(
@@ -225,6 +233,22 @@ operation = st.one_of(
 )
 
 
+def _compare(policy, capacity, operations, bandwidths, seed, endpoints=NODES):
+    current, legacy = (
+        Stack(transport_cls, seed, bandwidths, capacity, policy, endpoints)
+        for transport_cls in (ConnectionTransport, _LegacyConnectionTransport)
+    )
+    for step, op in enumerate([*operations, ("run", 1e6)]):
+        current.apply(step, op)
+        legacy.apply(step, op)
+        assert current.observable() == legacy.observable(), (step, op)
+        if endpoints == NODES:
+            assert _live_of_current(current.transport) == legacy.transport.live()
+    assert current.sim.pending_events == 0
+    _assert_fifo(current.log)
+    return current
+
+
 @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
 @pytest.mark.parametrize("policy", list(PurgePolicy), ids=lambda p: p.name)
 @settings(max_examples=40, deadline=None)
@@ -236,12 +260,42 @@ operation = st.one_of(
 def test_connection_records_match_full_scan_bookkeeping(
     policy, capacity, operations, bandwidths, seed
 ):
-    current = Stack(ConnectionTransport, seed, bandwidths, capacity, policy)
-    legacy = Stack(_LegacyConnectionTransport, seed, bandwidths, capacity, policy)
-    for step, op in enumerate([*operations, ("run", 1e6)]):
-        current.apply(step, op)
-        legacy.apply(step, op)
-        assert current.observable() == legacy.observable(), (step, op)
-        assert _live_of_current(current.transport) == legacy.transport.live()
-    assert current.sim.pending_events == 0
-    _assert_fifo(current.log)
+    _compare(policy, capacity, operations, bandwidths, seed)
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+@pytest.mark.parametrize("policy", list(PurgePolicy), ids=lambda p: p.name)
+def test_buffer_filling_after_drops_on_arrival_matches(policy, capacity):
+    """Node 1 is silenced with a full buffer of node 0's packets in
+    flight; some of them arrive (and are dropped) before node 0 sends
+    another burst, larger than the buffer, into the same connection."""
+    burst = [400] * capacity
+    operations = [
+        ("send", 0, 1, burst),
+        ("silence", 1),
+        ("run", 25.0),
+        ("send", 0, 1, [*burst, 400, 400]),
+    ]
+    current = _compare(policy, capacity, operations, {}, seed=7)
+    dropped_at = [
+        entry[4]
+        for entry in current.log
+        if entry[0] == "drop" and entry[-1] == "receiver-silenced"
+    ]
+    assert min(dropped_at) <= 25.0
+    assert current.transport.purged_count > 0
+
+
+@pytest.mark.parametrize("capacity", [1, 2])
+@pytest.mark.parametrize("policy", list(PurgePolicy), ids=lambda p: p.name)
+def test_receipts_to_a_node_without_an_endpoint_leave_at_capacity(
+    policy, capacity
+):
+    """Node 2 has no endpoint, so its packets fire without arriving at
+    one; the send side reaps them once the buffer is at capacity."""
+    burst = [400] * (capacity + 1)
+    operations = [("send", 0, 2, burst), ("run", 1e3), ("send", 0, 2, burst)]
+    current = _compare(policy, capacity, operations, {}, seed=7, endpoints=2)
+    # One overflow per burst: the first burst's fired receipts are reaped.
+    assert current.transport.purged_count == 2
+    assert "no-handler" in [entry[-1] for entry in current.log]

@@ -112,6 +112,26 @@ def test_silencing_mid_flight_drops_at_destination():
     assert got == []
 
 
+def test_lost_callback_sees_only_drops_on_arrival():
+    """``lost`` runs for a packet that was in flight when an end was
+    silenced, and for nothing delivered or dropped at the source."""
+    sim, fabric = make_fabric()
+    got, lost = [], []
+    fabric.register(1, got.append, lost.append)
+    fabric.register(2, got.append, lost.append)
+    delivered = packet(src=3, dst=2)
+    from_silenced = packet(src=0, dst=1)
+    to_silenced = packet(src=3, dst=1)
+    for sent in (delivered, from_silenced, to_silenced):
+        fabric.send(sent)
+    fabric.silence(0)  # while all three are in flight
+    fabric.silence(1)
+    fabric.send(packet(src=0, dst=2))  # dropped at the source
+    sim.run()
+    assert got == [delivered]
+    assert lost == [from_silenced, to_silenced]
+
+
 def test_abort_cancels_in_flight():
     sim, fabric = make_fabric()
     observer = RecordingObserver()

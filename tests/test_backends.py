@@ -4,8 +4,6 @@ translation of that spec for the slot kernel."""
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 
 from repro.backends import DENSE_MODEL_LIMIT, megasim_spec
@@ -67,11 +65,9 @@ def test_megasim_spec_maps_every_field(clients: int) -> None:
 
     scale = Scale("t", clients=clients, routers=400, messages=7,
                   warmup_ms=1_000.0, seed=11)
-    gossip = dataclasses.replace(
-        GossipConfig.for_population(clients), payload_bytes=512
-    )
     cluster = ClusterConfig(
-        gossip=gossip, scheduler=SchedulerConfig(retry_period_ms=123.0)
+        gossip=GossipConfig.for_population(clients),
+        scheduler=SchedulerConfig(retry_period_ms=123.0, payload_bytes=512),
     )
     factory = radius_factory()
     failure = FailurePlan(fraction=0.25)
@@ -174,10 +170,6 @@ def test_vector_backend_is_worker_count_invariant() -> None:
             ClusterConfig(scheduler=SchedulerConfig(received_capacity=1)),
         ),
         (
-            "cluster.scheduler.payload_bytes",
-            ClusterConfig(scheduler=SchedulerConfig(payload_bytes=512)),
-        ),
-        (
             "cluster.gossip.known_ids_capacity",
             ClusterConfig(gossip=GossipConfig(known_ids_capacity=1)),
         ),
@@ -207,6 +199,16 @@ def test_vector_backend_rejects_event_only_settings_by_name(field, cluster) -> N
     spec = tiny_spec(cluster=cluster)
     with pytest.raises(ValueError, match=f"does not support spec.{field}; "):
         megasim_spec(spec, MODEL.size)
+
+
+def test_vector_backend_translates_scheduler_payload_bytes() -> None:
+    """The MSG payload size is the scheduler's, the field the event
+    kernel's wire accounting reads, on both backends."""
+    cluster = ClusterConfig(
+        gossip=GossipConfig(fanout=23, rounds=6),
+        scheduler=SchedulerConfig(payload_bytes=512),
+    )
+    assert megasim_spec(tiny_spec(cluster=cluster), MODEL.size).payload_bytes == 512
 
 
 def test_vector_backend_approximates_overlay_and_bandwidth() -> None:
