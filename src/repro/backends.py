@@ -87,10 +87,9 @@ def megasim_spec(
     bandwidth (``cluster.fabric``) has no slot-level counterpart.
     Node classes and every other ``ClusterConfig`` setting the slot
     kernel does not read (connection buffers and purging, datagrams,
-    cache and known-id capacities, IHAVE batching, the latency monitor
-    and gossip ranking, ...) raise a ``ValueError`` naming the field
-    when set away from its ``ClusterConfig()`` default, rather than
-    being silently dropped.  ``view_degree`` and ``track_links`` are
+    cache and known-id capacities) raise a ``ValueError`` naming the
+    field when set away from its ``ClusterConfig()`` default, rather
+    than being silently dropped.  ``view_degree`` and ``track_links`` are
     slot-kernel knobs with no event-kernel field.
     """
     cluster = spec.cluster

@@ -1,10 +1,10 @@
 """Single-experiment orchestration.
 
 Reproduces the measurement discipline of the paper: nodes join the
-overlay and warm up (membership shuffles, monitor probes, ranking
-convergence) with recording *disabled*; failures, if any, are injected
-"immediately before starting to log message deliveries"; then traffic
-runs, the network drains, and the run is summarized.
+overlay and warm up (membership shuffles) with recording *disabled*;
+failures, if any, are injected "immediately before starting to log
+message deliveries"; then traffic runs, the network drains, and the run
+is summarized.
 """
 
 from __future__ import annotations

@@ -7,11 +7,10 @@ module-level classes (rather than closures) they pickle, so an
 :class:`~repro.experiments.runner.ExperimentSpec` can cross a process
 boundary into the parallel experiment engine
 (:mod:`repro.experiments.parallel`).  The ``*_factory`` constructors
-remain the public way to build them.  The oracle
-variants read the model file (the paper's evaluation mode, section 4.3);
-``radius_measured_factory`` / ``ranked_gossip_factory`` use the runtime
-monitor and the gossip ranking instead, for the monitor-quality
-ablation.
+remain the public way to build them.  Every monitor-driven factory reads
+the model file, the paper's evaluation mode "to separate the performance
+of the proposed strategy from the performance of the monitor" (section
+4.3); :class:`NoisyFactory` is how approximate knowledge enters (Fig. 6).
 
 Noise calibration: the wrapper of section 4.3 needs ``c`` equal to the
 wrapped strategy's average eager rate so traffic volume is preserved;
@@ -176,35 +175,6 @@ def radius_factory(
 
 
 @dataclass(frozen=True)
-class RadiusMeasuredFactory:
-    """Radius(rho) driven by the runtime latency monitor.
-
-    Requires ``ClusterConfig(enable_latency_monitor=True)``.
-    """
-
-    params: ScenarioParams = DEFAULT_PARAMS
-
-    def __call__(self, ctx: StrategyContext) -> RadiusStrategy:
-        if ctx.latency_monitor is None:
-            raise ValueError(
-                "radius_measured_factory needs enable_latency_monitor=True"
-            )
-        return RadiusStrategy(
-            ctx.latency_monitor,
-            radius=self.params.radius_ms,
-            first_request_delay_ms=self.params.radius_first_delay_ms,
-            retry_period_ms=ctx.retry_period_ms,
-        )
-
-
-def radius_measured_factory(
-    params: ScenarioParams = DEFAULT_PARAMS,
-) -> StrategyFactory:
-    """Radius(rho) driven by the runtime latency monitor."""
-    return RadiusMeasuredFactory(params)
-
-
-@dataclass(frozen=True)
 class RankedFactory:
     """Ranked with the oracle (model-file) best-node set."""
 
@@ -218,27 +188,6 @@ class RankedFactory:
 def ranked_factory(params: ScenarioParams = DEFAULT_PARAMS) -> StrategyFactory:
     """Ranked with the oracle (model-file) best-node set."""
     return RankedFactory(params)
-
-
-@dataclass(frozen=True)
-class RankedGossipFactory:
-    """Ranked with the distributed gossip ranking.
-
-    Requires ``ClusterConfig(enable_gossip_ranking=True)``; each node
-    trusts its own (approximate, converging) view of the best set.
-    """
-
-    def __call__(self, ctx: StrategyContext) -> RankedStrategy:
-        if ctx.ranking is None:
-            raise ValueError(
-                "ranked_gossip_factory needs enable_gossip_ranking=True"
-            )
-        return RankedStrategy(ctx.node, ctx.ranking, ctx.retry_period_ms)
-
-
-def ranked_gossip_factory() -> StrategyFactory:
-    """Ranked with the distributed gossip ranking."""
-    return RankedGossipFactory()
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,7 @@ from repro.gossip.known_ids import KnownIds
 from repro.gossip.message_ids import MessageIdSource
 from repro.membership.peer_sampling import PeerSamplingService
 
-#: L-Send callable signature: (message_id, payload, round, peer) -> None
-LSendFn = Callable[[int, Any, int, int], None]
-#: L-Send to several peers at once: (message_id, payload, round, peers)
+#: L-Send to ``Forward``'s peers at once: (message_id, payload, round, peers)
 LSendManyFn = Callable[[int, Any, int, Sequence[int]], None]
 #: Application delivery up-call: (message_id, payload) -> None
 DeliverFn = Callable[[int, Any], None]
@@ -36,8 +34,9 @@ class GossipProtocol:
         This node's id (used only for diagnostics).
     peer_sampler:
         The ``PeerSample(f)`` service (oracle or shuffled overlay).
-    l_send:
-        The layer below (``L-Send`` in the paper).
+    l_send_many:
+        The layer below (``L-Send`` in the paper), called once per
+        forward with the ordered peer list.
     deliver:
         Application up-call ``Deliver(d)``.
     id_source:
@@ -49,18 +48,14 @@ class GossipProtocol:
         node: int,
         config: GossipConfig,
         peer_sampler: PeerSamplingService,
-        l_send: LSendFn,
+        l_send_many: LSendManyFn,
         deliver: DeliverFn,
         id_source: MessageIdSource,
     ) -> None:
         self.node = node
         self.config = config
         self.peer_sampler = peer_sampler
-        self.l_send = l_send
-        #: ``Forward``'s relay step: one call carrying the ordered peer
-        #: list.  One ``l_send`` per peer unless the node wires in a
-        #: layer that takes the burst whole (the payload scheduler).
-        self.l_send_many: LSendManyFn = self._l_send_each
+        self.l_send_many = l_send_many
         self.deliver = deliver
         self.id_source = id_source
         self.known = KnownIds(config.known_ids_capacity)
@@ -109,12 +104,6 @@ class GossipProtocol:
         peers = self.peer_sampler.sample(self.config.fanout)
         self.forwarded_count += len(peers)
         self.l_send_many(message_id, payload, round_ + 1, peers)
-
-    def _l_send_each(
-        self, message_id: int, payload: Any, round_: int, peers: Sequence[int]
-    ) -> None:
-        for peer in peers:
-            self.l_send(message_id, payload, round_, peer)
 
     def mean_receipt_round(self) -> float:
         """Average round at which this node delivered messages (NaN when

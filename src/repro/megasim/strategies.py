@@ -10,7 +10,7 @@ The semantic mapping to the event kernel:
 
 - ``eager(i, d, r, p)`` is evaluated with ``r`` = the *forward* round
   (the round the receiving peer will deliver at), exactly as
-  ``GossipProtocol._forward`` passes ``round_ + 1`` to ``l_send``.
+  ``GossipProtocol._forward`` passes ``round_ + 1`` to ``l_send_many``.
 - ``first_request_delay`` / ``retry_period_ms`` become round counters
   at ``round_ms`` per slot.  Exact differential configurations use
   delays divisible by the slot (and avoid exactly one slot, where the
@@ -24,10 +24,9 @@ The semantic mapping to the event kernel:
   advertiser), True = lowest monitor metric, first-on-ties -- matching
   ``min(sources, key=metric)`` over arrival order.
 
-Monitor-driven factories (``RadiusMeasuredFactory``,
-``RankedGossipFactory``) and the noise wrapper need live per-node agents
-and are rejected; the oracle factories cover the paper's evaluation
-mode, which is what the scale tier sweeps.
+The noise wrapper (``NoisyFactory``) needs a live per-node strategy and
+is rejected; the oracle factories cover the paper's evaluation mode,
+which is what the scale tier sweeps.
 """
 
 from __future__ import annotations

@@ -78,10 +78,6 @@ class NeemOverlay:
         )
         self.shuffles_sent = 0
         self.shuffles_answered = 0
-        #: Optional admission predicate: peers it rejects are never
-        #: merged into the view (failure detection installs one so
-        #: shuffles cannot keep re-introducing suspected-dead peers).
-        self.peer_filter: Optional[Callable[[int], bool]] = None
         self._timer = PeriodicTimer(
             sim,
             self.config.shuffle_period_ms,
@@ -141,8 +137,6 @@ class NeemOverlay:
 
     def _merge(self, offered: List[int]) -> None:
         for peer in offered:
-            if self.peer_filter is not None and not self.peer_filter(peer):
-                continue
             self.view.add(peer)
 
     @staticmethod

@@ -4,10 +4,9 @@ One recorder observes a whole run.  It hangs off the network fabric as
 its :class:`~repro.network.fabric.PacketObserver` (packet counts, bytes,
 per-link payload transmissions) and is fed application events by the
 experiment runner (multicast sent / message delivered).  ``recording``
-gates everything, so warm-up traffic -- overlay shuffles, monitor
-probes, ranking convergence -- never pollutes measurements, matching the
-paper's "immediately before starting to log message deliveries"
-discipline.
+gates everything, so warm-up traffic (overlay shuffles) never pollutes
+measurements, matching the paper's "immediately before starting to log
+message deliveries" discipline.
 """
 
 from __future__ import annotations

@@ -53,7 +53,7 @@ class Packet(SlotRecord):
 
     ``payload`` is an arbitrary protocol message object; the fabric never
     inspects it.  ``kind`` is a short tag ("MSG", "IHAVE", "IWANT",
-    "PING", ...) used by metrics and debugging.  ``size_bytes`` is the
+    "SHUFFLE", ...) used by metrics and debugging.  ``size_bytes`` is the
     full wire size including all headers and overhead.
     """
 
@@ -96,14 +96,3 @@ def payload_packet_size(application_bytes: int) -> int:
 def control_packet_size() -> int:
     """Wire size of an advertisement or request (IHAVE/IWANT)."""
     return CONTROL_OVERHEAD_BYTES + PACKET_OVERHEAD_BYTES
-
-
-def control_batch_size(id_count: int) -> int:
-    """Wire size of a batched advertisement carrying ``id_count`` ids.
-
-    One NeEM header and one packet overhead are shared by the batch; the
-    16-byte identifiers stack -- which is the entire point of batching.
-    """
-    if id_count < 1:
-        raise ValueError(f"id_count must be >= 1, got {id_count}")
-    return PACKET_OVERHEAD_BYTES + NEEM_HEADER_BYTES + 16 * id_count

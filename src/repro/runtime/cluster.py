@@ -2,10 +2,10 @@
 
 Given a client network model and a strategy factory, :class:`Cluster`
 assembles the simulator, fabric, transports and ``n`` protocol stacks,
-plus whichever side agents the configuration enables (shuffled overlay
-vs oracle sampling, runtime latency monitor, gossip ranking).  It is
-the single construction path shared by tests, examples and the
-experiment harness, so every consumer exercises the same wiring.
+each sampling peers from the shuffled overlay or the oracle sampler as
+configured.  It is the single construction path shared by tests,
+examples and the experiment harness, so every consumer exercises the
+same wiring.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from typing import Any, Callable, List, Optional
 from repro.gossip.config import GossipConfig
 from repro.membership.neem_overlay import NeemOverlay, OverlayConfig
 from repro.membership.oracle import OraclePeerSampler
-from repro.monitors.latency import LatencyMonitorConfig, RuntimeLatencyMonitor
-from repro.monitors.ranking import GossipRanking, RankingConfig
 from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, NetworkFabric
 from repro.network.transport import ConnectionTransport, DatagramTransport, Transport
@@ -52,10 +50,6 @@ class ClusterConfig:
     connection_buffer_capacity: int = 64
     connection_purge_policy: PurgePolicy = PurgePolicy.DROP_OLDEST
     bootstrap_degree: int = 15
-    enable_latency_monitor: bool = False
-    latency_monitor: LatencyMonitorConfig = field(default_factory=LatencyMonitorConfig)
-    enable_gossip_ranking: bool = False
-    ranking: RankingConfig = field(default_factory=RankingConfig)
 
 
 class Cluster:
@@ -116,40 +110,12 @@ class Cluster:
             else:
                 sampler = OraclePeerSampler(node, population, node_rng)
 
-            latency_monitor = None
-            if self.config.enable_latency_monitor:
-                latency_monitor = RuntimeLatencyMonitor(
-                    self.sim,
-                    node,
-                    endpoint.send,
-                    neighbors=sampler.neighbors,
-                    config=self.config.latency_monitor,
-                )
-
-            ranking = None
-            if self.config.enable_gossip_ranking:
-                if latency_monitor is not None:
-                    score: Callable[[], float] = latency_monitor.mean_srtt
-                else:
-                    # Oracle score: closeness from the model file.
-                    score = lambda node=node: self.model.closeness(node)
-                ranking = GossipRanking(
-                    self.sim,
-                    node,
-                    endpoint.send,
-                    neighbors=sampler.neighbors,
-                    local_score=score,
-                    config=self.config.ranking,
-                )
-
             context = StrategyContext(
                 sim=self.sim,
                 node=node,
                 rng=node_rng,
                 retry_period_ms=self.config.scheduler.retry_period_ms,
                 model=self.model,
-                latency_monitor=latency_monitor,
-                ranking=ranking,
             )
             strategy = strategy_factory(context)
 
@@ -164,8 +130,6 @@ class Cluster:
                     scheduler_config=self.config.scheduler,
                     deliver=self._on_deliver,
                     overlay=overlay,
-                    latency_monitor=latency_monitor,
-                    ranking=ranking,
                 )
             )
 

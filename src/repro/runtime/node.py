@@ -3,9 +3,8 @@
 A :class:`ProtocolNode` owns the components of the paper's Fig. 1 for a
 single participant and sets up the kind-based dispatch that a port
 number would on a real host: MSG/IHAVE/IWANT go to the Payload
-Scheduler, SHUFFLE traffic to the membership agent, PING/PONG to the
-latency monitor, RANK to the ranking agent.  The endpoint reads that
-table itself, so a received packet reaches its agent's ``handle``
+Scheduler, SHUFFLE traffic to the membership agent.  The endpoint reads
+that table itself, so a received packet reaches its agent's ``handle``
 straight from the endpoint.  Downwards, a gossip forward
 reaches the transport as one burst: gossip ``l_send_many`` -> scheduler
 ``l_send_many`` -> endpoint ``send_many``.
@@ -23,8 +22,6 @@ from repro.gossip.message_ids import MessageIdSource
 from repro.gossip.protocol import GossipProtocol
 from repro.membership.neem_overlay import NeemOverlay
 from repro.membership.peer_sampling import PeerSamplingService
-from repro.monitors.latency import RuntimeLatencyMonitor
-from repro.monitors.ranking import GossipRanking
 from repro.network.transport import Endpoint
 from repro.scheduler.interfaces import SchedulerConfig, TransmissionStrategy
 from repro.scheduler.lazy_point_to_point import LazyPointToPoint
@@ -40,9 +37,8 @@ class StrategyContext:
     """Everything a strategy factory may want when building one node's
     Transmission Strategy.
 
-    ``model`` gives oracle access (the paper's model-file mode);
-    ``latency_monitor``/``ranking`` are the measured alternatives and are
-    ``None`` unless the cluster enabled them.  ``rng`` is the node's own
+    ``model`` gives oracle access (the paper's model-file mode, the only
+    source of monitor knowledge).  ``rng`` is the node's own
     deterministic stream.
     """
 
@@ -51,15 +47,13 @@ class StrategyContext:
     rng: random.Random
     retry_period_ms: float
     model: Optional[ClientNetworkModel] = None
-    latency_monitor: Optional[RuntimeLatencyMonitor] = None
-    ranking: Optional[GossipRanking] = None
 
 
 StrategyFactory = Callable[[StrategyContext], TransmissionStrategy]
 
 
 class ProtocolNode:
-    """Full stack: endpoint + scheduler + gossip (+ optional agents)."""
+    """Full stack: endpoint + scheduler + gossip (+ optional overlay)."""
 
     def __init__(
         self,
@@ -72,8 +66,6 @@ class ProtocolNode:
         scheduler_config: SchedulerConfig,
         deliver: AppDeliverFn,
         overlay: Optional[NeemOverlay] = None,
-        latency_monitor: Optional[RuntimeLatencyMonitor] = None,
-        ranking: Optional[GossipRanking] = None,
     ) -> None:
         self.sim = sim
         self.node = node
@@ -81,38 +73,19 @@ class ProtocolNode:
         self.peer_sampler = peer_sampler
         self.strategy = strategy
         self.overlay = overlay
-        self.latency_monitor = latency_monitor
-        self.ranking = ranking
 
         self.scheduler = scheduler = LazyPointToPoint(
-            sim, node, strategy, endpoint.send, scheduler_config
+            sim, node, strategy, endpoint.send, endpoint.send_many, scheduler_config
         )
         self.gossip = GossipProtocol(
             node=node,
             config=gossip_config,
             peer_sampler=peer_sampler,
-            l_send=scheduler.l_send,
+            l_send_many=scheduler.l_send_many,
             deliver=partial(deliver, node),
             id_source=MessageIdSource(sim.rng.stream(f"ids.{node}")),
         )
-        # Join the scheduler to gossip above and the endpoint below,
-        # bursts included.
         scheduler.bind(self.gossip.l_receive)
-        scheduler.send_many = endpoint.send_many
-        self.gossip.l_send_many = scheduler.l_send_many
-
-        # Failure detection: when the latency monitor runs with a
-        # suspicion threshold, suspected peers are purged from the
-        # overlay view (NeEM drops broken connections the same way).
-        if (
-            latency_monitor is not None
-            and overlay is not None
-            and latency_monitor.config.suspicion_threshold > 0
-        ):
-            latency_monitor.on_suspect = lambda peer: overlay.view.remove(peer)
-            overlay.peer_filter = (
-                lambda peer: peer not in latency_monitor.suspected
-            )
 
         self._dispatch: Dict[str, Callable[[int, str, Any], None]] = {
             kind: scheduler.handle for kind in LazyPointToPoint.KINDS
@@ -120,33 +93,19 @@ class ProtocolNode:
         if overlay is not None:
             for kind in NeemOverlay.KINDS:
                 self._dispatch[kind] = overlay.handle
-        if latency_monitor is not None:
-            for kind in RuntimeLatencyMonitor.KINDS:
-                self._dispatch[kind] = latency_monitor.handle
-        if ranking is not None:
-            for kind in GossipRanking.KINDS:
-                self._dispatch[kind] = ranking.handle
         endpoint.listen(self._dispatch)
         endpoint.set_receiver(self._receive)
 
     # -- lifecycle ------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the node's periodic agents (overlay, monitors)."""
+        """Start the node's periodic agent (the overlay's shuffles)."""
         if self.overlay is not None:
             self.overlay.start()
-        if self.latency_monitor is not None:
-            self.latency_monitor.start()
-        if self.ranking is not None:
-            self.ranking.start()
 
     def stop(self) -> None:
         if self.overlay is not None:
             self.overlay.stop()
-        if self.latency_monitor is not None:
-            self.latency_monitor.stop()
-        if self.ranking is not None:
-            self.ranking.stop()
 
     # -- application interface ---------------------------------------------------
 

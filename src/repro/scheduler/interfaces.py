@@ -88,19 +88,12 @@ class SchedulerConfig:
     as their default retry period.  ``payload_bytes`` feeds wire-size
     accounting for MSG packets when the payload object does not declare
     its own ``size_bytes``.
-
-    ``ihave_batch_window_ms`` enables advertisement batching (an
-    optimization NeEM-family implementations apply): instead of one
-    ``IHAVE`` packet per (message, destination), advertisements to the
-    same destination accumulate for the window and leave as one packet.
-    0 (the default, matching the paper's model) sends immediately.
     """
 
     retry_period_ms: float = DEFAULT_RETRY_PERIOD_MS
     payload_bytes: int = 256
     cache_capacity: int = 4096
     received_capacity: int = 4096
-    ihave_batch_window_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.retry_period_ms <= 0:
@@ -109,5 +102,3 @@ class SchedulerConfig:
             raise ValueError("payload_bytes must be >= 1")
         if self.cache_capacity < 1 or self.received_capacity < 1:
             raise ValueError("capacities must be >= 1")
-        if self.ihave_batch_window_ms < 0:
-            raise ValueError("ihave_batch_window_ms must be >= 0")

@@ -15,14 +15,10 @@ advertised-but-unknown payloads through the
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.gossip.known_ids import KnownIds
-from repro.network.message import (
-    control_batch_size,
-    control_packet_size,
-    payload_packet_size,
-)
+from repro.network.message import control_packet_size, payload_packet_size
 from repro.scheduler.cache import PayloadCache
 from repro.scheduler.interfaces import SchedulerConfig, TransmissionStrategy
 from repro.scheduler.requests import RequestQueue
@@ -53,6 +49,7 @@ class LazyPointToPoint:
         node: int,
         strategy: TransmissionStrategy,
         send: SendFn,
+        send_many: SendManyFn,
         config: Optional[SchedulerConfig] = None,
     ) -> None:
         self.sim = sim
@@ -60,15 +57,11 @@ class LazyPointToPoint:
         self.strategy = strategy
         self.config = config or SchedulerConfig()
         self._send = send
-        #: Where bursts go: one ``send`` per message unless the node
-        #: wires in its endpoint's ``send_many``.
-        self.send_many: SendManyFn = self._send_each
+        self._send_many = send_many
         self._l_receive: Optional[LReceiveFn] = None
         self.cache = PayloadCache(self.config.cache_capacity)
         self.received = KnownIds(self.config.received_capacity)
         self.requests = RequestQueue(sim, strategy, self._send_request)
-        # Advertisement batching (ihave_batch_window_ms > 0).
-        self._pending_ihaves: Dict[int, List[int]] = {}
         # Counters (diagnostics; authoritative traffic numbers come from
         # the fabric observer).
         self.eager_sends = 0
@@ -91,18 +84,15 @@ class LazyPointToPoint:
     ) -> None:
         """``L-Send(i, d, r, p)`` for each of ``peers``, in order.
 
-        Eager peers get ``MSG``, lazy ones ``IHAVE`` (after one cache
-        write), as one burst in peer order -- the packets, timers and
-        draws of one ``l_send`` per peer, in the same order.  With
-        advertisement batching on, a peer's first pending advertisement
-        schedules its flush timer, so the burst is cut there.
+        Eager peers get ``MSG``, lazy ones one ``IHAVE`` each (after one
+        cache write), as one burst in peer order -- the packets and draws
+        of one ``l_send`` per peer, in the same order.
         """
         decisions = self.strategy.eager_many(message_id, payload, round_, peers)
         burst: List[Message] = []
         msg: Optional[Tuple[int, Any, int]] = None
         msg_size = 0
         eager = lazy = 0
-        window = self.config.ihave_batch_window_ms
         for peer, is_eager in zip(peers, decisions):
             if is_eager:
                 eager += 1
@@ -114,33 +104,11 @@ class LazyPointToPoint:
             if not lazy:
                 self.cache.put(message_id, payload, round_)
             lazy += 1
-            if window <= 0:
-                burst.append((peer, IHAVE, message_id, control_packet_size()))
-                continue
-            pending = self._pending_ihaves.get(peer)
-            if pending is not None:
-                if message_id not in pending:
-                    pending.append(message_id)
-                continue
-            if burst:
-                self.send_many(burst)
-                burst = []
-            self._pending_ihaves[peer] = [message_id]
-            self.sim.schedule(window, self._flush_ihaves, peer)
+            burst.append((peer, IHAVE, message_id, control_packet_size()))
         self.eager_sends += eager
         self.lazy_sends += lazy
         if burst:
-            self.send_many(burst)
-
-    def _send_each(self, messages: Sequence[Message]) -> None:
-        for dst, kind, wire_payload, size in messages:
-            self._send(dst, kind, wire_payload, size)
-
-    def _flush_ihaves(self, peer: int) -> None:
-        ids = self._pending_ihaves.pop(peer, None)
-        if not ids:  # pragma: no cover - defensive
-            return
-        self._send(peer, IHAVE, tuple(ids), control_batch_size(len(ids)))
+            self._send_many(burst)
 
     # -- upward path (Task 1, receiver side) ------------------------------------
 
@@ -166,12 +134,8 @@ class LazyPointToPoint:
             raise RuntimeError("LazyPointToPoint.bind() was never called")
         self._l_receive(message_id, payload, round_, src)
 
-    def _on_ihave(self, src: int, wire_payload: Any) -> None:
-        # A single id, or a batched tuple of ids (see _advertise).
-        ids = wire_payload if isinstance(wire_payload, tuple) else (wire_payload,)
-        for message_id in ids:
-            if message_id in self.received:
-                continue
+    def _on_ihave(self, src: int, message_id: int) -> None:
+        if message_id not in self.received:
             self.requests.queue(message_id, src)
 
     def _on_iwant(self, src: int, message_id: int) -> None:

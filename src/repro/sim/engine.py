@@ -1,8 +1,8 @@
 """The discrete-event simulator.
 
 A :class:`Simulator` owns the simulated clock and the event queue.  All
-protocol components (transports, overlays, gossip nodes, schedulers,
-monitors) interact with time exclusively through it, which is what lets
+protocol components (transports, overlays, gossip nodes, schedulers)
+interact with time exclusively through it, which is what lets
 the same protocol code run unmodified across unit tests, property tests
 and full experiment sweeps.
 """

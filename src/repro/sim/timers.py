@@ -2,9 +2,9 @@
 
 Several parts of the system tick periodically: the NeEM-style overlay
 shuffles its partial view, the request scheduler sweeps pending lazy
-requests every ``T`` ms (the paper's 400 ms retransmission period), and
-performance monitors probe their neighbours.  ``PeriodicTimer`` packages
-the schedule/reschedule/cancel dance so those components stay small.
+requests every ``T`` ms (the paper's 400 ms retransmission period).
+``PeriodicTimer`` packages the schedule/reschedule/cancel dance so those
+components stay small.
 """
 
 from __future__ import annotations

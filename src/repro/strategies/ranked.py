@@ -7,11 +7,12 @@ The emergent structure is hubs-and-spokes (Fig. 4c), with best nodes
 "bearing most of the load".
 
 Who is best comes from a :class:`RankingView`.  The paper admits both an
-explicitly configured set (an ISP designating well-provisioned machines)
-and a rank "computed using local Performance Monitors and a gossip based
-sorting protocol" -- implementations of both live in
-:mod:`repro.monitors.ranking`; the protocol tolerates approximate
-rankings by design (evaluated under noise in section 6.5).
+explicitly configured set (an ISP designating well-provisioned machines:
+:class:`StaticRanking`) and a rank "computed using local Performance
+Monitors and a gossip based sorting protocol"; like the paper's
+evaluation, this repository computes the rank from the model file
+(:class:`~repro.monitors.ranking.OracleRanking`).  The protocol tolerates
+approximate rankings by design (evaluated under noise in section 6.5).
 """
 
 from __future__ import annotations

@@ -30,7 +30,9 @@ def build(node=0, peers=(1, 2, 3), fanout=3, rounds=2):
         node=node,
         config=GossipConfig(fanout=fanout, rounds=rounds),
         peer_sampler=FixedSampler(list(peers)),
-        l_send=lambda i, d, r, p: sends.append((i, d, r, p)),
+        l_send_many=lambda i, d, r, peers: sends.extend(
+            (i, d, r, p) for p in peers
+        ),
         deliver=lambda i, d: delivered.append((i, d)),
         id_source=MessageIdSource(random.Random(1)),
     )

@@ -9,8 +9,6 @@ np = pytest.importorskip("numpy")
 from repro.experiments.scenarios import (
     ScenarioParams,
     NoisyFactory,
-    RadiusMeasuredFactory,
-    RankedGossipFactory,
     flat_factory,
     hybrid_factory,
     radius_factory,
@@ -106,13 +104,7 @@ class TestCompilation:
         assert compiled.retry_rounds == 8
 
     @pytest.mark.parametrize(
-        "factory",
-        [
-            RadiusMeasuredFactory(ScenarioParams()),
-            RankedGossipFactory(),
-            NoisyFactory(flat_factory(1.0), noise=0.1),
-        ],
-        ids=["radius-measured", "ranked-gossip", "noisy"],
+        "factory", [NoisyFactory(flat_factory(1.0), noise=0.1)], ids=["noisy"]
     )
     def test_monitor_driven_factories_rejected(self, factory) -> None:
         with pytest.raises(UnsupportedStrategyError):

@@ -36,15 +36,3 @@ def test_packet_validation():
         Packet(src=0, dst=0, kind="MSG", payload=None, size_bytes=10)
     with pytest.raises(ValueError):
         Packet(src=0, dst=1, kind="MSG", payload=None, size_bytes=0)
-
-
-def test_control_batch_size_shares_overheads():
-    from repro.network.message import control_batch_size
-
-    single = control_batch_size(1)
-    triple = control_batch_size(3)
-    # Three ids in one packet cost far less than three packets.
-    assert triple == single + 2 * 16
-    assert triple < 3 * single
-    with pytest.raises(ValueError):
-        control_batch_size(0)

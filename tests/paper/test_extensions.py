@@ -10,10 +10,9 @@ from repro.experiments.workload import TrafficGenerator
 from repro.metrics.analysis import summarize
 from repro.metrics.recorder import MetricsRecorder
 from repro.monitors.oracle import OracleLatencyMonitor
-from repro.monitors.ranking import ScoreRanking
 from repro.runtime.cluster import Cluster
 from repro.strategies.adaptive import AdaptiveRadiusStrategy
-from repro.strategies.ranked import RankedStrategy
+from repro.strategies.ranked import RankedStrategy, StaticRanking
 from tests.paper import BENCH, bench_cluster
 
 
@@ -70,10 +69,7 @@ def test_capacity_aware_hub_selection():
     }
 
     def run_with_hubs(hubs, seed_offset):
-        ranking = ScoreRanking(
-            {node: (0.0 if node in hubs else 1.0) for node in range(model.size)},
-            count=len(hubs),
-        )
+        ranking = StaticRanking(hubs)
         recorder = MetricsRecorder()
         recorder.disable()
         cluster = Cluster(

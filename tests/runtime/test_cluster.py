@@ -9,7 +9,6 @@ from repro.membership.neem_overlay import NeemOverlay
 from repro.membership.oracle import OraclePeerSampler
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.strategies.flat import PureEagerStrategy, PureLazyStrategy
-from repro.strategies.radius import RadiusStrategy
 from repro.topology.simple import complete_topology
 from tests.conftest import build_cluster
 
@@ -62,58 +61,6 @@ def test_strategy_factory_receives_context():
     build_cluster(model, factory)
     assert [node for node, _, _ in seen] == list(range(5))
     assert all(has_model and has_rng for _, has_model, has_rng in seen)
-
-
-def test_enable_latency_monitor_and_ranking():
-    model = complete_topology(6)
-    config = ClusterConfig(
-        gossip=GossipConfig(fanout=3, rounds=3),
-        enable_latency_monitor=True,
-        enable_gossip_ranking=True,
-    )
-    contexts = []
-
-    def factory(ctx):
-        contexts.append(ctx)
-        return PureEagerStrategy()
-
-    cluster = Cluster(model, factory, config=config)
-    assert all(ctx.latency_monitor is not None for ctx in contexts)
-    assert all(ctx.ranking is not None for ctx in contexts)
-    for node in cluster.nodes:
-        assert node.latency_monitor is not None
-        assert node.ranking is not None
-
-
-def test_measured_radius_strategy_works_end_to_end():
-    """Full stack with runtime monitor feeding a Radius strategy."""
-    model = complete_topology(10, latency_ms=30.0, jitter_ms=20.0, seed=5)
-    config = ClusterConfig(
-        gossip=GossipConfig(fanout=4, rounds=4),
-        enable_latency_monitor=True,
-    )
-
-    def factory(ctx):
-        return RadiusStrategy(
-            ctx.latency_monitor, radius=30.0, first_request_delay_ms=60.0
-        )
-
-    recorder_holder = {}
-    from repro.metrics.recorder import MetricsRecorder
-
-    recorder = MetricsRecorder()
-    cluster = Cluster(model, factory, config=config, seed=4)
-    cluster.fabric.set_observer(recorder)
-    cluster.set_multicast_hook(recorder.on_multicast)
-    cluster.set_deliver(
-        lambda node, mid, payload: recorder.on_app_deliver(node, mid, cluster.sim.now)
-    )
-    cluster.start()
-    cluster.run_for(8_000.0)  # monitors learn latencies
-    mid = cluster.multicast(0, "x")
-    cluster.run_for(6_000.0)
-    cluster.stop()
-    assert len(recorder.deliveries[mid]) == 10
 
 
 def test_silence_and_alive_nodes():

@@ -20,23 +20,14 @@ def test_unknown_kind_raises():
 
 def test_dispatch_covers_all_stack_kinds():
     from repro.membership.neem_overlay import NeemOverlay
-    from repro.monitors.latency import RuntimeLatencyMonitor
-    from repro.monitors.ranking import GossipRanking
     from repro.runtime.cluster import Cluster, ClusterConfig
     from repro.scheduler.lazy_point_to_point import LazyPointToPoint
 
     model = complete_topology(5)
-    config = ClusterConfig(
-        gossip=GossipConfig(fanout=2, rounds=2),
-        enable_latency_monitor=True,
-        enable_gossip_ranking=True,
-    )
+    config = ClusterConfig(gossip=GossipConfig(fanout=2, rounds=2))
     cluster = Cluster(model, lambda ctx: PureEagerStrategy(), config=config)
     node = cluster.nodes[0]
-    expected = set(LazyPointToPoint.KINDS)
-    expected |= set(NeemOverlay.KINDS)
-    expected |= set(RuntimeLatencyMonitor.KINDS)
-    expected |= set(GossipRanking.KINDS)
+    expected = set(LazyPointToPoint.KINDS) | set(NeemOverlay.KINDS)
     assert set(node._dispatch) == expected
 
 
@@ -59,4 +50,3 @@ def test_node_multicast_returns_unique_ids():
     node = cluster.nodes[2]
     ids = {node.multicast(f"m{i}") for i in range(10)}
     assert len(ids) == 10
-

@@ -2,15 +2,13 @@
 
 ``LazyPointToPoint.l_send_many`` decides a forward's peers in one
 ``eager_many`` pass and hands the MSG/IHAVE packets down as one burst.
-This file carries a verbatim copy of the per-peer ``l_send`` it
-replaced (with its ``_advertise``), wires it into every node in place of
-the real scheduler -- so each copy also travels the transport and fabric
-alone -- and checks that whole runs come out bit-identical: the golden
+This file carries a copy of the per-peer ``l_send`` it replaced, wires
+it into every node in place of the real scheduler -- so each copy also
+travels the transport and fabric alone -- and checks that whole runs come out bit-identical: the golden
 trace digest (event order with exact timestamps, per-node latencies,
 per-link payload counts, summary metrics) and every recorder counter.
 The configurations cover the canonical golden ones plus what the goldens
-do not pin: advertisement batching (whose flush timers cut a burst) and
-small purging connection buffers.
+do not pin: small purging connection buffers.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.experiments.golden import (
 from repro.experiments.runner import run_experiment
 from repro.network.connection import PurgePolicy
 from repro.network.message import control_packet_size
-from repro.scheduler.interfaces import SchedulerConfig
 from repro.scheduler.lazy_point_to_point import IHAVE, MSG, LazyPointToPoint
 from repro.sim.engine import Simulator
 from repro.strategies.base import BaseStrategy
@@ -38,7 +35,7 @@ from repro.strategies.base import BaseStrategy
 
 class PerPeerScheduler(LazyPointToPoint):
     """The scheduler sending each forward's copies one ``l_send`` at a
-    time (verbatim below)."""
+    time (the replaced per-peer path, below)."""
 
     def l_send_many(self, message_id, payload, round_, peers) -> None:
         for peer in peers:
@@ -54,26 +51,7 @@ class PerPeerScheduler(LazyPointToPoint):
         else:
             self.lazy_sends += 1
             self.cache.put(message_id, payload, round_)
-            self._advertise(peer, message_id)
-
-    def _advertise(self, peer: int, message_id: int) -> None:
-        window = self.config.ihave_batch_window_ms
-        if window <= 0:
             self._send(peer, IHAVE, message_id, control_packet_size())
-            return
-        pending = self._pending_ihaves.get(peer)
-        if pending is not None:
-            if message_id not in pending:
-                pending.append(message_id)
-            return
-        self._pending_ihaves[peer] = [message_id]
-        self.sim.schedule(window, self._flush_ihaves, peer)
-
-
-def _batched(name: str):
-    spec = canonical_spec(name)
-    scheduler = replace(spec.cluster.scheduler, ihave_batch_window_ms=30.0)
-    return replace(spec, cluster=replace(spec.cluster, scheduler=scheduler))
 
 
 def _small_buffers(name: str, policy: PurgePolicy):
@@ -86,10 +64,6 @@ def _small_buffers(name: str, policy: PurgePolicy):
 
 SPECS = {
     **{name: (lambda name=name: canonical_spec(name)) for name in CANONICAL_CONFIGS},
-    **{
-        f"{name}_batched": (lambda name=name: _batched(name))
-        for name in ("flat", "radius", "ttl_lossy")
-    },
     **{
         f"flat_buffer2_{policy.name}": (
             lambda policy=policy: _small_buffers("flat", policy)
@@ -139,11 +113,9 @@ class LoggingSimulator(Simulator):
         return super().schedule(delay, callback, *args)
 
 
-@pytest.mark.parametrize("window", [0.0, 30.0])
-def test_burst_keeps_sends_and_flush_timers_in_per_peer_order(window):
-    """A flush timer takes the next sequence number, so a burst must send
-    the copies before it first: sends and timers interleave exactly as
-    with one ``l_send`` per peer."""
+def test_burst_keeps_sends_in_per_peer_order():
+    """A forward's burst sends the MSG and IHAVE copies, and arms no
+    timer, exactly as one ``l_send`` per peer does."""
 
     def run(scheduler_cls):
         log = []
@@ -152,10 +124,9 @@ def test_burst_keeps_sends_and_flush_timers_in_per_peer_order(window):
             0,
             OddPeersEager(),
             lambda dst, kind, payload, size: log.append(("send", dst, kind)),
-            SchedulerConfig(ihave_batch_window_ms=window),
-        )
-        scheduler.send_many = lambda messages: log.extend(
-            ("send", dst, kind) for dst, kind, _, _ in messages
+            lambda messages: log.extend(
+                ("send", dst, kind) for dst, kind, _, _ in messages
+            ),
         )
         for message_id, peers in ((1, [1, 2, 3, 4, 5]), (2, [2, 3, 6, 7, 8])):
             scheduler.l_send_many(message_id, "d", 1, peers)
@@ -163,4 +134,4 @@ def test_burst_keeps_sends_and_flush_timers_in_per_peer_order(window):
 
     logs = [run(LazyPointToPoint), run(PerPeerScheduler)]
     assert logs[0] == logs[1]
-    assert any(entry[0] == "timer" for entry in logs[0]) == (window > 0)
+    assert all(entry[0] == "send" for entry in logs[0])

@@ -20,6 +20,7 @@ def build(sim, strategy, config=None):
         node=0,
         strategy=strategy,
         send=lambda dst, kind, payload, size: sends.append((dst, kind, payload, size)),
+        send_many=sends.extend,
         config=config or SchedulerConfig(),
     )
     module.bind(lambda i, d, r, s: received.append((i, d, r, s)))
@@ -123,16 +124,19 @@ def test_end_to_end_lazy_exchange_between_two_modules(sim):
     modules = {}
     received = []
 
-    def make_send(src):
+    def make_module(src):
         def send(dst, kind, payload, size):
             # Zero-latency direct wiring via the simulator.
             sim.call_soon(modules[dst].handle, src, kind, payload)
 
-        return send
+        def send_many(messages):
+            for message in messages:
+                send(*message)
 
-    a = LazyPointToPoint(sim, 0, PureLazyStrategy(), make_send(0))
-    b = LazyPointToPoint(sim, 1, PureLazyStrategy(), make_send(1))
-    modules[0], modules[1] = a, b
+        return LazyPointToPoint(sim, src, PureLazyStrategy(), send, send_many)
+
+    a = modules[0] = make_module(0)
+    b = modules[1] = make_module(1)
     a.bind(lambda i, d, r, s: None)
     b.bind(lambda i, d, r, s: received.append((i, d, r, s)))
 
@@ -140,58 +144,3 @@ def test_end_to_end_lazy_exchange_between_two_modules(sim):
     sim.run()
     assert received == [(1, "payload", 1, 0)]
     assert 1 in b.received
-
-
-def test_batched_advertisements_coalesce_per_destination(sim):
-    module, sends, _ = build(
-        sim, PureLazyStrategy(),
-        config=SchedulerConfig(ihave_batch_window_ms=50.0),
-    )
-    module.l_send(1, "a", 1, peer=5)
-    module.l_send(2, "b", 1, peer=5)
-    module.l_send(3, "c", 1, peer=6)
-    assert sends == []  # nothing leaves before the window closes
-    sim.run()
-    from repro.network.message import control_batch_size
-
-    assert (5, IHAVE, (1, 2), control_batch_size(2)) in sends
-    assert (6, IHAVE, (3,), control_batch_size(1)) in sends
-    assert len(sends) == 2
-
-
-def test_batched_ihave_received_queues_every_id(sim):
-    module, sends, _ = build(sim, PureLazyStrategy())
-    module.handle(9, IHAVE, (1, 2, 3))
-    sim.run(until=0.0)
-    sim.run()
-    iwant_ids = {payload for _, kind, payload, _ in sends if kind == IWANT}
-    assert iwant_ids == {1, 2, 3}
-
-
-def test_batched_ihave_skips_already_received_ids(sim):
-    module, sends, _ = build(sim, PureLazyStrategy())
-    module.handle(7, MSG, (2, "data", 1))
-    sends.clear()
-    module.handle(9, IHAVE, (1, 2))
-    sim.run()
-    iwant_ids = {payload for _, kind, payload, _ in sends if kind == IWANT}
-    assert iwant_ids == {1}
-
-
-def test_duplicate_id_in_open_batch_not_doubled(sim):
-    module, sends, _ = build(
-        sim, PureLazyStrategy(),
-        config=SchedulerConfig(ihave_batch_window_ms=50.0),
-    )
-    module.l_send(1, "a", 1, peer=5)
-    module.l_send(1, "a", 1, peer=5)
-    sim.run()
-    batched = [p for dst, kind, p, _ in sends if kind == IHAVE]
-    assert batched == [(1,)]
-
-
-def test_batch_window_validation():
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError):
-        SchedulerConfig(ihave_batch_window_ms=-1.0)

@@ -15,8 +15,6 @@ from repro.experiments.workload import TrafficConfig
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
-from repro.monitors.latency import LatencyMonitorConfig
-from repro.monitors.ranking import RankingConfig
 from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig
 from repro.runtime.cluster import ClusterConfig
@@ -158,10 +156,6 @@ def test_vector_backend_is_worker_count_invariant() -> None:
     "field, cluster",
     [
         (
-            "cluster.scheduler.ihave_batch_window_ms",
-            ClusterConfig(scheduler=SchedulerConfig(ihave_batch_window_ms=30.0)),
-        ),
-        (
             "cluster.scheduler.cache_capacity",
             ClusterConfig(scheduler=SchedulerConfig(cache_capacity=1)),
         ),
@@ -181,16 +175,6 @@ def test_vector_backend_is_worker_count_invariant() -> None:
         (
             "cluster.connection_purge_policy",
             ClusterConfig(connection_purge_policy=PurgePolicy.DROP_NEWEST),
-        ),
-        ("cluster.enable_latency_monitor", ClusterConfig(enable_latency_monitor=True)),
-        (
-            "cluster.latency_monitor",
-            ClusterConfig(latency_monitor=LatencyMonitorConfig(probe_period_ms=1.0)),
-        ),
-        ("cluster.enable_gossip_ranking", ClusterConfig(enable_gossip_ranking=True)),
-        (
-            "cluster.ranking",
-            ClusterConfig(ranking=RankingConfig(exchange_period_ms=1.0)),
         ),
     ],
 )

@@ -31,7 +31,9 @@ def build_gossip(fanout=2, rounds=3, peers=(1, 2)):
         node=0,
         config=GossipConfig(fanout=fanout, rounds=rounds),
         peer_sampler=FixedSampler(list(peers)),
-        l_send=lambda *args: sends.append(args),
+        l_send_many=lambda i, d, r, peers: sends.extend(
+            (i, d, r, p) for p in peers
+        ),
         deliver=lambda i, d: delivered.append((i, d)),
         id_source=MessageIdSource(random.Random(1)),
     )
@@ -54,7 +56,7 @@ class TestFig2Gossip:
         protocol, sends, delivered = build_gossip()
         order = []
         protocol.deliver = lambda i, d: order.append("deliver")
-        protocol.l_send = lambda *a: order.append("send")
+        protocol.l_send_many = lambda *a: order.append("send")
         protocol.multicast("d")
         assert order[0] == "deliver"
 
@@ -91,12 +93,18 @@ class TestFig3Scheduler:
             self.sim,
             node=0,
             strategy=PureLazyStrategy(retry_period_ms=100.0),
-            send=lambda dst, kind, payload, size: self.sends.append(
-                (dst, kind, payload)
-            ),
+            send=self.send,
+            send_many=self.send_many,
             config=SchedulerConfig(retry_period_ms=100.0),
         )
         self.module.bind(lambda *args: self.received.append(args))
+
+    def send(self, dst, kind, payload, size):
+        self.sends.append((dst, kind, payload))
+
+    def send_many(self, messages):
+        for message in messages:
+            self.send(*message)
 
     def test_lines_19_to_24_lazy_branch_caches_and_advertises(self):
         """Eager? false: C[i] = (d, r); Send(IHAVE(i), p)."""
@@ -108,10 +116,7 @@ class TestFig3Scheduler:
         from repro.strategies.flat import PureEagerStrategy
 
         module = LazyPointToPoint(
-            self.sim, 0, PureEagerStrategy(),
-            send=lambda dst, kind, payload, size: self.sends.append(
-                (dst, kind, payload)
-            ),
+            self.sim, 0, PureEagerStrategy(), self.send, self.send_many
         )
         module.l_send(1, "data", 2, peer=5)
         assert self.sends == [(5, MSG, (1, "data", 2))]
