@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test bench-perf lint lint-streams reach evaluate evaluate-quick figures clean
+.PHONY: install test test-fast bench-perf lint lint-streams reach evaluate evaluate-quick figures clean
 
 install:
 	$(PYTHON) setup.py develop

@@ -86,8 +86,8 @@ def megasim_spec(
     become oracle sampling or ``view_degree`` views, and the uplink
     bandwidth (``cluster.fabric``) has no slot-level counterpart.
     Node classes and every other ``ClusterConfig`` setting the slot
-    kernel does not read (connection buffers and purging, datagrams,
-    cache and known-id capacities) raise a ``ValueError`` naming the
+    kernel does not read (the connection buffer capacity, cache and
+    known-id capacities) raise a ``ValueError`` naming the
     field when set away from its ``ClusterConfig()`` default, rather
     than being silently dropped.  ``view_degree`` and ``track_links`` are
     slot-kernel knobs with no event-kernel field.

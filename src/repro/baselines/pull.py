@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.network.message import PACKET_OVERHEAD_BYTES, payload_packet_size
-from repro.network.transport import Endpoint, Transport
+from repro.network.transport import ConnectionTransport, Endpoint
 from repro.sim.timers import PeriodicTimer
 
 PULL_REQ = "PULL_REQ"
@@ -123,7 +123,7 @@ class PullGossipSystem:
 
     def __init__(
         self,
-        transport: Transport,
+        transport: ConnectionTransport,
         size: int,
         deliver: DeliverFn,
         config: Optional[PullConfig] = None,

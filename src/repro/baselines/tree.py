@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.network.transport import Endpoint, Transport
+from repro.network.transport import ConnectionTransport, Endpoint
 
 TREE_MSG = "TREE_MSG"
 
@@ -64,7 +64,7 @@ class TreeMulticastSystem:
 
     def __init__(
         self,
-        transport: Transport,
+        transport: ConnectionTransport,
         model,
         deliver: DeliverFn,
         config: Optional[TreeConfig] = None,

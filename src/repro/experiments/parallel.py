@@ -273,8 +273,8 @@ def run_tasks(
     """Run zero-argument callables; results in submission order.
 
     The generic escape hatch for work that is not an
-    :class:`ExperimentSpec` -- stability timelines, benchmark sweep
-    points.  Tasks must pickle under ``workers > 1``; use
+    :class:`ExperimentSpec` -- benchmark sweep points, megasim seed
+    batches.  Tasks must pickle under ``workers > 1``; use
     :func:`functools.partial` over module-level functions, not lambdas.
 
     ``initializer``/``initargs`` install per-worker state *once* per

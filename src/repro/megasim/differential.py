@@ -5,8 +5,9 @@ synchronous-round machine and the two backends must agree **exactly**:
 
 - uniform one-way latency ``L`` (every hop takes exactly one slot),
 - no NIC serialization (``bandwidth_bytes_per_ms=None``) and no loss,
-- oracle peer sampling (``overlay=None``) over datagrams
-  (``use_connections=False``),
+- oracle peer sampling (``overlay=None``), and connection buffers
+  that never fill: the slot kernel has none, so a run whose transport
+  purged a packet is rejected rather than compared,
 - fanout >= n - 1, so the sampler returns *all* other nodes without
   consuming randomness,
 - a strategy whose eager test is deterministic (Flat(0), Flat(1), TTL,
@@ -103,7 +104,6 @@ def slot_exact_config(
         scheduler=SchedulerConfig(retry_period_ms=retry_period_ms),
         fabric=FabricConfig(bandwidth_bytes_per_ms=None),
         overlay=None,
-        use_connections=False,
     )
 
 
@@ -144,7 +144,8 @@ def run_event_message(
     The cluster is *not* started (no periodic agents), the message is
     multicast at t=0, and the simulation drains completely; every
     delivery time must land on a whole slot or the model was not
-    actually uniform.  Faults are injected before the multicast, like
+    actually uniform, and no connection buffer may have purged a packet.
+    Faults are injected before the multicast, like
     the experiment engine does (after warmup, before logging).
     """
     n = model.size
@@ -169,6 +170,12 @@ def run_event_message(
     )
     message_id = cluster.multicast(origin, payload="payload")
     cluster.run_until_idle()
+    purged = cluster.transport.purged_count
+    if purged:
+        raise ValueError(
+            f"purged_count is {purged}: connection buffers purged packets, "
+            "which the slot kernel does not model"
+        )
 
     deliver_slot = np.full(n, -1, SLOT_DTYPE)
     for node, when in recorder.deliveries[message_id].items():

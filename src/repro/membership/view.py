@@ -70,16 +70,6 @@ class PartialView:
         self._member.add(peer)
         return evicted
 
-    def remove(self, peer: int) -> bool:
-        """Drop ``peer`` if present; True when something was removed."""
-        if peer not in self._member:
-            return False
-        index = self._peers.index(peer)
-        self._peers[index] = self._peers[-1]
-        self._peers.pop()
-        self._member.discard(peer)
-        return True
-
     def sample(self, count: int, exclude: Optional[int] = None) -> List[int]:
         """Uniform sample without replacement of up to ``count`` peers."""
         candidates = (

@@ -24,7 +24,6 @@ from repro.metrics.analysis import (
     summarize,
 )
 from repro.metrics.confidence import mean_confidence_interval
-from repro.metrics.dissemination import DisseminationTracker, ObserverChain
 from repro.metrics.export import (
     save_structure_json,
     structure_to_dict,
@@ -32,21 +31,11 @@ from repro.metrics.export import (
 )
 from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.structure import link_concentration, node_concentration
-from repro.metrics.timeline import (
-    completion_curve,
-    completion_times,
-    throughput_over_time,
-)
 
 __all__ = [
-    "DisseminationTracker",
-    "ObserverChain",
     "structure_to_dict",
     "structure_to_dot",
     "save_structure_json",
-    "completion_times",
-    "completion_curve",
-    "throughput_over_time",
     "MetricsRecorder",
     "RunSummary",
     "summarize",

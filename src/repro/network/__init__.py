@@ -13,13 +13,11 @@ plays the same role for simulated protocol code:
 - :mod:`repro.network.fabric` -- the core: routes packets between client
   nodes with model latencies, loss injection, and node silencing
   (the paper's firewall-rule failure mechanism).
-- :mod:`repro.network.transport` -- datagram (unordered, lossy) and
-  connection (FIFO, buffered, NeEM-style) endpoints for protocol code.
-- :mod:`repro.network.connection` -- the purge policies of the NeEM-like
-  virtual connection layer.
+- :mod:`repro.network.transport` -- the NeEM-style connection layer
+  (FIFO, buffered, drop-oldest purging) and its endpoints for protocol
+  code.
 """
 
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, NetworkFabric, PacketObserver
 from repro.network.message import (
     CONTROL_OVERHEAD_BYTES,
@@ -28,15 +26,9 @@ from repro.network.message import (
     Packet,
 )
 from repro.network.nic import NetworkInterface
-from repro.network.transport import (
-    ConnectionTransport,
-    DatagramTransport,
-    Endpoint,
-    Transport,
-)
+from repro.network.transport import ConnectionTransport, Endpoint
 
 __all__ = [
-    "PurgePolicy",
     "FabricConfig",
     "NetworkFabric",
     "PacketObserver",
@@ -46,7 +38,5 @@ __all__ = [
     "PACKET_OVERHEAD_BYTES",
     "NetworkInterface",
     "ConnectionTransport",
-    "DatagramTransport",
     "Endpoint",
-    "Transport",
 ]

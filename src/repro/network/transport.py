@@ -1,21 +1,21 @@
-"""Point-to-point transports for protocol code.
+"""The point-to-point transport protocol code talks through.
 
 Protocol layers talk to an :class:`Endpoint` bound to their node id:
 ``endpoint.send(dst, kind, payload, size_bytes)`` or, for several
 messages handed over at one instant, ``endpoint.send_many(messages)``
 out; a per-kind table of receivers (``endpoint.listen(table)``, the
 port table a host keeps) and a catch-all ``receiver(src, kind,
-payload)`` in.  Two transports implement the endpoint factory:
+payload)`` in.  :class:`ConnectionTransport` is the endpoint factory.
 
-- :class:`DatagramTransport` -- unordered, independently lossy packets;
-  matches the abstract "unreliable point-to-point communication service"
-  of the paper's Fig. 2 model.
-- :class:`ConnectionTransport` -- the NeEM-style layer (section 5.2):
-  per-pair FIFO delivery and a bounded per-connection buffer whose
-  overflow triggers a purging strategy.  This is the default for
-  experiments, as in the paper.
+It models NeEM's connection layer (section 5.2), the implementation the
+paper modifies: gossip runs over TCP connections, and when one blocks,
+messages buffer in user space and a purging strategy drops *older*
+buffered messages first (fresh epidemic traffic is worth more than
+stale traffic), keeping latency bounded.  Per-pair FIFO order and
+per-link loss come from the fabric, so a connection whose buffer never
+fills behaves exactly like a datagram.
 
-Both submit in bursts (``_submit_many``); a single send is a burst of
+Sends go out in bursts (``_submit_many``); a single send is a burst of
 one.  A burst goes to the fabric as one :meth:`NetworkFabric.send_many`
 call, a lone packet through :meth:`NetworkFabric.send`, so observers and
 per-call probes see single sends as before.
@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import NetworkFabric, SendReceipt
 from repro.network.message import Packet
 
@@ -52,7 +51,7 @@ Message = Tuple[int, str, Any, int]
 class Endpoint:
     """A node-bound sender/receiver handle onto a transport."""
 
-    def __init__(self, transport: "Transport", node: int) -> None:
+    def __init__(self, transport: "ConnectionTransport", node: int) -> None:
         self._transport = transport
         self.node = node
         self._receiver: Optional[Receiver] = None
@@ -109,19 +108,26 @@ class Endpoint:
             receiver(packet.src, kind, packet.payload)
 
 
-class Transport:
-    """Base transport: an endpoint factory over a fabric."""
+class ConnectionTransport:
+    """FIFO-per-pair transport with bounded, purging connection buffers.
 
-    def __init__(self, fabric: NetworkFabric) -> None:
+    The fabric already delivers each directed pair in send order, as a
+    TCP stream would.  The "buffer" is the set of in-flight packets per
+    pair; when it would exceed ``buffer_capacity`` the oldest is aborted
+    mid-flight -- modelling NeEM dropping user-space-buffered messages
+    when a connection blocks.
+    """
+
+    def __init__(self, fabric: NetworkFabric, buffer_capacity: int = 64) -> None:
+        if buffer_capacity < 1:
+            raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
         self._fabric = fabric
         self._size = fabric.size
         #: ``src * size + dst`` -> the directed connection's in-flight
-        #: receipts, oldest first (a datagram transport keeps none).
+        #: receipts, oldest first.
         self._connections: Dict[int, List[SendReceipt]] = {}
-
-    @property
-    def fabric(self) -> NetworkFabric:
-        return self._fabric
+        self.buffer_capacity = buffer_capacity
+        self.purged_count = 0
 
     @property
     def sim(self):
@@ -130,47 +136,6 @@ class Transport:
     def endpoint(self, node: int) -> Endpoint:
         """Create the endpoint for ``node`` (registers its handler)."""
         return Endpoint(self, node)
-
-    def _submit_many(self, packets: Sequence[Packet]) -> None:
-        """Submit a burst (a single send is a burst of one)."""
-        raise NotImplementedError
-
-
-class DatagramTransport(Transport):
-    """Unordered, independently lossy point-to-point packets."""
-
-    def _submit_many(self, packets: Sequence[Packet]) -> None:
-        # A lone packet goes through ``send``, so it is observed, and
-        # counted, as a single send.
-        if len(packets) == 1:
-            self._fabric.send(packets[0])
-        elif packets:
-            self._fabric.send_many(packets)
-
-
-class ConnectionTransport(Transport):
-    """FIFO-per-pair transport with bounded, purging connection buffers.
-
-    The fabric already delivers each directed pair in send order, as a
-    TCP stream would.  The "buffer" is the set of in-flight packets per
-    pair; when it exceeds ``buffer_capacity`` the purge policy picks a
-    victim, which is then aborted mid-flight -- modelling NeEM dropping
-    user-space-buffered messages when a connection blocks.
-    """
-
-    def __init__(
-        self,
-        fabric: NetworkFabric,
-        buffer_capacity: int = 64,
-        purge_policy: PurgePolicy = PurgePolicy.DROP_OLDEST,
-    ) -> None:
-        super().__init__(fabric)
-        if buffer_capacity < 1:
-            raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
-        self.buffer_capacity = buffer_capacity
-        self.purge_policy = purge_policy
-        self._rng = fabric.sim.rng.stream("network.connections")
-        self.purged_count = 0
 
     def _submit_many(self, packets: Sequence[Packet]) -> None:
         if not packets:
@@ -204,35 +169,15 @@ class ConnectionTransport(Transport):
                 # left the queue here (module docstring).
                 while receipts and not receipts[0].pending:
                     del receipts[0]
-                if len(receipts) >= capacity and self._purge(packet, receipts):
-                    continue
+                if len(receipts) >= capacity:
+                    # Purge: abort the oldest (receipts are sorted by
+                    # ``deliver_at``, so that is the head).
+                    self.purged_count += 1
+                    fabric.abort(receipts.pop(0))
             burst.append(packet)
             keys.append(key)
             queues.append(receipts)
-        if not burst:
-            return
         sent = fabric.send_many(burst) if len(burst) > 1 else (fabric.send(burst[0]),)
         for queue, receipt in zip(queues, sent):
             if receipt is not None:
                 queue.append(receipt)
-
-    def _purge(self, packet: Packet, receipts: List[SendReceipt]) -> bool:
-        """Make room in a full buffer; True when ``packet`` itself was
-        the victim (DROP_NEWEST) and must not be sent."""
-        self.purged_count += 1
-        if self.purge_policy is PurgePolicy.DROP_NEWEST:
-            # Account it as a sent-then-purged packet so observers see
-            # consistent send/drop pairs.
-            now = packet.sent_at = self.sim.now
-            observer = self._fabric.observer
-            if observer is not None:
-                observer.on_send(packet, now)
-                observer.on_drop(packet, now, "purged")
-            return True
-        # Sorted by deliver_at, so the head is the oldest; DROP_RANDOM
-        # makes its one draw over the live set.
-        victim = 0
-        if self.purge_policy is PurgePolicy.DROP_RANDOM:
-            victim = self._rng.choice(range(len(receipts)))
-        self._fabric.abort(receipts.pop(victim))
-        return False

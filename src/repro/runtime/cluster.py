@@ -16,9 +16,8 @@ from typing import Any, Callable, List, Optional
 from repro.gossip.config import GossipConfig
 from repro.membership.neem_overlay import NeemOverlay, OverlayConfig
 from repro.membership.oracle import OraclePeerSampler
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, NetworkFabric
-from repro.network.transport import ConnectionTransport, DatagramTransport, Transport
+from repro.network.transport import ConnectionTransport
 from repro.runtime.node import (
     AppDeliverFn,
     ProtocolNode,
@@ -36,19 +35,17 @@ class ClusterConfig:
     """Deployment-wide configuration.
 
     Defaults mirror the paper's section 5.2/5.3 setup: fanout 11 over a
-    shuffled overlay with views of 15, connection-oriented transport,
-    400 ms retransmission period.  Set ``overlay=None`` to use the
-    idealized oracle peer sampler instead of the shuffled overlay, and
-    ``use_connections=False`` for a raw lossy datagram transport.
+    shuffled overlay with views of 15, NeEM's connection transport with
+    drop-oldest purging, 400 ms retransmission period.  Set
+    ``overlay=None`` to use the idealized oracle peer sampler instead of
+    the shuffled overlay.
     """
 
     gossip: GossipConfig = field(default_factory=GossipConfig)
     scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
     fabric: FabricConfig = field(default_factory=FabricConfig)
     overlay: Optional[OverlayConfig] = field(default_factory=OverlayConfig)
-    use_connections: bool = True
     connection_buffer_capacity: int = 64
-    connection_purge_policy: PurgePolicy = PurgePolicy.DROP_OLDEST
     bootstrap_degree: int = 15
 
 
@@ -70,15 +67,9 @@ class Cluster:
         self.fabric = NetworkFabric(
             self.sim, model, self.config.fabric, node_bandwidth=node_bandwidth
         )
-        self.transport: Transport
-        if self.config.use_connections:
-            self.transport = ConnectionTransport(
-                self.fabric,
-                buffer_capacity=self.config.connection_buffer_capacity,
-                purge_policy=self.config.connection_purge_policy,
-            )
-        else:
-            self.transport = DatagramTransport(self.fabric)
+        self.transport = ConnectionTransport(
+            self.fabric, buffer_capacity=self.config.connection_buffer_capacity
+        )
         self._deliver = deliver or (lambda node, message_id, payload: None)
         self._on_multicast: Optional[Callable[[int, int, float], None]] = None
         self.nodes: List[ProtocolNode] = []
@@ -179,10 +170,6 @@ class Cluster:
         """Drain every pending event (stop periodic agents first or this
         will not terminate)."""
         self.sim.run(max_events=max_events)
-
-    def silence(self, node: int) -> None:
-        """Fail ``node`` the way the paper does: firewall it."""
-        self.fabric.silence(node)
 
     @property
     def alive_nodes(self) -> List[int]:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.app.pubsub import PubSub
 from repro.gossip.config import GossipConfig
 from repro.network.fabric import LinkProfile

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.failures.gray import GrayFailureInjector, GrayFailurePlan
 from repro.gossip.config import GossipConfig
 from repro.network.fabric import FabricConfig

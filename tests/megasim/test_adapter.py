@@ -341,13 +341,10 @@ class TestFaultCompilation:
         )
 
     def test_crash_victims_replay_the_event_injector(self) -> None:
-        from repro.experiments.runner import ExperimentSpec
         from repro.experiments.scenarios import flat_factory as flat
-        from repro.experiments.workload import TrafficConfig
         from repro.failures.injection import FailurePlan
-        from repro.gossip.config import GossipConfig
         from repro.megasim.adapter import compile_faults
-        from repro.runtime.cluster import Cluster, ClusterConfig
+        from repro.runtime.cluster import Cluster
 
         plan = FailurePlan(fraction=0.25)
         model = ClientNetworkModel.uniform(24)

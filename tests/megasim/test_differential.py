@@ -10,6 +10,8 @@ claimed.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -22,6 +24,7 @@ from repro.experiments.scenarios import (
     ranked_factory,
     ttl_factory,
 )
+from repro.megasim import differential
 from repro.megasim.differential import (
     exact_pair,
     plane_model,
@@ -91,6 +94,23 @@ def test_origin_requests_its_own_message_when_fully_lazy() -> None:
     assert event.iwant_sent == vector.iwant_sent == N
     assert int(event.payload_received[2]) == 1
     assert int(vector.payload_received[2]) == 1
+
+
+def test_event_half_rejects_a_run_that_purged(monkeypatch) -> None:
+    """The slot kernel has no connection buffers, so an event run whose
+    transport purged a packet is outside the exact regime and must fail
+    by name, not be compared.  A one-packet buffer purges under Radius."""
+    exact_config = differential.slot_exact_config
+    monkeypatch.setattr(
+        differential,
+        "slot_exact_config",
+        lambda *args: dataclasses.replace(
+            exact_config(*args), connection_buffer_capacity=1
+        ),
+    )
+    factory, model, _, _ = EXACT_CONFIGS["radius-distance"]
+    with pytest.raises(ValueError, match="purged_count"):
+        run_event_message(model, factory, 0, N - 1, ROUNDS)
 
 
 class TestStatisticalTier:

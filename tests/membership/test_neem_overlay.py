@@ -10,7 +10,7 @@ import pytest
 
 from repro.membership.neem_overlay import NeemOverlay, OverlayConfig
 from repro.network.fabric import FabricConfig, NetworkFabric
-from repro.network.transport import DatagramTransport
+from repro.network.transport import ConnectionTransport
 from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
 
@@ -19,7 +19,7 @@ def build_overlay_network(n=20, view_size=5, bootstrap_degree=3, seed=3):
     sim = Simulator(seed=seed)
     model = ClientNetworkModel.uniform(n, latency_ms=5.0)
     fabric = NetworkFabric(sim, model, FabricConfig(bandwidth_bytes_per_ms=None))
-    transport = DatagramTransport(fabric)
+    transport = ConnectionTransport(fabric)
     config = OverlayConfig(view_size=view_size, shuffle_size=3)
     rng = sim.rng.stream("bootstrap")
     agents = []

@@ -14,12 +14,12 @@ drives both through the same interleavings of bursts
 ``run(until=...)`` steps, under per-node bandwidth overrides, link loss
 on one directed link or on every one (the shape
 ``GrayFailurePlan(lossy_link_fraction=1.0)`` applies), silenced senders
-and receivers, buffer capacities 1-4 under every :class:`PurgePolicy`,
-and an observer or none.  After every step it compares, per packet, the
+and receivers, drop-oldest buffer capacities 1-4, and an observer or
+none.  After every step it compares, per packet, the
 live queue entries ``(time, seq)`` and the firing order with delivery
 times; and the observer's totals and drop reasons, every NIC's state,
 every connection's whole receipt list, and the ``network.fabric.gray``
-and ``network.connections`` stream states.
+stream state.
 
 Mutants of the burst path this kills, each a one-token or one-line edit
 (checked when written):
@@ -29,8 +29,8 @@ Mutants of the burst path this kills, each a one-token or one-line edit
   packet departs at its start, not its end);
 - seq order: ``(time, seq, ...)`` -> ``(time, -seq, ...)`` in
   ``EventQueue.push_many``'s heap entry;
-- purge victim: ``victim = 0`` -> ``victim = -1`` in
-  ``ConnectionTransport._purge``;
+- purge victim: ``receipts.pop(0)`` -> ``receipts.pop()`` in
+  ``ConnectionTransport._submit_many``;
 - a draw for a lossless link: the ``link.loss_probability > 0.0`` guard
   removed from ``NetworkFabric.send_many``'s loss check;
 - delivered receipt left in its list: the fired-prefix pop removed from
@@ -47,7 +47,6 @@ from typing import Optional
 
 from hypothesis import given, settings, strategies as st
 
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, LinkProfile, NetworkFabric
 from repro.network.message import Packet, SlotRecord
 from repro.network.nic import NetworkInterface
@@ -169,22 +168,9 @@ class ReferenceTransport(ConnectionTransport):
         key = packet.src * self._size + packet.dst
         receipts = self._connections.setdefault(key, [])
         if len(receipts) >= self.buffer_capacity:
+            # Sorted by deliver_at, so the head is the oldest.
             self.purged_count += 1
-            if self.purge_policy is PurgePolicy.DROP_NEWEST:
-                # Account it as a sent-then-purged packet so observers
-                # see consistent send/drop pairs.
-                now = packet.sent_at = self.sim.now
-                observer = self._fabric.observer
-                if observer is not None:
-                    observer.on_send(packet, now)
-                    observer.on_drop(packet, now, "purged")
-                return
-            # Sorted by deliver_at, so the head is the oldest;
-            # DROP_RANDOM makes its one draw over the live set.
-            victim = 0
-            if self.purge_policy is PurgePolicy.DROP_RANDOM:
-                victim = self._rng.choice(range(len(receipts)))
-            self._fabric.abort(receipts.pop(victim))
+            self._fabric.abort(receipts.pop(0))
 
         receipt = self._fabric.send(packet)
         if receipt is not None:
@@ -198,9 +184,7 @@ class Stack:
     """Simulator + fabric + connection transport, everything observable
     logged; ``batched`` picks the burst path or the reference."""
 
-    def __init__(
-        self, batched, seed, model, config, overrides, capacity, policy, observe
-    ):
+    def __init__(self, batched, seed, model, config, overrides, capacity, observe):
         self.batched = batched
         self.sim = Simulator(seed=seed)
         fabric_cls = NetworkFabric if batched else ReferenceFabric
@@ -209,9 +193,7 @@ class Stack:
         self.totals: Counter = Counter()
         if observe:
             self.fabric.set_observer(self)
-        self.transport = transport_cls(
-            self.fabric, buffer_capacity=capacity, purge_policy=policy
-        )
+        self.transport = transport_cls(self.fabric, buffer_capacity=capacity)
         self.received = []
         self.sent = 0
         self.endpoints = []
@@ -296,7 +278,6 @@ class Stack:
         return state
 
     def observable(self):
-        streams = self.sim.rng
         return (
             self.queued(),
             self.sim._queue._seq,
@@ -309,10 +290,7 @@ class Stack:
             self.connections(),
             self.transport.purged_count,
             self.sim.now,
-            [
-                streams.stream(name).getstate()
-                for name in ("network.fabric.gray", "network.connections")
-            ],
+            self.sim.rng.stream("network.fabric.gray").getstate(),
         )
 
 
@@ -385,18 +363,17 @@ operation = st.one_of(
     bandwidth=st.sampled_from([None, 40.0, 1250.0]),
     overrides=st.dictionaries(node, st.sampled_from([None, 10.0, 400.0])),
     capacity=st.integers(1, 4),
-    policy=st.sampled_from(list(PurgePolicy)),
     observe=st.booleans(),
 )
 def test_bursts_match_the_per_packet_path(
-    fill, operations, seed, bandwidth, overrides, capacity, policy, observe
+    fill, operations, seed, bandwidth, overrides, capacity, observe
 ):
     """Every example opens with a repeated burst, so connections fill and
-    purge under every policy before the rest of the interleaving."""
+    purge before the rest of the interleaving."""
     model = _model(seed)
     config = FabricConfig(bandwidth_bytes_per_ms=bandwidth)
     stacks = [
-        Stack(batched, seed, model, config, overrides, capacity, policy, observe)
+        Stack(batched, seed, model, config, overrides, capacity, observe)
         for batched in (True, False)
     ]
     batched, reference = stacks

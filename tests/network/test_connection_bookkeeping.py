@@ -9,18 +9,16 @@ every send -- of which this file carries a copy (less the FIFO floor it
 also kept: the fabric now delivers each pair in order by
 construction).  Hypothesis drives
 both through the same interleavings of send / ``run(until=...)`` /
-silence / lossy links, under per-node bandwidth overrides, for every
-purge policy and small capacities, and after every step compares:
+silence / lossy links, under per-node bandwidth overrides, for small
+capacities of the drop-oldest buffer, and after every step compares:
 
 - the full event log: observer ``on_send`` / ``on_deliver`` / ``on_drop``
   calls and receiver up-calls, with exact timestamps;
 - ``purged_count``, the clock and the number of queued events;
-- the state of the ``network.connections`` stream (equal states from
-  equal seeds mean equal draw counts, and equal ``DROP_RANDOM`` victims);
 - the live in-flight set per pair, in insertion order -- what a purge
   decision sees -- and that no list holds a receipt that has fired.
 
-Two fixed interleavings per policy and capacity fill a buffer: right
+Two fixed interleavings per capacity fill a buffer: right
 after receipts on it were dropped on arrival at a silenced node, and
 with receipts to a node that has no endpoint, which only the send side
 reaps.
@@ -36,7 +34,6 @@ from typing import Dict, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import (
     FabricConfig,
     LinkProfile,
@@ -44,7 +41,7 @@ from repro.network.fabric import (
     SendReceipt,
 )
 from repro.network.message import Packet
-from repro.network.transport import ConnectionTransport, Transport
+from repro.network.transport import ConnectionTransport
 from repro.sim.engine import Simulator
 from repro.topology.simple import complete_topology
 
@@ -54,24 +51,13 @@ NODES = 3
 # -- the legacy bookkeeping (full-scan reap) ----------------------------------------
 
 
-class _LegacyConnectionTransport(Transport):
-    def __init__(
-        self,
-        fabric: NetworkFabric,
-        buffer_capacity: int = 64,
-        purge_policy: PurgePolicy = PurgePolicy.DROP_OLDEST,
-    ) -> None:
-        super().__init__(fabric)
-        if buffer_capacity < 1:
-            raise ValueError(f"buffer_capacity must be >= 1, got {buffer_capacity}")
-        self.buffer_capacity = buffer_capacity
-        self.purge_policy = purge_policy
+class _LegacyConnectionTransport(ConnectionTransport):
+    def __init__(self, fabric: NetworkFabric, buffer_capacity: int = 64) -> None:
+        super().__init__(fabric, buffer_capacity)
         self._in_flight: Dict[Tuple[int, int], Dict[int, SendReceipt]] = {}
-        self._rng = fabric.sim.rng.stream("network.connections")
-        self.purged_count = 0
 
     def _submit_many(self, packets) -> None:
-        # The per-packet loop this copy inherited from ``Transport``.
+        # One packet at a time, as before bursts.
         for packet in packets:
             self._submit(packet)
 
@@ -81,17 +67,8 @@ class _LegacyConnectionTransport(Transport):
         self._reap_delivered(in_flight)
 
         if len(in_flight) >= self.buffer_capacity:
-            victim = self._pick_victim(in_flight, packet)
-            if victim is packet:
-                # DROP_NEWEST: account it as a sent-then-purged packet so
-                # observers see consistent send/drop pairs.
-                packet.sent_at = self.sim.now
-                if self._fabric.observer is not None:
-                    self._fabric.observer.on_send(packet, self.sim.now)
-                    self._fabric.observer.on_drop(packet, self.sim.now, "purged")
-                self.purged_count += 1
-                return
-            receipt = in_flight.pop(victim.packet_id)
+            oldest = min(in_flight.values(), key=lambda r: r.deliver_at)
+            receipt = in_flight.pop(oldest.packet.packet_id)
             self._fabric.abort(receipt, reason="purged")
             self.purged_count += 1
 
@@ -99,16 +76,6 @@ class _LegacyConnectionTransport(Transport):
         if receipt is None:
             return
         in_flight[packet.packet_id] = receipt
-
-    def _pick_victim(
-        self, in_flight: Dict[int, SendReceipt], incoming: Packet
-    ) -> Packet:
-        if self.purge_policy is PurgePolicy.DROP_NEWEST:
-            return incoming
-        receipts = list(in_flight.values())
-        if self.purge_policy is PurgePolicy.DROP_OLDEST:
-            return min(receipts, key=lambda r: r.deliver_at).packet
-        return self._rng.choice(receipts).packet
 
     @staticmethod
     def _reap_delivered(in_flight: Dict[int, SendReceipt]) -> None:
@@ -160,9 +127,7 @@ def _assert_fifo(log) -> None:
 class Stack:
     """Simulator + fabric + transport with everything observable logged."""
 
-    def __init__(
-        self, transport_cls, seed, bandwidths, capacity, policy, endpoints=NODES
-    ):
+    def __init__(self, transport_cls, seed, bandwidths, capacity, endpoints=NODES):
         self.sim = Simulator(seed=seed)
         self.fabric = NetworkFabric(
             self.sim,
@@ -174,9 +139,7 @@ class Stack:
         )
         self.log = []
         self.fabric.set_observer(self)
-        self.transport = transport_cls(
-            self.fabric, buffer_capacity=capacity, purge_policy=policy
-        )
+        self.transport = transport_cls(self.fabric, buffer_capacity=capacity)
         self.endpoints = [self.transport.endpoint(n) for n in range(endpoints)]
         for node, endpoint in enumerate(self.endpoints):
             endpoint.set_receiver(
@@ -215,7 +178,6 @@ class Stack:
             self.transport.purged_count,
             self.sim.now,
             self.sim.pending_events,
-            self.transport._rng.getstate(),
         )
 
 
@@ -233,9 +195,9 @@ operation = st.one_of(
 )
 
 
-def _compare(policy, capacity, operations, bandwidths, seed, endpoints=NODES):
+def _compare(capacity, operations, bandwidths, seed, endpoints=NODES):
     current, legacy = (
-        Stack(transport_cls, seed, bandwidths, capacity, policy, endpoints)
+        Stack(transport_cls, seed, bandwidths, capacity, endpoints)
         for transport_cls in (ConnectionTransport, _LegacyConnectionTransport)
     )
     for step, op in enumerate([*operations, ("run", 1e6)]):
@@ -250,7 +212,6 @@ def _compare(policy, capacity, operations, bandwidths, seed, endpoints=NODES):
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
-@pytest.mark.parametrize("policy", list(PurgePolicy), ids=lambda p: p.name)
 @settings(max_examples=40, deadline=None)
 @given(
     operations=st.lists(operation, min_size=1, max_size=40),
@@ -258,14 +219,13 @@ def _compare(policy, capacity, operations, bandwidths, seed, endpoints=NODES):
     seed=st.integers(0, 1000),
 )
 def test_connection_records_match_full_scan_bookkeeping(
-    policy, capacity, operations, bandwidths, seed
+    capacity, operations, bandwidths, seed
 ):
-    _compare(policy, capacity, operations, bandwidths, seed)
+    _compare(capacity, operations, bandwidths, seed)
 
 
 @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
-@pytest.mark.parametrize("policy", list(PurgePolicy), ids=lambda p: p.name)
-def test_buffer_filling_after_drops_on_arrival_matches(policy, capacity):
+def test_buffer_filling_after_drops_on_arrival_matches(capacity):
     """Node 1 is silenced with a full buffer of node 0's packets in
     flight; some of them arrive (and are dropped) before node 0 sends
     another burst, larger than the buffer, into the same connection."""
@@ -276,7 +236,7 @@ def test_buffer_filling_after_drops_on_arrival_matches(policy, capacity):
         ("run", 25.0),
         ("send", 0, 1, [*burst, 400, 400]),
     ]
-    current = _compare(policy, capacity, operations, {}, seed=7)
+    current = _compare(capacity, operations, {}, seed=7)
     dropped_at = [
         entry[4]
         for entry in current.log
@@ -287,15 +247,12 @@ def test_buffer_filling_after_drops_on_arrival_matches(policy, capacity):
 
 
 @pytest.mark.parametrize("capacity", [1, 2])
-@pytest.mark.parametrize("policy", list(PurgePolicy), ids=lambda p: p.name)
-def test_receipts_to_a_node_without_an_endpoint_leave_at_capacity(
-    policy, capacity
-):
+def test_receipts_to_a_node_without_an_endpoint_leave_at_capacity(capacity):
     """Node 2 has no endpoint, so its packets fire without arriving at
     one; the send side reaps them once the buffer is at capacity."""
     burst = [400] * (capacity + 1)
     operations = [("send", 0, 2, burst), ("run", 1e3), ("send", 0, 2, burst)]
-    current = _compare(policy, capacity, operations, {}, seed=7, endpoints=2)
+    current = _compare(capacity, operations, {}, seed=7, endpoints=2)
     # One overflow per burst: the first burst's fired receipts are reaped.
     assert current.transport.purged_count == 2
     assert "no-handler" in [entry[-1] for entry in current.log]

@@ -1,21 +1,20 @@
-"""Datagram and connection transport tests."""
+"""Connection transport tests."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig, NetworkFabric
-from repro.network.transport import ConnectionTransport, DatagramTransport
+from repro.network.transport import ConnectionTransport
 from repro.sim.engine import Simulator
 from repro.topology.simple import complete_topology
 
 
-def make_stack(transport_cls=DatagramTransport, n=3, jitter=0.0, **transport_kwargs):
+def make_stack(n=3, jitter=0.0, **transport_kwargs):
     sim = Simulator(seed=2)
     model = complete_topology(n, latency_ms=10.0, jitter_ms=jitter, seed=2)
     fabric = NetworkFabric(sim, model, FabricConfig(bandwidth_bytes_per_ms=None))
-    transport = transport_cls(fabric, **transport_kwargs)
+    transport = ConnectionTransport(fabric, **transport_kwargs)
     return sim, fabric, transport
 
 
@@ -31,7 +30,7 @@ def test_endpoint_round_trip():
 
 def test_connection_transport_preserves_fifo_under_jitter():
     """On a jittered latency matrix, one pair's packets keep their order."""
-    sim, _, transport = make_stack(ConnectionTransport, jitter=9.0)
+    sim, _, transport = make_stack(jitter=9.0)
     a = transport.endpoint(0)
     b = transport.endpoint(1)
     got = []
@@ -43,7 +42,7 @@ def test_connection_transport_preserves_fifo_under_jitter():
 
 
 def test_connection_fifo_is_per_directed_pair():
-    sim, _, transport = make_stack(ConnectionTransport, jitter=9.0)
+    sim, _, transport = make_stack(jitter=9.0)
     a, b, c = (transport.endpoint(i) for i in range(3))
     got_b, got_c = [], []
     b.set_receiver(lambda src, kind, payload: got_b.append(payload))
@@ -57,9 +56,7 @@ def test_connection_fifo_is_per_directed_pair():
 
 
 def test_connection_buffer_purges_oldest_in_flight():
-    sim, fabric, transport = make_stack(
-        ConnectionTransport, buffer_capacity=2, purge_policy=PurgePolicy.DROP_OLDEST
-    )
+    sim, fabric, transport = make_stack(buffer_capacity=2)
     a = transport.endpoint(0)
     b = transport.endpoint(1)
     got = []
@@ -72,23 +69,8 @@ def test_connection_buffer_purges_oldest_in_flight():
     assert transport.purged_count == 3
 
 
-def test_connection_buffer_drop_newest():
-    sim, fabric, transport = make_stack(
-        ConnectionTransport, buffer_capacity=2, purge_policy=PurgePolicy.DROP_NEWEST
-    )
-    a = transport.endpoint(0)
-    b = transport.endpoint(1)
-    got = []
-    b.set_receiver(lambda src, kind, payload: got.append(payload))
-    for i in range(5):
-        a.send(1, "SEQ", i, 10)
-    sim.run()
-    assert got == [0, 1]
-    assert transport.purged_count == 3
-
-
 def test_connection_buffer_reaps_delivered():
-    sim, _, transport = make_stack(ConnectionTransport, buffer_capacity=2)
+    sim, _, transport = make_stack(buffer_capacity=2)
     a = transport.endpoint(0)
     b = transport.endpoint(1)
     got = []

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.network.fabric import FabricConfig, NetworkFabric
-from repro.network.transport import ConnectionTransport, DatagramTransport
+from repro.network.transport import ConnectionTransport
 from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
 from repro.topology.simple import complete_topology
@@ -55,11 +55,13 @@ def test_connection_transport_fifo_for_any_plan(plan, jitter, seed):
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(plan=send_plan, seed=st.integers(0, 1000))
-def test_datagram_transport_loses_nothing_without_loss(plan, seed):
+def test_transport_loses_nothing_without_loss(plan, seed):
+    """Below buffer capacity (at most 60 sends per pair against 64) a
+    connection purges nothing, so every packet arrives."""
     sim = Simulator(seed=seed)
     model = ClientNetworkModel.uniform(4, latency_ms=5.0)
     fabric = NetworkFabric(sim, model, FabricConfig(bandwidth_bytes_per_ms=None))
-    transport = DatagramTransport(fabric)
+    transport = ConnectionTransport(fabric)
     endpoints = [transport.endpoint(node) for node in range(4)]
     received = []
     for node, endpoint in enumerate(endpoints):
@@ -72,3 +74,4 @@ def test_datagram_transport_loses_nothing_without_loss(plan, seed):
         sent += 1
     sim.run()
     assert len(received) == sent
+    assert transport.purged_count == 0

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.gossip.config import GossipConfig
 from repro.membership.neem_overlay import NeemOverlay
 from repro.membership.oracle import OraclePeerSampler
@@ -66,7 +64,7 @@ def test_strategy_factory_receives_context():
 def test_silence_and_alive_nodes():
     model = complete_topology(5)
     cluster, _ = build_cluster(model, lambda ctx: PureEagerStrategy())
-    cluster.silence(3)
+    cluster.fabric.silence(3)
     assert cluster.alive_nodes == [0, 1, 2, 4]
 
 

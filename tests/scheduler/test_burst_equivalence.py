@@ -26,7 +26,6 @@ from repro.experiments.golden import (
     trace_digest,
 )
 from repro.experiments.runner import run_experiment
-from repro.network.connection import PurgePolicy
 from repro.network.message import control_packet_size
 from repro.scheduler.lazy_point_to_point import IHAVE, MSG, LazyPointToPoint
 from repro.sim.engine import Simulator
@@ -54,22 +53,15 @@ class PerPeerScheduler(LazyPointToPoint):
             self._send(peer, IHAVE, message_id, control_packet_size())
 
 
-def _small_buffers(name: str, policy: PurgePolicy):
+def _small_buffers(name: str):
     spec = canonical_spec(name)
-    cluster = replace(
-        spec.cluster, connection_buffer_capacity=2, connection_purge_policy=policy
-    )
+    cluster = replace(spec.cluster, connection_buffer_capacity=2)
     return replace(spec, cluster=cluster)
 
 
 SPECS = {
     **{name: (lambda name=name: canonical_spec(name)) for name in CANONICAL_CONFIGS},
-    **{
-        f"flat_buffer2_{policy.name}": (
-            lambda policy=policy: _small_buffers("flat", policy)
-        )
-        for policy in PurgePolicy
-    },
+    "flat_buffer2": lambda: _small_buffers("flat"),
 }
 
 

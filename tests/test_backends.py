@@ -15,7 +15,6 @@ from repro.experiments.workload import TrafficConfig
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.gossip.config import GossipConfig
-from repro.network.connection import PurgePolicy
 from repro.network.fabric import FabricConfig
 from repro.runtime.cluster import ClusterConfig
 from repro.scheduler.interfaces import SchedulerConfig
@@ -167,14 +166,9 @@ def test_vector_backend_is_worker_count_invariant() -> None:
             "cluster.gossip.known_ids_capacity",
             ClusterConfig(gossip=GossipConfig(known_ids_capacity=1)),
         ),
-        ("cluster.use_connections", ClusterConfig(use_connections=False)),
         (
             "cluster.connection_buffer_capacity",
             ClusterConfig(connection_buffer_capacity=1),
-        ),
-        (
-            "cluster.connection_purge_policy",
-            ClusterConfig(connection_purge_policy=PurgePolicy.DROP_NEWEST),
         ),
     ],
 )

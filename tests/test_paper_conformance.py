@@ -11,12 +11,9 @@ from __future__ import annotations
 import random
 from typing import List
 
-import pytest
-
 from repro.gossip.config import GossipConfig
 from repro.gossip.message_ids import MessageIdSource
 from repro.gossip.protocol import GossipProtocol
-from repro.network.message import control_packet_size
 from repro.scheduler.interfaces import SchedulerConfig
 from repro.scheduler.lazy_point_to_point import IHAVE, IWANT, MSG, LazyPointToPoint
 from repro.sim.engine import Simulator
