@@ -22,7 +22,6 @@ from repro.experiments.figures import Scale, build_model
 from repro.experiments.reporting import print_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
 from repro.gossip.config import GossipConfig
-from repro.monitors.oracle import OracleLatencyMonitor
 from repro.runtime.cluster import ClusterConfig
 from repro.strategies.adaptive import AdaptiveRadiusStrategy
 
@@ -33,7 +32,7 @@ SCALE = Scale("example", clients=40, routers=400, messages=80,
 def adaptive_factory(target: float):
     def build(ctx):
         return AdaptiveRadiusStrategy(
-            OracleLatencyMonitor(ctx.model, ctx.node),
+            ctx.model.latency_ms[ctx.node],
             target_eager_rate=target,
             initial_radius=20.0,
             first_request_delay_ms=60.0,

@@ -3,7 +3,7 @@ Multicast" (Carvalho, Pereira, Oliveira, Rodrigues -- DSN 2007).
 
 Epidemic multicast with a pluggable payload scheduler: gossip stays
 purely random (resilient, simple), while *when payloads travel* is
-decided by a Transmission Strategy fed by Performance Monitors.
+decided by a Transmission Strategy that reads the network model.
 Latency- and rank-aware strategies make an efficient dissemination
 structure emerge probabilistically -- no tree construction, no repair.
 
@@ -12,8 +12,8 @@ subpackages for the full surface:
 
 - :mod:`repro.sim`, :mod:`repro.topology`, :mod:`repro.network`,
   :mod:`repro.membership` -- the simulated testbed;
-- :mod:`repro.gossip`, :mod:`repro.scheduler`, :mod:`repro.strategies`,
-  :mod:`repro.monitors` -- the protocol stack;
+- :mod:`repro.gossip`, :mod:`repro.scheduler`, :mod:`repro.strategies`
+  -- the protocol stack;
 - :mod:`repro.runtime`, :mod:`repro.metrics`, :mod:`repro.failures`,
   :mod:`repro.experiments` -- assembly and evaluation.
 """

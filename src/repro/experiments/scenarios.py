@@ -7,10 +7,12 @@ module-level classes (rather than closures) they pickle, so an
 :class:`~repro.experiments.runner.ExperimentSpec` can cross a process
 boundary into the parallel experiment engine
 (:mod:`repro.experiments.parallel`).  The ``*_factory`` constructors
-remain the public way to build them.  Every monitor-driven factory reads
-the model file, the paper's evaluation mode "to separate the performance
-of the proposed strategy from the performance of the monitor" (section
-4.3); :class:`NoisyFactory` is how approximate knowledge enters (Fig. 6).
+remain the public way to build them.  Every environment-aware factory
+reads the model file, the paper's evaluation mode "to separate the
+performance of the proposed strategy from the performance of the
+monitor" (section 4.3): it hands the strategy its node's latency (or
+distance) row and the model's best-node set.  :class:`NoisyFactory` is
+how approximate knowledge enters (Fig. 6).
 
 Noise calibration: the wrapper of section 4.3 needs ``c`` equal to the
 wrapped strategy's average eager rate so traffic volume is preserved;
@@ -23,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from repro.monitors.oracle import OracleDistanceMonitor, OracleLatencyMonitor
-from repro.monitors.ranking import oracle_ranking
 from repro.runtime.node import StrategyContext, StrategyFactory
 from repro.strategies.flat import FlatStrategy
 from repro.strategies.hybrid import HybridStrategy
@@ -82,10 +82,9 @@ class BestLowClasses:
     fraction: float = DEFAULT_PARAMS.ranked_fraction
 
     def __call__(self, model: ClientNetworkModel) -> Dict[str, List[int]]:
-        ranking = oracle_ranking(model, self.fraction)
-        best = sorted(ranking.best_nodes)
-        low = [n for n in range(model.size) if n not in ranking.best_nodes]
-        return {"best": best, "low": low}
+        best = model.best_nodes(self.fraction)
+        low = [n for n in range(model.size) if n not in best]
+        return {"best": sorted(best), "low": low}
 
 
 def best_low_classes(
@@ -140,11 +139,12 @@ def ttl_factory(eager_rounds: int) -> StrategyFactory:
 
 @dataclass(frozen=True)
 class RadiusFactory:
-    """Radius(rho) with an oracle monitor.
+    """Radius(rho) over the node's model-file row.
 
-    ``metric`` selects the oracle: ``"latency"`` (performance runs) or
-    ``"distance"`` (the pseudo-geographic demonstration of Fig. 4, where
-    the radius is interpreted in plane units).
+    ``metric`` selects the row: ``"latency"`` (performance runs; the
+    model's own row, shared) or ``"distance"`` (the pseudo-geographic
+    demonstration of Fig. 4, where the radius is interpreted in plane
+    units; built once per node).
     """
 
     params: ScenarioParams = DEFAULT_PARAMS
@@ -155,12 +155,13 @@ class RadiusFactory:
             raise ValueError(f"unknown metric {self.metric!r}")
 
     def __call__(self, ctx: StrategyContext) -> RadiusStrategy:
+        model, node = ctx.model, ctx.node
         if self.metric == "latency":
-            monitor = OracleLatencyMonitor(ctx.model, ctx.node)
+            row = model.latency_ms[node]
         else:
-            monitor = OracleDistanceMonitor(ctx.model, ctx.node)
+            row = [model.distance(node, peer) for peer in range(model.size)]
         return RadiusStrategy(
-            monitor,
+            row,
             radius=self.params.radius_ms,
             first_request_delay_ms=self.params.radius_first_delay_ms,
             retry_period_ms=ctx.retry_period_ms,
@@ -170,7 +171,7 @@ class RadiusFactory:
 def radius_factory(
     params: ScenarioParams = DEFAULT_PARAMS, metric: str = "latency"
 ) -> StrategyFactory:
-    """Radius(rho) with an oracle monitor."""
+    """Radius(rho) over the node's model-file row."""
     return RadiusFactory(params, metric)
 
 
@@ -181,8 +182,8 @@ class RankedFactory:
     params: ScenarioParams = DEFAULT_PARAMS
 
     def __call__(self, ctx: StrategyContext) -> RankedStrategy:
-        ranking = oracle_ranking(ctx.model, self.params.ranked_fraction)
-        return RankedStrategy(ctx.node, ranking, ctx.retry_period_ms)
+        best = ctx.model.best_nodes(self.params.ranked_fraction)
+        return RankedStrategy(ctx.node, best, ctx.retry_period_ms)
 
 
 def ranked_factory(params: ScenarioParams = DEFAULT_PARAMS) -> StrategyFactory:
@@ -197,12 +198,11 @@ class HybridFactory:
     params: ScenarioParams = DEFAULT_PARAMS
 
     def __call__(self, ctx: StrategyContext) -> HybridStrategy:
-        ranking = oracle_ranking(ctx.model, self.params.ranked_fraction)
-        monitor = OracleLatencyMonitor(ctx.model, ctx.node)
+        model = ctx.model
         return HybridStrategy(
             node=ctx.node,
-            ranking=ranking,
-            monitor=monitor,
+            best=model.best_nodes(self.params.ranked_fraction),
+            row=model.latency_ms[ctx.node],
             radius=self.params.hybrid_radius_ms,
             eager_rounds=self.params.hybrid_eager_rounds,
             first_request_delay_ms=self.params.radius_first_delay_ms,
@@ -250,9 +250,9 @@ def radius_calibration(
         return 0.0
     close = sum(
         1
-        for i in range(n)
-        for j in range(n)
-        if i != j and model.latency(i, j) < radius_ms
+        for i, row in enumerate(model.latency_ms)
+        for j, latency in enumerate(row)
+        if i != j and latency < radius_ms
     )
     return close / (n * (n - 1))
 
@@ -264,6 +264,6 @@ def ranked_calibration(
     n = model.size
     if n < 2:
         return 0.0
-    k = len(oracle_ranking(model, fraction).best_nodes)
+    k = len(model.best_nodes(fraction))
     # Ordered pairs with neither endpoint best: (n-k)(n-k-1).
     return 1.0 - ((n - k) * (n - k - 1)) / (n * (n - 1))

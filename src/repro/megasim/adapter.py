@@ -6,9 +6,9 @@ metrics (latency / pseudo-geographic distance), the oracle best-node
 set, and the slot duration.  :class:`DenseTopology` wraps an existing
 :class:`~repro.topology.routing.ClientNetworkModel` (so the differential
 harness runs both backends against the *same* environment, including
-the exact `OracleRanking` tie-breaking); :class:`UniformTopology` and
-:class:`PlaneTopology` are synthetic environments that never materialize
-an O(n^2) matrix and therefore scale to 10^6 nodes.
+the exact tie-breaking of its ``best_nodes``); :class:`UniformTopology`
+and :class:`PlaneTopology` are synthetic environments that never
+materialize an O(n^2) matrix and therefore scale to 10^6 nodes.
 
 Faults: :func:`compile_faults` lowers the event kernel's whole fault
 model -- :class:`~repro.failures.injection.FailurePlan` crashes and
@@ -40,7 +40,6 @@ from repro.megasim.links import merge_link_arrays, top_share
 from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
-from repro.monitors.ranking import oracle_ranking
 from repro.network.message import control_packet_size, payload_packet_size
 from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
@@ -48,7 +47,7 @@ from repro.topology.routing import ClientNetworkModel
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.megasim.rounds import MessageOutcome
 
-#: Metric kinds a strategy may request, mirroring the oracle monitors.
+#: Metric kinds a strategy may request: the model's latency and distance rows.
 METRIC_LATENCY = "latency"
 METRIC_DISTANCE = "distance"
 
@@ -71,7 +70,7 @@ class VectorTopology(Protocol):
     def metric(
         self, kind: str, src: NDArray[np.int32], dst: NDArray[np.int32]
     ) -> NDArray[np.float64]:
-        """``Metric(p)`` of the oracle monitor at ``src`` about ``dst``."""
+        """``Metric(p)`` at ``src`` about ``dst`` (the model-file row)."""
         ...
 
     def closer(
@@ -178,9 +177,9 @@ def plane_closer(
 class DenseTopology:
     """A :class:`ClientNetworkModel` viewed as vector arrays.
 
-    The best-node set is the *same* shared
-    :func:`~repro.monitors.ranking.oracle_ranking` the event-kernel
-    factories read -- closeness summation order and sort stability
+    The best-node set is the *same* cached
+    :meth:`~repro.topology.routing.ClientNetworkModel.best_nodes` the
+    event-kernel factories read -- closeness summation order and sort stability
     included -- so both backends agree on who is a hub even on ties.
 
     ``round_ms`` defaults to the uniform off-diagonal latency when the
@@ -251,7 +250,7 @@ class DenseTopology:
 
     def best_mask(self, fraction: float) -> NDArray[np.bool_]:
         mask = np.zeros(self.size, dtype=bool)
-        mask[sorted(oracle_ranking(self.model, fraction).best_nodes)] = True
+        mask[sorted(self.model.best_nodes(fraction))] = True
         return mask
 
 
@@ -259,7 +258,7 @@ class UniformTopology:
     """All pairs one latency apart; positions ``(i, 0)`` on a line.
 
     The synthetic twin of :meth:`ClientNetworkModel.uniform` without the
-    O(n^2) matrices.  With all closeness values equal, `OracleRanking`'s
+    O(n^2) matrices.  With all closeness values equal, ``best_nodes``'
     stable sort selects ids ``0..count-1`` -- reproduced here exactly.
     """
 

@@ -840,9 +840,9 @@ def _requester_metric(
     requester: NDArray[np.int32],
     source: NDArray[np.int32],
 ) -> NDArray[np.float64]:
-    """The requester's monitor metric about each advertising source."""
+    """The requester's metric about each advertising source."""
     evaluator = strategy.evaluator
     topology = getattr(evaluator, "topology", None)
-    if topology is None:  # pragma: no cover - nearest implies a monitor
+    if topology is None:  # pragma: no cover - nearest implies a metric
         raise ValueError("nearest-source discipline needs a metric topology")
     return topology.metric(strategy.metric_kind, requester, source)

@@ -59,7 +59,7 @@ class AdvertLog:
     """Columnar log of the delivered IHAVE advertisements still in play.
 
     Columns are aligned arrays over rows 0..size: the advertised node
-    (``dst``), the advertising source, the requester-side monitor metric
+    (``dst``), the advertising source, the requester-side metric
     (0 under the FIFO discipline) and the ``dst`` entry epoch at append
     time, voided once the row's source has been asked.  Rows are appended
     in packet-processing order and removed only by a stable compress, so

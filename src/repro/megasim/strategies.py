@@ -21,7 +21,7 @@ The semantic mapping to the event kernel:
   ``RequestQueue`` (in a loss-free run no retry can ever fire, since a
   pull completes in 2 slots and the retry period exceeds 2).
 - ``select_source`` becomes ``nearest_source``: False = FIFO (first
-  advertiser), True = lowest monitor metric, first-on-ties -- matching
+  advertiser), True = lowest metric, first-on-ties -- matching
   ``min(sources, key=metric)`` over arrival order.
 
 The noise wrapper (``NoisyFactory``) needs a live per-node strategy and
@@ -162,10 +162,9 @@ class RankedEvaluator(EagerEvaluator):
 class HybridEvaluator(EagerEvaluator):
     """Section 6.4 combined rule with the sender-side best test.
 
-    Mirrors :class:`~repro.strategies.hybrid.HybridStrategy` with its
-    default ``symmetric_best=False``: eager iff the sender is a hub, or
-    the metric clears ``2 * rho`` during the first ``u`` rounds and
-    ``rho`` afterwards.
+    Mirrors :class:`~repro.strategies.hybrid.HybridStrategy`: eager iff
+    the sender is a hub, or the metric clears ``2 * rho`` during the
+    first ``u`` rounds and ``rho`` afterwards.
     """
 
     uses_round = True
@@ -238,7 +237,7 @@ def compile_strategy(
     first_delay_rounds, nearest_source = 0, False
     if isinstance(factory, (RadiusFactory, HybridFactory)):
         # Radius's ScheduleNext discipline: first request after T0, to
-        # the nearest source by the monitor metric.
+        # the nearest source by the metric.
         first_delay_rounds = ms_to_rounds(
             factory.params.radius_first_delay_ms, round_ms
         )

@@ -3,7 +3,7 @@
 Wires the layered architecture of the paper's Fig. 1 into runnable
 stacks: transport endpoint at the bottom, the Payload Scheduler above
 it, the eager push gossip protocol on top, with membership on the side
-and the oracle monitors inside each node's Transmission Strategy.
+and each node's Transmission Strategy reading its row of the model file.
 :class:`~repro.runtime.cluster.Cluster` builds ``n`` such stacks over
 one simulated fabric and is the main entry point used by examples, tests
 and the experiment harness.

@@ -102,7 +102,6 @@ class Cluster:
                 sampler = OraclePeerSampler(node, population, node_rng)
 
             context = StrategyContext(
-                sim=self.sim,
                 node=node,
                 rng=node_rng,
                 retry_period_ms=self.config.scheduler.retry_period_ms,

@@ -37,16 +37,15 @@ class StrategyContext:
     """Everything a strategy factory may want when building one node's
     Transmission Strategy.
 
-    ``model`` gives oracle access (the paper's model-file mode, the only
-    source of monitor knowledge).  ``rng`` is the node's own
-    deterministic stream.
+    ``model`` is the model file the paper's evaluation drives every
+    strategy from (section 4.3); a factory hands the strategy its
+    node's row.  ``rng`` is the node's own deterministic stream.
     """
 
-    sim: Simulator
     node: int
     rng: random.Random
     retry_period_ms: float
-    model: Optional[ClientNetworkModel] = None
+    model: ClientNetworkModel
 
 
 StrategyFactory = Callable[[StrategyContext], TransmissionStrategy]

@@ -11,18 +11,12 @@ architecture:
   ``IHAVE(i)`` advertisement, answering later ``IWANT(i)`` requests.
 - :class:`~repro.scheduler.interfaces.TransmissionStrategy` -- the
   pluggable policy deciding ``Eager?`` and the ``ScheduleNext`` request
-  timing (implementations in :mod:`repro.strategies`).
-- :class:`~repro.scheduler.interfaces.PerformanceMonitor` -- the
-  ``Metric(p)`` provider feeding environment knowledge to strategies
-  (implementations in :mod:`repro.monitors`).
+  timing (implementations in :mod:`repro.strategies`, which read the
+  paper's ``Metric(p)`` straight from the model file).
 """
 
 from repro.scheduler.cache import PayloadCache
-from repro.scheduler.interfaces import (
-    PerformanceMonitor,
-    SchedulerConfig,
-    TransmissionStrategy,
-)
+from repro.scheduler.interfaces import SchedulerConfig, TransmissionStrategy
 from repro.scheduler.lazy_point_to_point import (
     MSG,
     IHAVE,
@@ -33,7 +27,6 @@ from repro.scheduler.requests import RequestQueue
 
 __all__ = [
     "PayloadCache",
-    "PerformanceMonitor",
     "SchedulerConfig",
     "TransmissionStrategy",
     "LazyPointToPoint",

@@ -22,18 +22,6 @@ from typing import Any, Protocol, Sequence, Set, runtime_checkable
 
 
 @runtime_checkable
-class PerformanceMonitor(Protocol):
-    """The paper's ``Metric(p)``: a current scalar metric for peer ``p``.
-
-    Smaller means closer/better throughout (latency in ms, distance in
-    plane units).  Unknown peers return ``float('inf')`` so strategies
-    treat them as far away until measured.
-    """
-
-    def metric(self, peer: int) -> float: ...
-
-
-@runtime_checkable
 class TransmissionStrategy(Protocol):
     """Decides payload scheduling; implementations in :mod:`repro.strategies`."""
 

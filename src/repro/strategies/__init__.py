@@ -28,7 +28,7 @@ from repro.strategies.flat import FlatStrategy, PureEagerStrategy, PureLazyStrat
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.noise import NoisyStrategy
 from repro.strategies.radius import RadiusStrategy
-from repro.strategies.ranked import RankedStrategy, RankingView
+from repro.strategies.ranked import RankedStrategy
 from repro.strategies.ttl import TtlStrategy
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "TtlStrategy",
     "RadiusStrategy",
     "RankedStrategy",
-    "RankingView",
     "HybridStrategy",
     "NoisyStrategy",
 ]

@@ -18,19 +18,20 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Set
 
-from repro.scheduler.interfaces import (
-    DEFAULT_RETRY_PERIOD_MS,
-    PerformanceMonitor,
-)
+from repro.scheduler.interfaces import DEFAULT_RETRY_PERIOD_MS
 from repro.strategies.base import BaseStrategy
 
 
 class AdaptiveRadiusStrategy(BaseStrategy):
-    """Radius strategy with a local eager-rate controller."""
+    """Radius strategy with a local eager-rate controller.
+
+    ``row[p]`` is ``Metric(p)``, as for
+    :class:`~repro.strategies.radius.RadiusStrategy`.
+    """
 
     def __init__(
         self,
-        monitor: PerformanceMonitor,
+        row: Sequence[float],
         target_eager_rate: float,
         initial_radius: float,
         first_request_delay_ms: float,
@@ -49,7 +50,7 @@ class AdaptiveRadiusStrategy(BaseStrategy):
             raise ValueError("window must be >= 1")
         if not 0.0 < gain <= 1.0:
             raise ValueError("gain must be in (0, 1]")
-        self.monitor = monitor
+        self.row = row
         self.target_eager_rate = target_eager_rate
         self.radius = initial_radius
         self.min_radius = min_radius
@@ -62,7 +63,7 @@ class AdaptiveRadiusStrategy(BaseStrategy):
         self.adjustments = 0
 
     def eager(self, message_id: int, payload: Any, round_: int, peer: int) -> bool:
-        decision = self.monitor.metric(peer) < self.radius
+        decision = self.row[peer] < self.radius
         self._window_queries += 1
         self._window_eager += int(decision)
         if self._window_queries >= self.window:
@@ -91,4 +92,4 @@ class AdaptiveRadiusStrategy(BaseStrategy):
     def select_source(
         self, message_id: int, sources: Sequence[int], asked: Set[int]
     ) -> int:
-        return min(sources, key=self.monitor.metric)
+        return min(sources, key=self.row.__getitem__)

@@ -1,7 +1,7 @@
 """Model-file serialization.
 
 ModelNet materializes its network model as a file, and the paper's
-oracle monitors read "global knowledge of the network that is extracted
+evaluation reads "global knowledge of the network that is extracted
 directly from the model file" (section 4.3).  This module gives the
 reproduction the same artifact: a JSON model file holding the client
 latency/hop matrices and positions, so expensive topologies are

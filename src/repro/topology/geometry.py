@@ -3,8 +3,8 @@
 Inet-3.0 places nodes on a plane and ModelNet derives link latency from
 euclidean ("pseudo-geographical") distance; the paper's Distance monitor
 (section 4.2) measures exactly this quantity.  We keep the same
-convention: all generated topologies carry planar coordinates, and the
-distance monitor reads them.
+convention: all generated topologies carry planar coordinates, and
+Radius by distance reads them.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ speaks in client indices ``0..n-1``.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.topology.geometry import Point, euclidean
 from repro.topology.graph import RouterTopology
@@ -165,9 +165,9 @@ def mean_client_latency_split(
 class ClientNetworkModel:
     """Dense latency / hop / position model between client nodes.
 
-    This is the "model file" the paper's oracle monitors read (section
-    4.3): strategies can be driven either from live measurements or from
-    this global knowledge, exactly as in the original evaluation.
+    This is the "model file" the paper's evaluation drives every
+    strategy from (section 4.3): each node's strategy reads its own row
+    of these matrices and the shared :meth:`best_nodes` set.
     """
 
     def __init__(
@@ -193,6 +193,7 @@ class ClientNetworkModel:
         # bit-identical.
         self._mean_latency: Optional[float] = None
         self._closeness: Optional[List[float]] = None
+        self._best_nodes: Dict[float, FrozenSet[int]] = {}
 
     # -- constructors ------------------------------------------------------
 
@@ -323,6 +324,21 @@ class ClientNetworkModel:
                 ]
             self._closeness = cache
         return cache[node]
+
+    def best_nodes(self, fraction: float) -> FrozenSet[int]:
+        """The Ranked strategy's hubs: the lowest-:meth:`closeness`
+        ``fraction`` of the population (at least one node; stable sort,
+        so ties go to the lower id).  Cached per fraction, since every
+        node's strategy asks for the same O(n^2) set.
+        """
+        best = self._best_nodes.get(fraction)
+        if best is None:
+            if not 0.0 < fraction <= 1.0:
+                raise ValueError(f"fraction out of range: {fraction}")
+            count = max(1, round(self.size * fraction))
+            by_closeness = sorted(range(self.size), key=self.closeness)
+            best = self._best_nodes[fraction] = frozenset(by_closeness[:count])
+        return best
 
     def nearest(self, node: int, candidates: Sequence[int]) -> Optional[int]:
         """The candidate with the lowest latency from ``node``."""

@@ -19,7 +19,6 @@ from repro.experiments.scenarios import (
     ttl_factory,
 )
 from repro.runtime.node import StrategyContext
-from repro.sim.engine import Simulator
 from repro.strategies.flat import FlatStrategy
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.noise import NoisyStrategy
@@ -31,7 +30,6 @@ from repro.topology.simple import complete_topology, star_topology
 
 def context(model, node=0):
     return StrategyContext(
-        sim=Simulator(seed=1),
         node=node,
         rng=random.Random(node),
         retry_period_ms=400.0,
@@ -54,10 +52,11 @@ def test_ttl_factory():
 
 def test_radius_factory_latency_and_distance():
     model = complete_topology(5)
-    lat = radius_factory()(context(model))
+    lat = radius_factory()(context(model, node=2))
     assert isinstance(lat, RadiusStrategy)
-    dist = radius_factory(metric="distance")(context(model))
-    assert type(dist.monitor).__name__ == "OracleDistanceMonitor"
+    assert lat.row is model.latency_ms[2]  # shared, not copied
+    dist = radius_factory(metric="distance")(context(model, node=2))
+    assert dist.row == [model.distance(2, peer) for peer in range(5)]
     with pytest.raises(ValueError):
         radius_factory(metric="nonsense")
 
@@ -67,8 +66,8 @@ def test_ranked_factory_identifies_hub():
     params = ScenarioParams(ranked_fraction=0.1)
     strategy = ranked_factory(params)(context(model, node=0))
     assert isinstance(strategy, RankedStrategy)
-    assert strategy.ranking.is_best(0)
-    assert not strategy.ranking.is_best(4)
+    assert strategy.is_hub
+    assert strategy.best == frozenset({0})
 
 
 def test_ranking_cache_shared_across_nodes():
@@ -76,13 +75,12 @@ def test_ranking_cache_shared_across_nodes():
     factory = ranked_factory(ScenarioParams(ranked_fraction=0.1))
     a = factory(context(model, node=0))
     b = factory(context(model, node=3))
-    assert a.ranking is b.ranking
+    assert a.best is b.best is model.best_nodes(0.1)
 
 
 def test_hybrid_factory():
     strategy = hybrid_factory()(context(complete_topology(6)))
     assert isinstance(strategy, HybridStrategy)
-    assert strategy.symmetric_best is False
 
 
 def test_noisy_factory_wraps():

@@ -6,10 +6,9 @@ from __future__ import annotations
 import pytest
 
 from repro.metrics.structure import link_concentration, node_concentration
-from repro.monitors.oracle import OracleDistanceMonitor
 from repro.strategies.flat import PureEagerStrategy
 from repro.strategies.radius import RadiusStrategy
-from repro.strategies.ranked import RankedStrategy, StaticRanking
+from repro.strategies.ranked import RankedStrategy
 from repro.topology.simple import random_metric_topology
 from tests.conftest import build_cluster
 
@@ -26,6 +25,10 @@ def run_traffic(model, factory, messages=25, seed=13):
     return recorder
 
 
+def distance_row(ctx):
+    return [ctx.model.distance(ctx.node, peer) for peer in range(ctx.model.size)]
+
+
 @pytest.fixture(scope="module")
 def geo_model():
     return random_metric_topology(30, mean_latency_ms=50.0, seed=8)
@@ -38,7 +41,7 @@ def test_radius_emerges_mesh_structure(geo_model):
     radius = run_traffic(
         geo_model,
         lambda ctx: RadiusStrategy(
-            OracleDistanceMonitor(ctx.model, ctx.node),
+            distance_row(ctx),
             radius=200.0,
             first_request_delay_ms=50.0,
         ),
@@ -62,7 +65,7 @@ def test_radius_payload_flows_over_short_links(geo_model):
     radius = run_traffic(
         geo_model,
         lambda ctx: RadiusStrategy(
-            OracleDistanceMonitor(ctx.model, ctx.node),
+            distance_row(ctx),
             radius=200.0,
             first_request_delay_ms=50.0,
         ),
@@ -72,10 +75,8 @@ def test_radius_payload_flows_over_short_links(geo_model):
 
 def test_ranked_emerges_hub_structure(geo_model):
     """Ranked concentrates transmissions on the best nodes (Fig. 4c)."""
-    best = set(range(3))  # 10% of 30 nodes
-    ranked = run_traffic(
-        geo_model, lambda ctx: RankedStrategy(ctx.node, StaticRanking(best))
-    )
+    best = frozenset(range(3))  # 10% of 30 nodes
+    ranked = run_traffic(geo_model, lambda ctx: RankedStrategy(ctx.node, best))
     eager = run_traffic(geo_model, lambda ctx: PureEagerStrategy())
     ranked_hubshare = node_concentration(ranked.node_payload_sent, 0.1)
     eager_hubshare = node_concentration(eager.node_payload_sent, 0.1)
@@ -95,7 +96,7 @@ def test_gossip_pattern_unchanged_by_strategy(geo_model):
     eager = run_traffic(geo_model, lambda ctx: PureEagerStrategy())
     ranked = run_traffic(
         geo_model,
-        lambda ctx: RankedStrategy(ctx.node, StaticRanking({0, 1, 2})),
+        lambda ctx: RankedStrategy(ctx.node, frozenset({0, 1, 2})),
     )
     eager_gossip = eager.sent_packets["MSG"]
     ranked_gossip = ranked.sent_packets["MSG"] + ranked.sent_packets["IHAVE"]

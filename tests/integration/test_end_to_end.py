@@ -107,12 +107,11 @@ def test_scheduler_is_transparent_to_gossip_layer():
 def test_hub_carries_traffic_on_star_with_ranked():
     """On a star topology a Ranked strategy with the hub as best node
     concentrates payload through the hub."""
-    from repro.strategies.ranked import RankedStrategy, StaticRanking
+    from repro.strategies.ranked import RankedStrategy
 
     model = star_topology(15, center_latency_ms=5.0, edge_latency_ms=60.0)
-    ranking = StaticRanking({0})
     cluster, recorder, mid = run_one_multicast(
-        model, lambda ctx: RankedStrategy(ctx.node, ranking)
+        model, lambda ctx: RankedStrategy(ctx.node, frozenset({0}))
     )
     assert len(recorder.deliveries[mid]) == 15
     hub_sent = recorder.node_payload_sent.get(0, 0)

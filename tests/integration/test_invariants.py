@@ -19,7 +19,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.gossip.config import GossipConfig
 from repro.metrics.recorder import MetricsRecorder
-from repro.monitors.oracle import OracleLatencyMonitor
 from repro.runtime.cluster import Cluster, ClusterConfig
 from repro.strategies.flat import FlatStrategy
 from repro.strategies.radius import RadiusStrategy
@@ -35,7 +34,7 @@ def make_factory(kind: str, parameter: float):
     if kind == "ttl":
         return lambda ctx: TtlStrategy(max(0, int(parameter * 5)))
     return lambda ctx: RadiusStrategy(
-        OracleLatencyMonitor(ctx.model, ctx.node),
+        ctx.model.latency_ms[ctx.node],
         radius=10.0 + parameter * 40.0,
         first_request_delay_ms=parameter * 100.0,
     )

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.monitors.oracle import OracleLatencyMonitor
 from repro.strategies.adaptive import AdaptiveRadiusStrategy
 from repro.strategies.flat import FlatStrategy, PureEagerStrategy, PureLazyStrategy
 from repro.strategies.radius import RadiusStrategy
-from repro.strategies.ranked import RankedStrategy, StaticRanking
+from repro.strategies.ranked import RankedStrategy
 from repro.strategies.ttl import TtlStrategy
 from repro.topology.simple import complete_topology
 from tests.conftest import build_cluster
@@ -53,11 +52,11 @@ def test_heterogeneous_strategy_zoo_delivers(model):
             return TtlStrategy(2)
         if kind == 4:
             return RadiusStrategy(
-                OracleLatencyMonitor(ctx.model, ctx.node),
+                ctx.model.latency_ms[ctx.node],
                 radius=25.0,
                 first_request_delay_ms=50.0,
             )
-        return RankedStrategy(ctx.node, StaticRanking({0, 6, 12}))
+        return RankedStrategy(ctx.node, frozenset({0, 6, 12}))
 
     recorder, mids = run_multicasts(model, factory)
     # Delivery is a with-high-probability guarantee (P(node missed) ~
@@ -72,7 +71,7 @@ def test_adaptive_nodes_coexist_with_static_ones(model):
     def factory(ctx):
         if ctx.node % 2 == 0:
             return AdaptiveRadiusStrategy(
-                OracleLatencyMonitor(ctx.model, ctx.node),
+                ctx.model.latency_ms[ctx.node],
                 target_eager_rate=0.25,
                 initial_radius=10.0,
                 first_request_delay_ms=50.0,

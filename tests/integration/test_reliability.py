@@ -7,7 +7,7 @@ import pytest
 from repro.failures.injection import FailureInjector, FailurePlan
 from repro.gossip.config import GossipConfig
 from repro.strategies.flat import PureEagerStrategy
-from repro.strategies.ranked import RankedStrategy, StaticRanking
+from repro.strategies.ranked import RankedStrategy
 from repro.topology.simple import complete_topology
 from tests.conftest import build_cluster
 
@@ -59,11 +59,10 @@ def test_killing_best_nodes_does_not_break_ranked(model):
     """The paper's adversarial case: fail exactly the nodes carrying the
     most payload.  Lazy advertisements through surviving nodes must keep
     delivery high."""
-    best = {0, 1, 2, 3}
-    ranking = StaticRanking(best)
+    best = frozenset({0, 1, 2, 3})
     ratio = delivery_ratio(
         model,
-        lambda ctx: RankedStrategy(ctx.node, ranking),
+        lambda ctx: RankedStrategy(ctx.node, best),
         fraction=0.2,
         target="best",
         ranked_nodes=[0, 1, 2, 3] + [n for n in range(4, 20)],

@@ -27,7 +27,6 @@ from repro.megasim.adapter import (
 from repro.megasim.runner import MegasimSpec, run_megasim
 from repro.metrics.analysis import summarize
 from repro.metrics.recorder import MetricsRecorder
-from repro.monitors.ranking import OracleRanking
 from repro.network.message import control_packet_size, payload_packet_size
 from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
@@ -68,10 +67,9 @@ class TestDenseTopology:
         model = complete_topology(20, latency_ms=40.0, jitter_ms=15.0, seed=4)
         topology = DenseTopology(model)
         mask = topology.best_mask(0.2)
-        assert set(np.flatnonzero(mask).tolist()) == set(
-            OracleRanking(model, 0.2).best_nodes
-        )
-        # A fresh array each call, read from the shared ranking.
+        by_closeness = sorted(range(model.size), key=model.closeness)
+        assert set(np.flatnonzero(mask).tolist()) == set(by_closeness[:4])
+        # A fresh array each call, read from the model's cached set.
         assert np.array_equal(topology.best_mask(0.2), mask)
 
     def test_unknown_metric_rejected(self) -> None:

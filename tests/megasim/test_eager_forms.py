@@ -4,8 +4,10 @@ Each oracle strategy is written twice: a scalar class the event kernel
 asks one peer at a time (:mod:`repro.strategies`) and a column
 evaluator the slot kernel asks per batch
 (:mod:`repro.megasim.strategies`).  On a random non-uniform model both
-must answer every ``(src, dst, rnd)`` alike, and the compiled request
-schedule must be the scalar ``first_request_delay`` / ``select_source``.
+must answer every ``(src, dst, rnd)`` alike, each scalar strategy's
+batch ``eager_many`` must answer as its per-peer ``eager``, and the
+compiled request schedule must be the scalar ``first_request_delay`` /
+``select_source``.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from repro.megasim.adapter import DenseTopology
 from repro.megasim.strategies import compile_strategy, ms_to_rounds
 from repro.runtime.node import StrategyContext, StrategyFactory
 from repro.scheduler.interfaces import TransmissionStrategy
-from repro.sim.engine import Simulator
 from repro.topology.routing import ClientNetworkModel
 from repro.topology.simple import random_metric_topology
 
@@ -114,7 +115,6 @@ def scalar_strategies(
     return {
         node: factory(
             StrategyContext(
-                sim=Simulator(seed=1),
                 node=node,
                 rng=random.Random(node),
                 retry_period_ms=400.0,
@@ -139,6 +139,12 @@ def test_scalar_and_column_forms_agree(case) -> None:
     assert mask.tolist() == expected
 
     strategy = scalar[node]
+    peers = [peer for peer in range(model.size) if peer != node]
+    for r in range(MAX_ROUND + 2):
+        assert strategy.eager_many(0, None, r, peers) == [
+            strategy.eager(0, None, r, p) for p in peers
+        ]
+
     delay_ms = strategy.first_request_delay(0, sources[0])
     assert compiled.first_delay_rounds == ms_to_rounds(delay_ms, topology.round_ms)
     chosen = strategy.select_source(0, sources, set())

@@ -8,10 +8,9 @@ from repro.experiments.runner import run_experiment
 from repro.experiments.workload import TrafficGenerator
 from repro.metrics.analysis import summarize
 from repro.metrics.recorder import MetricsRecorder
-from repro.monitors.oracle import OracleLatencyMonitor
 from repro.runtime.cluster import Cluster
 from repro.strategies.adaptive import AdaptiveRadiusStrategy
-from repro.strategies.ranked import RankedStrategy, StaticRanking
+from repro.strategies.ranked import RankedStrategy
 from tests.paper import BENCH, bench_cluster
 
 
@@ -25,7 +24,7 @@ def test_adaptive_budget_tracking():
 
         def factory(ctx, target=target):
             return AdaptiveRadiusStrategy(
-                OracleLatencyMonitor(ctx.model, ctx.node),
+                ctx.model.latency_ms[ctx.node],
                 target_eager_rate=target,
                 initial_radius=20.0,
                 first_request_delay_ms=60.0,
@@ -68,12 +67,12 @@ def test_capacity_aware_hub_selection():
     }
 
     def run_with_hubs(hubs, seed_offset):
-        ranking = StaticRanking(hubs)
+        best = frozenset(hubs)
         recorder = MetricsRecorder()
         recorder.disable()
         cluster = Cluster(
             model,
-            lambda ctx: RankedStrategy(ctx.node, ranking, ctx.retry_period_ms),
+            lambda ctx: RankedStrategy(ctx.node, best, ctx.retry_period_ms),
             config=bench_cluster(),
             seed=BENCH.seed + 300 + seed_offset,
             node_bandwidth=bandwidth,

@@ -6,13 +6,12 @@ import random
 
 import pytest
 
-from repro.monitors.static import StaticMetricMonitor
 from repro.strategies.adaptive import AdaptiveRadiusStrategy
 
 
-def uniform_monitor(n=100, spread=100.0):
+def uniform_row(n=100, spread=100.0):
     """Peers 0..n-1 at metrics uniformly spread over [0, spread)."""
-    return StaticMetricMonitor({p: spread * p / n for p in range(n)})
+    return [spread * p / n for p in range(n)]
 
 
 def drive(strategy, queries=5000, n_peers=100, seed=0):
@@ -26,7 +25,7 @@ def drive(strategy, queries=5000, n_peers=100, seed=0):
 
 def test_converges_to_target_rate_from_below():
     strategy = AdaptiveRadiusStrategy(
-        uniform_monitor(), target_eager_rate=0.3,
+        uniform_row(), target_eager_rate=0.3,
         initial_radius=1.0,  # way too small: starts at ~1% eager
         first_request_delay_ms=10.0,
     )
@@ -38,7 +37,7 @@ def test_converges_to_target_rate_from_below():
 
 def test_converges_to_target_rate_from_above():
     strategy = AdaptiveRadiusStrategy(
-        uniform_monitor(), target_eager_rate=0.2,
+        uniform_row(), target_eager_rate=0.2,
         initial_radius=1000.0,  # way too big: starts fully eager
         first_request_delay_ms=10.0,
     )
@@ -49,7 +48,7 @@ def test_converges_to_target_rate_from_above():
 
 def test_radius_respects_bounds():
     strategy = AdaptiveRadiusStrategy(
-        uniform_monitor(), target_eager_rate=0.5,
+        uniform_row(), target_eager_rate=0.5,
         initial_radius=5.0, first_request_delay_ms=10.0,
         min_radius=2.0, max_radius=20.0,
     )
@@ -60,15 +59,15 @@ def test_radius_respects_bounds():
 def test_tracks_environment_change():
     """When all peers suddenly move closer, the controller shrinks the
     radius to keep the budget."""
-    monitor = uniform_monitor(spread=100.0)
+    row = uniform_row(spread=100.0)
     strategy = AdaptiveRadiusStrategy(
-        monitor, target_eager_rate=0.3, initial_radius=30.0,
+        row, target_eager_rate=0.3, initial_radius=30.0,
         first_request_delay_ms=10.0,
     )
     drive(strategy, queries=3000)
     radius_before = strategy.radius
     for peer in range(100):
-        monitor.set_metric(peer, monitor.metric(peer) / 4.0)
+        row[peer] /= 4.0
     drive(strategy, queries=4000, seed=3)
     assert strategy.radius < radius_before
     late_rate = drive(strategy, queries=3000, seed=4)
@@ -76,21 +75,20 @@ def test_tracks_environment_change():
 
 
 def test_schedule_is_radius_style():
-    monitor = uniform_monitor()
     strategy = AdaptiveRadiusStrategy(
-        monitor, 0.3, 10.0, first_request_delay_ms=25.0
+        uniform_row(), 0.3, 10.0, first_request_delay_ms=25.0
     )
     assert strategy.first_request_delay(1, 2) == 25.0
     assert strategy.select_source(1, [50, 3, 20], set()) == 3
 
 
 def test_validation():
-    monitor = uniform_monitor()
+    row = uniform_row()
     with pytest.raises(ValueError):
-        AdaptiveRadiusStrategy(monitor, 0.0, 10.0, 1.0)
+        AdaptiveRadiusStrategy(row, 0.0, 10.0, 1.0)
     with pytest.raises(ValueError):
-        AdaptiveRadiusStrategy(monitor, 0.3, 0.0, 1.0)
+        AdaptiveRadiusStrategy(row, 0.3, 0.0, 1.0)
     with pytest.raises(ValueError):
-        AdaptiveRadiusStrategy(monitor, 0.3, 10.0, 1.0, window=0)
+        AdaptiveRadiusStrategy(row, 0.3, 10.0, 1.0, window=0)
     with pytest.raises(ValueError):
-        AdaptiveRadiusStrategy(monitor, 0.3, 10.0, 1.0, gain=0.0)
+        AdaptiveRadiusStrategy(row, 0.3, 10.0, 1.0, gain=0.0)

@@ -4,20 +4,17 @@ from __future__ import annotations
 
 import pytest
 
-from repro.monitors.static import StaticMetricMonitor
 from repro.strategies.hybrid import HybridStrategy
-from repro.strategies.ranked import StaticRanking
 
 
-def build(node=3, best=(0,), radius=10.0, eager_rounds=2, symmetric=False, metrics=None):
+def build(node=3, best=(0,), radius=10.0, eager_rounds=2, row=None):
     return HybridStrategy(
         node=node,
-        ranking=StaticRanking(best),
-        monitor=StaticMetricMonitor(metrics or {1: 5.0, 2: 15.0, 4: 50.0}),
+        best=frozenset(best),
+        row=row or {0: 50.0, 1: 5.0, 2: 15.0, 4: 50.0},
         radius=radius,
         eager_rounds=eager_rounds,
         first_request_delay_ms=20.0,
-        symmetric_best=symmetric,
     )
 
 
@@ -28,15 +25,8 @@ def test_best_local_node_always_eager():
 
 def test_sender_side_best_test_by_default():
     strategy = build(node=3, best=(0,))
-    # Peer 0 is best but far: default (sender-side) rule stays lazy.
-    strategy.monitor.set_metric(0, 50.0)
+    # Peer 0 is best but far: the sender-side rule stays lazy.
     assert not strategy.eager(1, None, 9, peer=0)
-
-
-def test_symmetric_mode_restores_section41_rule():
-    strategy = build(node=3, best=(0,), symmetric=True)
-    strategy.monitor.set_metric(0, 50.0)
-    assert strategy.eager(1, None, 9, peer=0)
 
 
 def test_double_radius_during_early_rounds():
@@ -70,8 +60,8 @@ def test_validation():
     with pytest.raises(ValueError):
         HybridStrategy(
             node=0,
-            ranking=StaticRanking(()),
-            monitor=StaticMetricMonitor({}),
+            best=frozenset(),
+            row=[],
             radius=10.0,
             eager_rounds=-1,
             first_request_delay_ms=0.0,

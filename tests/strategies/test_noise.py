@@ -8,7 +8,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.monitors.static import StaticMetricMonitor
 from repro.strategies.flat import PureEagerStrategy, PureLazyStrategy
 from repro.strategies.noise import NoisyStrategy
 from repro.strategies.radius import RadiusStrategy
@@ -25,8 +24,8 @@ def rate(strategy, peers, samples=6000, rng=None):
 
 def base_radius_strategy():
     # Peers 0..9: metrics 0..90; radius 35 -> 40% of peers are close.
-    monitor = StaticMetricMonitor({p: 10.0 * p for p in range(10)})
-    return RadiusStrategy(monitor, radius=35.0, first_request_delay_ms=10.0)
+    row = [10.0 * p for p in range(10)]
+    return RadiusStrategy(row, radius=35.0, first_request_delay_ms=10.0)
 
 
 def test_zero_noise_passes_decisions_through():

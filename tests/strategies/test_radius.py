@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.monitors.static import StaticMetricMonitor
 from repro.strategies.radius import RadiusStrategy
 
 
-def build(radius=20.0, first_delay=40.0, metrics=None):
-    monitor = StaticMetricMonitor(metrics or {1: 5.0, 2: 19.9, 3: 20.0, 4: 80.0})
-    return RadiusStrategy(monitor, radius, first_delay)
+def build(radius=20.0, first_delay=40.0, row=None):
+    row = row or {1: 5.0, 2: 19.9, 3: 20.0, 4: 80.0, 99: float("inf")}
+    return RadiusStrategy(row, radius, first_delay)
 
 
 def test_eager_strictly_inside_radius():
@@ -22,8 +21,9 @@ def test_eager_strictly_inside_radius():
 
 
 def test_unknown_peer_is_lazy():
+    # A row entry of inf (an unmeasured peer) is never inside a radius.
     strategy = build()
-    assert not strategy.eager(1, None, 1, peer=99)  # metric inf
+    assert not strategy.eager(1, None, 1, peer=99)
 
 
 def test_first_request_delayed_by_t0():
@@ -43,8 +43,7 @@ def test_independent_of_round():
 
 
 def test_validation():
-    monitor = StaticMetricMonitor({})
     with pytest.raises(ValueError):
-        RadiusStrategy(monitor, radius=0.0, first_request_delay_ms=10.0)
+        RadiusStrategy([], radius=0.0, first_request_delay_ms=10.0)
     with pytest.raises(ValueError):
-        RadiusStrategy(monitor, radius=10.0, first_request_delay_ms=-1.0)
+        RadiusStrategy([], radius=10.0, first_request_delay_ms=-1.0)

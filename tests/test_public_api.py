@@ -23,7 +23,6 @@ PACKAGES = [
     "repro.gossip",
     "repro.scheduler",
     "repro.strategies",
-    "repro.monitors",
     "repro.failures",
     "repro.metrics",
     "repro.runtime",

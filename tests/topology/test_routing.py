@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.scenarios import BestLowClasses
 from repro.topology.geometry import Point
 from repro.topology.graph import NodeKind, RouterTopology
 from repro.topology.routing import (
@@ -11,6 +12,11 @@ from repro.topology.routing import (
     client_routing_sweep,
     mean_client_latency_split,
     shortest_paths,
+)
+from repro.topology.simple import (
+    complete_topology,
+    random_metric_topology,
+    star_topology,
 )
 
 
@@ -110,3 +116,49 @@ def test_nearest_picks_lowest_latency():
 def test_model_validates_shapes():
     with pytest.raises(ValueError):
         ClientNetworkModel([[0.0, 1.0]], [[0, 1]], [Point(0, 0)])
+
+
+def test_distance_and_latency_rows_agree_on_geometric_model():
+    """On a distance-derived model, both rows order peers identically."""
+    model = random_metric_topology(8, seed=2)
+    latency = model.latency_ms[0]
+    distance = [model.distance(0, peer) for peer in range(model.size)]
+    peers = list(range(1, 8))
+    assert sorted(peers, key=latency.__getitem__) == sorted(
+        peers, key=distance.__getitem__
+    )
+
+
+def test_best_nodes_pick_central_nodes():
+    model = star_topology(10, center_latency_ms=5.0, edge_latency_ms=50.0)
+    assert model.best_nodes(0.1) == frozenset({0})  # the hub
+
+
+def test_best_nodes_fraction_sizes_set():
+    model = complete_topology(10)
+    assert len(model.best_nodes(0.3)) == 3
+    assert len(model.best_nodes(0.01)) == 1  # never empty
+
+
+def test_best_nodes_validation():
+    model = complete_topology(4)
+    with pytest.raises(ValueError):
+        model.best_nodes(0.0)
+    with pytest.raises(ValueError):
+        model.best_nodes(1.5)
+
+
+def test_best_nodes_cached_per_fraction():
+    model = complete_topology(10, latency_ms=30.0, jitter_ms=10.0, seed=2)
+    assert model.best_nodes(0.2) is model.best_nodes(0.2)
+    assert model.best_nodes(0.5) is not model.best_nodes(0.2)
+
+
+def test_fresh_models_never_inherit_another_models_best_set():
+    # Each model dies when the next is bound, so a cache keyed by the
+    # object's address would hand the old best set to a new model.
+    classes = BestLowClasses(0.2)
+    for seed in range(200):
+        model = random_metric_topology(20, seed=seed)
+        expected = sorted(sorted(range(20), key=model.closeness)[:4])
+        assert classes(model)["best"] == expected, seed
