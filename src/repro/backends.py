@@ -85,21 +85,23 @@ def megasim_spec(
     overlay (``cluster.overlay``) and its ``cluster.bootstrap_degree``
     become oracle sampling or ``view_degree`` views, and the uplink
     bandwidth (``cluster.fabric``) has no slot-level counterpart.
-    Node classes and every other ``ClusterConfig`` setting the slot
-    kernel does not read (the connection buffer capacity, cache and
-    known-id capacities) raise a ``ValueError`` naming the
-    field when set away from its ``ClusterConfig()`` default, rather
-    than being silently dropped.  ``view_degree`` and ``track_links`` are
-    slot-kernel knobs with no event-kernel field.
+    A ``system`` (the tree or pull comparator), node classes and every
+    other ``ClusterConfig`` setting the slot kernel does not read (the
+    connection buffer capacity, cache and known-id capacities) raise a
+    ``ValueError`` naming the field when set away from its
+    ``ClusterConfig()`` default, rather than being silently dropped.
+    ``view_degree`` and ``track_links`` are slot-kernel knobs with no
+    event-kernel field.
     """
     cluster = spec.cluster
-    refused = ["node_classes"] if spec.node_classes else []
+    refused = [name for name in ("system", "node_classes") if getattr(spec, name)]
     refused += _untranslated(cluster, ClusterConfig(), "cluster.")
     if refused:
         raise ValueError(
             f"the vector backend does not support spec.{refused[0]}; "
             "use --backend event"
         )
+    assert spec.strategy_factory is not None  # a gossip spec names one
     from repro.megasim.runner import MegasimSpec
 
     gossip = cluster.gossip

@@ -12,7 +12,8 @@ measurable:
 - the peer answers with the payloads the requester is missing
   (``PULL_DATA``).
 
-Consequences, visible in the comparison benchmark: dissemination
+Consequences, visible in the "pull" row of
+:func:`repro.experiments.baselines.compare_baselines`: dissemination
 latency is dominated by the pull period (not the network RTT), and the
 digest traffic exists whether or not there is anything new -- the
 overheads lazy push avoids by advertising specific ids exactly when
@@ -103,12 +104,11 @@ class _PullNode:
     def _receive(self, src: int, kind: str, wire_payload: Any) -> None:
         if kind == PULL_REQ:
             known = set(wire_payload)
-            payload_size = payload_packet_size(self.system.config.payload_bytes)
             for message_id in self.recent:
                 if message_id not in known:
                     self.endpoint.send(
                         src, PULL_DATA, (message_id, self.store[message_id]),
-                        payload_size,
+                        self.system.packet_size,
                     )
         elif kind == PULL_DATA:
             message_id, payload = wire_payload
@@ -131,11 +131,8 @@ class PullGossipSystem:
         self.sim = transport.sim
         self.config = config or PullConfig()
         self.size = size
+        self.packet_size = payload_packet_size(self.config.payload_bytes)
         self._deliver = deliver
-        self._message_counter = 0
-        #: Optional hook fired as (message_id, origin, now) before the
-        #: origin's synchronous local delivery (for recorders).
-        self.on_multicast: Optional[Callable[[int, int, float], None]] = None
         self.nodes = [
             _PullNode(self, node, transport.endpoint(node)) for node in range(size)
         ]
@@ -150,12 +147,7 @@ class PullGossipSystem:
         for node in self.nodes:
             node.timer.stop()
 
-    def multicast(self, origin: int, payload: Any) -> int:
+    def multicast_with_id(self, origin: int, message_id: int, payload: Any) -> None:
         """Seed a new message at ``origin``; spreads via anti-entropy."""
-        self._message_counter += 1
-        message_id = self._message_counter
-        if self.on_multicast is not None:
-            self.on_multicast(message_id, origin, self.sim.now)
         if self.nodes[origin].learn(message_id, payload):
             self._deliver(origin, message_id, payload)
-        return message_id

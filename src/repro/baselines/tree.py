@@ -17,10 +17,12 @@ exactly that over the same simulated fabric the gossip stack uses:
   plus a configurable detection/rebuild delay.
 
 The point of this module is the quantitative comparison in
-``benchmarks/bench_baseline_tree.py``: tree multicast wins on payload
-cost and latency in the failure-free runs, and loses catastrophically
-on deliveries when hubs die between repairs -- the trade-off the Payload
-Scheduler is designed to dissolve.
+:mod:`repro.experiments.baselines`, which runs the tree through the
+same :func:`~repro.experiments.runner.run_experiment` harness as the
+gossip rows: tree multicast wins on payload cost and latency in the
+failure-free runs, and loses catastrophically on deliveries when hubs
+die between repairs -- the trade-off the Payload Scheduler is designed
+to dissolve.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.network.message import payload_packet_size
 from repro.network.transport import ConnectionTransport, Endpoint
 
 TREE_MSG = "TREE_MSG"
@@ -73,7 +76,7 @@ class TreeMulticastSystem:
         self.model = model
         self.config = config or TreeConfig()
         self._deliver = deliver
-        self.sim = transport.sim
+        self._packet_size = payload_packet_size(self.config.payload_bytes)
         self._endpoints: List[Endpoint] = []
         for node in range(model.size):
             endpoint = transport.endpoint(node)
@@ -83,11 +86,7 @@ class TreeMulticastSystem:
         # tree rooted at ``root``.
         self._children: Dict[int, List[List[int]]] = {}
         self._excluded: set = set()
-        self._message_counter = 0
         self.repairs = 0
-        #: Optional hook fired as (message_id, origin, now) before the
-        #: origin's synchronous local delivery (for recorders).
-        self.on_multicast: Optional[Callable[[int, int, float], None]] = None
 
     # -- tree construction ------------------------------------------------------
 
@@ -180,15 +179,16 @@ class TreeMulticastSystem:
 
     # -- operation ---------------------------------------------------------------
 
-    def multicast(self, origin: int, payload: Any) -> int:
-        """Send ``payload`` down origin's tree; returns a message id."""
-        self._message_counter += 1
-        message_id = self._message_counter
-        if self.on_multicast is not None:
-            self.on_multicast(message_id, origin, self.sim.now)
+    def start(self) -> None:
+        """A tree runs no periodic agent."""
+
+    def stop(self) -> None:
+        """A tree runs no periodic agent."""
+
+    def multicast_with_id(self, origin: int, message_id: int, payload: Any) -> None:
+        """Deliver ``payload`` at ``origin`` and send it down origin's tree."""
         self._deliver(origin, message_id, payload)
         self._forward(origin, origin, message_id, payload)
-        return message_id
 
     def repair(self, failed_nodes) -> None:
         """Rebuild every cached tree around ``failed_nodes``.
@@ -204,12 +204,9 @@ class TreeMulticastSystem:
     # -- internals ------------------------------------------------------------------
 
     def _forward(self, root: int, node: int, message_id: int, payload: Any) -> None:
-        from repro.network.message import payload_packet_size
-
-        size = payload_packet_size(self.config.payload_bytes)
         for child in self._tree_for(root)[node]:
             self._endpoints[node].send(
-                child, TREE_MSG, (root, message_id, payload), size
+                child, TREE_MSG, (root, message_id, payload), self._packet_size
             )
 
     def _make_receiver(self, node: int):

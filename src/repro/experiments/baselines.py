@@ -6,91 +6,64 @@ is stable, and loses deliveries wholesale when it breaks; epidemic
 dissemination pays redundancy for resilience; the Payload Scheduler
 (here represented by the hybrid strategy) sits in between.
 
-Tree and pull run over the *same* fabric, workload and recorder as the
-gossip stack, so every number is comparable.
+Every row is one :func:`~repro.experiments.runner.run_experiment` call
+with the same seed, ``scale.seed + 500``: the tree and pull rows set
+:attr:`~repro.experiments.runner.ExperimentSpec.system`, the gossip rows
+leave it unset.  So the rows of one table are paired (common random
+numbers): they lose the same victims, multicast from the same origins
+after the same gaps, and record over the same window after the same
+warm-up, on the same fabric and recorder.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional
 
-from repro.baselines.pull import PullConfig, PullGossipSystem
-from repro.baselines.tree import TreeConfig, TreeMulticastSystem
+from repro.baselines.pull import PullGossipSystem
+from repro.baselines.tree import TreeMulticastSystem
 from repro.experiments.runner import run_experiment
-from repro.experiments.scenarios import flat_factory, hybrid_factory, ttl_factory
+from repro.experiments.scenarios import (
+    flat_factory,
+    hybrid_factory,
+    ranked_factory,
+    ttl_factory,
+)
 from repro.failures.injection import FailurePlan
-from repro.metrics.analysis import summarize
-from repro.metrics.recorder import MetricsRecorder
-from repro.network.fabric import FabricConfig, NetworkFabric
-from repro.network.transport import ConnectionTransport
-from repro.sim.engine import Simulator
-from repro.sim.rng import sample
-from repro.topology.routing import ClientNetworkModel
 
 
-def _run_system(
-    model: ClientNetworkModel,
-    build_system,
-    messages: int,
-    mean_interval_ms: float,
-    seed: int,
-    failed_fraction: float = 0.0,
-    failed_nodes: Optional[List[int]] = None,
-    repair_delay_ms: Optional[float] = None,
-):
-    """Drive a baseline system with the standard workload shape."""
-    sim = Simulator(seed=seed)
-    recorder = MetricsRecorder()
-    fabric = NetworkFabric(sim, model, FabricConfig())
-    fabric.set_observer(recorder)
-    transport = ConnectionTransport(fabric)
+@dataclass(frozen=True)
+class TreeSystem:
+    """System factory for the structured tree.  With ``repair_at_ms`` set,
+    an oracle failure detector rebuilds the trees at that simulated time
+    around every node the fabric has silenced by then."""
 
-    def deliver(node: int, message_id: int, payload) -> None:
-        recorder.on_app_deliver(node, message_id, sim.now)
+    repair_at_ms: Optional[float] = None
 
-    system = build_system(transport, deliver)
-    system.on_multicast = recorder.on_multicast
-    if hasattr(system, "start"):
-        system.start()
-
-    failed: List[int] = []
-    if failed_nodes is not None:
-        failed = list(failed_nodes)
-    elif failed_fraction > 0:
-        rng = sim.rng.stream("baseline.failures")
-        count = int(round(failed_fraction * model.size))
-        failed = sample(rng, range(model.size), count)
-    if failed:
-        for node in failed:
-            fabric.silence(node)
-        if repair_delay_ms is not None:
-            sim.schedule(repair_delay_ms, system.repair, failed)
-    alive = [n for n in range(model.size) if n not in set(failed)]
-
-    workload_rng = sim.rng.stream("baseline.workload")
-    sent = 0
-
-    def send_next() -> None:
-        nonlocal sent
-        origin = alive[sent % len(alive)]
-        system.multicast(origin, ("m", sent))
-        sent += 1
-        if sent < messages:
-            sim.schedule(workload_rng.uniform(0, 2 * mean_interval_ms), send_next)
-
-    sim.schedule(workload_rng.uniform(0, 2 * mean_interval_ms), send_next)
-    sim.run(until=sim.now + messages * mean_interval_ms + 20_000.0)
-    if hasattr(system, "stop"):
-        system.stop()
-    return summarize(recorder, expected_receivers=len(alive))
+    def __call__(self, transport, model, deliver) -> TreeMulticastSystem:
+        tree = TreeMulticastSystem(transport, model, deliver)
+        if self.repair_at_ms is not None:
+            silenced = transport.fabric.is_silenced
+            transport.sim.schedule_at(
+                self.repair_at_ms,
+                lambda: tree.repair([n for n in range(model.size) if silenced(n)]),
+            )
+        return tree
 
 
-def _run_gossip(model, factory, scale, seed_offset=0, failure=None):
-    spec = scale.spec(factory, seed=scale.seed + 500 + seed_offset, failure=failure)
-    return run_experiment(model, spec).summary
+@dataclass(frozen=True)
+class PullSystem:
+    """System factory for anti-entropy pull gossip (``PullConfig()``)."""
+
+    def __call__(self, transport, model, deliver) -> PullGossipSystem:
+        return PullGossipSystem(transport, model.size, deliver)
 
 
-def _row(series: str, summary) -> Dict:
+def _row(series, model, scale, factory=None, system=None, failure=None) -> Dict:
+    """One paired row: the gossip stack driven by ``factory``, or
+    ``system`` in its place."""
+    spec = scale.spec(factory, seed=scale.seed + 500, failure=failure)
+    summary = run_experiment(model, replace(spec, system=system)).summary
     return {
         "series": series,
         "latency_ms": summary.mean_latency_ms,
@@ -100,43 +73,18 @@ def _row(series: str, summary) -> Dict:
     }
 
 
-def compare_baselines(scale, pull_period_ms: float = 500.0) -> List[Dict]:
+def compare_baselines(scale) -> List[Dict]:
     """Failure-free comparison: who pays what for dissemination."""
     from repro.experiments.figures import build_model
 
     model = build_model(scale)
-    mean_interval = 500.0
-    rows = [
-        _row("gossip eager", _run_gossip(model, flat_factory(1.0), scale, 0)),
-        _row("gossip TTL", _run_gossip(model, ttl_factory(3), scale, 1)),
-        _row("gossip hybrid", _run_gossip(model, hybrid_factory(), scale, 2)),
-        _row(
-            "tree",
-            _run_system(
-                model,
-                lambda transport, deliver: TreeMulticastSystem(
-                    transport, model, deliver, TreeConfig()
-                ),
-                messages=scale.messages,
-                mean_interval_ms=mean_interval,
-                seed=scale.seed + 600,
-            ),
-        ),
-        _row(
-            "pull",
-            _run_system(
-                model,
-                lambda transport, deliver: PullGossipSystem(
-                    transport, model.size, deliver,
-                    PullConfig(period_ms=pull_period_ms),
-                ),
-                messages=scale.messages,
-                mean_interval_ms=mean_interval,
-                seed=scale.seed + 601,
-            ),
-        ),
+    return [
+        _row("gossip eager", model, scale, flat_factory(1.0)),
+        _row("gossip TTL", model, scale, ttl_factory(3)),
+        _row("gossip hybrid", model, scale, hybrid_factory()),
+        _row("tree", model, scale, system=TreeSystem()),
+        _row("pull", model, scale, system=PullSystem()),
     ]
-    return rows
 
 
 def compare_under_failures(
@@ -147,8 +95,9 @@ def compare_under_failures(
 ) -> List[Dict]:
     """The resilience half of the trade-off.
 
-    Failures hit right before traffic; the tree optionally repairs after
-    ``repair_delay_ms``.  ``target`` selects the victims:
+    Failures hit right before traffic; the tree optionally repairs
+    ``repair_delay_ms`` after that instant.  ``target`` selects the
+    victims:
 
     - ``"interior"`` (default): the most central nodes -- which the
       degree-bounded trees systematically recruit as interior nodes, and
@@ -161,41 +110,25 @@ def compare_under_failures(
     """
     if target not in ("interior", "random"):
         raise ValueError(f"unknown target {target!r}")
+    if repair_delay_ms is not None and repair_delay_ms <= 0:
+        raise ValueError(f"repair_delay_ms must be > 0, got {repair_delay_ms}")
     from repro.experiments.figures import build_model
-    from repro.experiments.scenarios import ranked_factory
 
     model = build_model(scale)
-    victims: Optional[List[int]] = None
-    if target == "interior":
-        count = int(round(failed_fraction * model.size))
-        victims = sorted(range(model.size), key=model.closeness)[:count]
-
+    ranked = sorted(range(model.size), key=model.closeness)
+    interior = target == "interior"
     plan = FailurePlan(
         fraction=failed_fraction,
-        target="best" if victims is not None else "random",
-        ranked_nodes=victims,
+        target="best" if interior else "random",
+        ranked_nodes=ranked if interior else None,
     )
-    gossip_eager = _run_gossip(
-        model, flat_factory(1.0), scale, seed_offset=3, failure=plan
-    )
-    gossip_ranked = _run_gossip(
-        model, ranked_factory(), scale, seed_offset=4, failure=plan
-    )
-    tree = _run_system(
-        model,
-        lambda transport, deliver: TreeMulticastSystem(
-            transport, model, deliver, TreeConfig()
-        ),
-        messages=scale.messages,
-        mean_interval_ms=500.0,
-        seed=scale.seed + 700,
-        failed_fraction=failed_fraction,
-        failed_nodes=victims,
-        repair_delay_ms=repair_delay_ms,
-    )
-    label = "tree (no repair)" if repair_delay_ms is None else "tree (repaired)"
+    if repair_delay_ms is None:
+        label, tree = "tree (no repair)", TreeSystem()
+    else:
+        label = "tree (repaired)"
+        tree = TreeSystem(repair_at_ms=scale.warmup_ms + repair_delay_ms)
     return [
-        _row("gossip eager", gossip_eager),
-        _row("gossip ranked", gossip_ranked),
-        _row(label, tree),
+        _row("gossip eager", model, scale, flat_factory(1.0), failure=plan),
+        _row("gossip ranked", model, scale, ranked_factory(), failure=plan),
+        _row(label, model, scale, system=tree, failure=plan),
     ]

@@ -85,7 +85,7 @@ class Scale:
 
     def spec(
         self,
-        factory: StrategyFactory,
+        factory: Optional[StrategyFactory],
         seed: int,
         cluster: Optional[ClusterConfig] = None,
         failure: Optional[FailurePlan] = None,

@@ -21,7 +21,7 @@ from repro.metrics.analysis import (
     summarize,
 )
 from repro.metrics.recorder import MetricsRecorder
-from repro.runtime.cluster import Cluster, ClusterConfig
+from repro.runtime.cluster import Cluster, ClusterConfig, SystemFactory
 from repro.runtime.node import StrategyFactory
 from repro.experiments.workload import TrafficConfig, TrafficGenerator
 from repro.topology.cache import ModelLike, resolve_model
@@ -34,9 +34,14 @@ NodeClassesFn = Callable[[ClientNetworkModel], Dict[str, List[int]]]
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to run one experiment on a given model."""
+    """Everything needed to run one experiment on a given model.
 
-    strategy_factory: StrategyFactory
+    ``system``, when set, replaces the gossip stack (and its
+    ``strategy_factory``) with a tree or pull comparator; everything else
+    is run alike, so one seed pairs a system run with a gossip run.
+    """
+
+    strategy_factory: Optional[StrategyFactory]
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
     traffic: TrafficConfig = field(default_factory=TrafficConfig)
     warmup_ms: float = 10_000.0
@@ -47,6 +52,7 @@ class ExperimentSpec:
     #: failures: after warmup, before logging.
     gray: Optional[GrayFailurePlan] = None
     node_classes: Optional[NodeClassesFn] = None
+    system: Optional[SystemFactory] = None
 
 
 @dataclass
@@ -55,7 +61,8 @@ class ExperimentResult:
 
     ``mean_receipt_round`` is the group-wide average gossip round at
     which messages were delivered (the paper's "gossiped 4.5 times"
-    statistic; NaN when nothing was delivered).
+    statistic; NaN when nothing was delivered, and for a ``system`` run,
+    which has no gossip rounds).
     """
 
     summary: RunSummary
@@ -87,7 +94,8 @@ def run_experiment(
     recorder.disable()
 
     cluster = Cluster(
-        model, spec.strategy_factory, config=spec.cluster, seed=spec.seed
+        model, spec.strategy_factory, config=spec.cluster, seed=spec.seed,
+        system=spec.system,
     )
     cluster.fabric.set_observer(recorder)
     cluster.set_multicast_hook(recorder.on_multicast)

@@ -133,6 +133,10 @@ class ConnectionTransport:
     def sim(self):
         return self._fabric.sim
 
+    @property
+    def fabric(self) -> NetworkFabric:
+        return self._fabric
+
     def endpoint(self, node: int) -> Endpoint:
         """Create the endpoint for ``node`` (registers its handler)."""
         return Endpoint(self, node)

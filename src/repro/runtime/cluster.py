@@ -5,7 +5,8 @@ assembles the simulator, fabric, transports and ``n`` protocol stacks,
 each sampling peers from the shuffled overlay or the oracle sampler as
 configured.  It is the single construction path shared by tests,
 examples and the experiment harness, so every consumer exercises the
-same wiring.
+same wiring -- a non-gossip comparator (:mod:`repro.baselines`) too,
+built by a :data:`SystemFactory` in place of the protocol stacks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ from repro.sim.engine import Simulator
 from repro.sim.rng import sample
 from repro.topology.routing import ClientNetworkModel
 
+#: ``(transport, model, deliver) -> system``, a picklable frozen dataclass
+#: like the strategy factories.  The system has ``start()``, ``stop()`` and
+#: ``multicast_with_id(origin, message_id, payload)``.
+SystemFactory = Callable[[ConnectionTransport, ClientNetworkModel, AppDeliverFn], Any]
+
 
 @dataclass(frozen=True)
 class ClusterConfig:
@@ -50,16 +56,17 @@ class ClusterConfig:
 
 
 class Cluster:
-    """``n`` protocol stacks over one emulated network."""
+    """``n`` protocol stacks over one emulated network, or ``system`` in
+    their place (``nodes`` then stays empty)."""
 
     def __init__(
         self,
         model: ClientNetworkModel,
-        strategy_factory: StrategyFactory,
+        strategy_factory: Optional[StrategyFactory],
         config: Optional[ClusterConfig] = None,
         seed: int = 0,
-        deliver: Optional[AppDeliverFn] = None,
         node_bandwidth: Optional[dict] = None,
+        system: Optional[SystemFactory] = None,
     ) -> None:
         self.model = model
         self.config = config or ClusterConfig()
@@ -70,10 +77,17 @@ class Cluster:
         self.transport = ConnectionTransport(
             self.fabric, buffer_capacity=self.config.connection_buffer_capacity
         )
-        self._deliver = deliver or (lambda node, message_id, payload: None)
+        self._deliver: AppDeliverFn = lambda node, message_id, payload: None
         self._on_multicast: Optional[Callable[[int, int, float], None]] = None
         self.nodes: List[ProtocolNode] = []
-        self._build_nodes(strategy_factory)
+        self.system: Any = None
+        self._multicasts = 0
+        if system is not None:
+            self.system = system(self.transport, model, self._on_deliver)
+        elif strategy_factory is not None:
+            self._build_nodes(strategy_factory)
+        else:
+            raise ValueError("a cluster needs a strategy_factory or a system")
 
     # -- construction ------------------------------------------------------------
 
@@ -136,13 +150,17 @@ class Cluster:
         self._deliver = deliver
 
     def start(self) -> None:
-        """Start all periodic agents on every node."""
+        """Start all periodic agents on every node (or the system's)."""
         for node in self.nodes:
             node.start()
+        if self.system is not None:
+            self.system.start()
 
     def stop(self) -> None:
         for node in self.nodes:
             node.stop()
+        if self.system is not None:
+            self.system.stop()
 
     def set_multicast_hook(
         self, hook: Callable[[int, int, float], None]
@@ -153,12 +171,21 @@ class Cluster:
         self._on_multicast = hook
 
     def multicast(self, origin: int, payload: Any) -> int:
-        """Multicast from ``origin``; returns the message id."""
-        node = self.nodes[origin]
-        message_id = node.gossip.id_source.next_id()
+        """Multicast from ``origin``; returns the message id (a system's
+        count 1, 2, ... in send order)."""
+        system = self.system
+        if system is None:
+            gossip = self.nodes[origin].gossip
+            message_id = gossip.id_source.next_id()
+        else:
+            self._multicasts += 1
+            message_id = self._multicasts
         if self._on_multicast is not None:
             self._on_multicast(message_id, origin, self.sim.now)
-        node.gossip.multicast_with_id(message_id, payload)
+        if system is None:
+            gossip.multicast_with_id(message_id, payload)
+        else:
+            system.multicast_with_id(origin, message_id, payload)
         return message_id
 
     def run_for(self, duration_ms: float) -> None:

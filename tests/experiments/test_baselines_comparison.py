@@ -3,16 +3,50 @@
 Section 1 states the trade-off qualitatively: structured multicast uses
 resources better while the network is stable but must rebuild its tree
 on failure; gossip pays redundancy for resilience; the Payload Scheduler
-aims at both.  These tests measure all three corners on the same fabric
-and workload.
+aims at both.  These tests measure all three corners through the one
+experiment harness, paired on the same seed: same victims, same origins,
+same send times.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.baselines import compare_baselines, compare_under_failures
+from repro.experiments.baselines import (
+    PullSystem,
+    TreeSystem,
+    compare_baselines,
+    compare_under_failures,
+)
+from repro.experiments.figures import build_model
+from repro.experiments.runner import run_experiment
+from repro.experiments.scenarios import flat_factory
+from repro.failures.injection import FailureInjector, FailurePlan
+from repro.runtime.cluster import Cluster
 from tests.paper import BENCH
+
+
+def test_systems_and_gossip_share_victims_origins_and_send_times():
+    """One seed pairs every row: the tree and pull runs lose the gossip
+    run's victims and multicast from its origins at its times."""
+    model = build_model(BENCH)
+    spec = BENCH.spec(
+        flat_factory(1.0), seed=BENCH.seed + 500, failure=FailurePlan(fraction=0.2)
+    )
+    gossip = run_experiment(model, spec)
+    assert gossip.failed
+    for system in (TreeSystem(), PullSystem()):
+        result = run_experiment(model, replace(spec, system=system))
+        assert result.failed == gossip.failed
+        assert result.alive == gossip.alive
+        assert sorted(result.recorder.multicasts.values()) == sorted(
+            gossip.recorder.multicasts.values()
+        )
+        assert math.isnan(result.mean_receipt_round)
+        assert result.recovery == {"retries": 0}
 
 
 @pytest.fixture(scope="module")
@@ -87,3 +121,21 @@ def test_random_target_mode():
     assert any(row["series"].startswith("tree") for row in rows)
     with pytest.raises(ValueError):
         compare_under_failures(BENCH, target="bogus")
+
+
+def test_repair_excludes_the_nodes_silenced_when_it_fires():
+    """The oracle detector reads the fabric at repair time, not at build."""
+    model = build_model(BENCH)
+    cluster = Cluster(model, None, system=TreeSystem(repair_at_ms=100.0))
+    injector = FailureInjector(cluster)
+    cluster.run_for(50.0)
+    injector.fail_nodes([3, 7])
+    cluster.run_for(100.0)
+    injector.fail_nodes([9])
+    assert cluster.system.repairs == 1
+    assert cluster.system._excluded == {3, 7}
+
+
+def test_repair_delay_must_be_positive():
+    with pytest.raises(ValueError, match="repair_delay_ms"):
+        compare_under_failures(BENCH, repair_delay_ms=0.0)

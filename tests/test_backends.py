@@ -7,6 +7,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import DENSE_MODEL_LIMIT, megasim_spec
+from repro.experiments.baselines import TreeSystem
 from repro.experiments.figures import QUICK, Scale, build_model
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentSpec, run_experiment
@@ -205,6 +206,12 @@ def test_vector_backend_approximates_overlay_and_bandwidth() -> None:
 def test_vector_backend_rejects_node_classes_by_name() -> None:
     spec = tiny_spec(node_classes=lambda model: {"best": [0]})
     with pytest.raises(ValueError, match="does not support spec.node_classes"):
+        megasim_spec(spec, MODEL.size)
+
+
+def test_vector_backend_rejects_a_system_by_name() -> None:
+    spec = tiny_spec(system=TreeSystem())
+    with pytest.raises(ValueError, match="does not support spec.system"):
         megasim_spec(spec, MODEL.size)
 
 

@@ -6,8 +6,10 @@ import pytest
 
 from repro.baselines.pull import PullConfig, PullGossipSystem
 from repro.baselines.tree import TreeConfig, TreeMulticastSystem
+from repro.experiments.baselines import TreeSystem
 from repro.network.fabric import FabricConfig, NetworkFabric
 from repro.network.transport import ConnectionTransport
+from repro.runtime.cluster import Cluster
 from repro.sim.engine import Simulator
 from repro.topology.simple import random_metric_topology
 
@@ -32,7 +34,8 @@ def make_stack(n=16, seed=1):
 def test_tree_delivers_exactly_once_everywhere():
     sim, model, fabric, transport, deliver, deliveries = make_stack()
     system = TreeMulticastSystem(transport, model, deliver)
-    mid = system.multicast(0, "x")
+    mid = 1
+    system.multicast_with_id(0, mid, "x")
     sim.run()
     assert len(deliveries[mid]) == 16
     # Exactly-once: payload transmissions = n - 1.
@@ -62,7 +65,8 @@ def test_uncapped_tree_degenerates_to_star_on_metric_space():
 def test_tree_latency_is_root_path_latency():
     sim, model, _, transport, deliver, deliveries = make_stack(n=10)
     system = TreeMulticastSystem(transport, model, deliver, TreeConfig(max_degree=3))
-    mid = system.multicast(0, "x")
+    mid = 1
+    system.multicast_with_id(0, mid, "x")
     sim.run()
     children = system._tree_for(0)
 
@@ -85,7 +89,8 @@ def test_tree_loses_subtrees_on_interior_failure():
     children = system._tree_for(0)
     interior = next(c for c in children[0] if children[c])
     fabric.silence(interior)
-    mid = system.multicast(0, "x")
+    mid = 1
+    system.multicast_with_id(0, mid, "x")
     sim.run()
     lost = {interior}
 
@@ -108,18 +113,25 @@ def test_tree_repair_rebuilds_around_failures():
     fabric.silence(interior)
     system.repair([interior])
     assert system.repairs == 1
-    mid = system.multicast(0, "x")
+    mid = 1
+    system.multicast_with_id(0, mid, "x")
     sim.run()
     assert set(deliveries[mid]) == set(range(20)) - {interior}
 
 
 def test_tree_multicast_hook_fires_before_delivery():
-    sim, model, _, transport, deliver, deliveries = make_stack()
-    system = TreeMulticastSystem(transport, model, deliver)
+    model = random_metric_topology(16, mean_latency_ms=40.0, seed=1)
+    cluster = Cluster(model, None, system=TreeSystem())
     events = []
-    system.on_multicast = lambda mid, origin, now: events.append((mid, origin))
-    mid = system.multicast(4, "x")
-    assert events == [(mid, 4)]
+    cluster.set_multicast_hook(
+        lambda mid, origin, now: events.append(("multicast", mid, origin))
+    )
+    cluster.set_deliver(
+        lambda node, mid, payload: events.append(("deliver", mid, node))
+    )
+    mid = cluster.multicast(4, "x")
+    assert events == [("multicast", mid, 4), ("deliver", mid, 4)]
+    assert cluster.nodes == []
 
 
 def test_tree_config_validation():
@@ -138,7 +150,8 @@ def test_pull_spreads_to_everyone_eventually():
         transport, 12, deliver, PullConfig(period_ms=100.0, jitter_ms=10.0)
     )
     system.start()
-    mid = system.multicast(0, "x")
+    mid = 1
+    system.multicast_with_id(0, mid, "x")
     sim.run(until=20_000.0)
     system.stop()
     assert len(deliveries[mid]) == 12
@@ -151,7 +164,8 @@ def test_pull_latency_scales_with_period():
             transport, 12, deliver, PullConfig(period_ms=period, jitter_ms=0.0)
         )
         system.start()
-        mid = system.multicast(0, "x")
+        mid = 1
+        system.multicast_with_id(0, mid, "x")
         start = sim.now
         sim.run(until=200_000.0)
         system.stop()
@@ -173,7 +187,8 @@ def test_pull_each_payload_received_once_per_node():
         transport, 10, deliver, PullConfig(period_ms=100.0)
     )
     system.start()
-    mid = system.multicast(0, "x")
+    mid = 1
+    system.multicast_with_id(0, mid, "x")
     sim.run(until=30_000.0)
     system.stop()
     # Anti-entropy responders only send what the requester lacks, so
@@ -187,7 +202,7 @@ def test_pull_digest_window_bounds_digest_size():
         transport, 6, deliver, PullConfig(period_ms=100.0, digest_window=3)
     )
     for i in range(10):
-        system.multicast(0, f"m{i}")
+        system.multicast_with_id(0, i + 1, f"m{i}")
     assert len(system.nodes[0].recent) == 3
 
 
