@@ -11,9 +11,10 @@ file and diffs it against the committed copy; the list may only shrink.
 
 Caveat: only this process is traced.  The entry points run serially
 (``--workers 1``; ``os.cpu_count`` reads 1 for the examples, which size
-their pools from it), but code that runs only inside pool workers -- the
-pooled megasim worker side, for one -- would be missed by a pooled entry
-point, so none is listed here.  Pytest does not collect this file.
+their pools from it), except one pooled megasim run: its parent side --
+packing the arena, reading the outcome region -- is traced, its worker
+side is not, so a function only pool workers enter stays listed.
+Pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ ENTRY_POINTS = [
     _RUN + ["eager", "--replications", "2", "--messages", "10"],
     _RUN + ["ranked", "--backend", "vector", "--view-degree", "8", "--track-links"],
     _RUN + ["eager", "--backend", "vector", "--clients", "5000", "--messages", "1"],
+    _RUN + ["radius", "--backend", "vector", "--clients", "5000", "--messages", "1"],
+    ["run", "eager", "--backend", "vector", "--clients", "5000", "--messages", "2",
+     "--workers", "2"],
     *(["figure", key, "--workers", "1"] for key in FIGURES),
     ["topology", "--routers", "400", "--clients", "40", "--save", os.devnull],
     *(
