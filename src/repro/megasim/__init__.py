@@ -9,7 +9,7 @@ are numpy operations over all nodes at once, which carries the same
 protocol to 10^5-10^6 nodes.
 
 Where the two backends agree -- and where they cannot -- is pinned by
-the differential harness in :mod:`repro.megasim.differential` and
+the differential harness in ``tests/megasim/differential.py`` and
 documented in DESIGN.md section 10.  Entry points:
 
 - :func:`repro.megasim.runner.run_megasim` -- the library entry, and

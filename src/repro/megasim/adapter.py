@@ -40,7 +40,7 @@ from repro.megasim.links import merge_link_arrays, top_share
 from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
-from repro.network.message import control_packet_size, payload_packet_size
+from repro.network.message import CONTROL_PACKET_BYTES, payload_packet_size
 from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
 
@@ -779,7 +779,7 @@ def summary_from_outcomes(
     )
     control = ihave_sent + iwant_sent
     total_bytes = msg_sent * payload_packet_size(payload_bytes) + (
-        control * control_packet_size()
+        control * CONTROL_PACKET_BYTES
     )
     return RunSummary(
         messages=messages,

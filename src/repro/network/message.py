@@ -24,6 +24,9 @@ PACKET_OVERHEAD_BYTES = 40
 #: NeEM header, before packet overhead.
 CONTROL_OVERHEAD_BYTES = 16 + NEEM_HEADER_BYTES
 
+#: Wire size of an advertisement or request (IHAVE/IWANT).
+CONTROL_PACKET_BYTES = CONTROL_OVERHEAD_BYTES + PACKET_OVERHEAD_BYTES
+
 _next_packet_id = itertools.count().__next__
 
 
@@ -92,7 +95,3 @@ def payload_packet_size(application_bytes: int) -> int:
     """Wire size of a full payload transmission (MSG)."""
     return application_bytes + NEEM_HEADER_BYTES + PACKET_OVERHEAD_BYTES
 
-
-def control_packet_size() -> int:
-    """Wire size of an advertisement or request (IHAVE/IWANT)."""
-    return CONTROL_OVERHEAD_BYTES + PACKET_OVERHEAD_BYTES

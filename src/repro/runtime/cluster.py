@@ -192,11 +192,6 @@ class Cluster:
         """Advance simulated time by ``duration_ms``."""
         self.sim.run(until=self.sim.now + duration_ms)
 
-    def run_until_idle(self, max_events: Optional[int] = None) -> None:
-        """Drain every pending event (stop periodic agents first or this
-        will not terminate)."""
-        self.sim.run(max_events=max_events)
-
     @property
     def alive_nodes(self) -> List[int]:
         return [n for n in range(self.size) if not self.fabric.is_silenced(n)]

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 from repro.gossip.known_ids import KnownIds
-from repro.network.message import control_packet_size, payload_packet_size
+from repro.network.message import CONTROL_PACKET_BYTES, payload_packet_size
 from repro.scheduler.cache import PayloadCache
 from repro.scheduler.interfaces import SchedulerConfig, TransmissionStrategy
 from repro.scheduler.requests import RequestQueue
@@ -104,7 +104,7 @@ class LazyPointToPoint:
             if not lazy:
                 self.cache.put(message_id, payload, round_)
             lazy += 1
-            burst.append((peer, IHAVE, message_id, control_packet_size()))
+            burst.append((peer, IHAVE, message_id, CONTROL_PACKET_BYTES))
         self.eager_sends += eager
         self.lazy_sends += lazy
         if burst:
@@ -151,7 +151,7 @@ class LazyPointToPoint:
     # -- helpers -----------------------------------------------------------------
 
     def _send_request(self, message_id: int, source: int) -> None:
-        self._send(source, IWANT, message_id, control_packet_size())
+        self._send(source, IWANT, message_id, CONTROL_PACKET_BYTES)
 
     def _msg_size(self, payload: Any) -> int:
         declared = getattr(payload, "size_bytes", None)

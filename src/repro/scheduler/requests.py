@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Set
 
 from repro.scheduler.interfaces import TransmissionStrategy
 from repro.sim.engine import Simulator
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 
 #: Callback used to emit a request: (message_id, source) -> None
 SendRequestFn = Callable[[int, int], None]
@@ -35,7 +35,7 @@ class _PendingMessage:
     sources: List[int] = field(default_factory=list)
     source_set: Set[int] = field(default_factory=set)
     asked: Set[int] = field(default_factory=set)
-    timer: Optional[EventHandle] = None
+    timer: Optional[Event] = None
 
 
 class RequestQueue:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.sim.engine import Simulator
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 
 
 class PeriodicTimer:
@@ -46,7 +46,7 @@ class PeriodicTimer:
         self._period = period
         self._callback = callback
         self._jitter = jitter
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._running = False
 
     @property

@@ -169,7 +169,7 @@ def run_event_message(
         )
     )
     message_id = cluster.multicast(origin, payload="payload")
-    cluster.run_until_idle()
+    cluster.sim.run()
     purged = cluster.transport.purged_count
     if purged:
         raise ValueError(

@@ -27,7 +27,7 @@ from repro.megasim.adapter import (
 from repro.megasim.runner import MegasimSpec, run_megasim
 from repro.metrics.analysis import summarize
 from repro.metrics.recorder import MetricsRecorder
-from repro.network.message import control_packet_size, payload_packet_size
+from repro.network.message import CONTROL_PACKET_BYTES, payload_packet_size
 from repro.sim.rng import RandomStreams
 from repro.topology.routing import ClientNetworkModel
 from repro.topology.simple import complete_topology
@@ -202,7 +202,7 @@ def replay(result) -> MetricsRecorder:
     ``slot * round_ms``, the packet/byte counters and the link table."""
     recorder = MetricsRecorder()
     msg_size = payload_packet_size(result.spec.payload_bytes)
-    ctrl_size = control_packet_size()
+    ctrl_size = CONTROL_PACKET_BYTES
     for message_id, outcome in enumerate(result.outcomes):
         recorder.on_multicast(message_id, outcome.origin, 0.0)
         delivered = np.flatnonzero(outcome.deliver_slot >= 0)

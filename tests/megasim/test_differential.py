@@ -24,14 +24,14 @@ from repro.experiments.scenarios import (
     ranked_factory,
     ttl_factory,
 )
-from repro.megasim import differential
-from repro.megasim.differential import (
+from repro.topology.routing import ClientNetworkModel
+from tests.megasim import differential
+from tests.megasim.differential import (
     exact_pair,
     plane_model,
     run_event_message,
     run_vector_message,
 )
-from repro.topology.routing import ClientNetworkModel
 
 N = 24
 ROUNDS = 8

@@ -25,13 +25,13 @@ from repro.experiments.scenarios import (
     ranked_factory,
     ttl_factory,
 )
-from repro.megasim.differential import (
+from repro.runtime.node import StrategyFactory
+from repro.topology.routing import ClientNetworkModel
+from tests.megasim.differential import (
     plane_model,
     run_event_message,
     run_vector_message,
 )
-from repro.runtime.node import StrategyFactory
-from repro.topology.routing import ClientNetworkModel
 
 N = 12
 UNIFORM = ClientNetworkModel.uniform(N)

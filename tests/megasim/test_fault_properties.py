@@ -22,9 +22,9 @@ from repro.experiments.scenarios import flat_factory, ttl_factory
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.megasim.adapter import compile_faults
-from repro.megasim.differential import run_event_message, run_vector_message
 from repro.runtime.node import StrategyFactory
 from repro.topology.routing import ClientNetworkModel
+from tests.megasim.differential import run_event_message, run_vector_message
 
 N = 12
 RETRY_MS = 150.0

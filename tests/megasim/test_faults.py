@@ -31,13 +31,13 @@ from repro.experiments.scenarios import (
 from repro.failures.gray import GrayFailurePlan
 from repro.failures.injection import FailurePlan
 from repro.megasim.adapter import compile_faults
-from repro.megasim.differential import (
+from repro.topology.routing import ClientNetworkModel
+from tests.megasim.differential import (
     exact_pair,
     plane_model,
     run_event_message,
     run_vector_message,
 )
-from repro.topology.routing import ClientNetworkModel
 
 N = 24
 ROUNDS = 8

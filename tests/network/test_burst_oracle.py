@@ -28,7 +28,7 @@ Mutants of the burst path this kills, each a one-token or one-line edit
   ``times.append(...)`` in ``NetworkFabric.send_many``'s loop (each
   packet departs at its start, not its end);
 - seq order: ``(time, seq, ...)`` -> ``(time, -seq, ...)`` in
-  ``EventQueue.push_many``'s heap entry;
+  ``Simulator.schedule_at_many``'s heap entry;
 - purge victim: ``receipts.pop(0)`` -> ``receipts.pop()`` in
   ``ConnectionTransport._submit_many``;
 - a draw for a lossless link: the ``link.loss_probability > 0.0`` guard
@@ -52,7 +52,7 @@ from repro.network.message import Packet, SlotRecord
 from repro.network.nic import NetworkInterface
 from repro.network.transport import ConnectionTransport, Endpoint
 from repro.sim.engine import Simulator
-from repro.sim.events import EventHandle
+from repro.sim.events import Event
 from repro.topology.geometry import Point
 from repro.topology.routing import ClientNetworkModel
 
@@ -70,7 +70,7 @@ class SendReceipt(SlotRecord):
     __slots__ = ("packet", "handle", "deliver_at")
 
     def __init__(
-        self, packet: Packet, handle: EventHandle, deliver_at: float
+        self, packet: Packet, handle: Event, deliver_at: float
     ) -> None:
         self.packet = packet
         self.handle = handle
@@ -257,7 +257,7 @@ class Stack:
     def queued(self):
         """Live queue entries, per packet: (time, seq, what is delivered)."""
         entries = []
-        for time, seq, _, args, event in self.sim._queue._heap:
+        for time, seq, _, args, event in self.sim._heap:
             if not event.cancelled:
                 packet = args[0]
                 entries.append(
@@ -280,7 +280,7 @@ class Stack:
     def observable(self):
         return (
             self.queued(),
-            self.sim._queue._seq,
+            self.sim._seq,
             self.received,
             self.totals,
             [

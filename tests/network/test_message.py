@@ -6,10 +6,10 @@ import pytest
 
 from repro.network.message import (
     CONTROL_OVERHEAD_BYTES,
+    CONTROL_PACKET_BYTES,
     NEEM_HEADER_BYTES,
     PACKET_OVERHEAD_BYTES,
     Packet,
-    control_packet_size,
     payload_packet_size,
 )
 
@@ -21,8 +21,8 @@ def test_paper_payload_sizing():
 
 
 def test_control_packet_smaller_than_payload():
-    assert control_packet_size() < payload_packet_size(256)
-    assert control_packet_size() == CONTROL_OVERHEAD_BYTES + PACKET_OVERHEAD_BYTES
+    assert CONTROL_PACKET_BYTES < payload_packet_size(256)
+    assert CONTROL_PACKET_BYTES == CONTROL_OVERHEAD_BYTES + PACKET_OVERHEAD_BYTES
 
 
 def test_packet_ids_are_unique():

@@ -26,7 +26,7 @@ from repro.experiments.golden import (
     trace_digest,
 )
 from repro.experiments.runner import run_experiment
-from repro.network.message import control_packet_size
+from repro.network.message import CONTROL_PACKET_BYTES
 from repro.scheduler.lazy_point_to_point import IHAVE, MSG, LazyPointToPoint
 from repro.sim.engine import Simulator
 from repro.strategies.base import BaseStrategy
@@ -50,7 +50,7 @@ class PerPeerScheduler(LazyPointToPoint):
         else:
             self.lazy_sends += 1
             self.cache.put(message_id, payload, round_)
-            self._send(peer, IHAVE, message_id, control_packet_size())
+            self._send(peer, IHAVE, message_id, CONTROL_PACKET_BYTES)
 
 
 def _small_buffers(name: str):

@@ -6,7 +6,7 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro.network.message import control_packet_size, payload_packet_size
+from repro.network.message import CONTROL_PACKET_BYTES, payload_packet_size
 from repro.scheduler.interfaces import SchedulerConfig
 from repro.scheduler.lazy_point_to_point import IHAVE, IWANT, MSG, LazyPointToPoint
 from repro.strategies.flat import PureEagerStrategy, PureLazyStrategy
@@ -37,7 +37,7 @@ def test_eager_sends_payload_immediately(sim):
 def test_lazy_sends_advertisement_and_caches(sim):
     module, sends, _ = build(sim, PureLazyStrategy())
     module.l_send(1, "data", 2, peer=5)
-    assert sends == [(5, IHAVE, 1, control_packet_size())]
+    assert sends == [(5, IHAVE, 1, CONTROL_PACKET_BYTES)]
     assert module.cache.get(1) == ("data", 2)
     assert module.lazy_sends == 1
 
@@ -46,7 +46,7 @@ def test_ihave_for_unknown_triggers_immediate_iwant(sim):
     module, sends, _ = build(sim, PureLazyStrategy())
     module.handle(9, IHAVE, 1)
     sim.run()
-    assert sends == [(9, IWANT, 1, control_packet_size())]
+    assert sends == [(9, IWANT, 1, CONTROL_PACKET_BYTES)]
 
 
 def test_ihave_for_received_message_is_ignored(sim):

@@ -79,29 +79,12 @@ def test_schedule_at_past_rejected(sim):
         sim.schedule_at(5.0, lambda: None)
 
 
-def test_max_events_bounds_execution(sim):
-    for i in range(10):
-        sim.schedule(float(i), lambda: None)
-    executed = sim.run(max_events=4)
-    assert executed == 4
-    assert sim.pending_events == 6
-
-
 def test_cancel_prevents_execution(sim):
     fired = []
     handle = sim.schedule(1.0, fired.append, "no")
     handle.cancel()
     sim.run()
     assert fired == []
-
-
-def test_reset_rewinds(sim):
-    sim.schedule(5.0, lambda: None)
-    sim.run()
-    sim.schedule(5.0, lambda: None)
-    sim.reset()
-    assert sim.now == 0.0
-    assert sim.pending_events == 0
 
 
 def test_determinism_across_identical_runs():
@@ -120,13 +103,6 @@ def test_determinism_across_identical_runs():
         return trace
 
     assert run_once() == run_once()
-
-
-def test_step_returns_false_when_idle(sim):
-    assert sim.step() is False
-    sim.schedule(1.0, lambda: None)
-    assert sim.step() is True
-    assert sim.step() is False
 
 
 def test_run_is_not_reentrant(sim):

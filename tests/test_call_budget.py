@@ -14,12 +14,12 @@ next change is measured against it.
 
 Pinned counts (calls / deliveries, seed 1001):
 
-=====================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================
-cell                   before burst path    burst path           shared fault draws   one fabric path      fixed-T queue only   one fault model      in-flight receipts   one transport        model rows
-=====================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================
-Flat 1.0               776,774 / 2,400      318,154 / 2,400      318,154 / 2,400      318,153 / 2,400      315,628 / 2,400      314,071 / 2,400      297,013 / 2,400      297,010 / 2,400      297,010 / 2,400
-Radius, faults         871,175 / 1,920      600,350 / 1,920      600,344 / 1,920      441,214 / 1,920      435,533 / 1,920      434,149 / 1,920      417,599 / 1,920      417,596 / 1,920      347,567 / 1,920
-=====================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================
+=====================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================
+cell                   before burst path    burst path           shared fault draws   one fabric path      fixed-T queue only   one fault model      in-flight receipts   one transport        model rows           one event heap
+=====================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================
+Flat 1.0               776,774 / 2,400      318,154 / 2,400      318,154 / 2,400      318,153 / 2,400      315,628 / 2,400      314,071 / 2,400      297,013 / 2,400      297,010 / 2,400      297,010 / 2,400      289,579 / 2,400
+Radius, faults         871,175 / 1,920      600,350 / 1,920      600,344 / 1,920      441,214 / 1,920      435,533 / 1,920      434,149 / 1,920      417,599 / 1,920      417,596 / 1,920      347,567 / 1,920      313,557 / 1,920
+=====================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================  ===================
 
 With one fabric path, Flat 1.0's sends cost what they did; its one call
 fewer is the fast-path predicate the fabric computed once per cluster.
@@ -56,6 +56,15 @@ calls (one each per eager decision and per ``select_source`` key), 20,669
 comprehension over the row, replacing the base class's per-peer loop
 call for call) and 40 monitor constructions: 70,029 calls fewer,
 217.5 -> 181.0 calls per delivery.  Flat 1.0 runs no changed code.
+
+With the simulator holding its event heap itself, each scheduled event
+loses its ``EventQueue.push`` / ``push_many`` frame (1,744 / 5,686 for
+Flat 1.0, 5,216 / 7,824 for Radius with faults) and each cluster its
+``EventQueue.__init__``; a cancellation's ``_on_cancel`` moves to the
+simulator call for call.  The IHAVE/IWANT wire size is the constant
+``CONTROL_PACKET_BYTES``, so Radius with faults also drops 20,969
+``control_packet_size`` calls: 123.8 -> 120.7 calls per delivery for
+Flat 1.0 and 181.0 -> 163.3 for Radius with faults.
 """
 
 from __future__ import annotations
@@ -93,8 +102,8 @@ def _radius_faults_spec() -> runner.ExperimentSpec:
 
 #: cell -> (spec builder, pinned repro calls, deliveries)
 PINS = {
-    "flat_1.0": (_flat_spec, 297_010, 2_400),
-    "radius_faults": (_radius_faults_spec, 347_567, 1_920),
+    "flat_1.0": (_flat_spec, 289_579, 2_400),
+    "radius_faults": (_radius_faults_spec, 313_557, 1_920),
 }
 
 
