@@ -36,7 +36,7 @@ from numpy.typing import NDArray
 
 from repro.failures.gray import GrayFailurePlan, gray_targets
 from repro.failures.injection import FailurePlan, crash_victims
-from repro.megasim.links import merge_link_arrays, top_share
+from repro.megasim.links import structure_metrics
 from repro.megasim.state import run_starts
 from repro.metrics.analysis import RunSummary
 from repro.metrics.confidence import mean_confidence_interval, percentile
@@ -768,10 +768,10 @@ def summary_from_outcomes(
     if top_link_share is None:
         # Link concentration straight from the outcomes' columnar link
         # arrays -- no per-link dicts, so this path holds at 10^6 nodes.
-        merged_links = merge_link_arrays(outcomes)
+        structure = structure_metrics(outcomes, n, top_fraction)
         top_link_share = (
-            top_share(merged_links[1], top_fraction)
-            if merged_links is not None
+            structure.top_link_share
+            if structure is not None
             else float("nan")
         )
     mean, ci, median, p95 = _slot_latency_stats(

@@ -82,7 +82,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.megasim.adapter import CompiledFaults, VectorTopology
-from repro.megasim.state import NODE_DTYPE, MessageState, run_starts
+from repro.megasim.state import (
+    NODE_DTYPE,
+    MessageState,
+    run_lengths,
+    run_starts,
+)
 from repro.megasim.strategies import CompiledStrategy
 
 #: One batch of in-flight packets: aligned (src, dst) columns.  The round
@@ -385,12 +390,10 @@ class _LinkLog:
         if needed > capacity:
             while capacity < needed:
                 capacity *= 2
-            self._src = np.concatenate([self._src[: self.size],
-                                        np.empty(capacity - self.size,
-                                                 NODE_DTYPE)])
-            self._dst = np.concatenate([self._dst[: self.size],
-                                        np.empty(capacity - self.size,
-                                                 NODE_DTYPE)])
+            for name in ("_src", "_dst"):
+                grown = np.empty(capacity, NODE_DTYPE)
+                grown[: self.size] = getattr(self, name)[: self.size]
+                setattr(self, name, grown)
         self._src[self.size: needed] = src
         self._dst[self.size: needed] = dst
         self.size = needed
@@ -404,8 +407,7 @@ class _LinkLog:
         keys += self._dst[: self.size]
         keys.sort()  # values only: ties unobservable
         starts = run_starts(keys)
-        sends = np.diff(starts, append=keys.size).astype(np.int64, copy=False)
-        return keys[starts], sends
+        return keys[starts], run_lengths(starts, keys.shape[0])
 
 
 def _accumulate(

@@ -55,11 +55,7 @@ from repro.megasim.arena import (
     current_env,
     install_worker_env,
 )
-from repro.megasim.links import (
-    StructureMetrics,
-    merge_link_arrays,
-    structure_metrics,
-)
+from repro.megasim.links import StructureMetrics, structure_metrics
 from repro.megasim.rounds import MessageOutcome, disseminate
 from repro.megasim.strategies import compile_strategy
 from repro.metrics.analysis import RunSummary
@@ -160,14 +156,10 @@ class MegasimResult:
     structure: Optional[StructureMetrics] = field(init=False, default=None)
 
     def __post_init__(self) -> None:
-        # One merge of the link table and one top share feed both the
-        # structure metrics and the summary (no structure: links were
-        # not tracked, and the summary reports NaN).
-        self.structure = structure_metrics(
-            self.outcomes,
-            self.spec.nodes,
-            merged_links=merge_link_arrays(self.outcomes),
-        )
+        # One link reduction feeds both the structure metrics and the
+        # summary (no structure: links were not tracked, and the summary
+        # reports NaN).
+        self.structure = structure_metrics(self.outcomes, self.spec.nodes)
         self.summary = summary_from_outcomes(
             self.outcomes,
             self.spec.nodes,

@@ -55,6 +55,15 @@ def run_starts(ordered: NDArray[np.generic]) -> NDArray[np.intp]:
     return np.flatnonzero(first)
 
 
+def run_lengths(starts: NDArray[np.intp], size: int) -> NDArray[np.int64]:
+    """Length of every run that begins at ``starts`` (ascending, as
+    :func:`run_starts` returns them) in a sequence of ``size`` elements."""
+    lengths = np.empty(starts.shape[0], dtype=np.int64)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = size - starts[-1:]
+    return lengths
+
+
 class AdvertLog:
     """Columnar log of the delivered IHAVE advertisements still in play.
 

@@ -40,18 +40,6 @@ def test_unused_keys_do_not_enlarge_the_cut():
     assert node_concentration({0: 3, 1: 1, 2: 0, 3: 0}, 0.5) == pytest.approx(3 / 4)
 
 
-def test_vector_top_share_matches_on_zero_padded_links():
-    np = pytest.importorskip("numpy")
-    from repro.megasim.links import top_share
-
-    counts = {(i, i + 1): i for i in range(1, 11)}
-    padded = {**counts, **{(100 + i, 200 + i): 0 for i in range(100)}}
-    for table in (counts, padded):
-        column = np.array(list(table.values()), dtype=np.int64)
-        for fraction in (0.05, 0.3, 1.0):
-            assert top_share(column, fraction) == link_concentration(table, fraction)
-
-
 def test_node_concentration():
     counts = {0: 100, 1: 1, 2: 1, 3: 1}
     assert node_concentration(counts, 0.25) == pytest.approx(100 / 103)
