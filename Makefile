@@ -41,7 +41,7 @@ lint-streams:
 # (tests/reach/collect.py, numpy needed) and show what changed.  CI
 # diffs this file, so a reach change is: run this target, review, commit.
 reach:
-	PYTHONPATH=src $(PYTHON) tests/reach/collect.py
+	PYTHONPATH=src $(PYTHON) -m tests.reach.collect
 	git diff --stat --exit-code tests/reach/unreached.txt \
 		|| echo "unreached list updated; review the diff above"
 

@@ -100,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     topo.add_argument("--routers", type=_at_least(1), default=3037)
     topo.add_argument("--clients", type=_at_least(2), default=100)
     topo.add_argument("--seed", type=int, default=1)
-    topo.add_argument(
-        "--save", metavar="PATH", default=None,
-        help="also write the client model file (JSON) to PATH",
-    )
 
     run = sub.add_parser("run", help="run one experiment and print its summary")
     run.add_argument("strategy", choices=sorted(STRATEGIES))
@@ -219,15 +215,6 @@ def command_topology(args: argparse.Namespace) -> int:
     stats = compute_statistics(model)
     rows = [{"statistic": label, "value": value} for label, value in stats.as_rows()]
     print(format_table(rows))
-    if args.save:
-        from repro.topology.export import save_model
-
-        provenance = (
-            f"generate_inet(routers={args.routers}, clients={args.clients}, "
-            f"seed={args.seed})"
-        )
-        save_model(model, args.save, provenance=provenance)
-        print(f"model written to {args.save}")
     return 0
 
 

@@ -211,17 +211,3 @@ def test_bad_strategy_parameters_are_one_line_usage_errors(
     assert captured.out == ""
     assert captured.err.startswith("repro: error: ") and field in captured.err
     assert captured.err.count("\n") == 1
-
-
-def test_topology_save_writes_model_file(tmp_path, capsys):
-    from repro.topology.export import load_model
-
-    path = tmp_path / "model.json"
-    code = main([
-        "topology", "--routers", "250", "--clients", "12", "--seed", "2",
-        "--save", str(path),
-    ])
-    assert code == 0
-    model = load_model(path)
-    assert model.size == 12
-    assert "model written" in capsys.readouterr().out
